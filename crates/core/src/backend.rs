@@ -6,19 +6,20 @@
 //! implementation is `hyperq-engine`'s in-process warehouse, and tests use
 //! scripted fakes.
 //!
-//! Errors carry a [`BackendErrorKind`] taxonomy so the layers above —
-//! notably [`crate::resilience::ResilientBackend`] — can tell a transient
-//! hiccup worth retrying from a semantic rejection that will fail
-//! identically forever.
+//! Errors carry a [`BackendErrorKind`] taxonomy; what each kind means for
+//! retry, the circuit breaker, session recovery, replica fencing and the
+//! client's wire code is decided in one place, [`crate::policy`].
 
 use std::sync::Arc;
 
-use hyperq_obs::{Counter, Histogram, ObsContext};
 use hyperq_xtra::catalog::TableDef;
 use hyperq_xtra::schema::Schema;
 use hyperq_xtra::Row;
 
-/// Classification of a target-database failure, driving retry policy.
+use crate::replicate::TxnPin;
+
+/// Classification of a target-database failure; [`crate::policy::decide`]
+/// maps each kind to what the middle tier does about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendErrorKind {
     /// Momentary failure (deadlock victim, resource blip); retry is safe
@@ -39,13 +40,6 @@ pub enum BackendErrorKind {
 }
 
 impl BackendErrorKind {
-    /// Whether a retry can possibly change the outcome. The statement-level
-    /// replay-safety check ([`RequestContext::allows_retry`]) is a separate
-    /// gate.
-    pub fn is_retryable(self) -> bool {
-        !matches!(self, BackendErrorKind::Fatal)
-    }
-
     /// Stable lowercase name, used as a metric label value.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -57,8 +51,8 @@ impl BackendErrorKind {
         }
     }
 
-    /// All kinds, in display order (used to pre-resolve labeled metric
-    /// handles).
+    /// All kinds, in declaration order (labeled metric handles are
+    /// pre-resolved in this order and indexed by `kind as usize`).
     pub const ALL: [BackendErrorKind; 5] = [
         BackendErrorKind::Transient,
         BackendErrorKind::Timeout,
@@ -80,11 +74,19 @@ impl std::fmt::Display for BackendErrorKind {
 pub struct BackendError {
     pub kind: BackendErrorKind,
     pub message: String,
+    /// The code a wire client sees for this failure, set from the policy
+    /// table's [`Disposition`](crate::policy::Disposition) by the link
+    /// that surfaces the error.
+    pub wire_code: u16,
 }
 
 impl BackendError {
     pub fn new(kind: BackendErrorKind, message: impl Into<String>) -> BackendError {
-        BackendError { kind, message: message.into() }
+        BackendError {
+            kind,
+            message: message.into(),
+            wire_code: crate::policy::WIRE_STATEMENT_FAILED,
+        }
     }
 
     pub fn transient(message: impl Into<String>) -> BackendError {
@@ -112,8 +114,7 @@ impl BackendError {
     /// messages default to `Fatal`: never retry what we don't understand.
     pub fn classify(message: impl Into<String>) -> BackendError {
         let message = message.into();
-        let kind = classify_message(&message);
-        BackendError { kind, message }
+        BackendError::new(classify_message(&message), message)
     }
 }
 
@@ -165,29 +166,33 @@ impl std::fmt::Display for BackendError {
 impl std::error::Error for BackendError {}
 
 /// Per-request execution context the pipeline passes down to the backend
-/// stack so wrappers can make replay-safety decisions the SQL text alone
-/// cannot justify: whether the statement is idempotent, and whether the
-/// session currently has a transaction open (a retried statement inside a
-/// transaction could be applied twice if the first attempt actually
-/// committed on the target before the error surfaced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// so the link and the replica set can make replay-safety decisions the
+/// SQL text alone cannot justify: whether the statement is idempotent, and
+/// whether the session currently has a transaction open (a retried
+/// statement inside a transaction could be applied twice if the first
+/// attempt actually committed on the target before the error surfaced).
+#[derive(Debug, Clone, Default)]
 pub struct RequestContext {
     /// Re-executing the statement cannot change the outcome (read-only
-    /// queries; not DML/DDL).
+    /// queries; not DML/DDL). The default is the conservative `false`.
     pub idempotent: bool,
     /// The session has an open transaction.
     pub in_transaction: bool,
+    /// The session's transaction pin, lent by the session's
+    /// [`TargetLink`](crate::resilience::TargetLink) so a replica set can
+    /// keep an open transaction on one replica. `None` outside a session.
+    pub pin: Option<Arc<TxnPin>>,
 }
 
 impl RequestContext {
     /// Context for a replay-safe read outside any transaction.
     pub fn read_only() -> RequestContext {
-        RequestContext { idempotent: true, in_transaction: false }
+        RequestContext { idempotent: true, ..RequestContext::default() }
     }
 
     /// Context for a non-idempotent statement (DML/DDL): never blind-retried.
     pub fn write() -> RequestContext {
-        RequestContext { idempotent: false, in_transaction: false }
+        RequestContext::default()
     }
 
     /// Conservative keyword classification for callers entering through the
@@ -196,7 +201,7 @@ impl RequestContext {
         let first = sql.split_whitespace().next().unwrap_or("").to_ascii_uppercase();
         RequestContext {
             idempotent: matches!(first.as_str(), "SELECT" | "SEL" | "WITH" | "HELP" | "SHOW"),
-            in_transaction: false,
+            ..RequestContext::default()
         }
     }
 
@@ -204,13 +209,6 @@ impl RequestContext {
     /// statements outside an open transaction.
     pub fn allows_retry(&self) -> bool {
         self.idempotent && !self.in_transaction
-    }
-}
-
-impl Default for RequestContext {
-    /// Conservative default: assume non-idempotent.
-    fn default() -> RequestContext {
-        RequestContext::write()
     }
 }
 
@@ -255,9 +253,8 @@ pub trait Backend: Send + Sync {
     fn execute(&self, sql: &str) -> Result<ExecResult, BackendError>;
 
     /// Execute with an explicit replay-safety context. Plain backends ignore
-    /// the context; policy wrappers (retry, replication) use it to decide
-    /// what they may replay. Wrappers MUST forward it to their inner
-    /// backend.
+    /// the context; the link and the replica set use it to decide what they
+    /// may replay. Wrappers MUST forward it to their inner backend.
     fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
         let _ = ctx;
         self.execute(sql)
@@ -270,97 +267,11 @@ pub trait Backend: Send + Sync {
     /// Re-establish the backend session after a lost connection — the ODBC
     /// reconnect. A fresh session has *none* of the old session's scoped
     /// state (settings, temp tables); re-creating it is the caller's job
-    /// (see [`crate::recover::RecoveringBackend`]). Backends without
-    /// per-session connection state succeed trivially; policy wrappers MUST
+    /// (see [`crate::resilience::TargetLink`]). Backends without
+    /// per-session connection state succeed trivially; wrappers MUST
     /// forward the call to their inner backend.
     fn reset_session(&self) -> Result<(), BackendError> {
         Ok(())
-    }
-}
-
-/// A transparent [`Backend`] wrapper that reports per-call metrics into an
-/// observability context: round-trips, errors (total and by taxonomy kind),
-/// rows returned/affected, a call-latency histogram, and catalog-lookup
-/// counts — all labeled with the wrapped backend's name.
-pub struct InstrumentedBackend {
-    inner: Arc<dyn Backend>,
-    calls: Arc<Counter>,
-    errors: Arc<Counter>,
-    errors_by_kind: [Arc<Counter>; BackendErrorKind::ALL.len()],
-    rows: Arc<Counter>,
-    catalog_lookups: Arc<Counter>,
-    latency: Arc<Histogram>,
-}
-
-impl InstrumentedBackend {
-    /// Wrap `inner`, resolving metric handles once. The wrapper is
-    /// transparent — callers still see the inner backend's `name()`.
-    pub fn wrap(inner: Arc<dyn Backend>, obs: &ObsContext) -> Arc<dyn Backend> {
-        let labels = &[("backend", inner.name())][..];
-        let m = &obs.metrics;
-        Arc::new(InstrumentedBackend {
-            calls: m.counter("hyperq_backend_requests_total", labels),
-            errors: m.counter("hyperq_backend_errors_total", labels),
-            errors_by_kind: BackendErrorKind::ALL.map(|k| {
-                m.counter(
-                    "hyperq_backend_errors_by_kind_total",
-                    &[("backend", inner.name()), ("kind", k.as_str())],
-                )
-            }),
-            rows: m.counter("hyperq_backend_rows_total", labels),
-            catalog_lookups: m.counter("hyperq_backend_catalog_lookups_total", labels),
-            latency: m.histogram("hyperq_backend_request_duration_seconds", labels),
-            inner,
-        })
-    }
-
-    fn observe(
-        &self,
-        result: Result<ExecResult, BackendError>,
-    ) -> Result<ExecResult, BackendError> {
-        match &result {
-            Ok(r) => self.rows.add(r.row_count),
-            Err(e) => {
-                self.errors.inc();
-                let idx = BackendErrorKind::ALL
-                    .iter()
-                    .position(|k| *k == e.kind)
-                    .unwrap_or(BackendErrorKind::ALL.len() - 1);
-                self.errors_by_kind[idx].inc();
-            }
-        }
-        result
-    }
-}
-
-impl Backend for InstrumentedBackend {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-        self.calls.inc();
-        let t0 = std::time::Instant::now();
-        let result = self.inner.execute(sql);
-        self.latency.record(t0.elapsed());
-        self.observe(result)
-    }
-
-    fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
-        self.calls.inc();
-        let t0 = std::time::Instant::now();
-        let result = self.inner.execute_ctx(sql, ctx);
-        self.latency.record(t0.elapsed());
-        self.observe(result)
-    }
-
-    fn table_meta(&self, name: &str) -> Option<TableDef> {
-        self.catalog_lookups.inc();
-        self.inner.table_meta(name)
-    }
-
-    fn reset_session(&self) -> Result<(), BackendError> {
-        self.inner.reset_session()
     }
 }
 
@@ -471,7 +382,7 @@ pub mod testing {
     }
 
     impl FaultScope {
-        fn matches(self, ctx: RequestContext) -> bool {
+        fn matches(self, ctx: &RequestContext) -> bool {
             match self {
                 FaultScope::All => true,
                 FaultScope::IdempotentOnly => ctx.allows_retry(),
@@ -643,7 +554,7 @@ pub mod testing {
             *self.plan.lock() = plan;
         }
 
-        fn next_fault(&self, sql: &str, ctx: RequestContext) -> Option<BackendErrorKind> {
+        fn next_fault(&self, sql: &str, ctx: &RequestContext) -> Option<BackendErrorKind> {
             let mut plan = self.plan.lock();
             if !plan.latency.is_zero() {
                 std::thread::sleep(plan.latency);
@@ -703,7 +614,7 @@ pub mod testing {
 
         fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
             self.attempts.fetch_add(1, Ordering::Relaxed);
-            if let Some(kind) = self.next_fault(sql, ctx) {
+            if let Some(kind) = self.next_fault(sql, &ctx) {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 return Err(BackendError::new(
                     kind,
@@ -752,14 +663,15 @@ mod tests {
     #[test]
     fn unknown_messages_default_to_fatal() {
         assert_eq!(BackendError::classify("disk quota exceeded").kind, BackendErrorKind::Fatal);
-        assert!(!BackendError::classify("whatever").kind.is_retryable());
+        assert_eq!(BackendError::classify("whatever").kind, BackendErrorKind::Fatal);
     }
 
     #[test]
     fn request_context_replay_safety() {
         assert!(RequestContext::read_only().allows_retry());
         assert!(!RequestContext::write().allows_retry());
-        assert!(!RequestContext { idempotent: true, in_transaction: true }.allows_retry());
+        assert!(!RequestContext { in_transaction: true, ..RequestContext::read_only() }
+            .allows_retry());
         assert!(RequestContext::from_sql("  SEL * FROM T").idempotent);
         assert!(RequestContext::from_sql("WITH X AS (SELECT 1) SELECT * FROM X").idempotent);
         assert!(!RequestContext::from_sql("INSERT INTO T VALUES (1)").idempotent);

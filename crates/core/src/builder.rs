@@ -1,13 +1,11 @@
 //! The engine's front door: [`HyperQBuilder`] and the canonical
 //! [`Request`]/[`Response`] pair.
 //!
-//! Earlier revisions accreted constructors (`HyperQ::new`, `with_obs`,
-//! `with_analysis`) and three run entry points with ad-hoc shapes. The
-//! builder replaces the constructor sprawl — one place to set backend,
-//! capabilities, observability, analyze mode, translation cache and
-//! recovery policy — and `HyperQ::run(Request)` is the single execution
-//! entry point that `run_one`/`run_script`/`run_with_params` wrap, so the
-//! translation cache keys off one canonical request shape.
+//! The builder is the one place to set target link, profile,
+//! observability, analyze mode, translation cache and recovery policy, and
+//! `HyperQ::run(Request)` is the single execution entry point that
+//! `run_one`/`run_script`/`run_with_params` wrap, so the translation cache
+//! keys off one canonical request shape.
 
 use std::sync::Arc;
 
@@ -17,12 +15,12 @@ use hyperq_xtra::datum::Datum;
 use crate::analyze::AnalyzeMode;
 use crate::backend::Backend;
 use crate::cache::{CacheConfig, TranslationCache};
-use crate::capability::TargetCapabilities;
 use crate::conformance::ConformanceMode;
 use crate::crosscompiler::{BuildSpec, HyperQ, StatementResult};
 use crate::error::{HyperQError, Result};
 use crate::recover::RecoverConfig;
 use crate::replicate::{ReplicaConfig, ReplicatedBackend};
+use crate::resilience::TargetLink;
 use crate::targets::TargetProfile;
 
 enum CacheChoice {
@@ -32,6 +30,33 @@ enum CacheChoice {
     Disabled,
     Config(CacheConfig),
     Shared(Arc<TranslationCache>),
+}
+
+/// What a session executes against: a bare driver, which gets a private
+/// [`TargetLink`] (single attempts, no circuit breaker), or a link built
+/// once and shared by many sessions — the gateway does this — so the
+/// breaker sees the target's aggregate health.
+pub enum LinkSource {
+    Driver(Arc<dyn Backend>),
+    Shared(TargetLink),
+}
+
+impl From<Arc<dyn Backend>> for LinkSource {
+    fn from(driver: Arc<dyn Backend>) -> Self {
+        LinkSource::Driver(driver)
+    }
+}
+
+impl<B: Backend + 'static> From<Arc<B>> for LinkSource {
+    fn from(driver: Arc<B>) -> Self {
+        LinkSource::Driver(driver)
+    }
+}
+
+impl From<&TargetLink> for LinkSource {
+    fn from(link: &TargetLink) -> Self {
+        LinkSource::Shared(link.share())
+    }
 }
 
 /// Builder for a [`HyperQ`] session.
@@ -46,7 +71,7 @@ enum CacheChoice {
 /// assert!(hq.run_script("BEGIN TRANSACTION; COMMIT").is_ok());
 /// ```
 pub struct HyperQBuilder {
-    backend: Arc<dyn Backend>,
+    source: LinkSource,
     profile: TargetProfile,
     obs: Option<Arc<ObsContext>>,
     analyze: AnalyzeMode,
@@ -64,10 +89,11 @@ impl HyperQBuilder {
     /// constructor). Profiles come from the registry
     /// ([`crate::targets::lookup`], [`crate::targets::simwh`], ...) or
     /// from [`TargetProfile::from_caps`] for a hand-rolled capability
-    /// signature.
-    pub fn for_target(backend: Arc<dyn Backend>, profile: TargetProfile) -> Self {
+    /// signature. `backend` is the driver itself, or a `&TargetLink` to
+    /// share that link's retry policy and breaker with other sessions.
+    pub fn for_target(backend: impl Into<LinkSource>, profile: TargetProfile) -> Self {
         HyperQBuilder {
-            backend,
+            source: backend.into(),
             profile,
             obs: None,
             analyze: AnalyzeMode::default(),
@@ -79,16 +105,6 @@ impl HyperQBuilder {
             replicas: Vec::new(),
             replica_config: ReplicaConfig::default(),
         }
-    }
-
-    /// Start a builder from a bare capability signature.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `HyperQBuilder::for_target` with a `TargetProfile` (e.g. \
-                `targets::lookup(\"simwh\")` or `TargetProfile::from_caps`)"
-    )]
-    pub fn new(backend: Arc<dyn Backend>, caps: TargetCapabilities) -> Self {
-        Self::for_target(backend, TargetProfile::from_caps(caps))
     }
 
     /// Replace the target profile chosen at construction time.
@@ -103,7 +119,8 @@ impl HyperQBuilder {
     /// the write-repair journal, and a background health prober runs at
     /// `config.probe_interval` (set it to zero to drive
     /// [`ReplicatedBackend::probe_and_repair`] manually). An empty
-    /// `replicas` keeps the plain single-backend stack.
+    /// `replicas` keeps the plain single backend; a session built over a
+    /// shared [`TargetLink`] ignores them (the link names its driver).
     pub fn replicas(mut self, replicas: Vec<Arc<dyn Backend>>, config: ReplicaConfig) -> Self {
         self.replicas = replicas;
         self.replica_config = config;
@@ -187,25 +204,31 @@ impl HyperQBuilder {
             CacheChoice::Config(cfg) => Some(Arc::new(TranslationCache::new(cfg, &obs))),
             CacheChoice::Shared(cache) => Some(cache),
         };
-        let (backend, replication, prober) = if self.replicas.is_empty() {
-            (self.backend, None, None)
-        } else {
-            let mut set: Vec<Arc<dyn Backend>> = vec![self.backend];
-            set.extend(self.replicas);
-            let spawn_prober = !self.replica_config.probe_interval.is_zero();
-            match ReplicatedBackend::with_config(set, self.replica_config, &obs) {
-                Ok(rep) => {
+        let (mut replication, mut prober) = (None, None);
+        let link = match self.source {
+            LinkSource::Shared(link) => link,
+            LinkSource::Driver(primary) => {
+                let mut driver = primary;
+                if !self.replicas.is_empty() {
+                    let mut set = vec![driver];
+                    set.extend(self.replicas);
+                    let spawn_prober = !self.replica_config.probe_interval.is_zero();
+                    // `with_config` only fails on an empty set, and `set`
+                    // always holds the primary.
+                    let Ok(rep) = ReplicatedBackend::with_config(set, self.replica_config, &obs)
+                    else {
+                        unreachable!("replica set always contains the primary backend")
+                    };
                     let rep = Arc::new(rep);
-                    let prober = spawn_prober.then(|| rep.spawn_prober());
-                    (Arc::clone(&rep) as Arc<dyn Backend>, Some(rep), prober)
+                    prober = spawn_prober.then(|| rep.spawn_prober());
+                    replication = Some(Arc::clone(&rep));
+                    driver = rep;
                 }
-                // `with_config` only fails on an empty set, and `set`
-                // always holds the primary.
-                Err(_) => unreachable!("replica set always contains the primary backend"),
+                TargetLink::new(driver, None, &obs)
             }
         };
         HyperQ::from_spec(BuildSpec {
-            backend,
+            link,
             profile: self.profile,
             obs,
             analyze: self.analyze,

@@ -20,16 +20,17 @@ use hyperq_obs::provenance::{self, CacheOutcome, FinishedStatement};
 use hyperq_obs::{Counter, Histogram, ObsContext, TraceId};
 
 use crate::analyze::{AnalyzeMode, Analyzer};
-use crate::backend::{Backend, ExecResult, InstrumentedBackend, RequestContext};
+use crate::backend::{Backend, ExecResult, RequestContext};
 use crate::binder::Binder;
-use crate::builder::{HyperQBuilder, Request, Response};
+use crate::builder::{Request, Response};
 use crate::cache::{CacheFill, CacheKey, TranslationCache};
 use crate::capability::TargetCapabilities;
 use crate::targets::TargetProfile;
 use crate::conformance::{Conformance, ConformanceMode};
 use crate::emulate::{self, EmulationKind};
 use crate::error::{HyperQError, Result};
-use crate::recover::{RecoverConfig, RecoveringBackend};
+use crate::recover::RecoverConfig;
+use crate::resilience::TargetLink;
 use crate::serialize::{LimitSpelling, Serializer};
 use crate::session::{RoutineDef, SessionState, ShadowCatalog};
 use crate::tracker::WorkloadTracker;
@@ -40,16 +41,13 @@ use crate::transform::Transformer;
 /// depending on this crate.
 pub use hyperq_obs::StageTimings;
 
-/// Backwards-compatible alias for the pre-observability name.
-pub type Timings = StageTimings;
-
 /// The outcome of one application statement.
 #[derive(Debug, Clone)]
 pub struct StatementResult {
     pub result: ExecResult,
     /// All tracked features observed across parse, bind and transform.
     pub features: FeatureSet,
-    pub timings: Timings,
+    pub timings: StageTimings,
     /// Every SQL request sent to the target for this statement (emulated
     /// features send several).
     pub sql_sent: Vec<String>,
@@ -168,9 +166,12 @@ struct CacheSeed {
     volatile: bool,
 }
 
-/// Everything [`HyperQBuilder`] resolved for a session.
+/// Everything [`HyperQBuilder`](crate::builder::HyperQBuilder) resolved for
+/// a session.
 pub(crate) struct BuildSpec {
-    pub backend: Arc<dyn Backend>,
+    /// The session-less link to the session's target (shared with other
+    /// sessions when the caller handed the builder one).
+    pub link: TargetLink,
     pub profile: TargetProfile,
     pub obs: Arc<ObsContext>,
     pub analyze: AnalyzeMode,
@@ -179,7 +180,7 @@ pub(crate) struct BuildSpec {
     pub recover: RecoverConfig,
     pub dml_batching: bool,
     /// When the builder assembled a replica set, the replicated backend
-    /// itself (already part of `backend`'s stack) plus its health prober,
+    /// itself (already `link`'s driver) plus its health prober,
     /// so the session can expose replica state and owns the prober thread.
     pub replication: Option<Arc<crate::replicate::ReplicatedBackend>>,
     pub prober: Option<crate::repair::ProberHandle>,
@@ -192,16 +193,8 @@ impl HyperQ {
         let analyzer = Analyzer::new(spec.analyze, &spec.obs);
         let conformance = Conformance::new(spec.conformance, &spec.obs);
         let session = SessionState::new(id, "APP");
-        // Backend stack, outermost first: instrumentation sees all traffic
-        // (including replay), recovery turns ConnectionLost into reconnect +
-        // journal replay, and whatever policy layers the caller wrapped
-        // (resilience, replication) sit below.
-        let recovering = RecoveringBackend::wrap(
-            spec.backend,
-            session.journal.clone(),
-            spec.recover,
-            Arc::clone(&spec.obs),
-        );
+        let backend =
+            spec.link.for_session(session.journal.clone(), spec.recover, Arc::clone(&spec.obs));
         let caps_sig = profile_sig(&spec.profile);
         // Slow-query-log entries store literal-redacted SQL unless raw
         // capture was opted into; the redactor reuses the fingerprinter's
@@ -210,7 +203,7 @@ impl HyperQ {
             spec.obs.slowlog.install_redactor(redact_literals);
         }
         HyperQ {
-            backend: InstrumentedBackend::wrap(recovering, &spec.obs),
+            backend: Arc::new(backend),
             profile: spec.profile,
             transformer: Transformer::standard().instrumented(&spec.obs.metrics),
             session,
@@ -226,32 +219,6 @@ impl HyperQ {
             replication: spec.replication,
             _replica_prober: spec.prober,
         }
-    }
-
-    #[deprecated(note = "use HyperQBuilder::for_target(backend, profile).build()")]
-    pub fn new(backend: Arc<dyn Backend>, caps: TargetCapabilities) -> Self {
-        HyperQBuilder::for_target(backend, TargetProfile::from_caps(caps)).build()
-    }
-
-    /// A session reporting into the given observability context instead of
-    /// the process-wide one (isolated metrics/traces for tests).
-    #[deprecated(note = "use HyperQBuilder::for_target(backend, profile).obs(obs).build()")]
-    pub fn with_obs(
-        backend: Arc<dyn Backend>,
-        caps: TargetCapabilities,
-        obs: Arc<ObsContext>,
-    ) -> Self {
-        HyperQBuilder::for_target(backend, TargetProfile::from_caps(caps)).obs(obs).build()
-    }
-
-    /// Set the static-analysis mode: `Strict` fails statements on any
-    /// invariant violation, rule-audit failure, or serializer round-trip
-    /// divergence (tests, CI); `LogOnly` (the default) only counts them;
-    /// `Off` skips the validation walks.
-    #[deprecated(note = "use HyperQBuilder::for_target(backend, profile).analyze(mode).build()")]
-    pub fn with_analysis(mut self, mode: AnalyzeMode) -> Self {
-        self.analyzer = Analyzer::new(mode, &self.obs);
-        self
     }
 
     /// The active static-analysis mode.
@@ -459,7 +426,7 @@ impl HyperQ {
             Ok(result) => Ok(StatementResult {
                 result,
                 features: hit.features.clone(),
-                timings: Timings { translation: lookup_time, execution: exec_time },
+                timings: StageTimings { translation: lookup_time, execution: exec_time },
                 sql_sent: vec![hit.sql],
                 trace_id: None,
             }),
@@ -795,7 +762,7 @@ impl HyperQ {
                 Ok(StatementOutcome {
                     result,
                     features,
-                    timings: Timings::default(),
+                    timings: StageTimings::default(),
                     sql_sent: Vec::new(),
                     trace_id: None,
                 })
@@ -820,7 +787,7 @@ impl HyperQ {
                 Ok(StatementOutcome {
                     result: ExecResult::rows(schema, rows),
                     features,
-                    timings: Timings::default(),
+                    timings: StageTimings::default(),
                     sql_sent: Vec::new(),
                     trace_id: None,
                 })
@@ -920,7 +887,7 @@ impl HyperQ {
                 self.emu(EmulationKind::Merge);
                 features.insert(Feature::MergeStatement);
                 let steps = emulate::decompose_merge(m)?;
-                let mut timings = Timings::default();
+                let mut timings = StageTimings::default();
                 let mut sql_sent = Vec::new();
                 let mut affected = 0u64;
                 for step in &steps {
@@ -1132,7 +1099,7 @@ impl HyperQ {
     ) -> Result<StatementOutcome> {
         features.union(&routine.features);
         let env = emulate::bind_routine_args(routine, args)?;
-        let mut timings = Timings::default();
+        let mut timings = StageTimings::default();
         let mut sql_sent = Vec::new();
         let mut last = ExecResult::ack();
         for stmt in &routine.body {
@@ -1209,7 +1176,7 @@ impl HyperQ {
         self.stages.bind.record(bind_time);
         provenance::note_stage("bind", bind_time);
         self.analyzer.check_plan(&plan, "bind")?;
-        let mut timings = Timings { translation: bind_time, execution: Duration::ZERO };
+        let mut timings = StageTimings { translation: bind_time, execution: Duration::ZERO };
 
         // Record sidecar properties (E8/E9) the target cannot hold.
         match &plan {
@@ -1509,7 +1476,7 @@ impl HyperQ {
         q: &past::Query,
         mut features: FeatureSet,
     ) -> Result<StatementOutcome> {
-        let mut timings = Timings::default();
+        let mut timings = StageTimings::default();
         let mut sql_sent = Vec::new();
         // Temp tables created so far; on a mid-sequence failure they are
         // best-effort dropped so a retried statement starts clean instead
@@ -1531,7 +1498,7 @@ impl HyperQ {
     fn cleanup_temp_tables(
         &mut self,
         live: &[String],
-        timings: &mut Timings,
+        timings: &mut StageTimings,
         sql_sent: &mut Vec<String>,
     ) {
         // Cleanup must succeed even when the statement was just cancelled:
@@ -1564,7 +1531,7 @@ impl HyperQ {
         &mut self,
         q: &past::Query,
         features: &mut FeatureSet,
-        timings: &mut Timings,
+        timings: &mut StageTimings,
         sql_sent: &mut Vec<String>,
         live: &mut Vec<String>,
     ) -> Result<ExecResult> {
@@ -1730,7 +1697,7 @@ impl HyperQ {
     /// retried (a replay could double-apply effects the target already
     /// holds in its transaction state).
     fn request_ctx(&self, idempotent: bool) -> RequestContext {
-        RequestContext { idempotent, in_transaction: self.session.in_transaction }
+        RequestContext { idempotent, in_transaction: self.session.in_transaction, pin: None }
     }
 
     /// Peel a top-level row bound off a query plan when the target spells
@@ -1766,7 +1733,7 @@ impl HyperQ {
     fn exec_plan(
         &mut self,
         plan: Plan,
-        timings: &mut Timings,
+        timings: &mut StageTimings,
         sql_sent: &mut Vec<String>,
     ) -> Result<ExecResult> {
         self.exec_plan_full(plan, timings, sql_sent)
@@ -1775,7 +1742,7 @@ impl HyperQ {
     fn exec_plan_full(
         &mut self,
         plan: Plan,
-        timings: &mut Timings,
+        timings: &mut StageTimings,
         sql_sent: &mut Vec<String>,
     ) -> Result<ExecResult> {
         let span = self.obs.traces.enter("transform");
@@ -1832,7 +1799,7 @@ fn ack(features: FeatureSet) -> StatementResult {
     StatementResult {
         result: ExecResult::ack(),
         features,
-        timings: Timings::default(),
+        timings: StageTimings::default(),
         sql_sent: Vec::new(),
         trace_id: None,
     }

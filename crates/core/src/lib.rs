@@ -33,9 +33,14 @@
 //! * [`conformance`] — the post-serializer sibling of [`analyze`]: a
 //!   capability-conformance lint over the exact SQL bytes sent to the
 //!   target, plus advisory anti-pattern lints over source statements,
-//! * [`recover`] — session continuity: a replay journal of target-side
-//!   session state and a reconnecting backend wrapper that restores it
-//!   transparently after a lost connection.
+//! * [`resilience`] — the backend execution path: the one
+//!   [`TargetLink`] between a session and its target (retries, circuit
+//!   breaker, reconnect + replay), driven by
+//! * [`policy`] — the failure-policy table: per error kind, what retries,
+//!   what trips the breaker, what fences a replica, which wire code the
+//!   client sees,
+//! * [`recover`] — session continuity: the replay journal of target-side
+//!   session state the link restores after a lost connection.
 
 #![forbid(unsafe_code)]
 
@@ -49,6 +54,7 @@ pub mod conformance;
 pub mod crosscompiler;
 pub mod emulate;
 pub mod error;
+pub mod policy;
 pub mod recover;
 pub mod repair;
 pub mod replicate;
@@ -63,7 +69,7 @@ pub use analyze::{AnalyzeMode, Analyzer};
 pub use builder::{HyperQBuilder, Request, RequestOptions, Response};
 pub use cache::{CacheConfig, TranslationCache};
 pub use backend::{
-    Backend, BackendError, BackendErrorKind, ExecResult, InstrumentedBackend, RequestContext,
+    Backend, BackendError, BackendErrorKind, ExecResult, RequestContext,
 };
 pub use capability::TargetCapabilities;
 pub use conformance::{Conformance, ConformanceMode, Finding, Severity};
@@ -71,16 +77,13 @@ pub use serialize::Flavor;
 pub use targets::TargetProfile;
 pub use emulate::{CostTier, EmulationKind};
 pub use crosscompiler::{
-    HyperQ, StageTimings, StatementOutcome, StatementResult, Timings, STAGE_DURATION_METRIC,
+    HyperQ, StageTimings, StatementOutcome, StatementResult, STAGE_DURATION_METRIC,
 };
 pub use error::{HyperQError, Result};
 pub use hyperq_obs::{ObsContext, ProvenanceConfig, TraceId};
 pub use recover::{
-    JournalEntry, JournalEntryKind, RecoverConfig, RecoveringBackend, SessionJournal,
-    TXN_ABORT_MESSAGE,
+    JournalEntry, JournalEntryKind, RecoverConfig, SessionJournal, TXN_ABORT_MESSAGE,
 };
 pub use repair::{ProberHandle, RepairReport};
-pub use replicate::{ReplicaConfig, ReplicaHealth, ReplicaSnapshot, ReplicatedBackend};
-pub use resilience::{
-    BreakerConfig, BreakerState, ResilienceConfig, ResilientBackend, RetryPolicy,
-};
+pub use replicate::{ReplicaConfig, ReplicaHealth, ReplicaSnapshot, ReplicatedBackend, TxnPin};
+pub use resilience::{BreakerConfig, BreakerState, ResilienceConfig, RetryPolicy, TargetLink};

@@ -1,5 +1,4 @@
-//! Session continuity: transparent backend reconnection with DTM-state
-//! replay.
+//! Session continuity: the journal of a session's target-side state.
 //!
 //! The emulation layer works because "state information maintained in the
 //! application layer" (paper §2.1) lives in the mid-tier DTM catalog — but
@@ -8,39 +7,20 @@
 //! emulation scratch tables. A `ConnectionLost` from the target silently
 //! destroys all of it while the DTM catalog still believes it exists.
 //!
-//! This module closes the gap:
-//!
-//! * [`SessionJournal`] — an append-only journal of the session-establishing
-//!   actions with target-side effects, recorded by the crosscompiler as
-//!   replayable backend requests.
-//! * [`RecoveringBackend`] — a [`Backend`] wrapper (layered *outside*
-//!   [`crate::resilience::ResilientBackend`]) that, on `ConnectionLost`,
-//!   re-establishes the backend session, replays the journal in recording
-//!   order, invalidates `materialized_gtts` consistently on partial replay
-//!   failure, and only then re-issues the original request — and only when
-//!   [`RequestContext`] permits. If the session was inside an open
-//!   transaction, recovery restores the session but surfaces a clean
-//!   "transaction aborted" error instead of silently replaying
-//!   non-idempotent work.
-//!
-//! Replay ordering is the recording order (journal sequence): settings
-//! before the statements that depend on them, GTT DDL before anything that
-//! could reference the instance, orphan drops wherever the failed cleanup
-//! left them. Entries are keyed so re-recording (e.g. a `SET` overwriting an
-//! earlier value for the same setting) replaces in place and replay applies
-//! only the final value.
+//! [`SessionJournal`] is the append-only record of the session-establishing
+//! actions with target-side effects, written by the crosscompiler as
+//! replayable backend requests and replayed by the session's
+//! [`TargetLink`](crate::resilience::TargetLink) after a reconnect.
+//! Entries are keyed so re-recording (e.g. a `SET` overwriting an earlier
+//! value for the same setting) replaces in place and replay applies only
+//! the final value.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use hyperq_obs::{Counter, Histogram, ObsContext};
-use hyperq_xtra::catalog::TableDef;
 use parking_lot::Mutex;
 
-use crate::backend::{Backend, BackendError, BackendErrorKind, ExecResult, RequestContext};
-
 /// Canonical message for a statement lost together with its open
-/// transaction. The wire layer maps this to its own error code; the soak
+/// transaction (wire code [`crate::policy::WIRE_TXN_ABORTED`]). The soak
 /// harness asserts it appears exactly once per in-transaction kill.
 pub const TXN_ABORT_MESSAGE: &str =
     "transaction aborted by connection loss, session restored";
@@ -61,6 +41,14 @@ pub enum JournalEntryKind {
 }
 
 impl JournalEntryKind {
+    /// All kinds, in declaration order (labeled metric handles are
+    /// pre-resolved in this order and indexed by `kind as usize`).
+    pub const ALL: [JournalEntryKind; 3] = [
+        JournalEntryKind::Setting,
+        JournalEntryKind::GttMaterialize,
+        JournalEntryKind::OrphanTemp,
+    ];
+
     /// Stable lowercase name, used as a metric label value.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -101,7 +89,7 @@ struct JournalInner {
 
 /// Shared, thread-safe journal of a session's target-side state. Cloning is
 /// cheap (an `Arc` handle): the crosscompiler records into it, the
-/// [`RecoveringBackend`] replays from it.
+/// session's link replays from it.
 #[derive(Clone, Default)]
 pub struct SessionJournal {
     inner: Arc<Mutex<JournalInner>>,
@@ -158,7 +146,7 @@ impl SessionJournal {
     }
 
     /// Remove one entry (orphan finally dropped, GTT invalidated, …).
-    fn remove(&self, kind: JournalEntryKind, key: &str) {
+    pub(crate) fn remove(&self, kind: JournalEntryKind, key: &str) {
         self.inner.lock().entries.retain(|e| !(e.kind == kind && e.key == key));
     }
 
@@ -203,11 +191,11 @@ impl SessionJournal {
         std::mem::take(&mut self.inner.lock().txn_aborted)
     }
 
-    fn note_txn_abort(&self) {
+    pub(crate) fn note_txn_abort(&self) {
         self.inner.lock().txn_aborted = true;
     }
 
-    fn invalidate_gtt(&self, logical: &str) {
+    pub(crate) fn invalidate_gtt(&self, logical: &str) {
         let mut inner = self.inner.lock();
         inner
             .entries
@@ -215,17 +203,17 @@ impl SessionJournal {
         inner.invalidated_gtts.push(logical.to_string());
     }
 
-    fn note_recovery(&self) {
+    pub(crate) fn note_recovery(&self) {
         self.inner.lock().recoveries += 1;
     }
 }
 
-/// Tuning for [`RecoveringBackend`].
+/// Tuning for a session link's reconnect-and-replay.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoverConfig {
     /// Recovery cycles attempted per original request before the error is
-    /// surfaced as-is. Replay statements themselves still get the inner
-    /// resilience layer's retries.
+    /// surfaced as-is. Replay statements themselves still get the link's
+    /// retries.
     pub max_recoveries: u32,
 }
 
@@ -235,200 +223,28 @@ impl Default for RecoverConfig {
     }
 }
 
-/// A [`Backend`] wrapper that turns `ConnectionLost` into a reconnect +
-/// journal replay, so the layers above see an unbroken session.
-///
-/// Layering (outermost first): `InstrumentedBackend` → `RecoveringBackend`
-/// → `ResilientBackend` → driver. Recovery sits *outside* resilience so the
-/// replayed statements benefit from retry/backoff, and *inside*
-/// instrumentation so recovery traffic is counted like any other.
-pub struct RecoveringBackend {
-    inner: Arc<dyn Backend>,
-    journal: SessionJournal,
-    config: RecoverConfig,
-    obs: Arc<ObsContext>,
-    attempts_m: Arc<Counter>,
-    success_m: Arc<Counter>,
-    failures_m: Arc<Counter>,
-    txn_aborts_m: Arc<Counter>,
-    invalidated_m: Arc<Counter>,
-    replayed_m: [Arc<Counter>; 3],
-    duration_m: Arc<Histogram>,
-}
-
-impl RecoveringBackend {
-    pub fn wrap(
-        inner: Arc<dyn Backend>,
-        journal: SessionJournal,
-        config: RecoverConfig,
-        obs: Arc<ObsContext>,
-    ) -> Arc<RecoveringBackend> {
-        let m = &obs.metrics;
-        Arc::new(RecoveringBackend {
-            attempts_m: m.counter("hyperq_recovery_attempts_total", &[]),
-            success_m: m.counter("hyperq_recovery_success_total", &[]),
-            failures_m: m.counter("hyperq_recovery_failures_total", &[]),
-            txn_aborts_m: m.counter("hyperq_recovery_txn_aborts_total", &[]),
-            invalidated_m: m.counter("hyperq_recovery_invalidated_gtts_total", &[]),
-            replayed_m: [
-                JournalEntryKind::Setting,
-                JournalEntryKind::GttMaterialize,
-                JournalEntryKind::OrphanTemp,
-            ]
-            .map(|k| {
-                m.counter("hyperq_recovery_replayed_entries_total", &[("kind", k.as_str())])
-            }),
-            duration_m: m.histogram("hyperq_recovery_duration_seconds", &[]),
-            inner,
-            journal,
-            config,
-            obs,
-        })
-    }
-
-    /// The journal this backend replays from (shared with the session).
-    pub fn journal(&self) -> &SessionJournal {
-        &self.journal
-    }
-
-    fn replayed(&self, kind: JournalEntryKind) -> &Counter {
-        match kind {
-            JournalEntryKind::Setting => &self.replayed_m[0],
-            JournalEntryKind::GttMaterialize => &self.replayed_m[1],
-            JournalEntryKind::OrphanTemp => &self.replayed_m[2],
-        }
-    }
-
-    /// Reconnect and replay the journal. `Err` means the session could not
-    /// be faithfully restored (reconnect failed or a *setting* failed to
-    /// reapply); a GTT replay failure is downgraded to an invalidation and
-    /// an orphan-drop failure stays journaled for the next attempt.
-    fn recover(&self) -> Result<(), BackendError> {
-        let _span = self.obs.traces.enter("recover");
-        self.attempts_m.inc();
-        let t0 = Instant::now();
-        let result = self.replay();
-        self.duration_m.record(t0.elapsed());
-        match &result {
-            Ok(()) => {
-                self.success_m.inc();
-                self.journal.note_recovery();
-                hyperq_obs::provenance::note_recovery();
-            }
-            Err(_) => self.failures_m.inc(),
-        }
-        result
-    }
-
-    fn replay(&self) -> Result<(), BackendError> {
-        self.inner.reset_session()?;
-        // Replay context: these statements re-establish session state a
-        // fresh connection lacks; they are replay-safe by construction.
-        let ctx = RequestContext { idempotent: true, in_transaction: false };
-        for entry in self.journal.snapshot() {
-            match entry.kind {
-                JournalEntryKind::Setting => {
-                    self.inner.execute_ctx(&entry.sql, ctx).map_err(|e| {
-                        BackendError::new(
-                            e.kind,
-                            format!("replaying setting {}: {}", entry.key, e.message),
-                        )
-                    })?;
-                    self.replayed(entry.kind).inc();
-                }
-                JournalEntryKind::GttMaterialize => {
-                    // Cloud targets can keep session scope alive across a
-                    // reconnect token — if the instance still exists, the
-                    // state is confirmed without re-running DDL.
-                    let alive = entry
-                        .guard_table
-                        .as_deref()
-                        .is_some_and(|t| self.inner.table_meta(t).is_some());
-                    if alive || self.inner.execute_ctx(&entry.sql, ctx).is_ok() {
-                        self.replayed(entry.kind).inc();
-                    } else {
-                        // Partial replay failure: drop the claim so the next
-                        // statement that touches the GTT re-materializes it.
-                        self.journal.invalidate_gtt(&entry.key);
-                        self.invalidated_m.inc();
-                    }
-                }
-                JournalEntryKind::OrphanTemp => {
-                    // Best effort, like the cleanup that failed: success
-                    // retires the entry, failure keeps it for next time.
-                    if self.inner.execute_ctx(&entry.sql, ctx).is_ok() {
-                        self.journal.remove(JournalEntryKind::OrphanTemp, &entry.key);
-                        self.replayed(entry.kind).inc();
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Backend for RecoveringBackend {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-        self.execute_ctx(sql, RequestContext::from_sql(sql))
-    }
-
-    fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
-        let mut recoveries = 0;
-        loop {
-            let err = match self.inner.execute_ctx(sql, ctx) {
-                Ok(result) => return Ok(result),
-                Err(e) => e,
-            };
-            if err.kind != BackendErrorKind::ConnectionLost
-                || recoveries >= self.config.max_recoveries
-            {
-                return Err(err);
-            }
-            recoveries += 1;
-            if ctx.in_transaction {
-                // The target rolled the transaction back with the
-                // connection. Restore the session for the *next* statement,
-                // but never replay the non-idempotent work silently.
-                self.txn_aborts_m.inc();
-                self.journal.note_txn_abort();
-                let _ = self.recover();
-                return Err(BackendError::fatal(TXN_ABORT_MESSAGE));
-            }
-            if self.recover().is_err() {
-                // Session unrecoverable; surface the original failure.
-                return Err(err);
-            }
-            if !ctx.allows_retry() {
-                // Session restored, but the statement's outcome on the dead
-                // connection is unknown and it is not replay-safe.
-                return Err(BackendError::new(
-                    err.kind,
-                    format!("{}; session restored, statement outcome unknown", err.message),
-                ));
-            }
-            // Replay-safe: re-issue on the restored session.
-        }
-    }
-
-    fn table_meta(&self, name: &str) -> Option<TableDef> {
-        self.inner.table_meta(name)
-    }
-
-    fn reset_session(&self) -> Result<(), BackendError> {
-        self.inner.reset_session()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::testing::{ScriptedBackend, RESET_MARKER};
+    use crate::backend::{Backend, BackendError, BackendErrorKind, ExecResult, RequestContext};
+    use crate::resilience::TargetLink;
+    use hyperq_obs::ObsContext;
     use hyperq_xtra::catalog::{ColumnDef, TableDef};
     use hyperq_xtra::types::SqlType;
+
+    /// A session link straight onto `scripted` (no retries, no breaker).
+    fn session_link(
+        scripted: &Arc<ScriptedBackend>,
+        journal: &SessionJournal,
+        obs: &Arc<ObsContext>,
+    ) -> TargetLink {
+        TargetLink::new(Arc::clone(scripted) as Arc<dyn Backend>, None, obs).for_session(
+            journal.clone(),
+            RecoverConfig::default(),
+            Arc::clone(obs),
+        )
+    }
 
     fn read_ctx() -> RequestContext {
         RequestContext::read_only()
@@ -479,12 +295,7 @@ mod tests {
         let journal = SessionJournal::new();
         journal.record_setting("DATEFORM", "SET DATEFORM = 'ANSIDATE'");
         journal.record_gtt("STAGE", "GTT_STAGE_S1", "CREATE TABLE GTT_STAGE_S1 (A INTEGER)");
-        let rb = RecoveringBackend::wrap(
-            Arc::clone(&scripted) as Arc<dyn Backend>,
-            journal.clone(),
-            RecoverConfig::default(),
-            Arc::clone(&obs),
-        );
+        let rb = session_link(&scripted, &journal, &obs);
 
         rb.execute_ctx("SEL 1", read_ctx()).expect("recovered and re-issued");
         let log = scripted.sql_log();
@@ -522,12 +333,7 @@ mod tests {
         let scripted = Arc::new(with_table);
         let journal = SessionJournal::new();
         journal.record_gtt("STAGE", "GTT_STAGE_S1", "CREATE TABLE GTT_STAGE_S1 (A INTEGER)");
-        let rb = RecoveringBackend::wrap(
-            Arc::clone(&scripted) as Arc<dyn Backend>,
-            journal.clone(),
-            RecoverConfig::default(),
-            obs,
-        );
+        let rb = session_link(&scripted, &journal, &obs);
         rb.execute_ctx("SEL 1", read_ctx()).unwrap();
         assert!(
             !scripted.sql_log().iter().any(|s| s.starts_with("CREATE TABLE")),
@@ -544,12 +350,7 @@ mod tests {
         let journal = SessionJournal::new();
         journal.record_gtt("GOOD", "GTT_GOOD_S1", "CREATE TABLE GTT_GOOD_S1 (A INTEGER)");
         journal.record_gtt("BAD", "GTT_BAD_S1", "CREATE TABLE GTT_BAD_S1 (A INTEGER)");
-        let rb = RecoveringBackend::wrap(
-            Arc::clone(&scripted) as Arc<dyn Backend>,
-            journal.clone(),
-            RecoverConfig::default(),
-            Arc::clone(&obs),
-        );
+        let rb = session_link(&scripted, &journal, &obs);
         rb.execute_ctx("SEL 1", read_ctx()).expect("recovery survives GTT failure");
         assert_eq!(journal.drain_invalidated_gtts(), vec!["BAD".to_string()]);
         assert_eq!(journal.len(), 1, "failed entry removed from journal");
@@ -565,13 +366,8 @@ mod tests {
         let scripted = flaky_scripted(1, None);
         let journal = SessionJournal::new();
         journal.record_setting("DATEFORM", "SET DATEFORM = 'ANSIDATE'");
-        let rb = RecoveringBackend::wrap(
-            Arc::clone(&scripted) as Arc<dyn Backend>,
-            journal.clone(),
-            RecoverConfig::default(),
-            Arc::clone(&obs),
-        );
-        let ctx = RequestContext { idempotent: false, in_transaction: true };
+        let rb = session_link(&scripted, &journal, &obs);
+        let ctx = RequestContext { in_transaction: true, ..RequestContext::write() };
         let err = rb.execute_ctx("INSERT INTO T VALUES (1)", ctx).unwrap_err();
         assert_eq!(err.message, TXN_ABORT_MESSAGE);
         assert_eq!(err.kind, BackendErrorKind::Fatal, "no layer may blind-retry this");
@@ -593,12 +389,7 @@ mod tests {
         let obs = ObsContext::new();
         let scripted = flaky_scripted(1, None);
         let journal = SessionJournal::new();
-        let rb = RecoveringBackend::wrap(
-            Arc::clone(&scripted) as Arc<dyn Backend>,
-            journal,
-            RecoverConfig::default(),
-            obs,
-        );
+        let rb = session_link(&scripted, &journal, &obs);
         let err = rb.execute_ctx("INSERT INTO T VALUES (1)", RequestContext::write()).unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::ConnectionLost);
         assert!(err.message.contains("session restored"), "{}", err.message);
@@ -616,12 +407,7 @@ mod tests {
         let scripted = flaky_scripted(1, None);
         let journal = SessionJournal::new();
         journal.record_orphan("WT_S1_1", "DROP TABLE IF EXISTS WT_S1_1");
-        let rb = RecoveringBackend::wrap(
-            Arc::clone(&scripted) as Arc<dyn Backend>,
-            journal.clone(),
-            RecoverConfig::default(),
-            obs,
-        );
+        let rb = session_link(&scripted, &journal, &obs);
         rb.execute_ctx("SEL 1", read_ctx()).unwrap();
         assert_eq!(journal.pending_orphans(), 0, "dropped orphan leaves the journal");
         assert!(scripted.sql_log().contains(&"DROP TABLE IF EXISTS WT_S1_1".to_string()));
@@ -637,12 +423,7 @@ mod tests {
             tables: vec![],
             responder: Box::new(|_| Err(BackendError::connection_lost("still down"))),
         });
-        let rb = RecoveringBackend::wrap(
-            scripted as Arc<dyn Backend>,
-            SessionJournal::new(),
-            RecoverConfig::default(),
-            Arc::clone(&obs),
-        );
+        let rb = session_link(&scripted, &SessionJournal::new(), &obs);
         let err = rb.execute_ctx("SEL 1", read_ctx()).unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::ConnectionLost);
         assert!(obs.metrics.counter_value("hyperq_recovery_attempts_total", &[]) >= 1);

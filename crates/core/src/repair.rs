@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::backend::RequestContext;
+use crate::backend::{Backend, RequestContext};
 use crate::replicate::{RepairOp, ReplicaHealth, ReplicatedBackend};
 
 /// What one repair sweep accomplished.
@@ -122,7 +122,7 @@ impl ReplicatedBackend {
             let replayed = hyperq_obs::provenance::suspended(|| match &op {
                 RepairOp::Write(sql) => r
                     .backend
-                    .execute_ctx(sql, RequestContext { idempotent: true, in_transaction: false })
+                    .execute_ctx(sql, RequestContext::read_only())
                     .is_ok(),
                 RepairOp::Reset => r.backend.reset_session().is_ok(),
             });

@@ -13,15 +13,15 @@
 //!   DDL) broadcast to every healthy replica. Statement classification is
 //!   parser-backed: `WITH x AS (…) DELETE FROM t` is a write, not a read.
 //! * **Error-class-aware fencing.** Each replica sits behind its own
-//!   [`ResilientBackend`], so transient read blips and timeouts are
+//!   session-less [`TargetLink`], so transient read blips and timeouts are
 //!   retried per replica before the replication layer ever sees them.
 //!   Writes keep the caller's (non-idempotent) [`RequestContext`] and are
 //!   never blind-retried — a retry after an ambiguous failure could apply
 //!   the write twice on one replica, a fork the row-count divergence check
-//!   cannot see. A replica is fenced only when it demonstrably missed an
-//!   applied write, when its connection is lost, or when its write result
-//!   diverges from the majority. Plain statement errors (bad SQL is bad
-//!   SQL on every replica) never fence.
+//!   cannot see. Whether a failed replica is fenced, skipped or kept is the
+//!   `replica` column of the [`crate::policy`] table; beyond it a replica
+//!   is fenced when it demonstrably missed an applied write or when its
+//!   write result diverges from the majority.
 //! * **Write-repair journal.** Writes applied while a replica is fenced
 //!   are journaled per replica and drained by [`probe_and_repair`]
 //!   (`crate::repair`) under an idempotent [`RequestContext`]; the replica
@@ -31,9 +31,11 @@
 //!   an operator rebuilds it.
 //! * **Transaction-pinned routing.** In-transaction statements pin the
 //!   session to one replica so every read inside the transaction observes
-//!   a single replica's state. Losing the pinned replica mid-transaction
-//!   surfaces as a connection-class error, which the recovery layer turns
-//!   into exactly one 2631 transaction abort.
+//!   a single replica's state. The pin is the session's ([`TxnPin`], owned
+//!   by its link and lent through [`RequestContext::pin`]). Losing the
+//!   pinned replica mid-transaction surfaces as a connection-class error,
+//!   which the session's link turns into exactly one 2631 transaction
+//!   abort.
 //! * **Divergence detection.** Broadcast writes compare affected-row
 //!   counts across replicas; a minority result flips that replica to
 //!   `NeedsResync` and counts `hyperq_replica_divergence_total` — journal
@@ -41,16 +43,16 @@
 //!
 //! [`probe_and_repair`]: ReplicatedBackend::probe_and_repair
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::backend::{Backend, BackendError, BackendErrorKind, ExecResult, RequestContext};
-use crate::resilience::{ResilienceConfig, ResilientBackend};
+use crate::backend::{Backend, BackendError, ExecResult, RequestContext};
+use crate::policy::{self, ReplicaVerdict};
+use crate::resilience::{ResilienceConfig, TargetLink};
 use hyperq_obs::{provenance, Counter, Gauge, ObsContext};
 use hyperq_parser::ast::Statement;
 use hyperq_parser::{parse_one, Dialect};
@@ -254,11 +256,11 @@ pub(crate) struct ReplicaState {
 
 pub(crate) struct Replica {
     pub(crate) name: String,
-    pub(crate) backend: Arc<dyn Backend>,
+    pub(crate) backend: TargetLink,
     pub(crate) state: Mutex<ReplicaState>,
-    /// Sessions currently transaction-pinned to this replica (best-effort,
-    /// for observability).
-    pinned_sessions: AtomicUsize,
+    /// Sessions currently transaction-pinned to this replica (held up by
+    /// each session's [`TxnPin`], for observability).
+    pinned_sessions: Arc<AtomicUsize>,
     pub(crate) health_state: Arc<Gauge>,
     pub(crate) depth_gauge: Arc<Gauge>,
     pub(crate) fences: Arc<Counter>,
@@ -270,23 +272,46 @@ pub(crate) struct Replica {
     writes: Arc<Counter>,
 }
 
-/// Distinguishes pins of different `ReplicatedBackend` instances sharing a
-/// thread (each instance only honours its own pins).
-static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+/// A session's transaction pin: the replica its open transaction is bound
+/// to. Owned by the session's [`TargetLink`] and lent to the replica set
+/// through [`RequestContext::pin`]; dropping it (session teardown) returns
+/// the replica's pinned-session count, so a client that vanishes
+/// mid-transaction cannot leak it.
+#[derive(Debug, Default)]
+pub struct TxnPin(Mutex<Option<Pinned>>);
 
-thread_local! {
-    /// The session's transaction pin: `(instance id, replica index)`.
-    /// One statement runs on one thread end to end (the same invariant the
-    /// provenance builder relies on), so a thread-local carries the pin
-    /// across statements of the session without touching the `Backend`
-    /// trait surface.
-    static PIN: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
+#[derive(Debug)]
+struct Pinned {
+    replica: usize,
+    sessions: Arc<AtomicUsize>,
+}
+
+impl Drop for Pinned {
+    fn drop(&mut self) {
+        self.sessions.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl TxnPin {
+    /// Index of the pinned replica, if any.
+    pub fn replica(&self) -> Option<usize> {
+        self.0.lock().as_ref().map(|p| p.replica)
+    }
+
+    /// Release the pin (idempotent).
+    pub fn clear(&self) {
+        *self.0.lock() = None;
+    }
+
+    fn set(&self, replica: usize, sessions: &Arc<AtomicUsize>) {
+        sessions.fetch_add(1, Ordering::Relaxed);
+        *self.0.lock() = Some(Pinned { replica, sessions: Arc::clone(sessions) });
+    }
 }
 
 /// A set of replicas behind one [`Backend`] face.
 pub struct ReplicatedBackend {
     name: String,
-    instance: u64,
     pub(crate) replicas: Vec<Replica>,
     next: AtomicUsize,
     pub(crate) config: ReplicaConfig,
@@ -301,8 +326,8 @@ impl ReplicatedBackend {
         ReplicatedBackend::with_config(replicas, ReplicaConfig::default(), ObsContext::global())
     }
 
-    /// Build with explicit tuning. Each replica is wrapped in its own
-    /// [`ResilientBackend`] so retries and breaker state are per replica.
+    /// Build with explicit tuning. Each replica gets its own
+    /// [`TargetLink`] so retries and breaker state are per replica.
     pub fn with_config(
         replicas: Vec<Arc<dyn Backend>>,
         config: ReplicaConfig,
@@ -318,8 +343,7 @@ impl ReplicatedBackend {
             .enumerate()
             .map(|(i, raw)| {
                 let name = format!("r{i}");
-                let backend: Arc<dyn Backend> =
-                    ResilientBackend::wrap(raw, resilience.clone(), obs);
+                let backend = TargetLink::new(raw, Some(resilience.clone()), obs);
                 let labels = &[("replica", name.as_str())][..];
                 let health_state = m.gauge("hyperq_replica_health_state", labels);
                 let depth_gauge = m.gauge("hyperq_replica_repair_depth", labels);
@@ -332,7 +356,7 @@ impl ReplicatedBackend {
                         journal: VecDeque::new(),
                         pending_misses: 0,
                     }),
-                    pinned_sessions: AtomicUsize::new(0),
+                    pinned_sessions: Arc::default(),
                     health_state,
                     depth_gauge,
                     fences: m.counter("hyperq_replica_fences_total", labels),
@@ -362,7 +386,6 @@ impl ReplicatedBackend {
         healthy_gauge.set(replicas.len() as i64);
         Ok(ReplicatedBackend {
             name: format!("replicated({})", replicas.len()),
-            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             replicas,
             next: AtomicUsize::new(0),
             config,
@@ -402,55 +425,35 @@ impl ReplicatedBackend {
         self.divergence.get()
     }
 
-    /// The replica the calling session is transaction-pinned to, if any.
+    /// A replica some session is currently transaction-pinned to, if any
+    /// (diagnostics; the pin itself is the session's [`TxnPin`]).
     pub fn pinned_replica(&self) -> Option<String> {
-        self.current_pin().map(|i| self.replicas[i].name.clone())
-    }
-
-    /// Release the calling thread's transaction pin, if any. The pin is
-    /// thread-local, so session owners (the wire worker's exit guard) must
-    /// call this from the session's own thread on teardown — a client that
-    /// disconnects mid-transaction would otherwise leave the replica's
-    /// pinned-session count elevated forever.
-    pub fn release_pin(&self) {
-        self.set_pin(None);
-    }
-
-    fn current_pin(&self) -> Option<usize> {
-        PIN.with(|p| p.get().filter(|(id, _)| *id == self.instance).map(|(_, i)| i))
-    }
-
-    fn set_pin(&self, idx: Option<usize>) {
-        let old = self.current_pin();
-        if old == idx {
-            return;
-        }
-        if let Some(o) = old {
-            self.replicas[o].pinned_sessions.fetch_sub(1, Ordering::Relaxed);
-        }
-        if let Some(n) = idx {
-            self.replicas[n].pinned_sessions.fetch_add(1, Ordering::Relaxed);
-        }
-        PIN.with(|p| p.set(idx.map(|i| (self.instance, i))));
+        self.replicas
+            .iter()
+            .find(|r| r.pinned_sessions.load(Ordering::Relaxed) > 0)
+            .map(|r| r.name.clone())
     }
 
     /// The session's pinned replica for an in-transaction statement,
-    /// choosing (and pinning) one round-robin on first use.
-    fn ensure_pin(&self) -> Result<usize, BackendError> {
-        if let Some(i) = self.current_pin() {
+    /// choosing (and pinning) one round-robin on first use. A request that
+    /// carries no pin (outside a session) is routed but cannot stick.
+    fn ensure_pin(&self, pin: Option<&TxnPin>) -> Result<usize, BackendError> {
+        if let Some(i) = pin.and_then(TxnPin::replica) {
             if self.replicas[i].state.lock().health == ReplicaHealth::Healthy {
                 return Ok(i);
             }
             // The pinned replica left rotation between statements; the
             // transaction cannot move without giving up its snapshot.
-            self.set_pin(None);
+            unpin(pin);
             return Err(BackendError::connection_lost(format!(
                 "pinned replica {} lost mid-transaction",
                 self.replicas[i].name
             )));
         }
         let i = self.pick_healthy()?;
-        self.set_pin(Some(i));
+        if let Some(pin) = pin {
+            pin.set(i, &self.replicas[i].pinned_sessions);
+        }
         Ok(i)
     }
 
@@ -582,64 +585,58 @@ impl ReplicatedBackend {
     }
 
     fn execute_read(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
-        if ctx.in_transaction {
-            let i = self.ensure_pin()?;
-            let r = &self.replicas[i];
-            return match r.backend.execute_ctx(sql, ctx) {
-                Ok(res) => {
-                    r.reads.inc();
-                    provenance::note_replica(&r.name);
-                    Ok(res)
-                }
-                Err(e) => {
-                    if matches!(
-                        e.kind,
-                        BackendErrorKind::ConnectionLost | BackendErrorKind::Timeout
-                    ) {
-                        // The replica is gone, and with it the transaction's
-                        // snapshot: fence it, drop the pin, and let the
-                        // recovery layer abort the transaction (one 2631).
-                        self.fence(i);
-                        self.set_pin(None);
-                    }
-                    Err(e)
-                }
-            };
-        }
+        // The replication layer proved the statement read-only itself, so
+        // for its fencing decision the statement is replay-safe whatever
+        // the caller's idempotence flag says.
+        let verdict = |e: &BackendError| {
+            let proven = RequestContext { idempotent: true, ..ctx.clone() };
+            policy::decide(e.kind, &proven, policy::statement_cancelled()).fence_replica
+        };
+        // Inside a transaction the only candidate is the pinned replica;
+        // outside, every healthy replica in round-robin order.
+        let pin = ctx.pin.as_deref();
         let n = self.replicas.len();
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
+        let (start, candidates) = if ctx.in_transaction {
+            (self.ensure_pin(pin)?, 1)
+        } else {
+            (self.next.fetch_add(1, Ordering::Relaxed), n)
+        };
         let mut last_err: Option<BackendError> = None;
-        for k in 0..n {
+        for k in 0..candidates {
             let i = (start + k) % n;
             let r = &self.replicas[i];
             if r.state.lock().health != ReplicaHealth::Healthy {
                 continue;
             }
-            match r.backend.execute_ctx(sql, ctx) {
+            match r.backend.execute_ctx(sql, ctx.clone()) {
                 Ok(res) => {
                     r.reads.inc();
                     provenance::note_replica(&r.name);
                     return Ok(res);
                 }
-                // A fatal error is the statement's fault (bad SQL fails
-                // identically everywhere): surface it, keep the replica.
-                Err(e) if e.kind == BackendErrorKind::Fatal => return Err(e),
-                // Rejected (breaker open, admission) — replica is saturated
-                // but not stale; fail over without fencing.
-                Err(e) if e.kind == BackendErrorKind::Rejected => last_err = Some(e),
-                // Connection lost / timeout / exhausted transient retries:
-                // the replica itself is unhealthy.
-                Err(e) => {
-                    self.fence(i);
-                    last_err = Some(e);
-                }
+                Err(e) => match verdict(&e) {
+                    ReplicaVerdict::Keep => return Err(e),
+                    ReplicaVerdict::FailOver => last_err = Some(e),
+                    ReplicaVerdict::Fence => {
+                        self.fence(i);
+                        if ctx.in_transaction {
+                            // The replica is gone, and with it the
+                            // transaction's snapshot: drop the pin and let
+                            // the session's link abort the transaction
+                            // (one 2631).
+                            unpin(pin);
+                        }
+                        last_err = Some(e);
+                    }
+                },
             }
         }
         Err(last_err.unwrap_or_else(|| BackendError::rejected("no healthy replica available")))
     }
 
     fn execute_write(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
-        let pin = if ctx.in_transaction { Some(self.ensure_pin()?) } else { None };
+        let session_pin = ctx.pin.as_deref();
+        let pin = if ctx.in_transaction { Some(self.ensure_pin(session_pin)?) } else { None };
         // The caller's idempotence flag passes through untouched. Granting
         // idempotence here would let each replica's resilience layer
         // blind-retry DML after an ambiguous failure (connection lost or
@@ -668,7 +665,7 @@ impl ReplicatedBackend {
                     ReplicaHealth::NeedsResync => continue,
                 }
             }
-            attempted.push((i, r.backend.execute_ctx(sql, ctx)));
+            attempted.push((i, r.backend.execute_ctx(sql, ctx.clone())));
         }
         let ok_count = attempted.iter().filter(|(_, res)| res.is_ok()).count();
         if ok_count == 0 {
@@ -681,19 +678,19 @@ impl ReplicatedBackend {
             for i in missed {
                 self.journal_missed(i, None);
             }
+            let cancelled = policy::statement_cancelled();
             for (i, res) in &attempted {
                 if let Err(e) = res {
-                    if matches!(
-                        e.kind,
-                        BackendErrorKind::ConnectionLost | BackendErrorKind::Timeout
-                    ) {
+                    if policy::decide(e.kind, &ctx, cancelled).fence_replica
+                        == ReplicaVerdict::Fence
+                    {
                         self.fence(*i);
                     }
                 }
             }
             if let Some(p) = pin {
                 if attempted.iter().any(|(i, res)| *i == p && res.is_err()) {
-                    self.set_pin(None);
+                    unpin(session_pin);
                 }
             }
             return Err(attempted
@@ -743,14 +740,14 @@ impl ReplicatedBackend {
                     // The pinned replica applied the write but disagrees
                     // with the majority: its transaction snapshot is not
                     // trustworthy. Abort the transaction.
-                    self.set_pin(None);
+                    unpin(session_pin);
                     return Err(BackendError::connection_lost(format!(
                         "pinned replica {} diverged mid-transaction",
                         self.replicas[p].name
                     )));
                 }
                 Some((_, Err(e))) => {
-                    self.set_pin(None);
+                    unpin(session_pin);
                     return Err(e.clone());
                 }
                 // `ensure_pin` only returns healthy replicas, which are all
@@ -770,6 +767,12 @@ impl ReplicatedBackend {
             }
             None => Err(BackendError::rejected("no healthy replica available")),
         }
+    }
+}
+
+fn unpin(pin: Option<&TxnPin>) {
+    if let Some(pin) = pin {
+        pin.clear();
     }
 }
 
@@ -800,14 +803,14 @@ impl Backend for ReplicatedBackend {
     }
 
     fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-        let read = is_read_only(sql);
-        self.execute_ctx(sql, RequestContext { idempotent: read, in_transaction: false })
+        let idempotent = is_read_only(sql);
+        self.execute_ctx(sql, RequestContext { idempotent, ..RequestContext::default() })
     }
 
     fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
         if !ctx.in_transaction {
             // First statement after a transaction closes releases the pin.
-            self.set_pin(None);
+            unpin(ctx.pin.as_deref());
         }
         if is_read_only(sql) {
             self.execute_read(sql, ctx)
@@ -830,7 +833,6 @@ impl Backend for ReplicatedBackend {
     }
 
     fn reset_session(&self) -> Result<(), BackendError> {
-        self.set_pin(None);
         let mut any_ok = false;
         let mut last_err = None;
         let mut missed: Vec<usize> = Vec::new();
@@ -870,6 +872,7 @@ impl Backend for ReplicatedBackend {
 mod tests {
     use super::*;
     use crate::backend::testing::{FaultInjectingBackend, FaultPlan, ScriptedBackend};
+    use crate::backend::BackendErrorKind;
     use hyperq_xtra::schema::Schema;
 
     /// Counting fake backend.
@@ -1120,29 +1123,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn release_pin_clears_a_leaked_session_pin() {
-        let (a, b) = (Counting::new(false), Counting::new(false));
-        let rep = pair(&a, &b);
-        let txn = RequestContext { idempotent: true, in_transaction: true };
-        rep.execute_ctx("SELECT 1", txn).unwrap();
-        let pinned: usize = rep.snapshot().iter().map(|s| s.pinned_sessions).sum();
-        assert_eq!(pinned, 1);
-        // Session teardown (wire worker exit guard) releases the pin even
-        // when the client vanished mid-transaction without a reset.
-        rep.release_pin();
-        let pinned: usize = rep.snapshot().iter().map(|s| s.pinned_sessions).sum();
-        assert_eq!(pinned, 0, "teardown must return the pinned-session count");
-        assert!(rep.pinned_replica().is_none());
+    fn txn_ctx(pin: &Arc<TxnPin>) -> RequestContext {
+        RequestContext { in_transaction: true, pin: Some(Arc::clone(pin)), ..RequestContext::read_only() }
     }
 
     #[test]
     fn transaction_pins_reads_to_one_replica() {
         let (a, b) = (Counting::new(false), Counting::new(false));
         let rep = pair(&a, &b);
-        let txn = RequestContext { idempotent: true, in_transaction: true };
+        let pin = Arc::new(TxnPin::default());
         for _ in 0..6 {
-            rep.execute_ctx("SELECT 1", txn).unwrap();
+            rep.execute_ctx("SELECT 1", txn_ctx(&pin)).unwrap();
         }
         let (ra, rb) = (*a.reads.lock(), *b.reads.lock());
         assert!(
@@ -1151,20 +1142,29 @@ mod tests {
         );
         assert!(rep.pinned_replica().is_some());
         // The first statement outside the transaction releases the pin.
-        rep.execute_ctx("SELECT 1", RequestContext::read_only()).unwrap();
+        let after = RequestContext { pin: Some(Arc::clone(&pin)), ..RequestContext::read_only() };
+        rep.execute_ctx("SELECT 1", after).unwrap();
         assert!(rep.pinned_replica().is_none());
+
+        // A session that vanishes mid-transaction takes its pin with it:
+        // the replica's pinned-session count cannot leak.
+        rep.execute_ctx("SELECT 1", txn_ctx(&pin)).unwrap();
+        let pinned: usize = rep.snapshot().iter().map(|s| s.pinned_sessions).sum();
+        assert_eq!(pinned, 1);
+        drop(pin);
+        let pinned: usize = rep.snapshot().iter().map(|s| s.pinned_sessions).sum();
+        assert_eq!(pinned, 0, "dropping the session's pin must return the count");
     }
 
     #[test]
     fn losing_the_pinned_replica_mid_transaction_is_a_connection_error() {
         let (a, b) = (Counting::new(false), Counting::new(false));
         let rep = pair(&a, &b);
-        let txn = RequestContext { idempotent: true, in_transaction: true };
-        rep.execute_ctx("SELECT 1", txn).unwrap();
-        let pinned = rep.pinned_replica().unwrap();
-        let idx = if pinned == "r0" { 0 } else { 1 };
+        let pin = Arc::new(TxnPin::default());
+        rep.execute_ctx("SELECT 1", txn_ctx(&pin)).unwrap();
+        let idx = pin.replica().unwrap();
         rep.fence(idx);
-        let err = rep.execute_ctx("SELECT 1", txn).unwrap_err();
+        let err = rep.execute_ctx("SELECT 1", txn_ctx(&pin)).unwrap_err();
         assert_eq!(err.kind, BackendErrorKind::ConnectionLost);
         assert!(err.message.contains("mid-transaction"), "{}", err.message);
         assert!(rep.pinned_replica().is_none(), "the dead pin must be released");

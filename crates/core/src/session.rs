@@ -56,7 +56,7 @@ pub struct SessionState {
     pub in_transaction: bool,
     /// Replay journal of target-side session state (settings pushed to the
     /// target, GTT materializations, orphaned emulation temps) — shared
-    /// with the [`crate::recover::RecoveringBackend`] that replays it after
+    /// with the [`crate::resilience::TargetLink`] that replays it after
     /// a lost connection.
     pub journal: SessionJournal,
 }

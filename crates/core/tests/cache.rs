@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use hyperq_core::backend::testing::ScriptedBackend;
 use hyperq_core::backend::Backend;
-use hyperq_core::capability::TargetCapabilities;
 use hyperq_core::{AnalyzeMode, CacheConfig, HyperQBuilder, ObsContext, TranslationCache};
 use hyperq_xtra::catalog::{ColumnDef, TableDef};
 use hyperq_xtra::types::SqlType;
@@ -241,16 +240,4 @@ fn shared_cache_isolates_entries_per_target() {
     assert_eq!(reduced.run_one(sql).unwrap().sql_sent, reduced_cold);
     assert_eq!(counter(&obs, "hyperq_cache_hits_total"), 2);
     assert_eq!(cache.len(), 2);
-}
-
-#[test]
-fn deprecated_constructors_still_work_and_cache() {
-    #[allow(deprecated)]
-    let mut hq = hyperq_core::HyperQ::new(
-        Arc::new(ScriptedBackend::acking(vec![sales_table()])),
-        TargetCapabilities::simwh(),
-    );
-    hq.run_one("SEL STORE FROM SALES WHERE AMOUNT > 10").unwrap();
-    hq.run_one("SEL STORE FROM SALES WHERE AMOUNT > 10").unwrap();
-    assert_eq!(hq.cache().unwrap().len(), 1);
 }

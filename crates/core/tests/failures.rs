@@ -7,8 +7,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hyperq_core::backend::testing::{FaultInjectingBackend, FaultPlan, ScriptedBackend};
-use hyperq_core::backend::{Backend, BackendError, BackendErrorKind, ExecResult};
-use hyperq_core::resilience::{BreakerConfig, ResilienceConfig, ResilientBackend, RetryPolicy};
+use hyperq_core::backend::{Backend, BackendError, BackendErrorKind, ExecResult, RequestContext};
+use hyperq_core::resilience::{
+    BreakerConfig, BreakerState, ResilienceConfig, RetryPolicy, TargetLink,
+};
 use hyperq_core::{HyperQ, HyperQBuilder, ObsContext};
 use hyperq_xtra::catalog::{ColumnDef, TableDef};
 use hyperq_xtra::types::SqlType;
@@ -224,8 +226,8 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-/// A HyperQ session over Instrumented → Resilient → FaultInjecting →
-/// Scripted, with an isolated obs context.
+/// A HyperQ session over a resilient link → FaultInjecting → Scripted,
+/// with an isolated obs context.
 fn resilient_session(
     tables: Vec<TableDef>,
     plan: FaultPlan,
@@ -235,12 +237,12 @@ fn resilient_session(
     let obs = ObsContext::new();
     let inner = Arc::new(ScriptedBackend::acking(tables));
     let fault = FaultInjectingBackend::wrap(inner as Arc<dyn Backend>, plan);
-    let resilient = ResilientBackend::wrap(
+    let link = TargetLink::new(
         Arc::clone(&fault) as Arc<dyn Backend>,
-        ResilienceConfig { retry, breaker },
+        Some(ResilienceConfig { retry, breaker }),
         &obs,
     );
-    let hq = HyperQBuilder::for_target(resilient as Arc<dyn Backend>, hyperq_core::targets::simwh()).obs(Arc::clone(&obs)).build();
+    let hq = HyperQBuilder::for_target(&link, hyperq_core::targets::simwh()).obs(Arc::clone(&obs)).build();
     (hq, fault, obs)
 }
 
@@ -387,6 +389,105 @@ fn breaker_recovers_through_half_open_probe() {
         ),
         1
     );
+}
+
+// ---------------------------------------------------------------------------
+// The failure-policy table
+// ---------------------------------------------------------------------------
+
+/// The whole table, every `BackendErrorKind` × {idempotent,
+/// non-idempotent, in-transaction} × {live, cancelled}, one assertion
+/// per `Disposition` field.
+#[test]
+fn table_is_exhaustive_and_matches_the_documented_policy() {
+    use hyperq_core::policy::{decide, ReplicaVerdict, SessionRecovery};
+    use BackendErrorKind::*;
+    use ReplicaVerdict::{FailOver, Fence, Keep};
+    use SessionRecovery::{AbortTransaction, OutcomeUnknown, Reissue};
+    let idempotent = RequestContext::read_only();
+    let write = RequestContext::write();
+    let in_txn = RequestContext { in_transaction: true, ..RequestContext::read_only() };
+    let in_txn_write = RequestContext { in_transaction: true, ..RequestContext::write() };
+    let none = SessionRecovery::None;
+
+    // (kind, ctx, retry, breaker, recover, replica, wire)
+    let live = [
+        (Transient, &idempotent, true, true, none, Fence, 3807),
+        (Transient, &write, false, true, none, Keep, 3807),
+        (Transient, &in_txn, false, true, none, Keep, 3807),
+        (Timeout, &idempotent, true, true, none, Fence, 3807),
+        (Timeout, &write, false, true, none, Fence, 3807),
+        (Timeout, &in_txn, false, true, none, Fence, 3807),
+        (ConnectionLost, &idempotent, true, true, Reissue, Fence, 3807),
+        (ConnectionLost, &write, false, true, OutcomeUnknown, Fence, 3807),
+        (ConnectionLost, &in_txn, false, true, AbortTransaction, Fence, 2631),
+        (ConnectionLost, &in_txn_write, false, true, AbortTransaction, Fence, 2631),
+        (Rejected, &idempotent, true, false, none, FailOver, 3807),
+        (Rejected, &write, false, false, none, FailOver, 3807),
+        (Rejected, &in_txn, false, false, none, FailOver, 3807),
+        (Fatal, &idempotent, false, false, none, Keep, 3807),
+        (Fatal, &write, false, false, none, Keep, 3807),
+        (Fatal, &in_txn, false, false, none, Keep, 3807),
+    ];
+    for kind in BackendErrorKind::ALL {
+        for ctx in [&idempotent, &write, &in_txn] {
+            assert!(
+                live.iter().any(|row| row.0 == kind && std::ptr::eq(row.1, ctx)),
+                "table test misses {kind} × {ctx:?}"
+            );
+        }
+    }
+    for (kind, ctx, retry, breaker, recover, replica, wire) in live {
+        let d = decide(kind, ctx, false);
+        assert_eq!(d.retry, retry, "retry: {kind} × {ctx:?}");
+        assert_eq!(d.counts_toward_breaker, breaker, "breaker: {kind} × {ctx:?}");
+        assert_eq!(d.recover_session, recover, "recover: {kind} × {ctx:?}");
+        assert_eq!(d.fence_replica, replica, "replica: {kind} × {ctx:?}");
+        assert_eq!(d.wire_code, wire, "wire code: {kind} × {ctx:?}");
+
+        // A cancelled attempt is neutral whatever it looked like.
+        let c = decide(kind, ctx, true);
+        assert!(!c.retry, "cancelled retry: {kind} × {ctx:?}");
+        assert!(!c.counts_toward_breaker, "cancelled breaker: {kind} × {ctx:?}");
+        assert_eq!(c.recover_session, none, "cancelled recover: {kind} × {ctx:?}");
+        assert_eq!(c.fence_replica, Keep, "cancelled replica: {kind} × {ctx:?}");
+        assert_eq!(c.wire_code, 3807, "cancelled wire code: {kind} × {ctx:?}");
+    }
+}
+
+/// An attempt that returns with the statement's governor token set (a
+/// deadline kill mid-execute) is the caller's failure, whatever kind
+/// its text classifies as: not retried, and neutral to the breaker.
+/// (Caller-caused `Fatal`s over the wire: `tests/resilience.rs`.)
+#[test]
+fn a_cancelled_attempt_is_not_retried_and_never_opens_the_breaker() {
+    let obs = ObsContext::new();
+    let killed = Arc::new(ScriptedBackend {
+        log: Default::default(),
+        tables: vec![],
+        responder: Box::new(|_| {
+            if let Some(gov) = hyperq_governor::current() {
+                gov.cancel(hyperq_governor::CancelReason::DeadlineExceeded, "test kill");
+            }
+            Err(BackendError::timeout("query deadline exceeded"))
+        }),
+    });
+    let rb = TargetLink::new(
+        Arc::clone(&killed) as Arc<dyn Backend>,
+        Some(ResilienceConfig {
+            retry: fast_retry(),
+            breaker: BreakerConfig { failure_threshold: 2, ..Default::default() },
+        }),
+        &obs,
+    );
+    for _ in 0..5 {
+        let _scope =
+            hyperq_governor::install(hyperq_governor::QueryGovernor::standalone(None, 0));
+        let err = rb.execute_ctx("SEL 1", RequestContext::read_only()).unwrap_err();
+        assert_eq!(err.kind, BackendErrorKind::Timeout);
+    }
+    assert_eq!(killed.sql_log().len(), 5, "a cancelled attempt is not retried");
+    assert_eq!(rb.breaker_state(), BreakerState::Closed);
 }
 
 #[test]

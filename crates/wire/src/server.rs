@@ -17,11 +17,10 @@ use hyperq_core::backend::Backend;
 use hyperq_core::targets::TargetProfile;
 use hyperq_core::repair::ProberHandle;
 use hyperq_core::replicate::{ReplicaConfig, ReplicatedBackend};
-use hyperq_core::resilience::{ResilienceConfig, ResilientBackend};
+use hyperq_core::resilience::{ResilienceConfig, TargetLink};
 use hyperq_core::{
     AnalyzeMode, CacheConfig, ConformanceMode, HyperQ, HyperQBuilder, HyperQError, ObsContext,
     TranslationCache,
-    TXN_ABORT_MESSAGE,
 };
 use hyperq_governor::{CancelReason, GovernorConfig, GovernorRegistry, QueryGovernor};
 use hyperq_obs::io::{CountingReader, CountingWriter};
@@ -107,9 +106,9 @@ pub struct GatewayConfig {
     /// The default is zero — shutdown only stops the acceptor, matching
     /// callers that keep clients open across `shutdown()`.
     pub drain_timeout: Duration,
-    /// Retry/breaker policy wrapped around the backend, shared by all
-    /// sessions so the breaker sees the target's aggregate health.
-    /// `None` executes against the backend unwrapped. On a replicated
+    /// Retry/breaker policy of the gateway's link to the backend, shared by
+    /// all sessions so the breaker sees the target's aggregate health.
+    /// `None` sends every request as a single attempt. On a replicated
     /// gateway (`replicas` non-empty) this same policy is applied *per
     /// replica* inside the replica set, unless `replica_config.resilience`
     /// explicitly overrides it.
@@ -145,7 +144,7 @@ pub struct GatewayConfig {
     /// reads load-balance, writes broadcast, fenced replicas self-heal via
     /// the write-repair journal and the background health prober. The
     /// `resilience` policy then applies *per replica* inside the replica
-    /// set instead of as one shared wrapper, so a retry storm against a
+    /// set instead of on the one shared link, so a retry storm against a
     /// sick replica cannot trip the breaker for its healthy peers.
     pub replicas: Vec<Arc<dyn Backend>>,
     /// Journal capacity, probe cadence and per-replica retry policy for
@@ -180,7 +179,9 @@ impl Default for GatewayConfig {
 
 /// A running gateway.
 pub struct Gateway {
-    backend: Arc<dyn Backend>,
+    /// The link every session executes through (each takes its own
+    /// session handle on it at logon).
+    link: TargetLink,
     config: GatewayConfig,
     /// Target profile resolved from `config.target` at construction; every
     /// session translates for this profile.
@@ -206,19 +207,11 @@ pub struct Gateway {
 }
 
 /// Decrements the gateway's active-session count when a worker exits,
-/// on every path (clean logoff, protocol error, panic unwind). On a
-/// replicated gateway it also releases the worker thread's transaction
-/// pin: a client that disconnects mid-transaction would otherwise leave
-/// the replica's pinned-session count elevated forever (the pin is
-/// thread-local, so this relies on the guard dropping on the session's
-/// own thread).
+/// on every path (clean logoff, protocol error, panic unwind).
 struct ActiveGuard(Arc<Gateway>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        if let Some(rep) = &self.0.replication {
-            rep.release_pin();
-        }
         self.0.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -390,21 +383,15 @@ impl Gateway {
     pub fn new(backend: Arc<dyn Backend>, mut config: GatewayConfig) -> Arc<Self> {
         let obs = ObsContext::global();
         let replicas = std::mem::take(&mut config.replicas);
-        // Replicated gateway: the replica set wraps each member in its own
-        // resilience layer (from `replica_config`), so the shared wrapper
-        // below would double-retry every statement — skip it. Single
-        // backend: one resilience wrapper shared by every session, so
-        // retries and deadlines apply per request while the circuit
-        // breaker tracks the target's aggregate health.
-        let (backend, replication): (Arc<dyn Backend>, Option<Arc<ReplicatedBackend>>) =
+        // Single backend: one link shared by every session, so retries and
+        // deadlines apply per request while the circuit breaker tracks the
+        // target's aggregate health. Replicated gateway: the replica set
+        // gives each member its own link (policy from `replica_config`),
+        // so the gateway's link to the set itself carries none — it would
+        // double-retry every statement.
+        let (link, replication): (TargetLink, Option<Arc<ReplicatedBackend>>) =
             if replicas.is_empty() {
-                let backend = match &config.resilience {
-                    Some(resilience) => {
-                        ResilientBackend::wrap(backend, resilience.clone(), obs)
-                    }
-                    None => backend,
-                };
-                (backend, None)
+                (TargetLink::new(backend, config.resilience.clone(), obs), None)
             } else {
                 let mut set: Vec<Arc<dyn Backend>> = vec![backend];
                 set.extend(replicas);
@@ -419,7 +406,8 @@ impl Gateway {
                 match ReplicatedBackend::with_config(set, replica_config, obs) {
                     Ok(rep) => {
                         let rep = Arc::new(rep);
-                        (Arc::clone(&rep) as Arc<dyn Backend>, Some(rep))
+                        let driver = Arc::clone(&rep) as Arc<dyn Backend>;
+                        (TargetLink::new(driver, None, obs), Some(rep))
                     }
                     // `with_config` only fails on an empty set, and `set`
                     // always holds the primary.
@@ -467,7 +455,7 @@ impl Gateway {
             hyperq_core::targets::simwh()
         });
         Arc::new(Gateway {
-            backend,
+            link,
             config,
             profile,
             stats: Mutex::new(WireStats::default()),
@@ -702,7 +690,7 @@ impl Gateway {
         }
 
         let mut builder =
-            HyperQBuilder::for_target(Arc::clone(&self.backend), self.profile.clone())
+            HyperQBuilder::for_target(&self.link, self.profile.clone())
                 .analyze(self.config.analyze)
                 .conformance(self.config.conformance);
         builder = match &self.cache {
@@ -958,14 +946,11 @@ impl Gateway {
                     // funnels through `HyperQError::Cancelled` and maps to
                     // its reason's wire code.
                     HyperQError::Cancelled(c) => (c.reason.wire_code(), e.to_string()),
-                    _ => {
-                        let message = e.to_string();
-                        // A mid-transaction connection loss surfaces as its
-                        // own code: the session is usable again, but the
-                        // client must re-run the whole transaction.
-                        let code = if message.contains(TXN_ABORT_MESSAGE) { 2631 } else { 3807 };
-                        (code, message)
-                    }
+                    // A backend failure carries the code the policy table
+                    // gave it (a mid-transaction connection loss surfaces
+                    // as 2631, not the generic code).
+                    HyperQError::Backend(b) => (b.wire_code, e.to_string()),
+                    _ => (hyperq_core::policy::WIRE_STATEMENT_FAILED, e.to_string()),
                 };
                 Message::ErrorResponse { code, message }.write_to(writer)?;
                 Message::EndRequest.write_to(writer)?;

@@ -22,19 +22,26 @@ use hyperq::xtra::Datum;
 /// deterministically long enough for aborts, deadlines, and the watchdog
 /// to land mid-flight, in debug and release builds alike.
 struct SlowBackend {
+    name: &'static str,
     inner: Arc<EngineDb>,
     delay: Duration,
 }
 
 impl SlowBackend {
     fn wrap(inner: Arc<EngineDb>, delay: Duration) -> Arc<SlowBackend> {
-        Arc::new(SlowBackend { inner, delay })
+        SlowBackend::named("slow-simwh", inner, delay)
+    }
+
+    /// With its own name, so a test owns its `backend` label in the
+    /// process-wide registry the gateway reports into.
+    fn named(name: &'static str, inner: Arc<EngineDb>, delay: Duration) -> Arc<SlowBackend> {
+        Arc::new(SlowBackend { name, inner, delay })
     }
 }
 
 impl Backend for SlowBackend {
     fn name(&self) -> &str {
-        "slow-simwh"
+        self.name
     }
 
     fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
@@ -241,6 +248,128 @@ fn library_level_memory_budget_cancels_request() {
     }
     let out = hq.run(Request::script("SEL COUNT(*) FROM T")).unwrap();
     assert_eq!(out.last().unwrap().result.rows[0][0], Datum::Int(400));
+}
+
+#[test]
+fn consecutive_mid_execute_kills_leave_the_breaker_closed_for_a_survivor() {
+    // Regression: a governor kill surfacing mid-execute used to count as a
+    // target failure, so five of them in a row (the default threshold)
+    // opened the gateway-wide breaker and the next healthy statement was
+    // refused `circuit breaker open` (the 1-in-7 cancel-soak flake).
+    let db = seed_db();
+    let vals: Vec<String> = (0..64).map(|i| format!("({i})")).collect();
+    db.execute_sql("CREATE TABLE B64 (N INTEGER)").unwrap();
+    db.execute_sql(&format!("INSERT INTO B64 VALUES {}", vals.join(", "))).unwrap();
+    let name = "kill-streak-simwh";
+    let backend = SlowBackend::named(name, Arc::clone(&db), Duration::from_millis(150));
+    let handle = Gateway::spawn(
+        backend as Arc<dyn Backend>,
+        GatewayConfig {
+            governor: GovernorConfig { per_query_memory: 256 * 1024, ..Default::default() },
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut victim = Client::connect(handle.addr, "APP", "secret").unwrap();
+    let mut survivor = Client::connect(handle.addr, "APP", "secret").unwrap();
+
+    for _ in 0..2 {
+        let mut aborter = victim.aborter().unwrap();
+        let killer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(40));
+            aborter.abort().unwrap();
+        });
+        let e = victim.run("SEL COUNT(*) FROM SALES").unwrap_err().to_string();
+        killer.join().unwrap();
+        assert!(e.contains("[3110]"), "abort kill: {e}");
+
+        let e = victim
+            .run_timed("SEL COUNT(*) FROM SALES", Duration::from_millis(40))
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("[3156]"), "deadline kill: {e}");
+
+        let e = victim.run("SEL A.N FROM B64 A, B64 B, B64 C").unwrap_err().to_string();
+        assert!(e.contains("[2646]"), "budget kill: {e}");
+    }
+
+    let rows = survivor.run("SEL COUNT(*) FROM SALES").unwrap();
+    assert_eq!(rows[0].rows[0][0], Datum::Int(3));
+    let m = &ObsContext::global().metrics;
+    assert_eq!(
+        m.counter_value(
+            "hyperq_backend_breaker_transitions_total",
+            &[("backend", name), ("to", "open")]
+        ),
+        0
+    );
+    assert_eq!(m.counter_value("hyperq_backend_breaker_fastfail_total", &[("backend", name)]), 0);
+    victim.logoff().unwrap();
+    survivor.logoff().unwrap();
+    handle.shutdown();
+}
+
+/// A driver that reports the mid tier's deadline kill in its own words —
+/// text the flat-message classifier reads as a target-side `Timeout`.
+struct DriverWordedKill(Arc<SlowBackend>);
+
+impl Backend for DriverWordedKill {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
+        std::thread::sleep(self.0.delay);
+        if hyperq::governor::checkpoint().is_err() {
+            return Err(BackendError::classify("canceling statement due to statement timeout"));
+        }
+        self.0.inner.execute(sql)
+    }
+
+    fn table_meta(&self, name: &str) -> Option<TableDef> {
+        self.0.table_meta(name)
+    }
+}
+
+#[test]
+fn a_deadline_killed_replicated_read_fences_no_replica() {
+    // Regression: the replica set judged a failure by its kind alone, so a
+    // read killed by its own deadline (a timeout-class error from a healthy
+    // replica) fenced that replica. One attempt per replica, so the error
+    // reaches the replica set as the driver worded it.
+    use hyperq::core::resilience::{ResilienceConfig, RetryPolicy};
+    let replica = || {
+        let slow = SlowBackend::wrap(seed_db(), Duration::from_millis(300));
+        Arc::new(DriverWordedKill(slow)) as Arc<dyn Backend>
+    };
+    let handle = Gateway::spawn(
+        replica(),
+        GatewayConfig {
+            replicas: vec![replica()],
+            replica_config: hyperq::core::ReplicaConfig {
+                probe_interval: Duration::ZERO,
+                resilience: Some(ResilienceConfig {
+                    retry: RetryPolicy { max_attempts: 1, ..Default::default() },
+                    ..Default::default()
+                }),
+                ..Default::default()
+            },
+            governor: GovernorConfig {
+                default_query_timeout: Some(Duration::from_millis(100)),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+    let err = client.run("SEL * FROM SALES").unwrap_err().to_string();
+    assert!(err.contains("[3156]"), "{err}");
+    let rep = handle.replication().expect("replicated gateway");
+    assert_eq!(rep.healthy_replicas(), 2, "{:?}", rep.snapshot());
+    assert!(rep.snapshot().iter().all(|s| s.fences == 0), "{:?}", rep.snapshot());
+    client.logoff().unwrap();
+    handle.shutdown();
 }
 
 const RECURSIVE_REPORTS: &str = "WITH RECURSIVE REPORTS (EMPNO, MGRNO) AS ( \

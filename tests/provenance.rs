@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use hyperq::core::backend::testing::{FaultInjectingBackend, FaultPlan};
 use hyperq::core::backend::BackendErrorKind;
-use hyperq::core::resilience::{BreakerConfig, ResilienceConfig, ResilientBackend, RetryPolicy};
+use hyperq::core::resilience::{BreakerConfig, ResilienceConfig, RetryPolicy, TargetLink};
 use hyperq::core::tracker::WorkloadTracker;
 use hyperq::core::{Backend, HyperQBuilder, ObsContext};
 use hyperq::engine::EngineDb;
@@ -41,12 +41,12 @@ fn cache_miss_then_hit_with_injected_fault_leaves_matching_forensics() {
     db.execute_sql("CREATE TABLE ORDERS (O_ID INTEGER NOT NULL, TOTAL INTEGER)").unwrap();
     db.execute_sql("INSERT INTO ORDERS VALUES (1, 500)").unwrap();
     let fault = FaultInjectingBackend::wrap(db as Arc<dyn Backend>, FaultPlan::none());
-    let resilient = ResilientBackend::wrap(
+    let link = TargetLink::new(
         Arc::clone(&fault) as Arc<dyn Backend>,
-        ResilienceConfig { retry: fast_retry(), breaker: BreakerConfig::default() },
+        Some(ResilienceConfig { retry: fast_retry(), breaker: BreakerConfig::default() }),
         &obs,
     );
-    let mut hq = HyperQBuilder::for_target(resilient as Arc<dyn Backend>, hyperq::core::targets::simwh())
+    let mut hq = HyperQBuilder::for_target(&link, hyperq::core::targets::simwh())
         .obs(Arc::clone(&obs))
         .build();
 

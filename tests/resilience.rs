@@ -8,7 +8,7 @@ use std::time::Duration;
 use hyperq::core::backend::testing::{FaultInjectingBackend, FaultPlan};
 use hyperq::core::backend::BackendErrorKind;
 use hyperq::core::resilience::{
-    BreakerConfig, BreakerState, ResilienceConfig, ResilientBackend, RetryPolicy,
+    BreakerConfig, BreakerState, ResilienceConfig, RetryPolicy, TargetLink,
 };
 use hyperq::core::{Backend, HyperQ, HyperQBuilder, ObsContext};
 use hyperq::engine::EngineDb;
@@ -40,21 +40,21 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-/// Hyper-Q session over Instrumented → Resilient → FaultInjecting → SimWH
-/// with an isolated metrics registry.
+/// Hyper-Q session over a resilient link → FaultInjecting → SimWH with an
+/// isolated metrics registry.
 fn stack(
     plan: FaultPlan,
     retry: RetryPolicy,
     breaker: BreakerConfig,
-) -> (HyperQ, Arc<FaultInjectingBackend>, Arc<ResilientBackend>, Arc<ObsContext>) {
+) -> (HyperQ, Arc<FaultInjectingBackend>, TargetLink, Arc<ObsContext>) {
     let obs = ObsContext::new();
     let fault = FaultInjectingBackend::wrap(tpch_db() as Arc<dyn Backend>, plan);
-    let resilient = ResilientBackend::wrap(
+    let resilient = TargetLink::new(
         Arc::clone(&fault) as Arc<dyn Backend>,
-        ResilienceConfig { retry, breaker },
+        Some(ResilienceConfig { retry, breaker }),
         &obs,
     );
-    let hq = HyperQBuilder::for_target(Arc::clone(&resilient) as Arc<dyn Backend>, hyperq::core::targets::simwh()).obs(Arc::clone(&obs)).build();
+    let hq = HyperQBuilder::for_target(&resilient, hyperq::core::targets::simwh()).obs(Arc::clone(&obs)).build();
     (hq, fault, resilient, obs)
 }
 
@@ -132,6 +132,67 @@ fn sales_db() -> Arc<EngineDb> {
     db.execute_sql("CREATE TABLE SALES (STORE INTEGER, AMOUNT INTEGER)").unwrap();
     db.execute_sql("INSERT INTO SALES VALUES (1, 500), (2, 300), (3, 700)").unwrap();
     db
+}
+
+/// Pass-through with its own name, so a test owns its `backend` label in
+/// the process-wide registry the gateway reports into.
+struct Named {
+    name: &'static str,
+    inner: Arc<EngineDb>,
+}
+
+impl Backend for Named {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn execute(
+        &self,
+        sql: &str,
+    ) -> Result<hyperq::core::backend::ExecResult, hyperq::core::backend::BackendError> {
+        self.inner.execute(sql)
+    }
+
+    fn table_meta(&self, name: &str) -> Option<hyperq::xtra::catalog::TableDef> {
+        self.inner.table_meta(name)
+    }
+}
+
+#[test]
+fn one_sessions_bad_statements_do_not_open_the_breaker_for_the_others() {
+    // Regression: every `Err` used to count toward the gateway-wide
+    // breaker, so five division-by-zero statements from one client got
+    // every healthy session `circuit breaker open`.
+    let db = sales_db();
+    db.execute_sql("CREATE TABLE T (K INTEGER)").unwrap();
+    db.execute_sql("INSERT INTO T VALUES (1)").unwrap();
+    let name = "caller-errors-simwh";
+    let handle = Gateway::spawn(
+        Arc::new(Named { name, inner: db }) as Arc<dyn Backend>,
+        GatewayConfig::default(),
+    )
+    .unwrap();
+    let mut bad = Client::connect(handle.addr, "APP", "secret").unwrap();
+    let mut good = Client::connect(handle.addr, "APP", "secret").unwrap();
+    for _ in 0..5 {
+        let err = bad.run("SEL K / 0 FROM T").unwrap_err().to_string();
+        assert!(err.contains("[3807]"), "a target-side statement error: {err}");
+        assert!(!err.contains("circuit breaker"), "{err}");
+    }
+    let ok = good.run("SEL COUNT(*) FROM SALES").unwrap();
+    assert_eq!(ok[0].rows[0][0], Datum::Int(3));
+    let m = &ObsContext::global().metrics;
+    assert_eq!(
+        m.counter_value(
+            "hyperq_backend_breaker_transitions_total",
+            &[("backend", name), ("to", "open")]
+        ),
+        0
+    );
+    assert_eq!(m.counter_value("hyperq_backend_breaker_fastfail_total", &[("backend", name)]), 0);
+    bad.logoff().unwrap();
+    good.logoff().unwrap();
+    handle.shutdown();
 }
 
 #[test]

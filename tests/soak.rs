@@ -797,5 +797,14 @@ fn cancel_soak_survivors_match_baseline_with_zero_leaks() {
         assert!(std::time::Instant::now() < deadline, "governor books did not drain");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // Kills are the callers' doing, not the target's: the breaker never
+    // moved and nobody was refused.
+    let m = &ObsContext::global().metrics;
+    let backend = ("backend", "marker-slow-simwh");
+    assert_eq!(m.counter_value("hyperq_backend_breaker_fastfail_total", &[backend]), 0);
+    assert_eq!(
+        m.counter_value("hyperq_backend_breaker_transitions_total", &[backend, ("to", "open")]),
+        0
+    );
     handle.shutdown();
 }
