@@ -11,6 +11,7 @@
 //!   belong to two different rewriting categories").
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use hyperq_xtra::feature::{Feature, FeatureClass, FeatureSet};
 
@@ -19,8 +20,10 @@ use hyperq_xtra::feature::{Feature, FeatureClass, FeatureSet};
 pub struct WorkloadTracker {
     /// Total statements observed (including repeats).
     pub total_queries: u64,
-    /// Distinct query texts → the features observed for that query.
-    distinct: HashMap<String, FeatureSet>,
+    /// Distinct queries, by a 64-bit hash of their text → the features
+    /// observed for that query. A hash, not the text: a session serving
+    /// ad-hoc statements would otherwise keep every statement it ever ran.
+    distinct: HashMap<u64, FeatureSet>,
     /// Union of all features seen.
     seen: FeatureSet,
 }
@@ -48,10 +51,9 @@ impl WorkloadTracker {
     pub fn observe(&mut self, query_text: &str, features: &FeatureSet) {
         self.total_queries += 1;
         self.seen.union(features);
-        self.distinct
-            .entry(query_text.to_string())
-            .or_default()
-            .union(features);
+        let mut key = DefaultHasher::new();
+        query_text.hash(&mut key);
+        self.distinct.entry(key.finish()).or_default().union(features);
     }
 
     pub fn distinct_queries(&self) -> u64 {

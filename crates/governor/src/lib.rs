@@ -132,7 +132,7 @@ struct TokenInner {
 
 /// A sticky cancellation flag shared by everything working on one
 /// statement. Cheap to clone (an `Arc`), safe to fire from any thread
-/// (the watchdog, an abort watcher, an HTTP handler); observed
+/// (the watchdog, a connection's reader thread, an HTTP handler); observed
 /// cooperatively by the query's own thread at checkpoints.
 #[derive(Debug, Clone)]
 pub struct CancelToken {

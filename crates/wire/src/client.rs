@@ -5,7 +5,7 @@
 //! The client speaks only WP-A (TDWP): it has no idea whether a real
 //! Teradata or Hyper-Q answers — which is the entire point of ADV.
 
-use std::io::BufWriter;
+use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use hyperq_xtra::schema::Schema;
@@ -25,7 +25,9 @@ pub struct ClientResultSet {
 
 /// A connected TDWP session.
 pub struct Client {
-    reader: TcpStream,
+    /// Buffered, so a response of many small frames costs a few reads,
+    /// not two per frame.
+    reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     pub session_id: u64,
 }
@@ -38,9 +40,11 @@ impl Client {
         password: &str,
     ) -> Result<Client, WireError> {
         let stream = TcpStream::connect(addr)?;
-        let reader = stream.try_clone()?;
+        // A request, or an abort, is one small write the gateway should
+        // see now, not after Nagle waits for the previous ACK.
+        stream.set_nodelay(true)?;
+        let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = BufWriter::new(stream);
-        let mut reader = reader;
         use std::io::Write as _;
 
         Message::LogonRequest { user: user.to_string() }.write_to(&mut writer)?;
@@ -99,7 +103,7 @@ impl Client {
     /// the statement in flight (the gateway answers it with wire code
     /// 3110).
     pub fn aborter(&self) -> Result<Aborter, WireError> {
-        Ok(Aborter { stream: self.reader.try_clone()? })
+        Ok(Aborter { stream: self.reader.get_ref().try_clone()? })
     }
 
     fn request(&mut self, message: Message) -> Result<Vec<ClientResultSet>, WireError> {

@@ -92,7 +92,7 @@ impl Message {
             Message::AuthChallenge { .. } => 0x81,
             Message::LogonOk { .. } => 0x82,
             Message::RecordSetHeader { .. } => 0x83,
-            Message::Record { .. } => 0x84,
+            Message::Record { .. } => RECORD_KIND,
             Message::StatementOk { .. } => 0x85,
             Message::ErrorResponse { .. } => 0x86,
             Message::EndRequest => 0x87,
@@ -176,7 +176,7 @@ impl Message {
                 }
                 Message::RecordSetHeader { columns }
             }
-            0x84 => Message::Record { row_bytes: buf.to_vec() },
+            RECORD_KIND => Message::Record { row_bytes: buf.to_vec() },
             0x85 => Message::StatementOk { activity_count: get_u64(&mut buf)? },
             0x86 => {
                 if buf.remaining() < 2 {
@@ -195,7 +195,22 @@ impl Message {
         stream.write_all(&self.to_frame())?;
         Ok(())
     }
+
+    /// Write a [`Message::Record`] frame for `row_bytes` straight into
+    /// `stream` — header, then the row, with no intermediate frame — the
+    /// same bytes as `Message::Record { row_bytes }.to_frame()`.
+    pub fn write_record(stream: &mut impl Write, row_bytes: &[u8]) -> std::io::Result<()> {
+        let len = u32::try_from(row_bytes.len()).map_err(|_| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "record exceeds a frame")
+        })?;
+        let mut head = [RECORD_KIND, 0, 0, 0, 0];
+        head[1..].copy_from_slice(&len.to_le_bytes());
+        stream.write_all(&head)?;
+        stream.write_all(row_bytes)
+    }
 }
+
+const RECORD_KIND: u8 = 0x84;
 
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
@@ -426,6 +441,16 @@ mod tests {
             let mut cursor = std::io::Cursor::new(frame);
             let back = Message::read_from(&mut cursor).unwrap();
             assert_eq!(back, m);
+        }
+    }
+
+    #[test]
+    fn write_record_matches_record_frame() {
+        for len in [0, 7, 64 * 1024] {
+            let row_bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut written = Vec::new();
+            Message::write_record(&mut written, &row_bytes).unwrap();
+            assert_eq!(written, Message::Record { row_bytes }.to_frame(), "{len}-byte row");
         }
     }
 

@@ -5,11 +5,17 @@
 //! Figure 9: **query translation** (parse/bind/transform/serialize),
 //! **execution** (target database), and **result transformation**
 //! (TDF → client binary format, including spill handling).
+//!
+//! A connection is served by two threads. After logon one long-lived
+//! reader thread is the only reader of the socket: it applies an
+//! `AbortRequest` the moment it arrives and hands every other frame to the
+//! session thread over a channel. The session thread runs the statements,
+//! owns the governor's thread-local scope, and writes every response.
 
-use std::collections::VecDeque;
-use std::io::{BufWriter, Read};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write as _};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,7 +30,7 @@ use hyperq_core::{
 };
 use hyperq_governor::{CancelReason, GovernorConfig, GovernorRegistry, QueryGovernor};
 use hyperq_obs::io::{CountingReader, CountingWriter};
-use hyperq_obs::Gauge;
+use hyperq_obs::{Counter, Gauge};
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionConfig, AdmissionGate, ShedReason};
@@ -230,137 +236,196 @@ pub struct GatewayHandle {
     prober: Option<ProberHandle>,
 }
 
-/// Session reader that replays bytes handed back by an [`AbortWatcher`]
-/// before resuming from the socket: a frame the watcher had only partially
-/// read when its statement finished is completed by the request loop
-/// instead of being lost (or treated as a protocol error).
-struct SessionReader<R> {
-    replay: VecDeque<u8>,
-    inner: R,
+/// The session thread's buffered, byte-counting write half of a connection.
+type SessionWriter = CountingWriter<BufWriter<TcpStream>>;
+
+/// A frame the reader thread forwards to the session thread, stamped with
+/// the instant it was decoded.
+type Inbound = (Instant, Result<Message, WireError>);
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-impl<R: Read> Read for SessionReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if !self.replay.is_empty() {
-            let n = buf.len().min(self.replay.len());
-            for b in buf.iter_mut().take(n) {
-                *b = self.replay.pop_front().unwrap_or_default();
-            }
-            return Ok(n);
-        }
-        self.inner.read(buf)
-    }
+/// What a connection's reader thread and its session thread share about the
+/// requests in flight. The session answers requests in arrival order, so
+/// the oldest unanswered request is number `answered`, and that is the one
+/// an `AbortRequest` targets — whether or not its statement has started.
+struct Exchange {
+    state: Mutex<ExchangeState>,
 }
 
-/// What an abort-watcher stint observed while a statement executed.
-struct WatcherOutcome {
-    /// Complete non-abort frames the client pipelined during execution,
-    /// to be served by the request loop in arrival order.
-    messages: VecDeque<Message>,
-    /// Raw bytes of a frame still incomplete when the watcher stopped.
-    leftover: Vec<u8>,
-    /// The client vanished (EOF or hard socket error) mid-statement.
+struct ExchangeState {
+    /// SQL requests the reader has decoded.
+    read: u64,
+    /// SQL requests the session has answered.
+    answered: u64,
+    /// Governor of the oldest unanswered request, once registered.
+    current: Option<Arc<QueryGovernor>>,
+    /// An abort arrived for the oldest unanswered request before its
+    /// governor was registered; registration applies it.
+    abort_pending: bool,
+    /// The client is gone (EOF, socket or protocol error).
     disconnected: bool,
+    last_response: Instant,
 }
 
-impl WatcherOutcome {
-    fn empty() -> WatcherOutcome {
-        WatcherOutcome { messages: VecDeque::new(), leftover: Vec::new(), disconnected: false }
+const ABORTED: &str = "aborted by client request";
+const DISCONNECTED: &str = "client disconnected mid-request";
+
+impl Exchange {
+    fn new() -> Exchange {
+        Exchange {
+            state: Mutex::new(ExchangeState {
+                read: 0,
+                answered: 0,
+                current: None,
+                abort_pending: false,
+                disconnected: false,
+                last_response: Instant::now(),
+            }),
+        }
     }
-}
 
-/// How often the abort watcher wakes to poll its stop flag. This is also
-/// the read timeout it installs on the (shared) socket, so the session
-/// restores `io_timeout` after every stint — and the bound on how long
-/// `finish()` blocks the response tail, so it is kept small: every wire
-/// statement pays up to one poll interval joining its watcher.
-const ABORT_POLL: Duration = Duration::from_millis(5);
-
-/// Length of the complete TDWP frame at the head of `buf`, if one is there.
-fn complete_frame_len(buf: &[u8]) -> Option<usize> {
-    if buf.len() < 5 {
-        return None;
+    /// Reader: a SQL request was decoded.
+    fn request_read(&self) {
+        self.state.lock().read += 1;
     }
-    let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
-    (buf.len() >= 5 + len).then_some(5 + len)
-}
 
-/// Watches the client socket for out-of-band frames while a statement
-/// executes on the session thread — the TDWP async-abort path. An
-/// [`Message::AbortRequest`] cancels the statement's governor token (the
-/// next checkpoint in parser/transformer/engine/converter aborts the
-/// work); any other frame is kept for the request loop. Reads poll with a
-/// short timeout and accumulate bytes, so a timeout mid-frame on a
-/// cancelled query resumes cleanly instead of desynchronizing the
-/// protocol.
-struct AbortWatcher {
-    stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<WatcherOutcome>,
-}
-
-impl AbortWatcher {
-    fn spawn(stream: TcpStream, gov: Arc<QueryGovernor>) -> std::io::Result<AbortWatcher> {
-        stream.set_read_timeout(Some(ABORT_POLL))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            let mut stream = stream;
-            let mut outcome = WatcherOutcome::empty();
-            let mut tmp = [0u8; 4096];
-            loop {
-                match stream.read(&mut tmp) {
-                    Ok(0) => {
-                        gov.cancel(CancelReason::ClientAbort, "client disconnected mid-request");
-                        outcome.disconnected = true;
-                        break;
-                    }
-                    Ok(n) => outcome.leftover.extend_from_slice(&tmp[..n]),
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if stop2.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        continue;
-                    }
-                    Err(_) => {
-                        gov.cancel(CancelReason::ClientAbort, "client socket error mid-request");
-                        outcome.disconnected = true;
-                        break;
-                    }
-                }
-                while let Some(frame_len) = complete_frame_len(&outcome.leftover) {
-                    let frame: Vec<u8> = outcome.leftover.drain(..frame_len).collect();
-                    let mut cursor = std::io::Cursor::new(frame);
-                    match Message::read_from(&mut cursor) {
-                        Ok(Message::AbortRequest) => {
-                            gov.cancel(CancelReason::ClientAbort, "aborted by client request");
-                        }
-                        Ok(m) => outcome.messages.push_back(m),
-                        // An undecodable frame is dropped here; the request
-                        // loop reports subsequent desync as a protocol
-                        // error on its own reads.
-                        Err(_) => {}
-                    }
-                }
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
+    /// Reader: an `AbortRequest` arrived. `false` when nothing was
+    /// unanswered — an idle abort, which has no response of its own.
+    fn abort(&self) -> bool {
+        let mut s = self.state.lock();
+        if s.read == s.answered {
+            return false;
+        }
+        match &s.current {
+            Some(gov) => {
+                gov.cancel(CancelReason::ClientAbort, ABORTED);
             }
-            outcome
-        });
-        Ok(AbortWatcher { stop, thread })
+            None => s.abort_pending = true,
+        }
+        true
     }
 
-    /// Stop watching (at most one `ABORT_POLL` later) and hand back
-    /// everything read from the socket.
-    fn finish(self) -> WatcherOutcome {
-        self.stop.store(true, Ordering::Relaxed);
-        self.thread.join().unwrap_or_else(|_| WatcherOutcome::empty())
+    /// Reader: the client is gone; cancel whatever it was waiting on.
+    fn disconnect(&self) {
+        let mut s = self.state.lock();
+        s.disconnected = true;
+        if let Some(gov) = &s.current {
+            gov.cancel(CancelReason::ClientAbort, DISCONNECTED);
+        }
     }
+
+    /// Reader, on a read timeout: whether the session is idle — nothing
+    /// unanswered and no response for `timeout`.
+    fn idle_for(&self, timeout: Duration) -> bool {
+        let s = self.state.lock();
+        s.read == s.answered && s.last_response.elapsed() >= timeout
+    }
+
+    /// Session: the oldest unanswered request's governor is registered.
+    fn register(&self, gov: &Arc<QueryGovernor>) {
+        let mut s = self.state.lock();
+        if s.disconnected {
+            gov.cancel(CancelReason::ClientAbort, DISCONNECTED);
+        } else if std::mem::take(&mut s.abort_pending) {
+            gov.cancel(CancelReason::ClientAbort, ABORTED);
+        }
+        s.current = Some(Arc::clone(gov));
+    }
+
+    /// Session: the oldest unanswered request is answered. Called before
+    /// the response is flushed, so the client cannot have sent an abort
+    /// for its next request yet.
+    fn answer(&self) {
+        let mut s = self.state.lock();
+        s.answered += 1;
+        s.current = None;
+        s.last_response = Instant::now();
+    }
+
+    fn disconnected(&self) -> bool {
+        self.state.lock().disconnected
+    }
+}
+
+/// The connection's reader thread, the only reader of the socket after
+/// logon. Aborts are applied here, whenever they arrive; every other frame
+/// goes to the session thread in arrival order. Returns after forwarding
+/// `Logoff`, the idle reap, or why the client is gone.
+fn read_requests(
+    mut reader: BufReader<CountingReader<TcpStream>>,
+    exchange: &Exchange,
+    io_timeout: Option<Duration>,
+    idle_aborts: &Counter,
+    tx: &Sender<Inbound>,
+) {
+    loop {
+        // Wait for the next frame's first byte. A read timeout here falls
+        // between frames: it reaps an idle session and is waited out while
+        // a request is unanswered or the last response is younger than
+        // `io_timeout`. A timeout inside a frame is a client stalled
+        // mid-protocol, and ends the session like any other read error.
+        let next = match reader.fill_buf() {
+            Ok([]) => Err(WireError::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(_) => Message::read_from(&mut reader),
+            Err(e) if is_timeout(&e) => {
+                if io_timeout.is_some_and(|t| exchange.idle_for(t)) {
+                    let _ = tx.send((Instant::now(), Err(e.into())));
+                    return;
+                }
+                continue;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => Err(e.into()),
+        };
+        let decoded = Instant::now();
+        match &next {
+            Ok(Message::AbortRequest) => {
+                if !exchange.abort() {
+                    idle_aborts.inc();
+                }
+                continue;
+            }
+            Ok(Message::SqlRequest { .. } | Message::SqlRequestTimed { .. }) => {
+                exchange.request_read();
+            }
+            Ok(_) => {}
+            Err(_) => exchange.disconnect(),
+        }
+        let last = matches!(next, Ok(Message::Logoff) | Err(_));
+        if tx.send((decoded, next)).is_err() || last {
+            return;
+        }
+    }
+}
+
+/// The tail of every response: mark the request answered (an abort read
+/// after this finds nothing to cancel), flush what remains of the response,
+/// and time the request from frame decode to flush.
+fn flush_response(
+    exchange: &Exchange,
+    writer: &mut SessionWriter,
+    obs: &ObsContext,
+    decoded: Instant,
+) -> Result<(), WireError> {
+    exchange.answer();
+    writer.flush()?;
+    obs.metrics
+        .histogram("hyperq_wire_request_duration_seconds", &[])
+        .record(decoded.elapsed());
+    Ok(())
+}
+
+/// Turn a connection away with a best-effort wire error, so the client
+/// sees why instead of an unexplained hangup. The pending logon request is
+/// consumed first — closing with unread bytes in the receive buffer would
+/// RST the socket and the client could lose the error message.
+fn refuse(stream: TcpStream, code: u16, message: String) {
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let _ = Message::read_from(&mut &stream);
+    let _ = Message::ErrorResponse { code, message }.write_to(&mut &stream);
 }
 
 /// Record end-of-statement cancel accounting: one counter bump per
@@ -533,7 +598,8 @@ impl Gateway {
                                 }
                                 Err(reason) => {
                                     rejected.inc();
-                                    g2.shed_connection(stream, reason);
+                                    let (code, message) = g2.refusal(Some(reason));
+                                    refuse(stream, code, message);
                                 }
                             });
                             continue;
@@ -541,11 +607,11 @@ impl Gateway {
                         if g.active.fetch_add(1, Ordering::Relaxed) >= g.config.max_connections {
                             g.active.fetch_sub(1, Ordering::Relaxed);
                             rejected.inc();
-                            // Rejection reads the pending logon first; do it
+                            // Refusal reads the pending logon first; do it
                             // off-thread so a stalled client cannot wedge
                             // the acceptor.
-                            let g2 = Arc::clone(&g);
-                            std::thread::spawn(move || g2.reject_connection(stream));
+                            let (code, message) = g.refusal(None);
+                            std::thread::spawn(move || refuse(stream, code, message));
                             continue;
                         }
                         let guard = ActiveGuard(Arc::clone(&g));
@@ -580,87 +646,57 @@ impl Gateway {
         })
     }
 
-    /// Turn away a connection over the cap: best-effort wire error so the
-    /// client sees "at capacity" instead of an unexplained hangup. The
-    /// pending logon request is consumed first — closing with unread bytes
-    /// in the receive buffer would RST the socket and the client could
-    /// lose the error message.
-    fn reject_connection(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-        if let Ok(mut reader) = stream.try_clone() {
-            let _ = Message::read_from(&mut reader);
-        }
-        let mut writer = BufWriter::new(stream);
-        let _ = Message::ErrorResponse {
-            code: 3134,
-            message: format!(
-                "gateway at capacity ({} sessions); try again later",
-                self.config.max_connections
+    /// Wire code and message for a connection turned away at the cap:
+    /// `None` is the hard reject (no admission queue); a shed carries its
+    /// per-reason code, so clients can tell "queue overflowed instantly"
+    /// from "waited `admission_timeout` and gave up".
+    fn refusal(&self, shed: Option<ShedReason>) -> (u16, String) {
+        let cap = self.config.max_connections;
+        match shed {
+            None => (3134, format!("gateway at capacity ({cap} sessions); try again later")),
+            Some(reason @ ShedReason::QueueFull) => (
+                reason.wire_code(),
+                format!(
+                    "gateway at capacity ({cap} sessions) and admission queue full; try again later"
+                ),
+            ),
+            Some(reason @ ShedReason::Timeout) => (
+                reason.wire_code(),
+                format!(
+                    "gateway at capacity ({cap} sessions); admission wait exceeded {:?}",
+                    self.config
+                        .admission
+                        .as_ref()
+                        .map(|a| a.admission_timeout)
+                        .unwrap_or_default()
+                ),
             ),
         }
-        .write_to(&mut writer);
-        use std::io::Write as _;
-        let _ = writer.flush();
     }
 
-    /// Turn away a connection the admission queue could not seat: same
-    /// read-pending-logon-then-error shape as [`Gateway::reject_connection`],
-    /// but with a per-reason wire code so clients can tell "queue overflowed
-    /// instantly" from "waited `admission_timeout` and gave up".
-    fn shed_connection(&self, stream: TcpStream, reason: ShedReason) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-        if let Ok(mut reader) = stream.try_clone() {
-            let _ = Message::read_from(&mut reader);
-        }
-        let mut writer = BufWriter::new(stream);
-        let message = match reason {
-            ShedReason::QueueFull => format!(
-                "gateway at capacity ({} sessions) and admission queue full; try again later",
-                self.config.max_connections
-            ),
-            ShedReason::Timeout => format!(
-                "gateway at capacity ({} sessions); admission wait exceeded {:?}",
-                self.config.max_connections,
-                self.config
-                    .admission
-                    .as_ref()
-                    .map(|a| a.admission_timeout)
-                    .unwrap_or_default()
-            ),
-        };
-        let _ = Message::ErrorResponse { code: reason.wire_code(), message }.write_to(&mut writer);
-        use std::io::Write as _;
-        let _ = writer.flush();
-    }
-
-    /// Serve one connection: logon handshake, then request/response loop.
+    /// Serve one connection: logon handshake, then the request loop on this
+    /// thread while the connection's reader thread reads the socket.
     fn handle_connection(&self, stream: TcpStream) -> Result<(), WireError> {
         // A client stalled mid-read or mid-write past the budget gets its
         // session reaped; without this a dead peer leaks the thread forever.
+        // Set once, here: no socket option is touched after logon.
         stream.set_read_timeout(self.config.io_timeout)?;
         stream.set_write_timeout(self.config.io_timeout)?;
+        // Each response ends in one flush; with Nagle on, the tail of a
+        // reply larger than the write buffer waits out the client's delayed
+        // ACK (~40 ms).
+        stream.set_nodelay(true)?;
         let obs = Arc::clone(ObsContext::global());
         obs.metrics.counter("hyperq_wire_connections_total", &[]).inc();
         let _session = GaugeGuard::acquire(obs.metrics.gauge("hyperq_wire_sessions_active", &[]));
-        let queries = obs.metrics.counter("hyperq_wire_requests_total", &[]);
-        let errors = obs.metrics.counter("hyperq_wire_errors_total", &[]);
-        // Extra clone for socket-option control (read-timeout restore after
-        // an abort-watcher stint) and for spawning the per-statement
-        // watchers; SO_RCVTIMEO is a property of the underlying socket, so
-        // any clone can set and restore it.
-        let ctrl = stream.try_clone()?;
-        let mut reader = SessionReader {
-            replay: VecDeque::new(),
-            inner: CountingReader::new(
-                stream.try_clone()?,
-                obs.metrics.counter("hyperq_wire_bytes_total", &[("direction", "in")]),
-            ),
-        };
+        let mut reader = BufReader::new(CountingReader::new(
+            stream.try_clone()?,
+            obs.metrics.counter("hyperq_wire_bytes_total", &[("direction", "in")]),
+        ));
         let mut writer = CountingWriter::new(
             BufWriter::new(stream),
             obs.metrics.counter("hyperq_wire_bytes_total", &[("direction", "out")]),
         );
-        use std::io::Write as _;
 
         // --- logon handshake ---------------------------------------------
         let user = match Message::read_from(&mut reader)? {
@@ -703,54 +739,69 @@ impl Gateway {
         writer.flush()?;
 
         // --- request loop ---------------------------------------------------
-        // Frames an abort watcher captured beyond its own statement are
-        // served from here before the socket is read again.
-        let mut pending: VecDeque<Message> = VecDeque::new();
-        loop {
-            let next = match pending.pop_front() {
-                Some(m) => Ok(m),
-                None => Message::read_from(&mut reader),
-            };
+        let exchange = Arc::new(Exchange::new());
+        let (tx, inbound) = mpsc::channel();
+        let reader_thread = {
+            let exchange = Arc::clone(&exchange);
+            let io_timeout = self.config.io_timeout;
+            // An abort with nothing unanswered (or whose statement was
+            // answered first) has nothing to cancel and no response of its
+            // own — an abort is answered on the request it kills — so it
+            // is dropped to keep request/response pairing intact.
+            let idle_aborts = obs.metrics.counter("hyperq_governor_idle_aborts_total", &[]);
+            std::thread::Builder::new()
+                .name("hyperq-wire-reader".into())
+                .spawn(move || read_requests(reader, &exchange, io_timeout, &idle_aborts, &tx))?
+        };
+        let served = self.serve_requests(&mut hq, &inbound, &exchange, &mut writer, &obs);
+        // Unblock the reader, which may sit in a read on a live socket, and
+        // wait for it: the connection ends with both of its threads.
+        let _ = writer.get_mut().get_ref().shutdown(Shutdown::Both);
+        if reader_thread.join().is_err() {
+            return Err(WireError::Protocol("connection reader thread panicked".into()));
+        }
+        served
+    }
+
+    /// The session thread's request loop: serve what the reader thread
+    /// forwards until logoff, the idle reap, or the client is gone.
+    fn serve_requests(
+        &self,
+        hq: &mut HyperQ,
+        inbound: &Receiver<Inbound>,
+        exchange: &Exchange,
+        writer: &mut SessionWriter,
+        obs: &Arc<ObsContext>,
+    ) -> Result<(), WireError> {
+        let queries = obs.metrics.counter("hyperq_wire_requests_total", &[]);
+        let errors = obs.metrics.counter("hyperq_wire_errors_total", &[]);
+        // The reader sends why it stops before it hangs up.
+        while let Ok((decoded, next)) = inbound.recv() {
             match next {
                 Ok(Message::SqlRequest { sql }) => {
                     queries.inc();
-                    if !self.serve_statement(
-                        &mut hq, &sql, None, &ctrl, &mut reader, &mut writer, &obs, &mut pending,
-                    )? {
+                    if !self.serve_statement(hq, &sql, None, decoded, exchange, writer, obs)? {
                         break;
                     }
                 }
                 Ok(Message::SqlRequestTimed { timeout_ms, sql }) => {
                     queries.inc();
                     let limit = (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms as u64));
-                    if !self.serve_statement(
-                        &mut hq, &sql, limit, &ctrl, &mut reader, &mut writer, &obs, &mut pending,
-                    )? {
+                    if !self.serve_statement(hq, &sql, limit, decoded, exchange, writer, obs)? {
                         break;
                     }
-                }
-                Ok(Message::AbortRequest) => {
-                    // Abort with nothing in flight (or whose statement
-                    // finished first): nothing to cancel, and no response
-                    // of its own — an abort is answered on the request it
-                    // kills, so an unpaired one is silently dropped to keep
-                    // the client's request/response pairing intact.
-                    obs.metrics.counter("hyperq_governor_idle_aborts_total", &[]).inc();
                 }
                 Ok(Message::Logoff) => break,
                 Err(WireError::Io(e)) => {
                     // A read timeout means an idle/stalled client, not a
                     // dead socket: tell it why before reaping the session.
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) {
+                    if is_timeout(&e) {
                         obs.metrics.counter("hyperq_wire_idle_timeouts_total", &[]).inc();
                         let _ = Message::ErrorResponse {
                             code: 3403,
                             message: "session idle timeout; reconnect to continue".into(),
                         }
-                        .write_to(&mut writer);
+                        .write_to(writer);
                         let _ = writer.flush();
                     }
                     break;
@@ -761,7 +812,7 @@ impl Gateway {
                         code: 3700,
                         message: format!("unexpected message {other:?}"),
                     }
-                    .write_to(&mut writer)?;
+                    .write_to(writer)?;
                     writer.flush()?;
                 }
                 Err(e) => return Err(e),
@@ -772,8 +823,8 @@ impl Gateway {
 
     /// Serve one SQL request under a query governor: register it (deadline
     /// from the client's limit or the gateway default, memory budget from
-    /// config), watch the socket for an async abort while it runs, and map
-    /// a cancelled statement onto its single well-defined wire code — 3110
+    /// config) where the reader thread's aborts reach it, and map a
+    /// cancelled statement onto its single well-defined wire code — 3110
     /// client abort, 3156 deadline, 2646 memory budget — leaving the
     /// session usable. Returns `Ok(false)` when the client disconnected
     /// mid-statement and the session should end.
@@ -783,13 +834,11 @@ impl Gateway {
         hq: &mut HyperQ,
         sql: &str,
         client_timeout: Option<Duration>,
-        ctrl: &TcpStream,
-        reader: &mut SessionReader<CountingReader<TcpStream>>,
-        writer: &mut CountingWriter<BufWriter<TcpStream>>,
+        decoded: Instant,
+        exchange: &Exchange,
+        writer: &mut SessionWriter,
         obs: &Arc<ObsContext>,
-        pending: &mut VecDeque<Message>,
     ) -> Result<bool, WireError> {
-        use std::io::Write as _;
         let errors = obs.metrics.counter("hyperq_wire_errors_total", &[]);
 
         // Register before admission so time spent queueing counts against
@@ -797,6 +846,7 @@ impl Gateway {
         // queued statement immediately — see `AdmissionGate::try_admit`).
         let registration = self.governor.begin(hq.session.session_id, client_timeout);
         let gov = Arc::clone(registration.governor());
+        exchange.register(&gov);
         let _scope = hyperq_governor::install(Arc::clone(&gov));
 
         // Statement admission: the permit spans translation, execution and
@@ -822,36 +872,15 @@ impl Gateway {
                     note_cancel_metrics(obs, &gov);
                     Message::ErrorResponse { code, message }.write_to(writer)?;
                     Message::EndRequest.write_to(writer)?;
-                    writer.flush()?;
+                    flush_response(exchange, writer, obs, decoded)?;
                     return Ok(true);
                 }
             },
             None => None,
         };
 
-        // Watch for an out-of-band AbortRequest while the statement runs.
-        // If the socket cannot be cloned the statement still runs — it just
-        // cannot be client-aborted (deadline and budget still apply).
-        let watcher = ctrl
-            .try_clone()
-            .ok()
-            .and_then(|s| AbortWatcher::spawn(s, Arc::clone(&gov)).ok());
-
         let run_result = hq.run_script(sql);
-
-        // Stop the watcher *before* writing the response: once the client
-        // sees EndRequest it may send its next request, which must be read
-        // by the request loop, not swallowed here. Hand back everything the
-        // watcher read and restore the session's io timeout (the watcher
-        // shortened the shared socket's).
-        let outcome = match watcher {
-            Some(w) => w.finish(),
-            None => WatcherOutcome::empty(),
-        };
-        let _ = ctrl.set_read_timeout(self.config.io_timeout);
-        reader.replay.extend(outcome.leftover.iter().copied());
-        pending.extend(outcome.messages);
-        if outcome.disconnected {
+        if exchange.disconnected() {
             note_cancel_metrics(obs, &gov);
             return Ok(false);
         }
@@ -904,19 +933,14 @@ impl Gateway {
                     {
                         let w = &mut *writer;
                         converted
-                            .for_each_row(|frame| {
+                            .for_each_row(|row| {
                                 // A statement cancelled mid-stream stops
                                 // sending records; the client gets the
                                 // cancel code instead of StatementOk.
                                 if let Some(c) = hyperq_governor::cancel_error() {
                                     return Err(std::io::Error::other(c.to_string()));
                                 }
-                                Message::Record { row_bytes: frame.to_vec() }
-                                    .write_to(w)
-                                    .map_err(|e| match e {
-                                        WireError::Io(io) => io,
-                                        WireError::Protocol(p) => std::io::Error::other(p),
-                                    })
+                                Message::write_record(w, row)
                             })
                             .unwrap_or_else(|e| werr = Some(e));
                     }
@@ -940,17 +964,21 @@ impl Gateway {
             }
             Err(e) => {
                 errors.inc();
-                let (code, message) = match &e {
+                let (code, message) = match hyperq_governor::cancel_error() {
                     // The one well-defined cancel path: every cancelled
                     // statement — client abort, deadline, memory budget —
-                    // funnels through `HyperQError::Cancelled` and maps to
-                    // its reason's wire code.
-                    HyperQError::Cancelled(c) => (c.reason.wire_code(), e.to_string()),
-                    // A backend failure carries the code the policy table
-                    // gave it (a mid-transaction connection loss surfaces
-                    // as 2631, not the generic code).
-                    HyperQError::Backend(b) => (b.wire_code, e.to_string()),
-                    _ => (hyperq_core::policy::WIRE_STATEMENT_FAILED, e.to_string()),
+                    // maps to its reason's wire code, whichever layer
+                    // noticed first (an abort that reaches the request
+                    // before its statement starts is seen by the parser,
+                    // which reports it as a syntax error).
+                    Some(c) => (c.reason.wire_code(), c.to_string()),
+                    None => match &e {
+                        // A backend failure carries the code the policy
+                        // table gave it (a mid-transaction connection loss
+                        // surfaces as 2631, not the generic code).
+                        HyperQError::Backend(b) => (b.wire_code, e.to_string()),
+                        _ => (hyperq_core::policy::WIRE_STATEMENT_FAILED, e.to_string()),
+                    },
                 };
                 Message::ErrorResponse { code, message }.write_to(writer)?;
                 Message::EndRequest.write_to(writer)?;
@@ -962,7 +990,7 @@ impl Gateway {
         // find the gate still held by the statement it just finished.
         self.stats.lock().merge(&request_stats);
         drop(stmt_permit);
-        writer.flush()?;
+        flush_response(exchange, writer, obs, decoded)?;
         Ok(true)
     }
 }

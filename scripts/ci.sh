@@ -25,8 +25,9 @@ cargo build --offline --release --workspace
 #   `tests/analyze_strict`): validator invariants + property coverage,
 #   rule audit attribution, and the strict-mode acceptance corpora (TPC-H
 #   + the customer workloads with zero violations).
-# - Exposition (`tests/observability`): validator, recovery, admission
-#   and cache metric families must surface in both formats end to end.
+# - Exposition (`tests/observability`): validator, recovery, admission,
+#   cache and wire request-latency metric families must surface in both
+#   formats end to end.
 # - Translation cache (`parser` fingerprint, `core` cache unit +
 #   `core/tests/cache`, `tests/cache_equivalence`): cache-off vs cold vs
 #   warm must be byte-identical corpus-wide.
@@ -58,6 +59,11 @@ cargo test -q --offline --workspace
 # regression once hid behind a 1-in-7 failure rate. Twenty in a row. The
 # full multi-config soak is the same target with `-- --ignored`.
 for i in $(seq 20); do cargo test -q --offline --test soak; done
+
+# The benchmark package's self-tests. Its smoke run drives all four
+# workloads over the real wire with every result verified, so a TDWP
+# framing or pipelining desync fails here, offline, not in a bench run.
+(cd bench && cargo test --offline)
 
 # The hyperq-assess CLI reports over the built-in corpora must match the
 # committed golden snapshots byte for byte (the report format is

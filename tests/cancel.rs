@@ -7,6 +7,8 @@
 //! Hyper-Q pipeline → SimWH — and at the library level via
 //! `Request::timeout` / `Request::memory_budget`.
 
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +17,9 @@ use hyperq::xtra::catalog::TableDef;
 use hyperq::core::{HyperQBuilder, HyperQError, ObsContext, Request};
 use hyperq::engine::EngineDb;
 use hyperq::governor::{CancelReason, GovernorConfig};
-use hyperq::wire::{AdmissionConfig, Client, Gateway, GatewayConfig, GatewayHandle};
+use hyperq::wire::auth::digest;
+use hyperq::wire::message::decode_client_row;
+use hyperq::wire::{AdmissionConfig, Client, Gateway, GatewayConfig, GatewayHandle, Message};
 use hyperq::xtra::Datum;
 
 /// Backend wrapper that sleeps before every execute: makes statements take
@@ -450,6 +454,145 @@ fn queued_statement_sheds_at_its_deadline_not_admission_timeout() {
 
     holder.join().unwrap();
     assert_governor_drained(&handle);
+    client.logoff().unwrap();
+    handle.shutdown();
+}
+
+/// A logged-on TDWP session with frames written and read by hand, so a
+/// test decides which frames share one write.
+fn raw_session(addr: SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    Message::LogonRequest { user: "APP".into() }.write_to(&mut s).unwrap();
+    let Message::AuthChallenge { salt } = Message::read_from(&mut s).unwrap() else {
+        panic!("expected AuthChallenge");
+    };
+    Message::LogonDigest { digest: digest("secret", salt) }.write_to(&mut s).unwrap();
+    assert!(matches!(Message::read_from(&mut s).unwrap(), Message::LogonOk { .. }));
+    s
+}
+
+/// Every frame of one response, through its `EndRequest`.
+fn read_response(s: &mut TcpStream) -> Vec<Message> {
+    let mut frames = Vec::new();
+    loop {
+        let m = Message::read_from(s).unwrap();
+        let end = m == Message::EndRequest;
+        frames.push(m);
+        if end {
+            return frames;
+        }
+    }
+}
+
+/// The single value of a one-row, one-column response.
+fn single_value(frames: &[Message]) -> Datum {
+    match frames {
+        [Message::RecordSetHeader { columns }, Message::Record { row_bytes }, Message::StatementOk { .. }, Message::EndRequest] => {
+            decode_client_row(row_bytes, columns).unwrap().remove(0)
+        }
+        other => panic!("expected one row, got {other:?}"),
+    }
+}
+
+fn frames(messages: &[Message]) -> Vec<u8> {
+    messages.iter().flat_map(Message::to_frame).collect()
+}
+
+#[test]
+fn abort_in_the_same_write_as_its_request_returns_3110() {
+    // The abort can reach the reader before the session thread has even
+    // registered the request's governor; it must still kill that request.
+    let db = seed_db();
+    let backend = SlowBackend::wrap(Arc::clone(&db), Duration::from_millis(300));
+    let handle = Gateway::spawn(backend as Arc<dyn Backend>, GatewayConfig::default()).unwrap();
+    let mut s = raw_session(handle.addr);
+
+    let sql = "SEL COUNT(*) FROM SALES".to_string();
+    s.write_all(&frames(&[Message::SqlRequest { sql: sql.clone() }, Message::AbortRequest]))
+        .unwrap();
+    match read_response(&mut s).as_slice() {
+        [Message::ErrorResponse { code: 3110, .. }, Message::EndRequest] => {}
+        other => panic!("expected the abort's 3110, got {other:?}"),
+    }
+
+    Message::SqlRequest { sql }.write_to(&mut s).unwrap();
+    assert_eq!(single_value(&read_response(&mut s)), Datum::Int(3));
+    assert_governor_drained(&handle);
+    Message::Logoff.write_to(&mut s).unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let handle = Gateway::spawn(seed_db() as Arc<dyn Backend>, GatewayConfig::default()).unwrap();
+    let mut s = raw_session(handle.addr);
+    s.write_all(&frames(&[
+        Message::SqlRequest { sql: "SEL COUNT(*) FROM SALES".into() },
+        Message::SqlRequest { sql: "SEL MAX(AMOUNT) FROM SALES".into() },
+    ]))
+    .unwrap();
+    assert_eq!(single_value(&read_response(&mut s)), Datum::Int(3));
+    assert_eq!(single_value(&read_response(&mut s)), Datum::Int(700));
+    Message::Logoff.write_to(&mut s).unwrap();
+    handle.shutdown();
+}
+
+fn http_get(addr: SocketAddr, target: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(stream, "GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    raw.split_once("\r\n\r\n").unwrap().1.to_string()
+}
+
+#[test]
+fn client_vanishing_mid_statement_leaves_nothing_in_flight() {
+    let db = seed_db();
+    let backend = SlowBackend::wrap(Arc::clone(&db), Duration::from_millis(400));
+    let handle = Gateway::spawn(
+        backend as Arc<dyn Backend>,
+        GatewayConfig { obs_http: Some("127.0.0.1:0".into()), ..Default::default() },
+    )
+    .unwrap();
+    let obs_addr = handle.obs_addr().unwrap();
+    let mut s = raw_session(handle.addr);
+    Message::SqlRequest { sql: "SEL * FROM SALES".into() }.write_to(&mut s).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !http_get(obs_addr, "/queries").contains("\"id\":") {
+        assert!(Instant::now() < deadline, "statement never appeared on /queries");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(s);
+
+    assert_governor_drained(&handle);
+    assert_eq!(http_get(obs_addr, "/queries").trim(), "[]");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while handle.active_sessions() > 0 {
+        assert!(Instant::now() < deadline, "the vanished client's session never ended");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn wire_statements_have_no_latency_floor() {
+    // The parent spent ~12 ms per statement joining a per-statement abort
+    // watcher that polled the socket every 5 ms.
+    let handle = Gateway::spawn(seed_db() as Arc<dyn Backend>, GatewayConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+    for _ in 0..10 {
+        client.run("SEL COUNT(*) FROM SALES").unwrap();
+    }
+    let mut latencies: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t0 = Instant::now();
+            client.run("SEL COUNT(*) FROM SALES").unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(median < Duration::from_millis(3), "median wire statement took {median:?}");
     client.logoff().unwrap();
     handle.shutdown();
 }

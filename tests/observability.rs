@@ -385,6 +385,37 @@ fn recovery_and_admission_metrics_appear_in_exposition() {
     assert!(json.contains("hyperq_admission_shed_total"));
 }
 
+/// The gateway times each wire request from frame decode to response
+/// flush — what a client waits for, minus the network — and the histogram
+/// surfaces in both exposition formats.
+#[test]
+fn wire_request_duration_appears_in_exposition() {
+    use hyperq::wire::{Client, Gateway, GatewayConfig};
+
+    let db = Arc::new(EngineDb::new());
+    db.execute_sql("CREATE TABLE T (N INTEGER)").unwrap();
+    // The drain makes `shutdown` wait for the session thread, which records
+    // a request's duration before it reads the logoff.
+    let handle = Gateway::spawn(
+        db as Arc<dyn Backend>,
+        GatewayConfig { drain_timeout: Duration::from_secs(5), ..Default::default() },
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+    client.run("SEL COUNT(*) FROM T").unwrap();
+    client.logoff().unwrap();
+    handle.shutdown();
+
+    let metrics = &ObsContext::global().metrics;
+    let name = "hyperq_wire_request_duration_seconds";
+    assert!(metrics.histogram(name, &[]).count() >= 1);
+    let prom = metrics.render_prometheus();
+    for series in [format!("{name}_count"), format!("{name}_bucket")] {
+        assert!(prom.contains(&series), "missing series `{series}` in exposition:\n{prom}");
+    }
+    assert!(metrics.render_json().contains(name));
+}
+
 #[test]
 fn cache_metric_families_expose_cleanly() {
     let obs = ObsContext::new();

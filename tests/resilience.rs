@@ -428,6 +428,49 @@ fn idle_sessions_are_reaped_by_the_io_timeout() {
 }
 
 #[test]
+fn io_timeout_reaps_only_an_idle_session() {
+    use hyperq::wire::Message;
+    // A statement three times longer than the I/O timeout still answers;
+    // the same session, once idle past it, is reaped with 3403. Raw frames,
+    // so the reap notice is read without sending another request.
+    let fault = FaultInjectingBackend::wrap(
+        sales_db() as Arc<dyn Backend>,
+        FaultPlan::none().with_latency(Duration::from_millis(150)),
+    );
+    let handle = Gateway::spawn(
+        fault as Arc<dyn Backend>,
+        GatewayConfig { io_timeout: Some(Duration::from_millis(50)), ..Default::default() },
+    )
+    .unwrap();
+    let mut s = std::net::TcpStream::connect(handle.addr).unwrap();
+    Message::LogonRequest { user: "APP".into() }.write_to(&mut s).unwrap();
+    let Message::AuthChallenge { salt } = Message::read_from(&mut s).unwrap() else {
+        panic!("expected AuthChallenge");
+    };
+    let digest = hyperq::wire::auth::digest("secret", salt);
+    Message::LogonDigest { digest }.write_to(&mut s).unwrap();
+    assert!(matches!(Message::read_from(&mut s).unwrap(), Message::LogonOk { .. }));
+
+    Message::SqlRequest { sql: "SEL COUNT(*) FROM SALES".into() }.write_to(&mut s).unwrap();
+    let mut frames = Vec::new();
+    while frames.last() != Some(&Message::EndRequest) {
+        frames.push(Message::read_from(&mut s).unwrap());
+    }
+    assert!(
+        matches!(frames[..], [.., Message::StatementOk { activity_count: 1 }, Message::EndRequest]),
+        "the long statement must answer: {frames:?}"
+    );
+
+    std::thread::sleep(Duration::from_millis(200));
+    match Message::read_from(&mut s).unwrap() {
+        Message::ErrorResponse { code: 3403, .. } => {}
+        other => panic!("expected the idle reap's 3403, got {other:?}"),
+    }
+    assert!(Message::read_from(&mut s).is_err(), "the reaped session must be closed");
+    handle.shutdown();
+}
+
+#[test]
 fn shutdown_drains_in_flight_sessions() {
     let handle = Gateway::spawn(
         sales_db() as Arc<dyn Backend>,
