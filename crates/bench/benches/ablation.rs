@@ -1,13 +1,12 @@
 //! Ablations of the design choices called out in DESIGN.md §6:
 //!
 //! 1. fixed-point transformer vs. a single bounded pass,
-//! 2. parallel vs. sequential result conversion,
-//! 3. spill-to-disk vs. fully buffered conversion,
-//! 4. single-row DML batching on vs. off.
+//! 2. spill-to-disk vs. fully buffered conversion,
+//! 3. single-row DML batching on vs. off.
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use hyperq_core::backend::Backend;
 use hyperq_core::binder::Binder;
 use hyperq_core::capability::TargetCapabilities;
@@ -69,24 +68,6 @@ fn bench_fixed_point(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_conversion_parallelism(c: &mut Criterion) {
-    let schema = Schema::new(vec![
-        Field::new(None, "K", SqlType::Integer, true),
-        Field::new(None, "PAD", SqlType::Varchar(None), true),
-    ]);
-    let rows: Vec<Vec<Datum>> = (0..50_000)
-        .map(|i| vec![Datum::Int(i), Datum::str(format!("padding-{i:0>40}"))])
-        .collect();
-    let mut group = c.benchmark_group("converter_parallelism");
-    for &threads in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            let config = ConverterConfig { parallelism: t, batch_size: 2048, ..Default::default() };
-            b.iter(|| convert(&schema, &rows, &config).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_spill(c: &mut Criterion) {
     let schema = Schema::new(vec![
         Field::new(None, "K", SqlType::Integer, true),
@@ -99,7 +80,6 @@ fn bench_spill(c: &mut Criterion) {
     for (label, budget) in [("buffered", usize::MAX), ("spilling", 64 * 1024)] {
         group.bench_function(label, |b| {
             let config = ConverterConfig {
-                parallelism: 1,
                 batch_size: 1024,
                 memory_budget: budget,
                 ..Default::default()
@@ -153,6 +133,6 @@ criterion_group! {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(5))
         .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_fixed_point, bench_conversion_parallelism, bench_spill, bench_dml_batching
+    targets = bench_fixed_point, bench_spill, bench_dml_batching
 }
 criterion_main!(benches);

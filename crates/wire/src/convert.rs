@@ -1,22 +1,30 @@
 //! The Result Converter (paper §4.6).
 //!
 //! "TDF packets are unwrapped by Result Converter to extract result rows
-//! and convert them into the binary format of the original database. This
-//! conversion operation happens in parallel by starting a number of
-//! processes where each process handles the conversion of a subset of the
-//! result rows. … When the result size is very large, the buffered results
-//! may not fit in memory. In this case, the Result Converter spills the
-//! buffered results into disk and maintains the set of generated spill
-//! files until result consumption is done."
+//! and convert them into the binary format of the original database. …
+//! When the result size is very large, the buffered results may not fit in
+//! memory. In this case, the Result Converter spills the buffered results
+//! into disk and maintains the set of generated spill files until result
+//! consumption is done."
+//!
+//! One core, [`stream`], converts a result batch by batch: `tdf::encode`,
+//! then `tdf::transcode` into framed client `Record` messages, then a
+//! [`BatchSink`]. The gateway's sink is the session's socket, so it holds
+//! one converted batch at a time and batch *i* is on the wire while batch
+//! *i + 1* converts. [`convert`] feeds the same core into a store that
+//! spills to disk past its memory budget, for library callers that want
+//! the whole result first. The paper converts in parallel; here each
+//! session converts on its own thread (DESIGN.md §12 has the measurement).
 
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use hyperq_xtra::schema::Schema;
 use hyperq_xtra::Row;
 
-use crate::message::{encode_client_row, header_columns};
+use crate::message::{header_columns, WireError};
 use crate::tdf;
 
 /// Converter tuning.
@@ -24,11 +32,7 @@ use crate::tdf;
 pub struct ConverterConfig {
     /// Rows per TDF batch fetched from the ODBC-server abstraction.
     pub batch_size: usize,
-    /// Worker threads for parallel conversion (paper: "a number of
-    /// processes where each process handles … a subset of the result
-    /// rows"). 1 = sequential (the ablation baseline).
-    pub parallelism: usize,
-    /// Converted bytes held in memory before spilling to disk.
+    /// Converted bytes [`convert`] holds in memory before spilling to disk.
     pub memory_budget: usize,
     /// Directory for spill files.
     pub spill_dir: PathBuf,
@@ -38,50 +42,117 @@ impl Default for ConverterConfig {
     fn default() -> Self {
         ConverterConfig {
             batch_size: 1024,
-            parallelism: 4,
             memory_budget: 64 * 1024 * 1024,
             spill_dir: std::env::temp_dir(),
         }
     }
 }
 
+/// Where [`stream`] delivers a converted result.
+pub trait BatchSink {
+    /// The result's header columns, once, before any batch — and only once
+    /// the statement is known live and the schema representable, so no
+    /// refusal ever follows a header.
+    fn header(&mut self, columns: Vec<(String, u8)>) -> std::io::Result<()>;
+    /// One batch of back-to-back framed `Record` messages. The sink may
+    /// take the buffer; [`stream`] clears it before the next batch.
+    fn batch(&mut self, frames: &mut Vec<u8>) -> std::io::Result<()>;
+}
+
+/// What [`stream`] delivered.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Streamed {
+    pub rows: u64,
+    /// Client-format row bytes, excluding frame headers.
+    pub bytes: u64,
+    /// Encoding and transcoding time summed over batches; the sink's time
+    /// (socket writes, spills) is not in it.
+    pub converting: Duration,
+}
+
+/// Convert a backend result into `sink`, `config.batch_size` rows at a
+/// time: package them into a TDF batch (the ODBC-server hand-off, paper
+/// §4.5), transcode it into client `Record` frames, hand those over. Under
+/// the statement's governor (when one is installed on this thread) a
+/// statement cancelled before the header gets no header, and one cancelled
+/// mid-stream stops at the next batch. Conversion failures and cancels are
+/// [`WireError::Protocol`]; the sink's are [`WireError::Io`].
+pub fn stream(
+    schema: &Schema,
+    rows: &[Row],
+    config: &ConverterConfig,
+    sink: &mut impl BatchSink,
+) -> Result<Streamed, WireError> {
+    let refuse = |e: &dyn std::fmt::Display| WireError::Protocol(e.to_string());
+    let checkpoint = || hyperq_governor::checkpoint().map_err(|c| refuse(&c));
+    checkpoint()?;
+    tdf::check_schema(schema).map_err(|e| refuse(&e))?;
+    sink.header(header_columns(schema))?;
+    let mut streamed = Streamed::default();
+    let (mut batch, mut frames) = (Vec::new(), Vec::new());
+    for chunk in rows.chunks(config.batch_size.max(1)) {
+        checkpoint()?;
+        let t = Instant::now();
+        batch.clear();
+        frames.clear();
+        tdf::encode_into(schema, chunk, &mut batch).map_err(|e| refuse(&e))?;
+        let n = tdf::transcode(&batch, &mut frames).map_err(|e| refuse(&e))?;
+        streamed.converting += t.elapsed();
+        streamed.rows += n;
+        streamed.bytes += frames.len() as u64 - 5 * n;
+        sink.batch(&mut frames)?;
+    }
+    Ok(streamed)
+}
+
+/// [`stream`] wrapped in observability: emits a `convert` span (attached to
+/// `trace` when the statement's pipeline trace is known), records the
+/// conversion time in the shared per-stage histogram family and attaches
+/// the result's size to the statement's provenance record.
+pub fn stream_traced(
+    schema: &Schema,
+    rows: &[Row],
+    config: &ConverterConfig,
+    obs: &hyperq_obs::ObsContext,
+    trace: Option<hyperq_obs::TraceId>,
+    sink: &mut impl BatchSink,
+) -> Result<Streamed, WireError> {
+    let span = match trace {
+        Some(t) => obs.traces.enter_in(t, "convert"),
+        None => obs.traces.enter("convert"),
+    };
+    let result = stream(schema, rows, config, sink);
+    span.finish();
+    if let Ok(s) = &result {
+        obs.metrics
+            .histogram(hyperq_core::STAGE_DURATION_METRIC, &[("stage", "convert")])
+            .record(s.converting);
+        // The statement's provenance record was sealed when the pipeline
+        // returned; conversion happens afterwards, so its stats are
+        // attached to the existing record by trace id.
+        if let Some(t) = trace {
+            obs.provenance.attach_convert(t, s.rows, s.bytes, s.converting);
+        }
+    }
+    result
+}
+
 /// RAII handle to one spill file: the file is deleted when the handle
 /// drops — after streaming, on partial consumption, on an error mid-spill,
 /// and when a `ConvertedResult` is abandoned without being read. No path
 /// escapes this type, so no code path can forget the cleanup.
-pub struct SpillFile {
-    path: PathBuf,
-}
-
-impl SpillFile {
-    /// Create the file and its guard together; if any later step fails, the
-    /// guard's drop removes whatever was written.
-    fn create(path: PathBuf) -> Result<(File, SpillFile), String> {
-        let file = File::create(&path).map_err(|e| format!("spill create failed: {e}"))?;
-        Ok((file, SpillFile { path }))
-    }
-
-    fn open(&self) -> std::io::Result<File> {
-        File::open(&self.path)
-    }
-
-    /// Where the rows were spilled (diagnostics).
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-}
+struct SpillFile(PathBuf);
 
 impl Drop for SpillFile {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        let _ = std::fs::remove_file(&self.0);
     }
 }
 
-/// One converted chunk: client-format row frames, in memory or spilled.
-pub enum Chunk {
-    Mem(Vec<Vec<u8>>),
-    /// Spill file guard + number of rows it holds.
-    Spilled(SpillFile, usize),
+/// One converted batch of framed `Record` messages, in memory or spilled.
+enum Chunk {
+    Mem(Vec<u8>),
+    Spilled(SpillFile),
 }
 
 /// The converted result, ready for the Protocol Handler to package into
@@ -96,172 +167,98 @@ pub struct ConvertedResult {
 }
 
 impl ConvertedResult {
-    /// Stream every converted row frame, reading spill files back on
-    /// demand. Spill files are deleted by their [`SpillFile`] guards — as
-    /// each chunk finishes streaming, and for the rest when `self` drops on
-    /// an early error.
+    /// Stream every converted row, reading spill files back on demand.
+    /// Spill files are deleted by their `SpillFile` guards — as each
+    /// chunk finishes streaming, and for the rest when `self` drops on an
+    /// early error.
     pub fn for_each_row(
         mut self,
         mut f: impl FnMut(&[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
         for chunk in self.chunks.drain(..) {
-            match chunk {
-                Chunk::Mem(rows) => {
-                    for r in rows {
-                        f(&r)?;
-                    }
+            let mut data = Vec::new();
+            let mut frames: &[u8] = match &chunk {
+                Chunk::Mem(frames) => frames,
+                Chunk::Spilled(spill) => {
+                    File::open(&spill.0)?.read_to_end(&mut data)?;
+                    &data
                 }
-                Chunk::Spilled(spill, _) => {
-                    let mut file = spill.open()?;
-                    let mut data = Vec::new();
-                    file.read_to_end(&mut data)?;
-                    let mut cursor = &data[..];
-                    while !cursor.is_empty() {
-                        let len = u32::from_le_bytes([
-                            cursor[0], cursor[1], cursor[2], cursor[3],
-                        ]) as usize;
-                        f(&cursor[4..4 + len])?;
-                        cursor = &cursor[4 + len..];
-                    }
-                }
+            };
+            while let Some(head) = frames.get(..5) {
+                let end = 5 + u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
+                let row = frames.get(5..end).ok_or_else(|| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, "truncated spilled row")
+                })?;
+                f(row)?;
+                frames = &frames[end..];
             }
         }
         Ok(())
     }
 }
 
-/// Convert a backend result into client row frames: package rows into TDF
-/// batches (the ODBC-server hand-off), then unwrap and convert each batch —
-/// in parallel when configured — into the client's native binary format,
-/// spilling past the memory budget.
-pub fn convert(
-    schema: &Schema,
-    rows: &[Row],
-    config: &ConverterConfig,
-) -> Result<ConvertedResult, String> {
-    // Conversion runs under the statement's governor when one is installed
-    // on the session thread: workers observe its cancel token between
-    // batches (the token must be passed explicitly — worker threads do not
-    // inherit the thread-local), and in-memory buffering charges its
-    // resource ledger so a huge result spills early under memory pressure
-    // instead of blowing past the query's budget.
-    let gov = hyperq_governor::current();
-    if let Some(g) = &gov {
-        g.checkpoint().map_err(|c| c.to_string())?;
+/// [`convert`]'s sink: keeps batches in memory within the budget and spills
+/// the rest. Under a governor the in-memory bytes are also charged against
+/// the query's ledger (and the gateway-global pool); a batch the ledger
+/// refuses is spilled instead of killing the query — spilling *earlier*
+/// under pressure is the graceful degradation, the budget kill is reserved
+/// for allocations that cannot degrade (engine state).
+struct Store<'a> {
+    config: &'a ConverterConfig,
+    governor: Option<std::sync::Arc<hyperq_governor::QueryGovernor>>,
+    result: ConvertedResult,
+    in_memory: usize,
+}
+
+impl BatchSink for Store<'_> {
+    fn header(&mut self, columns: Vec<(String, u8)>) -> std::io::Result<()> {
+        self.result.header = columns;
+        Ok(())
     }
-    let header = header_columns(schema);
-    // Step 1: package into TDF batches (paper §4.5: results are retrieved
-    // "in one or more batches depending on the result size").
-    let batches: Vec<bytes::Bytes> = rows
-        .chunks(config.batch_size.max(1))
-        .map(|chunk| tdf::encode(schema, chunk).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
 
-    // Step 2: unwrap TDF and convert to the client format, in parallel.
-    let converted: Vec<Vec<Vec<u8>>> = if config.parallelism <= 1 || batches.len() <= 1 {
-        batches
-            .iter()
-            .map(|b| {
-                if let Some(g) = &gov {
-                    g.checkpoint().map_err(|c| c.to_string())?;
-                }
-                convert_batch(b)
-            })
-            .collect::<Result<_, _>>()?
-    } else {
-        let workers = config.parallelism.min(batches.len());
-        let mut results: Vec<Option<Result<Vec<Vec<u8>>, String>>> =
-            (0..batches.len()).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results_mutex = parking_lot::Mutex::new(&mut results);
-        let gov_ref = gov.as_deref();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= batches.len() {
-                            break;
-                        }
-                        // A cancelled statement stops dispatching further
-                        // batches; already-finished ones are discarded by
-                        // the error below.
-                        let r = match gov_ref.map(hyperq_governor::QueryGovernor::checkpoint) {
-                            Some(Err(c)) => Err(c.to_string()),
-                            _ => convert_batch(&batches[i]),
-                        };
-                        results_mutex.lock()[i] = Some(r);
-                    });
-                }
-            });
-        }))
-        .map_err(|_| "converter worker panicked".to_string())?;
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // A worker that exited without recording a result (e.g. its
-                // thread died) is a converter error, not a session panic.
-                r.unwrap_or_else(|| Err(format!("converter produced no result for batch {i}")))
-            })
-            .collect::<Result<_, _>>()?
-    };
-
-    // Step 3: buffer within the memory budget; spill beyond it. Under a
-    // governor the in-memory bytes are also charged against the query's
-    // ledger (and the gateway-global pool); a chunk the ledger refuses is
-    // spilled to disk instead of killing the query — spilling *earlier*
-    // under pressure is the graceful degradation, the budget kill is
-    // reserved for allocations that cannot degrade (engine state).
-    let mut chunks = Vec::with_capacity(converted.len());
-    let mut in_memory = 0usize;
-    let mut spilled_chunks = 0usize;
-    let mut total_rows = 0u64;
-    let mut total_bytes = 0u64;
-    for (i, chunk_rows) in converted.into_iter().enumerate() {
-        if let Some(g) = &gov {
-            g.checkpoint().map_err(|c| c.to_string())?;
-        }
-        total_rows += chunk_rows.len() as u64;
-        total_bytes += chunk_rows.iter().map(|r| r.len() as u64).sum::<u64>();
-        let bytes: usize = chunk_rows.iter().map(|r| r.len() + 4).sum();
-        let fits_budget = in_memory + bytes <= config.memory_budget;
-        let charged = fits_budget
-            && match &gov {
+    fn batch(&mut self, frames: &mut Vec<u8>) -> std::io::Result<()> {
+        let bytes = frames.len();
+        let charged = self.in_memory + bytes <= self.config.memory_budget
+            && match &self.governor {
                 // `ResourceLedger::charge` (not `QueryGovernor::charge`):
                 // a denial here must NOT cancel the query, just spill.
                 Some(g) => g.ledger().charge(bytes as u64).is_ok(),
                 None => true,
             };
+        let chunks = &mut self.result.chunks;
         if charged {
-            in_memory += bytes;
-            chunks.push(Chunk::Mem(chunk_rows));
-        } else {
-            let path = config.spill_dir.join(format!(
-                "hyperq_spill_{}_{}_{i}.tdf",
-                std::process::id(),
-                crate::auth::fresh_salt()
-            ));
-            // The guard is created with the file: if a write fails here (or
-            // a later chunk fails to spill), dropping `chunks`/`guard`
-            // removes every file already on disk.
-            let (mut file, guard) = SpillFile::create(path)?;
-            let n = chunk_rows.len();
-            for r in &chunk_rows {
-                file.write_all(&(r.len() as u32).to_le_bytes())
-                    .and_then(|_| file.write_all(r))
-                    .map_err(|e| format!("spill write failed: {e}"))?;
-            }
-            spilled_chunks += 1;
-            chunks.push(Chunk::Spilled(guard, n));
+            self.in_memory += bytes;
+            chunks.push(Chunk::Mem(std::mem::take(frames)));
+            return Ok(());
         }
+        let path = self.config.spill_dir.join(format!(
+            "hyperq_spill_{}_{}_{}.rows",
+            std::process::id(),
+            crate::auth::fresh_salt(),
+            chunks.len()
+        ));
+        // The guard exists before the first byte is written: if this write
+        // (or a later batch's) fails, dropping the store removes every file
+        // already on disk.
+        let mut file = File::create(&path)?;
+        chunks.push(Chunk::Spilled(SpillFile(path)));
+        file.write_all(frames)?;
+        self.result.spilled_chunks += 1;
+        Ok(())
     }
-    Ok(ConvertedResult { header, total_rows, total_bytes, chunks, spilled_chunks })
 }
 
-/// [`convert`] wrapped in observability: emits a `convert` span (attached to
-/// `trace` when the statement's pipeline trace is known) and records the
-/// duration in the shared per-stage histogram family.
+/// Convert a whole backend result into client row frames, buffered in
+/// memory up to the budget and spilled to disk beyond it.
+pub fn convert(
+    schema: &Schema,
+    rows: &[Row],
+    config: &ConverterConfig,
+) -> Result<ConvertedResult, String> {
+    convert_with(config, |store| stream(schema, rows, config, store))
+}
+
+/// [`convert`] through [`stream_traced`].
 pub fn convert_traced(
     schema: &Schema,
     rows: &[Row],
@@ -269,31 +266,29 @@ pub fn convert_traced(
     obs: &hyperq_obs::ObsContext,
     trace: Option<hyperq_obs::TraceId>,
 ) -> Result<ConvertedResult, String> {
-    let span = match trace {
-        Some(t) => obs.traces.enter_in(t, "convert"),
-        None => obs.traces.enter("convert"),
-    };
-    let result = convert(schema, rows, config);
-    let d = span.finish();
-    obs.metrics
-        .histogram(hyperq_core::STAGE_DURATION_METRIC, &[("stage", "convert")])
-        .record(d);
-    // The statement's provenance record was sealed when the pipeline
-    // returned; conversion happens afterwards, so its stats are attached to
-    // the existing record by trace id.
-    if let (Ok(res), Some(t)) = (&result, trace) {
-        obs.provenance.attach_convert(t, res.total_rows, res.total_bytes, d);
-    }
-    result
+    convert_with(config, |store| stream_traced(schema, rows, config, obs, trace, store))
 }
 
-/// Unwrap one TDF batch and encode its rows in the client format.
-fn convert_batch(batch: &[u8]) -> Result<Vec<Vec<u8>>, String> {
-    let (schema, rows) = tdf::decode(batch).map_err(|e| e.to_string())?;
-    Ok(rows
-        .iter()
-        .map(|r| encode_client_row(r, &schema))
-        .collect())
+fn convert_with(
+    config: &ConverterConfig,
+    run: impl FnOnce(&mut Store) -> Result<Streamed, WireError>,
+) -> Result<ConvertedResult, String> {
+    let mut store = Store {
+        config,
+        governor: hyperq_governor::current(),
+        result: ConvertedResult {
+            header: Vec::new(),
+            total_rows: 0,
+            total_bytes: 0,
+            chunks: Vec::new(),
+            spilled_chunks: 0,
+        },
+        in_memory: 0,
+    };
+    let streamed = run(&mut store).map_err(|e| e.to_string())?;
+    store.result.total_rows = streamed.rows;
+    store.result.total_bytes = streamed.bytes;
+    Ok(store.result)
 }
 
 #[cfg(test)]
@@ -328,24 +323,55 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree() {
-        let schema = schema();
-        let data = rows(5000);
-        let seq = convert(
-            &schema,
-            &data,
-            &ConverterConfig { parallelism: 1, batch_size: 256, ..Default::default() },
+    fn rows_arrive_whole_and_in_order_across_batches() {
+        let result = convert(
+            &schema(),
+            &rows(5000),
+            &ConverterConfig { batch_size: 256, ..Default::default() },
         )
         .unwrap();
-        let par = convert(
-            &schema,
-            &data,
-            &ConverterConfig { parallelism: 8, batch_size: 256, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(seq.total_rows, 5000);
-        assert_eq!(par.total_rows, 5000);
-        assert_eq!(collect(seq), collect(par), "order and bytes must be identical");
+        assert_eq!(result.total_rows, 5000);
+        let header = result.header.clone();
+        let back: Vec<Row> = collect(result)
+            .iter()
+            .map(|r| crate::message::decode_client_row(r, &header).unwrap())
+            .collect();
+        assert_eq!(back, rows(5000));
+    }
+
+    /// Counts the calls a sink received.
+    struct Calls(usize);
+
+    impl BatchSink for Calls {
+        fn header(&mut self, _: Vec<(String, u8)>) -> std::io::Result<()> {
+            self.0 += 1;
+            Ok(())
+        }
+
+        fn batch(&mut self, _: &mut Vec<u8>) -> std::io::Result<()> {
+            self.0 += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn cancelled_statement_gets_no_header() {
+        let gov = hyperq_governor::QueryGovernor::standalone(None, 0);
+        gov.cancel(hyperq_governor::CancelReason::ClientAbort, "test");
+        let _scope = hyperq_governor::install(gov);
+        let mut sink = Calls(0);
+        let err = stream(&schema(), &rows(10), &ConverterConfig::default(), &mut sink).unwrap_err();
+        assert!(err.to_string().contains("client_abort"), "{err}");
+        assert_eq!(sink.0, 0);
+    }
+
+    #[test]
+    fn oversized_schema_is_refused_before_the_header() {
+        let wide = Schema::new(vec![Field::new(None, &"N".repeat(70_000), SqlType::Integer, true)]);
+        let mut sink = Calls(0);
+        let err = stream(&wide, &[], &ConverterConfig::default(), &mut sink).unwrap_err();
+        assert!(err.to_string().contains("column name"), "{err}");
+        assert_eq!(sink.0, 0);
     }
 
     #[test]
@@ -373,38 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_files_removed_after_consumption() {
-        let dir = std::env::temp_dir();
-        let before: usize = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .is_ok_and(|e| e.file_name().to_string_lossy().starts_with("hyperq_spill_"))
-            })
-            .count();
-        let result = convert(
-            &schema(),
-            &rows(1000),
-            &ConverterConfig {
-                batch_size: 50,
-                memory_budget: 1024,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(result.spilled_chunks > 0);
-        let _ = collect(result);
-        let after: usize = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .is_ok_and(|e| e.file_name().to_string_lossy().starts_with("hyperq_spill_"))
-            })
-            .count();
-        assert!(after <= before, "spill files must be cleaned up");
-    }
-
-    #[test]
     fn empty_result() {
         let r = convert(&schema(), &[], &ConverterConfig::default()).unwrap();
         assert_eq!(r.total_rows, 0);
@@ -428,8 +422,21 @@ mod tests {
             batch_size: 50,
             memory_budget: 0, // every chunk spills
             spill_dir: dir.to_path_buf(),
-            ..Default::default()
         }
+    }
+
+    fn assert_empty(dir: &std::path::Path) {
+        assert_eq!(std::fs::read_dir(dir).unwrap().count(), 0, "spill files left behind");
+        let _ = std::fs::remove_dir(dir);
+    }
+
+    #[test]
+    fn spill_files_removed_after_consumption() {
+        let dir = private_spill_dir("consumed");
+        let result = convert(&schema(), &rows(1000), &spilling_config(&dir)).unwrap();
+        assert!(result.spilled_chunks > 0);
+        assert_eq!(collect(result).len(), 1000);
+        assert_empty(&dir);
     }
 
     #[test]
@@ -443,12 +450,7 @@ mod tests {
             .for_each_row(|_| Err(std::io::Error::other("client hung up")))
             .unwrap_err();
         assert_eq!(err.to_string(), "client hung up");
-        assert_eq!(
-            std::fs::read_dir(&dir).unwrap().count(),
-            0,
-            "failed conversion must leave the spill dir empty"
-        );
-        let _ = std::fs::remove_dir(&dir);
+        assert_empty(&dir);
     }
 
     #[test]
@@ -458,11 +460,6 @@ mod tests {
         assert!(result.spilled_chunks > 0);
         assert!(std::fs::read_dir(&dir).unwrap().count() > 0, "files exist while live");
         drop(result);
-        assert_eq!(
-            std::fs::read_dir(&dir).unwrap().count(),
-            0,
-            "abandoned result must leave the spill dir empty"
-        );
-        let _ = std::fs::remove_dir(&dir);
+        assert_empty(&dir);
     }
 }

@@ -11,8 +11,9 @@
 //! * [`auth`] — the salted challenge–response logon,
 //! * [`tdf`] — the Tabular Data Format, Hyper-Q's internal binary batch
 //!   representation (§4.5),
-//! * [`mod@convert`] — the Result Converter (§4.6): parallel TDF → client-format
-//!   conversion with spill-to-disk,
+//! * [`mod@convert`] — the Result Converter (§4.6): TDF batches transcoded
+//!   into client-format frames and streamed batch by batch (buffered with
+//!   spill-to-disk for library callers),
 //! * [`server`] — the TCP gateway: one Hyper-Q session per connection, with
 //!   per-stage timing (the Figure 9 instrumentation),
 //! * [`admission`] — bounded-FIFO admission queueing in front of the

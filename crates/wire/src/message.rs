@@ -210,7 +210,7 @@ impl Message {
     }
 }
 
-const RECORD_KIND: u8 = 0x84;
+pub(crate) const RECORD_KIND: u8 = 0x84;
 
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
@@ -371,10 +371,11 @@ pub fn decode_client_row(bytes: &[u8], columns: &[(String, u8)]) -> Result<Row, 
                 need(&buf, 4)?;
                 let len = buf.get_u32_le() as usize;
                 need(&buf, len)?;
-                let s = String::from_utf8(buf[..len].to_vec())
+                let s = std::str::from_utf8(&buf[..len])
                     .map_err(|_| WireError::Protocol("row string not UTF-8".into()))?;
+                let d = Datum::str(s);
                 buf.advance(len);
-                Datum::str(s)
+                d
             }
         });
     }

@@ -4,7 +4,7 @@
 //! Per request the gateway records the three stage timings of the paper's
 //! Figure 9: **query translation** (parse/bind/transform/serialize),
 //! **execution** (target database), and **result transformation**
-//! (TDF → client binary format, including spill handling).
+//! (TDF → client binary format, streamed to the socket batch by batch).
 //!
 //! A connection is served by two threads. After logon one long-lived
 //! reader thread is the only reader of the socket: it applies an
@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 
 use crate::admission::{AdmissionConfig, AdmissionGate, ShedReason};
 use crate::auth::{fresh_salt, Credentials};
-use crate::convert::{convert_traced, ConverterConfig};
+use crate::convert::{stream_traced, BatchSink, ConverterConfig};
 use crate::message::{Message, WireError};
 
 /// Decrements a gauge when dropped — keeps `sessions_active` honest on
@@ -64,7 +64,6 @@ pub struct WireStats {
     pub execution: Duration,
     pub conversion: Duration,
     pub rows_returned: u64,
-    pub spilled_chunks: u64,
 }
 
 impl WireStats {
@@ -88,7 +87,6 @@ impl WireStats {
         self.execution += other.execution;
         self.conversion += other.conversion;
         self.rows_returned += other.rows_returned;
-        self.spilled_chunks += other.spilled_chunks;
     }
 }
 
@@ -398,6 +396,20 @@ fn read_requests(
         if tx.send((decoded, next)).is_err() || last {
             return;
         }
+    }
+}
+
+/// The gateway's converter sink: each batch of `Record` frames goes
+/// straight to the session's socket as it is converted.
+struct WireSink<'a>(&'a mut SessionWriter);
+
+impl BatchSink for WireSink<'_> {
+    fn header(&mut self, columns: Vec<(String, u8)>) -> std::io::Result<()> {
+        self.0.write_all(&Message::RecordSetHeader { columns }.to_frame())
+    }
+
+    fn batch(&mut self, frames: &mut Vec<u8>) -> std::io::Result<()> {
+        self.0.write_all(frames)
     }
 }
 
@@ -899,62 +911,32 @@ impl Gateway {
                         continue;
                     }
                     hyperq_governor::note_stage(hyperq_governor::Stage::Converting);
-                    let converted = match convert_traced(
+                    let streamed = stream_traced(
                         &outcome.result.schema,
                         &outcome.result.rows,
                         &self.config.converter,
                         obs,
                         outcome.trace_id,
-                    ) {
-                        Ok(c) => c,
-                        Err(msg) => {
-                            // A conversion abandoned because the statement
-                            // was cancelled is an ordinary statement error
-                            // on the wire — the session survives. Only a
-                            // genuinely broken conversion is a protocol
-                            // failure.
-                            match hyperq_governor::cancel_error() {
-                                Some(c) => {
-                                    failed = Some((c.reason.wire_code(), c.to_string()));
-                                    break;
-                                }
-                                None => return Err(WireError::Protocol(msg)),
-                            }
-                        }
-                    };
+                        &mut WireSink(writer),
+                    );
                     request_stats.conversion += t0.elapsed();
-                    request_stats.rows_returned += converted.total_rows;
-                    request_stats.spilled_chunks += converted.spilled_chunks as u64;
-                    Message::RecordSetHeader { columns: converted.header.clone() }
-                        .write_to(writer)?;
-                    let total = converted.total_rows;
-                    let t1 = Instant::now();
-                    let mut werr: Option<std::io::Error> = None;
-                    {
-                        let w = &mut *writer;
-                        converted
-                            .for_each_row(|row| {
-                                // A statement cancelled mid-stream stops
-                                // sending records; the client gets the
-                                // cancel code instead of StatementOk.
-                                if let Some(c) = hyperq_governor::cancel_error() {
-                                    return Err(std::io::Error::other(c.to_string()));
-                                }
-                                Message::write_record(w, row)
-                            })
-                            .unwrap_or_else(|e| werr = Some(e));
-                    }
-                    if let Some(e) = werr {
-                        match gov.token().error() {
+                    match streamed {
+                        Ok(s) => {
+                            request_stats.rows_returned += s.rows;
+                            Message::StatementOk { activity_count: s.rows }.write_to(writer)?;
+                        }
+                        // A statement cancelled before its header or
+                        // mid-stream is an ordinary statement error on the
+                        // wire — the session survives. Only a broken
+                        // conversion or a dead socket ends it.
+                        Err(e) => match hyperq_governor::cancel_error() {
                             Some(c) => {
                                 failed = Some((c.reason.wire_code(), c.to_string()));
                                 break;
                             }
-                            None => return Err(WireError::Io(e)),
-                        }
+                            None => return Err(e),
+                        },
                     }
-                    request_stats.conversion += t1.elapsed();
-                    Message::StatementOk { activity_count: total }.write_to(writer)?;
                 }
                 if let Some((code, message)) = failed {
                     errors.inc();

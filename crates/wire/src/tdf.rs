@@ -18,14 +18,18 @@
 //! ```
 //!
 //! The format is self-describing: a TDF batch can be decoded without the
-//! producing query's plan, which is what lets the Result Converter run in
-//! parallel worker threads over raw batches.
+//! producing query's plan. The Result Converter never decodes it into
+//! values, though: [`transcode`] turns a batch straight into framed client
+//! rows, and [`decode`] stays as the reference that transcoding is tested
+//! against.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use hyperq_xtra::datum::{Datum, Decimal, Interval};
+use bytes::{Buf, BufMut, Bytes};
+use hyperq_xtra::datum::{teradata_int_from_date, Datum, Decimal, Interval};
 use hyperq_xtra::schema::{Field, Schema};
 use hyperq_xtra::types::SqlType;
 use hyperq_xtra::Row;
+
+use crate::message::RECORD_KIND;
 
 const MAGIC: u32 = 0x5444_4631;
 
@@ -86,10 +90,42 @@ fn tag_from(b: u8) -> Result<Tag, TdfError> {
     })
 }
 
+/// Check that a schema fits TDF's header: at most `u16::MAX` columns, each
+/// name at most `u16::MAX` bytes. Both the TDWP `RecordSetHeader` and the
+/// client row format count columns in a u16 as well, so a schema that
+/// passes is representable on every hop; one that fails must be refused
+/// before any frame of its response is written, not truncated into a
+/// corrupt batch.
+pub fn check_schema(schema: &Schema) -> Result<(), TdfError> {
+    if schema.len() > u16::MAX as usize {
+        return Err(TdfError(format!(
+            "{} columns exceed the TDF limit of {}",
+            schema.len(),
+            u16::MAX
+        )));
+    }
+    match schema.fields.iter().find(|f| f.name.len() > u16::MAX as usize) {
+        Some(f) => Err(TdfError(format!(
+            "a column name of {} bytes exceeds the TDF limit of {}",
+            f.name.len(),
+            u16::MAX
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Encode a result batch into one TDF buffer.
 pub fn encode(schema: &Schema, rows: &[Row]) -> Result<Bytes, TdfError> {
+    let mut buf = Vec::with_capacity(64 + rows.len() * schema.len() * 8);
+    encode_into(schema, rows, &mut buf)?;
+    Ok(Bytes::from(buf))
+}
+
+/// [`encode`], appending to a caller-owned buffer so a stream of batches
+/// reuses one allocation.
+pub fn encode_into(schema: &Schema, rows: &[Row], buf: &mut Vec<u8>) -> Result<(), TdfError> {
+    check_schema(schema)?;
     let ncols = schema.len();
-    let mut buf = BytesMut::with_capacity(64 + rows.len() * ncols * 8);
     buf.put_u32_le(MAGIC);
     buf.put_u16_le(ncols as u16);
     let tags: Vec<Tag> = schema
@@ -113,24 +149,24 @@ pub fn encode(schema: &Schema, rows: &[Row]) -> Result<Bytes, TdfError> {
                 row.len()
             )));
         }
-        let mut bitmap = vec![0u8; bitmap_len];
+        let bitmap = buf.len();
+        buf.resize(bitmap + bitmap_len, 0);
         for (i, v) in row.iter().enumerate() {
             if v.is_null() {
-                bitmap[i / 8] |= 1 << (i % 8);
+                buf[bitmap + i / 8] |= 1 << (i % 8);
             }
         }
-        buf.put_slice(&bitmap);
         for (v, tag) in row.iter().zip(tags.iter()) {
             if v.is_null() {
                 continue;
             }
-            encode_value(&mut buf, v, *tag)?;
+            encode_value(buf, v, *tag)?;
         }
     }
-    Ok(buf.freeze())
+    Ok(())
 }
 
-fn encode_value(buf: &mut BytesMut, v: &Datum, tag: Tag) -> Result<(), TdfError> {
+fn encode_value(buf: &mut Vec<u8>, v: &Datum, tag: Tag) -> Result<(), TdfError> {
     match (tag, v) {
         (Tag::Bool, Datum::Bool(b)) => buf.put_u8(*b as u8),
         (Tag::Int, Datum::Int(i)) => buf.put_i64_le(*i),
@@ -144,6 +180,10 @@ fn encode_value(buf: &mut BytesMut, v: &Datum, tag: Tag) -> Result<(), TdfError>
         (Tag::Interval, Datum::Interval(iv)) => {
             buf.put_i32_le(iv.months);
             buf.put_i32_le(iv.days);
+        }
+        (Tag::Varchar, Datum::Str(s)) => {
+            buf.put_u32_le(s.len() as u32);
+            buf.put_slice(s.as_bytes());
         }
         (Tag::Varchar, v) => {
             let s = v.to_sql_string();
@@ -299,6 +339,105 @@ fn decode_value(buf: &mut &[u8], tag: Tag) -> Result<Datum, TdfError> {
     })
 }
 
+/// Transcode one TDF batch straight into the client's wire format: one
+/// framed TDWP `Record` message per row, appended back to back to `out`,
+/// with no `Datum` in between. The bytes are exactly those of [`decode`]
+/// followed by [`encode_client_row`] and [`Message::write_record`] — dates
+/// in the Teradata integer encoding, booleans normalised to 0/1 — and a
+/// corrupt batch (truncated, bad magic, column name or string not UTF-8)
+/// is the same error. On error `out` holds a partial batch the caller must
+/// discard. Returns the number of rows.
+///
+/// [`encode_client_row`]: crate::message::encode_client_row
+/// [`Message::write_record`]: crate::message::Message::write_record
+pub fn transcode(data: &[u8], out: &mut Vec<u8>) -> Result<u64, TdfError> {
+    let mut buf = data;
+    if buf.remaining() < 6 {
+        return Err(TdfError("truncated TDF header".into()));
+    }
+    if buf.get_u32_le() != MAGIC {
+        return Err(TdfError("bad TDF magic".into()));
+    }
+    let ncols = buf.get_u16_le() as usize;
+    let mut tags = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        if buf.remaining() < 3 {
+            return Err(TdfError("truncated TDF column header".into()));
+        }
+        let tag = tag_from(buf.get_u8())?;
+        let name_len = buf.get_u16_le() as usize;
+        if buf.remaining() < name_len {
+            return Err(TdfError("truncated TDF column name".into()));
+        }
+        std::str::from_utf8(&buf[..name_len])
+            .map_err(|_| TdfError("column name is not UTF-8".into()))?;
+        buf.advance(name_len);
+        tags.push(tag);
+    }
+    if buf.remaining() < 8 {
+        return Err(TdfError("truncated TDF row count".into()));
+    }
+    let nrows = buf.get_u64_le();
+    let bitmap_len = ncols.div_ceil(8);
+    // Client rows carry a frame header, a field count and a presence byte
+    // per field where TDF carries a bitmap; the values are the same size.
+    // A corrupt row count must not drive a huge reservation.
+    out.reserve(buf.len() + (nrows.min(64 * 1024) as usize) * (7 + ncols));
+    for _ in 0..nrows {
+        if buf.remaining() < bitmap_len {
+            return Err(TdfError("truncated TDF null bitmap".into()));
+        }
+        let (bitmap, rest) = buf.split_at(bitmap_len);
+        buf = rest;
+        let frame = out.len();
+        out.extend_from_slice(&[RECORD_KIND, 0, 0, 0, 0]);
+        out.put_u16_le(ncols as u16);
+        for (i, tag) in tags.iter().enumerate() {
+            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
+                out.push(1);
+                continue;
+            }
+            out.push(0);
+            transcode_value(&mut buf, *tag, out)?;
+        }
+        let len = u32::try_from(out.len() - frame - 5)
+            .map_err(|_| TdfError("row exceeds a TDWP frame".into()))?;
+        out[frame + 1..frame + 5].copy_from_slice(&len.to_le_bytes());
+    }
+    Ok(nrows)
+}
+
+/// Move one non-null value from TDF into the client row format.
+fn transcode_value(buf: &mut &[u8], tag: Tag, out: &mut Vec<u8>) -> Result<(), TdfError> {
+    let truncated = || TdfError("truncated TDF value".into());
+    let width = match tag {
+        Tag::Bool => 1,
+        Tag::Date => 4,
+        Tag::Int | Tag::Double | Tag::Timestamp | Tag::Interval => 8,
+        Tag::Decimal => 17,
+        Tag::Varchar => {
+            let prefix = buf.get(..4).ok_or_else(truncated)?;
+            4 + u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize
+        }
+    };
+    let value = buf.get(..width).ok_or_else(truncated)?;
+    buf.advance(width);
+    match tag {
+        Tag::Bool => out.push(u8::from(value[0] != 0)),
+        Tag::Date => {
+            let days = i32::from_le_bytes([value[0], value[1], value[2], value[3]]);
+            out.put_i32_le(teradata_int_from_date(days) as i32);
+        }
+        Tag::Varchar => {
+            std::str::from_utf8(&value[4..])
+                .map_err(|_| TdfError("string value is not UTF-8".into()))?;
+            out.extend_from_slice(value);
+        }
+        _ => out.extend_from_slice(value),
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +497,29 @@ mod tests {
         let (s2, rows) = decode(&bytes).unwrap();
         assert!(s2.is_empty());
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn column_name_past_u16_is_error_not_truncated() {
+        let field = |len: usize| Field::new(None, &"N".repeat(len), SqlType::Integer, true);
+        let longest = Schema::new(vec![field(u16::MAX as usize)]);
+        let (back, _) = decode(&encode(&longest, &[vec![Datum::Int(1)]]).unwrap()).unwrap();
+        assert_eq!(back.fields[0].name.len(), u16::MAX as usize);
+        let too_long = Schema::new(vec![field(u16::MAX as usize + 1)]);
+        let err = encode(&too_long, &[vec![Datum::Int(1)]]).unwrap_err();
+        assert!(err.0.contains("column name of 65536 bytes"), "{err}");
+    }
+
+    #[test]
+    fn column_count_past_u16_is_error_not_truncated() {
+        let wide = Schema::new(
+            (0..=u16::MAX as usize)
+                .map(|i| Field::new(None, &format!("C{i}"), SqlType::Integer, true))
+                .collect(),
+        );
+        let err = encode(&wide, &[]).unwrap_err();
+        assert!(err.0.contains("65536 columns"), "{err}");
+        assert!(check_schema(&wide).is_err());
     }
 
     #[test]

@@ -29,6 +29,9 @@ struct SlowBackend {
     name: &'static str,
     inner: Arc<EngineDb>,
     delay: Duration,
+    /// Sleep after executing instead of before: the result is complete
+    /// when a cancel lands.
+    late: bool,
 }
 
 impl SlowBackend {
@@ -39,7 +42,22 @@ impl SlowBackend {
     /// With its own name, so a test owns its `backend` label in the
     /// process-wide registry the gateway reports into.
     fn named(name: &'static str, inner: Arc<EngineDb>, delay: Duration) -> Arc<SlowBackend> {
-        Arc::new(SlowBackend { name, inner, delay })
+        Arc::new(SlowBackend { name, inner, delay, late: false })
+    }
+
+    fn late(inner: Arc<EngineDb>, delay: Duration) -> Arc<SlowBackend> {
+        Arc::new(SlowBackend { name: "late-simwh", inner, delay, late: true })
+    }
+
+    fn delayed<T>(&self, run: impl FnOnce() -> T) -> T {
+        if !self.late {
+            std::thread::sleep(self.delay);
+        }
+        let out = run();
+        if self.late {
+            std::thread::sleep(self.delay);
+        }
+        out
     }
 }
 
@@ -49,13 +67,11 @@ impl Backend for SlowBackend {
     }
 
     fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-        std::thread::sleep(self.delay);
-        self.inner.execute(sql)
+        self.delayed(|| self.inner.execute(sql))
     }
 
     fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
-        std::thread::sleep(self.delay);
-        self.inner.execute_ctx(sql, ctx)
+        self.delayed(|| self.inner.execute_ctx(sql, ctx))
     }
 
     fn table_meta(&self, name: &str) -> Option<TableDef> {
@@ -533,6 +549,60 @@ fn pipelined_requests_are_answered_in_order() {
     .unwrap();
     assert_eq!(single_value(&read_response(&mut s)), Datum::Int(3));
     assert_eq!(single_value(&read_response(&mut s)), Datum::Int(700));
+    Message::Logoff.write_to(&mut s).unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn abort_after_the_header_stops_a_streaming_result_with_3110() {
+    // 40k rows of ~400 bytes (16 MB) in 1024-row batches: far more than
+    // the socket buffers hold, so while this client is not reading the
+    // gateway is still mid-result when the abort lands.
+    let db = seed_db();
+    db.execute_sql("CREATE TABLE WIDE (K INTEGER, PAD VARCHAR(500))").unwrap();
+    let pad = "p".repeat(400);
+    let rows: Vec<Vec<Datum>> =
+        (0..40_000).map(|i| vec![Datum::Int(i), Datum::str(&pad)]).collect();
+    db.load_rows("WIDE", rows).unwrap();
+    let handle = Gateway::spawn(db as Arc<dyn Backend>, GatewayConfig::default()).unwrap();
+    let mut s = raw_session(handle.addr);
+
+    Message::SqlRequest { sql: "SEL K, PAD FROM WIDE".into() }.write_to(&mut s).unwrap();
+    assert!(matches!(Message::read_from(&mut s).unwrap(), Message::RecordSetHeader { .. }));
+    Message::AbortRequest.write_to(&mut s).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let response = read_response(&mut s);
+    let records = response.iter().filter(|m| matches!(m, Message::Record { .. })).count();
+    assert!(records > 0 && records < 40_000, "{records} records before the abort");
+    match &response[records..] {
+        [Message::ErrorResponse { code: 3110, .. }, Message::EndRequest] => {}
+        other => panic!("expected the abort's 3110 after the records, got {other:?}"),
+    }
+
+    Message::SqlRequest { sql: "SEL COUNT(*) FROM SALES".into() }.write_to(&mut s).unwrap();
+    assert_eq!(single_value(&read_response(&mut s)), Datum::Int(3));
+    assert_governor_drained(&handle);
+    Message::Logoff.write_to(&mut s).unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn statement_cancelled_before_conversion_gets_no_header() {
+    // The result is complete when the 100 ms limit expires: the cancel is
+    // seen at the start of conversion, before any header is written.
+    let backend = SlowBackend::late(seed_db(), Duration::from_millis(300));
+    let handle = Gateway::spawn(backend as Arc<dyn Backend>, GatewayConfig::default()).unwrap();
+    let mut s = raw_session(handle.addr);
+    Message::SqlRequestTimed { timeout_ms: 100, sql: "SEL * FROM SALES".into() }
+        .write_to(&mut s)
+        .unwrap();
+    match read_response(&mut s).as_slice() {
+        [Message::ErrorResponse { code: 3156, .. }, Message::EndRequest] => {}
+        other => panic!("expected 3156 and no header, got {other:?}"),
+    }
+    Message::SqlRequest { sql: "SEL COUNT(*) FROM SALES".into() }.write_to(&mut s).unwrap();
+    assert_eq!(single_value(&read_response(&mut s)), Datum::Int(3));
+    assert_governor_drained(&handle);
     Message::Logoff.write_to(&mut s).unwrap();
     handle.shutdown();
 }

@@ -1,11 +1,14 @@
 //! Full-stack wire tests: bteq-style client → TCP gateway → Hyper-Q →
 //! SimWH, over the simulated Teradata wire protocol.
 
+use std::io::Read as _;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use hyperq::core::Backend;
 use hyperq::engine::EngineDb;
-use hyperq::wire::{Client, ConverterConfig, Gateway, GatewayConfig};
+use hyperq::wire::auth::digest;
+use hyperq::wire::{Client, ConverterConfig, Gateway, GatewayConfig, Message};
 use hyperq::xtra::datum::Datum;
 
 fn gateway() -> (hyperq::wire::GatewayHandle, Arc<EngineDb>) {
@@ -148,7 +151,10 @@ fn gateway_stats_record_all_three_stages() {
 }
 
 #[test]
-fn large_result_spills_and_arrives_intact() {
+fn large_result_streams_intact_and_in_order_under_a_small_budget() {
+    // The gateway streams batch by batch and holds one converted batch at
+    // a time, so a 64 KiB converter budget neither spills nor limits the
+    // result size. Spilling is `convert`'s, for library callers.
     let db = Arc::new(EngineDb::new());
     db.execute_sql("CREATE TABLE BIG (K INTEGER, PAD VARCHAR(100))").unwrap();
     let rows: Vec<Vec<Datum>> = (0..20_000)
@@ -158,17 +164,91 @@ fn large_result_spills_and_arrives_intact() {
     let config = GatewayConfig {
         converter: ConverterConfig {
             batch_size: 512,
-            memory_budget: 64 * 1024, // force spilling
+            memory_budget: 64 * 1024,
             ..Default::default()
         },
         ..Default::default()
     };
     let handle = Gateway::spawn(Arc::clone(&db) as Arc<dyn Backend>, config).unwrap();
     let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
-    let r = client.run("SEL K FROM BIG ORDER BY K").unwrap();
+    let r = client.run("SEL K, PAD FROM BIG ORDER BY K").unwrap();
+    assert_eq!(r[0].activity_count, 20_000);
     assert_eq!(r[0].rows.len(), 20_000);
-    assert_eq!(r[0].rows[0][0], Datum::Int(0));
-    assert_eq!(r[0].rows[19_999][0], Datum::Int(19_999));
-    assert!(handle.stats().spilled_chunks > 0, "must have spilled");
+    for (i, row) in r[0].rows.iter().enumerate() {
+        assert_eq!(row[0], Datum::Int(i as i64), "row {i} out of order");
+        assert_eq!(row[1], Datum::str(format!("padding-{i:0>60}")));
+    }
+    assert_eq!(handle.stats().rows_returned, 20_000);
+    handle.shutdown();
+}
+
+/// A logged-on TDWP session on a plain socket, so a test sees the raw
+/// response bytes.
+fn raw_session(addr: std::net::SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    Message::LogonRequest { user: "APP".into() }.write_to(&mut s).unwrap();
+    let Message::AuthChallenge { salt } = Message::read_from(&mut s).unwrap() else {
+        panic!("expected AuthChallenge");
+    };
+    Message::LogonDigest { digest: digest("secret", salt) }.write_to(&mut s).unwrap();
+    assert!(matches!(Message::read_from(&mut s).unwrap(), Message::LogonOk { .. }));
+    s
+}
+
+/// The raw bytes of one response, every frame through its `EndRequest`.
+fn raw_response(s: &mut TcpStream) -> Vec<u8> {
+    let mut transcript = Vec::new();
+    loop {
+        let mut head = [0u8; 5];
+        s.read_exact(&mut head).unwrap();
+        let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
+        let mut payload = vec![0u8; len];
+        s.read_exact(&mut payload).unwrap();
+        transcript.extend_from_slice(&head);
+        transcript.extend_from_slice(&payload);
+        if head[0] == 0x87 {
+            return transcript;
+        }
+    }
+}
+
+#[test]
+fn three_batch_response_matches_golden_transcript() {
+    // Ten rows at four rows a batch: three TDF batches, with NULLs in every
+    // column, Teradata-encoded dates, decimals, doubles and strings.
+    let db = Arc::new(EngineDb::new());
+    db.execute_sql(
+        "CREATE TABLE G (K INTEGER, AMT DECIMAL(10,2), D DATE, NAME VARCHAR(20), R FLOAT)",
+    )
+    .unwrap();
+    db.execute_sql(
+        "INSERT INTO G VALUES \
+         (1, 12.50, DATE '2014-03-01', 'alpha', 0.5), \
+         (2, NULL, DATE '1999-12-31', 'beta', NULL), \
+         (3, -7.25, NULL, 'naïve', 2.25), \
+         (4, 0.01, DATE '2000-02-29', NULL, -1.0), \
+         (5, 1000000.00, DATE '1900-01-01', '', 3.0), \
+         (NULL, 3.30, DATE '2024-06-15', 'zeta', 1e10), \
+         (7, NULL, NULL, NULL, NULL), \
+         (8, 99.99, DATE '2038-01-19', 'eight', 0.125), \
+         (9, -0.10, DATE '1970-01-01', 'nine', -2.5), \
+         (10, 5.00, DATE '2015-01-01', 'ten', 100.0)",
+    )
+    .unwrap();
+    let config = GatewayConfig {
+        converter: ConverterConfig { batch_size: 4, ..Default::default() },
+        ..Default::default()
+    };
+    let handle = Gateway::spawn(Arc::clone(&db) as Arc<dyn Backend>, config).unwrap();
+    let mut s = raw_session(handle.addr);
+    Message::SqlRequest { sql: "SEL K, AMT, D, NAME, R FROM G ORDER BY 1".into() }
+        .write_to(&mut s)
+        .unwrap();
+    let hex: String = raw_response(&mut s).iter().map(|b| format!("{b:02x}")).collect();
+    let golden: String = include_str!("snapshots/wire_three_batches.hex")
+        .split_whitespace()
+        .collect();
+    assert_eq!(hex, golden, "the response bytes drifted from the golden transcript");
+    Message::Logoff.write_to(&mut s).unwrap();
     handle.shutdown();
 }
