@@ -2,51 +2,50 @@
 //! assessment of workload compatibility")
 //!
 //! Before any gateway is deployed, the adoption methodology starts with a
-//! *static* pass over a captured workload: every statement is parsed and
-//! bind-checked against a catalog inferred from the corpus itself, and
-//! classified as directly translatable, translatable with mid-tier
-//! emulation (and at what cost), or unsupported. The aggregate report —
-//! supported percentage, emulation histogram, ranked blockers — is the
+//! *static* pass over a captured workload: every statement is classified
+//! as directly translatable, translatable with mid-tier emulation (and at
+//! what cost), or unsupported. The aggregate report — supported
+//! percentage, emulation histogram, ranked blockers — is the
 //! migration-assessment artifact the paper describes producing in days
 //! instead of the months a manual inventory takes.
 //!
-//! The assessor is a *dry* mirror of the `hyperq-core` crosscompiler: it
-//! routes statements through the same per-variant decision tree (macros,
-//! views, `MERGE` decomposition, recursion splitting, GTT definition and
-//! materialization, SET-table/default sidecars), runs the real binder,
-//! transformer and serializer, but never talks to a backend. Its verdicts
-//! are therefore checkable against the live pipeline — the differential
-//! oracle in `tests/assess_oracle.rs` holds them to 100% agreement over
-//! TPC-H and the customer corpora.
+//! The assessor is a client of the crosscompiler, not a copy of it: each
+//! [`Assessor`] runs every statement through a real `HyperQ` session (no
+//! cache, analysis off, private metrics) against a *dry target*, a
+//! catalog without data. `CREATE`/`DROP` requests run on an empty bundled
+//! engine, so tables exist exactly when they would on the target; every
+//! other request is logged and acknowledged. An error is `Unsupported`,
+//! the `hyperq_emulation_requests_total` counters that advanced are the
+//! emulation kinds, and the logged requests are linted against the
+//! target's capabilities.
 //!
-//! Catalog inference: in-corpus DDL is ingested first; tables that are
-//! only ever *used* are fabricated on demand from the binder's own
-//! "not found" errors plus qualified column references in the statement
-//! text, so a bare query log still assesses instead of erroring out.
+//! A `CREATE`/`DROP` the bundled engine cannot parse (a flavor's own
+//! spelling, e.g. cloud-c's `DATE_ADD(d, INTERVAL n DAY)` in a CTAS) is
+//! acknowledged without touching the catalog, so a later reference to its
+//! table falls back to usage inference: tables with no DDL in the corpus
+//! are fabricated from the binder's "not found" errors plus qualified
+//! column references in the statement text, and the report lists them.
 
 #![forbid(unsafe_code)]
 
 pub mod report;
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
-use hyperq_core::capability::TargetCapabilities;
 use hyperq_core::conformance::{self, Finding};
-use hyperq_core::emulate::{self, CostTier, EmulationKind};
-use hyperq_core::error::{HyperQError, Result};
-use hyperq_core::binder::Binder;
-use hyperq_core::serialize::{LimitSpelling, Serializer};
-use hyperq_core::targets::TargetProfile;
-use hyperq_core::session::RoutineDef;
-use hyperq_core::transform::Transformer;
-use hyperq_parser::ast as past;
+use hyperq_core::{
+    AnalyzeMode, Backend, BackendError, ConformanceMode, CostTier, EmulationKind, ExecResult,
+    HyperQ, HyperQBuilder, HyperQError, ObsContext, TargetCapabilities, TargetProfile,
+};
+use hyperq_engine::EngineDb;
+use hyperq_parser::ast::Statement;
 use hyperq_parser::{parse_statements, Dialect, ParsedStatement, StmtSpan};
-use hyperq_xtra::catalog::{ColumnDef, MetadataProvider, TableDef, TableKind, ViewDef};
-use hyperq_xtra::expr::ScalarExpr;
-use hyperq_xtra::feature::{Feature, FeatureSet};
-use hyperq_xtra::rel::{Plan, RelExpr, SetOpKind};
+use hyperq_workload::{customer, tpch};
+use hyperq_xtra::catalog::{ColumnDef, TableDef};
+use hyperq_xtra::feature::FeatureSet;
 use hyperq_xtra::types::SqlType;
+use parking_lot::Mutex;
 
 pub use report::Report;
 
@@ -63,16 +62,6 @@ pub enum Verdict {
     },
     /// The pipeline would reject the statement.
     Unsupported { reason: String, span: StmtSpan },
-}
-
-impl Verdict {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Verdict::Translatable => "translatable",
-            Verdict::NeedsEmulation { .. } => "needs_emulation",
-            Verdict::Unsupported { .. } => "unsupported",
-        }
-    }
 }
 
 /// One assessed statement: its source span, tracked features, verdict and
@@ -92,30 +81,47 @@ pub struct StatementAssessment {
 /// single statement (each round learns one table or one column).
 const MAX_INFERENCE_STEPS: usize = 64;
 
-/// The static assessor: crosscompiler session state without a backend.
+/// The assessor's backend: a target catalog without data.
+struct DryTarget {
+    engine: EngineDb,
+    /// Every request the session sent, in order.
+    log: Mutex<Vec<String>>,
+    /// Tables a `DROP` removed; usage inference never re-fabricates them.
+    dropped: Mutex<HashSet<String>>,
+}
+
+impl Backend for DryTarget {
+    fn name(&self) -> &str {
+        "dry"
+    }
+
+    fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
+        self.log.lock().push(sql.to_string());
+        let head = sql.split_whitespace().next().unwrap_or("").to_ascii_uppercase();
+        if !matches!(head.as_str(), "CREATE" | "DROP")
+            || parse_statements(sql, Dialect::Ansi).is_err()
+        {
+            return Ok(ExecResult::ack());
+        }
+        let before = self.engine.table_names();
+        let out = self.engine.execute_sql(sql);
+        let gone = before.into_iter().filter(|t| self.engine.table_def(t).is_none());
+        self.dropped.lock().extend(gone);
+        out
+    }
+
+    fn table_meta(&self, name: &str) -> Option<TableDef> {
+        self.engine.table_meta(name)
+    }
+}
+
+/// The static assessor: a crosscompiler session against a dry target.
 pub struct Assessor {
-    profile: TargetProfile,
-    /// Stand-in for the target catalog: definitions as the *target* would
-    /// hold them (sidecar-only properties stripped), from in-corpus DDL
-    /// and usage-driven inference.
-    tables: HashMap<String, TableDef>,
-    /// Mirror of the session's sidecar definitions (SET semantics,
-    /// defaults, case-insensitivity the target cannot hold).
-    sidecars: HashMap<String, TableDef>,
-    gtt_defs: HashMap<String, TableDef>,
-    materialized_gtts: HashSet<String>,
-    views: HashMap<String, ViewDef>,
-    macros: HashMap<String, RoutineDef>,
-    procedures: HashMap<String, RoutineDef>,
-    settings: Vec<(String, String)>,
-    in_transaction: bool,
+    hq: HyperQ,
+    target: Arc<DryTarget>,
     /// Names fabricated from usage (no DDL in the corpus) — reported so
     /// the assessment's confidence is visible.
-    inferred: HashSet<String>,
-    /// Names seen in a `DROP TABLE`; never re-fabricated.
-    dropped: HashSet<String>,
-    transformer: Transformer,
-    fresh: u64,
+    inferred: BTreeSet<String>,
 }
 
 impl Assessor {
@@ -127,975 +133,240 @@ impl Assessor {
 
     /// Assess for a named target profile — the primary constructor.
     pub fn for_target(profile: TargetProfile) -> Self {
-        Assessor {
-            profile,
-            tables: HashMap::new(),
-            sidecars: HashMap::new(),
-            gtt_defs: HashMap::new(),
-            materialized_gtts: HashSet::new(),
-            views: HashMap::new(),
-            macros: HashMap::new(),
-            procedures: HashMap::new(),
-            settings: Vec::new(),
-            in_transaction: false,
-            inferred: HashSet::new(),
-            dropped: HashSet::new(),
-            transformer: Transformer::standard(),
-            fresh: 0,
-        }
+        let target = Arc::new(DryTarget {
+            engine: EngineDb::new(),
+            log: Mutex::new(Vec::new()),
+            dropped: Mutex::new(HashSet::new()),
+        });
+        let hq = HyperQBuilder::for_target(Arc::clone(&target), profile)
+            .obs(ObsContext::new())
+            .no_cache()
+            .analyze(AnalyzeMode::Off)
+            .conformance(ConformanceMode::Off)
+            .build();
+        Assessor { hq, target, inferred: BTreeSet::new() }
     }
 
     pub fn capabilities(&self) -> &TargetCapabilities {
-        &self.profile.caps
+        self.hq.capabilities()
     }
 
-    /// The full target profile this assessor evaluates against.
-    pub fn profile(&self) -> &TargetProfile {
-        &self.profile
-    }
-
-    /// Tables fabricated from usage alone, sorted.
+    /// Tables fabricated from usage alone and not dropped since, sorted.
     pub fn inferred_tables(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inferred.iter().cloned().collect();
-        v.sort();
-        v
+        let dropped = self.target.dropped.lock();
+        self.inferred.iter().filter(|t| !dropped.contains(*t)).cloned().collect()
     }
 
     /// Ingest schema DDL without producing verdicts: `CREATE TABLE` /
     /// `CREATE VIEW` statements populate the catalog exactly as assessing
     /// them would; everything else is ignored. Returns how many
-    /// definitions were registered. Parse or bind failures in individual
-    /// statements are skipped (the corpus proper will surface them).
+    /// definitions were registered. Failures in individual statements
+    /// are skipped (the corpus proper will surface them).
     pub fn ingest_ddl(&mut self, sql: &str) -> usize {
         let Ok(parsed) = parse_statements(sql, Dialect::Teradata) else {
             return 0;
         };
-        let mut n = 0;
-        for ps in parsed {
-            let is_def = matches!(
-                ps.stmt,
-                past::Statement::CreateTable { .. } | past::Statement::CreateView { .. }
-            );
-            if !is_def {
-                continue;
-            }
-            let mut kinds = Vec::new();
-            let mut features = ps.features.clone();
-            let mut out_sql = Vec::new();
-            if self.route(&ps, &mut kinds, &mut features, &mut out_sql).is_ok() {
-                n += 1;
-            }
-        }
-        n
+        let is_def = |ps: &ParsedStatement| {
+            matches!(ps.stmt, Statement::CreateTable { .. } | Statement::CreateView { .. })
+        };
+        parsed.iter().filter(|ps| is_def(ps) && self.run(&ps.text).0.is_ok()).count()
     }
 
     /// Assess a script: one [`StatementAssessment`] per statement. A
     /// script that does not parse yields a single `Unsupported` verdict
     /// covering the whole input.
     pub fn assess_script(&mut self, sql: &str) -> Vec<StatementAssessment> {
-        let parsed = match parse_statements(sql, Dialect::Teradata) {
-            Ok(p) => p,
+        match parse_statements(sql, Dialect::Teradata) {
+            Ok(parsed) => {
+                parsed.into_iter().enumerate().map(|(i, ps)| self.assess_statement(ps, i)).collect()
+            }
             Err(e) => {
-                return vec![StatementAssessment {
+                let span = StmtSpan { start: 0, end: sql.len(), line: 1 };
+                vec![StatementAssessment {
                     index: 0,
                     text: sql.to_string(),
-                    span: StmtSpan { start: 0, end: sql.len(), line: 1 },
+                    span,
                     features: FeatureSet::new(),
-                    verdict: Verdict::Unsupported {
-                        reason: format!("parse error: {e}"),
-                        span: StmtSpan { start: 0, end: sql.len(), line: 1 },
-                    },
+                    verdict: Verdict::Unsupported { reason: format!("parse error: {e}"), span },
                     findings: Vec::new(),
                 }]
             }
-        };
-        parsed
-            .into_iter()
-            .enumerate()
-            .map(|(i, ps)| self.assess_statement(ps, i))
-            .collect()
+        }
     }
 
-    /// Assess one parsed statement, updating catalog/session state the
-    /// same way executing it would.
+    /// Assess one parsed statement by running it on the session, which
+    /// updates catalog and session state the same way executing it would.
     pub fn assess_statement(&mut self, ps: ParsedStatement, index: usize) -> StatementAssessment {
-        let txn_before = self.in_transaction;
-        let mut kinds: Vec<EmulationKind> = Vec::new();
-        let mut features = ps.features.clone();
-        let mut out_sql: Vec<String> = Vec::new();
-        let outcome = self.route(&ps, &mut kinds, &mut features, &mut out_sql);
+        let txn_before = self.hq.session.in_transaction;
+        let before = emulation_counts(self.hq.obs());
+        let (outcome, sent) = self.run(&ps.text);
+        let after = emulation_counts(self.hq.obs());
+        let kinds: Vec<EmulationKind> = (0..before.len())
+            .filter(|&i| after[i] > before[i])
+            .map(|i| EmulationKind::ALL[i])
+            .collect();
 
+        let features = outcome.as_ref().map_or_else(|_| ps.features.clone(), Clone::clone);
         let mut findings = conformance::lint_source(&ps.text, &features, txn_before);
-        for sql in &out_sql {
-            findings.extend(conformance::lint_serialized(sql, &self.profile.caps));
+        for sql in &sent {
+            findings.extend(conformance::lint_serialized(sql, self.capabilities()));
         }
-
         let verdict = match outcome {
             Err(e) => Verdict::Unsupported { reason: e.to_string(), span: ps.span },
-            Ok(()) if kinds.is_empty() => Verdict::Translatable,
-            Ok(()) => {
-                kinds.sort();
-                kinds.dedup();
-                let tier = kinds
-                    .iter()
-                    .map(hyperq_core::EmulationKind::cost_tier)
-                    .max()
-                    .unwrap_or(CostTier::Low);
-                Verdict::NeedsEmulation { kinds, tier }
-            }
-        };
-        StatementAssessment {
-            index,
-            text: ps.text,
-            span: ps.span,
-            features,
-            verdict,
-            findings,
-        }
-    }
-
-    // -------------------------------------------------------------------
-    // Statement routing — a dry mirror of `HyperQ::process`
-    // -------------------------------------------------------------------
-
-    fn route(
-        &mut self,
-        ps: &ParsedStatement,
-        kinds: &mut Vec<EmulationKind>,
-        features: &mut FeatureSet,
-        out_sql: &mut Vec<String>,
-    ) -> Result<()> {
-        match &ps.stmt {
-            past::Statement::Help(target) => {
-                kinds.push(EmulationKind::Help);
-                if let past::HelpTarget::Table(name) = target {
-                    let found = {
-                        let shadow = self.shadow(HashMap::new());
-                        shadow.table(&name.canonical()).is_some()
-                    };
-                    if !found {
-                        return Err(HyperQError::Emulation(format!("table {name} not found")));
-                    }
-                }
-                Ok(())
-            }
-            past::Statement::Explain(inner) => {
-                kinds.push(EmulationKind::Explain);
-                self.assess_explain(inner, features)
-            }
-            past::Statement::CreateMacro { name, params, body } => {
-                kinds.push(EmulationKind::Macro);
-                self.macros.insert(
-                    name.canonical(),
-                    RoutineDef {
-                        name: name.canonical(),
-                        params: params.clone(),
-                        body: body.clone(),
-                        features: ps.features.clone(),
-                    },
-                );
-                Ok(())
-            }
-            past::Statement::DropMacro { name } => {
-                kinds.push(EmulationKind::Macro);
-                self.macros.remove(&name.canonical());
-                Ok(())
-            }
-            past::Statement::CreateProcedure { name, params, body } => {
-                kinds.push(EmulationKind::Procedure);
-                self.procedures.insert(
-                    name.canonical(),
-                    RoutineDef {
-                        name: name.canonical(),
-                        params: params.clone(),
-                        body: body.clone(),
-                        features: ps.features.clone(),
-                    },
-                );
-                Ok(())
-            }
-            past::Statement::ExecuteMacro { name, args } => {
-                kinds.push(EmulationKind::Macro);
-                let routine = self.macros.get(&name.canonical()).cloned().ok_or_else(|| {
-                    HyperQError::Emulation(format!("macro {name} is not defined"))
-                })?;
-                self.assess_routine(&routine, args, kinds, features, out_sql)
-            }
-            past::Statement::Call { name, args } => {
-                kinds.push(EmulationKind::Procedure);
-                let routine =
-                    self.procedures.get(&name.canonical()).cloned().ok_or_else(|| {
-                        HyperQError::Emulation(format!("procedure {name} is not defined"))
-                    })?;
-                let wrapped: Vec<(Option<String>, past::Expr)> =
-                    args.iter().map(|a| (None, a.clone())).collect();
-                self.assess_routine(&routine, &wrapped, kinds, features, out_sql)
-            }
-            past::Statement::CreateView { name, columns, or_replace, .. } => {
-                kinds.push(EmulationKind::View);
-                let key = name.canonical();
-                if !or_replace && self.views.contains_key(&key) {
-                    return Err(HyperQError::Emulation(format!("view {key} already exists")));
-                }
-                self.views.insert(
-                    key.clone(),
-                    ViewDef {
-                        name: key,
-                        columns: columns.iter().map(|c| c.to_ascii_uppercase()).collect(),
-                        body_sql: ps.text.clone(),
-                    },
-                );
-                Ok(())
-            }
-            past::Statement::DropView { name, if_exists } => {
-                kinds.push(EmulationKind::View);
-                let existed = self.views.remove(&name.canonical()).is_some();
-                if !existed && !if_exists {
-                    return Err(HyperQError::Emulation(format!("view {name} not found")));
-                }
-                Ok(())
-            }
-            past::Statement::Merge(m) => {
-                kinds.push(EmulationKind::Merge);
-                features.insert(Feature::MergeStatement);
-                for step in emulate::decompose_merge(m)? {
-                    self.assess_standard(&step, &ps.text, kinds, features, out_sql)?;
-                }
-                Ok(())
-            }
-            past::Statement::Query(q) if q.recursive => {
-                kinds.push(EmulationKind::Recursive);
-                features.insert(Feature::RecursiveQuery);
-                self.assess_recursive(q, kinds, features, out_sql)
-            }
-            past::Statement::SetSession { name, value } => {
-                kinds.push(EmulationKind::SetSession);
-                let rendered = match emulate::ast_const(value) {
-                    Ok(d) => d.to_sql_string(),
-                    Err(_) => format!("{value:?}"),
-                };
-                let key = name.to_ascii_uppercase();
-                if let Some(slot) = self
-                    .settings
-                    .iter_mut()
-                    .find(|(k, _)| k.eq_ignore_ascii_case(&key))
-                {
-                    slot.1 = rendered.clone();
-                } else {
-                    self.settings.push((key.clone(), rendered.clone()));
-                }
-                if self.profile.caps.session_settings {
-                    out_sql.push(format!("SET {key} = {rendered}"));
-                }
-                Ok(())
-            }
-            past::Statement::BeginTransaction => {
-                kinds.push(EmulationKind::Transaction);
-                self.in_transaction = true;
-                Ok(())
-            }
-            past::Statement::Commit | past::Statement::Rollback => {
-                kinds.push(EmulationKind::Transaction);
-                self.in_transaction = false;
-                Ok(())
-            }
-            past::Statement::Update { table, .. }
-            | past::Statement::Delete { table, .. }
-            | past::Statement::Insert { table, .. }
-                if self.views.contains_key(&table.canonical()) =>
-            {
-                kinds.push(EmulationKind::ViewDml);
-                features.insert(Feature::DmlOnView);
-                let view = self.views[&table.canonical()].clone();
-                let parsed = parse_statements(&view.body_sql, Dialect::Teradata)
-                    .map_err(HyperQError::Parse)?;
-                let view_query = match parsed.into_iter().next().map(|p| p.stmt) {
-                    Some(past::Statement::CreateView { query, .. }) => *query,
-                    Some(past::Statement::Query(q)) => *q,
-                    _ => {
-                        return Err(HyperQError::Emulation(format!(
-                            "stored view {} body is not a query",
-                            view.name
-                        )))
-                    }
-                };
-                let rewritten =
-                    emulate::rewrite_dml_on_view(&ps.stmt, &view_query, &view.columns)?;
-                self.assess_standard(&rewritten, &ps.text, kinds, features, out_sql)
-            }
-            stmt => self.assess_standard(stmt, &ps.text, kinds, features, out_sql),
-        }
-    }
-
-    /// Mirror of `run_routine`: substitute arguments and route each body
-    /// statement, accumulating emulation kinds across the whole body.
-    fn assess_routine(
-        &mut self,
-        routine: &RoutineDef,
-        args: &[(Option<String>, past::Expr)],
-        kinds: &mut Vec<EmulationKind>,
-        features: &mut FeatureSet,
-        out_sql: &mut Vec<String>,
-    ) -> Result<()> {
-        features.union(&routine.features);
-        let env = emulate::bind_routine_args(routine, args)?;
-        for stmt in &routine.body {
-            let substituted = emulate::substitute_params(stmt, &env);
-            if matches!(substituted, past::Statement::CreateView { .. }) {
-                return Err(HyperQError::Emulation(
-                    "CREATE VIEW inside a macro/procedure body is not supported".into(),
-                ));
-            }
-            let sub_ps = ParsedStatement {
-                stmt: substituted,
-                features: FeatureSet::new(),
-                text: String::new(),
-                span: StmtSpan::default(),
-            };
-            self.route(&sub_ps, kinds, features, out_sql)?;
-        }
-        Ok(())
-    }
-
-    /// Mirror of `HyperQ::explain`: emulated statements report their
-    /// decomposition without touching the catalog; everything else is
-    /// bound, transformed and serialized (but adds no emulation kinds —
-    /// EXPLAIN itself is the only mid-tier request).
-    fn assess_explain(
-        &mut self,
-        stmt: &past::Statement,
-        features: &mut FeatureSet,
-    ) -> Result<()> {
-        match stmt {
-            past::Statement::Merge(m) => {
-                features.insert(Feature::MergeStatement);
-                for step in emulate::decompose_merge(m)? {
-                    self.assess_explain(&step, features)?;
-                }
-                Ok(())
-            }
-            past::Statement::Query(q) if q.recursive => {
-                features.insert(Feature::RecursiveQuery);
-                let parts = emulate::split_recursive(q)?;
-                self.assess_explain(&past::Statement::Query(Box::new(parts.seed)), features)
-            }
-            past::Statement::Help(_)
-            | past::Statement::CreateMacro { .. }
-            | past::Statement::ExecuteMacro { .. }
-            | past::Statement::CreateProcedure { .. }
-            | past::Statement::Call { .. }
-            | past::Statement::CreateView { .. } => Ok(()),
-            _ => {
-                let plan = {
-                    let shadow = self.shadow(HashMap::new());
-                    let mut binder = Binder::new(&shadow);
-                    let plan = binder.bind_statement(stmt)?;
-                    features.union(&binder.features);
-                    plan
-                };
-                let plan = self.transformer.run_all(plan, &self.profile.caps, features)?;
-                // EXPLAIN mirrors the live path: the peel is quiet (the
-                // query is not executed, so LimitFetch never fires).
-                let (plan, _fetch_limit) = self.peel_fetch_limit(plan);
-                Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
-                Ok(())
-            }
-        }
-    }
-
-    /// Mirror of `run_pipeline_with`: bind (with usage-driven catalog
-    /// inference), sidecar bookkeeping, E7 define/materialize, E8/E9
-    /// insert emulations, transform, serialize.
-    fn assess_standard(
-        &mut self,
-        stmt: &past::Statement,
-        text: &str,
-        kinds: &mut Vec<EmulationKind>,
-        features: &mut FeatureSet,
-        out_sql: &mut Vec<String>,
-    ) -> Result<()> {
-        let (plan, gtts) = self.bind_with_inference(stmt, text, features)?;
-
-        // Sidecar properties the target cannot hold (recorded pre-execute,
-        // exactly like the live session).
-        match &plan {
-            Plan::CreateTable { def, .. } if def.kind != TableKind::GlobalTemporary => {
-                let interesting = def.set_semantics
-                    || def
-                        .columns
-                        .iter()
-                        .any(|c| c.default.is_some() || c.case_insensitive);
-                if interesting {
-                    self.sidecars.insert(def.name.clone(), def.clone());
-                }
-            }
-            Plan::DropTable { name, .. } => {
-                self.sidecars.remove(name);
-            }
-            _ => {}
-        }
-
-        // E7: GTT definition lives in the mid-tier catalog only.
-        if let Plan::CreateTable { def, source: None } = &plan {
-            if def.kind == TableKind::GlobalTemporary {
-                kinds.push(EmulationKind::GttDefine);
-                features.insert(Feature::GlobalTempTable);
-                self.gtt_defs.insert(def.name.clone(), def.clone());
-                return Ok(());
-            }
-        }
-
-        // E8/E9 on INSERT plans.
-        let plan = self.apply_insert_emulations(plan, kinds, features)?;
-
-        let plan = self.transformer.run_all(plan, &self.profile.caps, features)?;
-        // Mirror of the live pipeline's LimitFetch: the row bound peels
-        // off and the mid tier would truncate the executed result.
-        let (plan, fetch_limit) = self.peel_fetch_limit(plan);
-        if fetch_limit.is_some() {
-            kinds.push(EmulationKind::LimitFetch);
-        }
-        let sql = Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
-
-        // E7: lazily materialize per-session instances of touched GTTs.
-        if !gtts.is_empty() {
-            features.insert(Feature::GlobalTempTable);
-        }
-        for logical in gtts {
-            if self.materialized_gtts.contains(&logical) {
-                continue;
-            }
-            kinds.push(EmulationKind::GttMaterialize);
-            let def = self.gtt_defs.get(&logical).cloned().ok_or_else(|| {
-                HyperQError::Emulation(format!("missing GTT definition {logical}"))
-            })?;
-            let mut instance = def;
-            instance.name = gtt_instance_name(&logical);
-            instance.kind = TableKind::Temporary;
-            let ddl = Serializer::for_profile(&self.profile)
-                .serialize_plan(&Plan::CreateTable { def: instance, source: None })?;
-            out_sql.push(ddl);
-            self.materialized_gtts.insert(logical);
-        }
-
-        // Target-catalog bookkeeping happens only once the statement is
-        // known to reach the backend (i.e. after serialization succeeds).
-        match &plan {
-            Plan::CreateTable { def, .. } => {
-                let mut stripped = def.clone();
-                stripped.set_semantics = false;
-                for c in &mut stripped.columns {
-                    c.default = None;
-                    c.case_insensitive = false;
-                }
-                self.tables.insert(stripped.name.clone(), stripped);
-            }
-            Plan::DropTable { name, if_exists } => {
-                let existed = self.tables.remove(name).is_some();
-                self.dropped.insert(name.clone());
-                self.inferred.remove(name);
-                if !existed && !if_exists {
-                    return Err(HyperQError::Bind(format!("table {name} not found")));
-                }
-            }
-            _ => {}
-        }
-
-        out_sql.push(sql);
-        Ok(())
-    }
-
-    /// Mirror of `apply_insert_emulations_inner` (E9 default injection,
-    /// E8 SET-table dedup).
-    fn apply_insert_emulations(
-        &mut self,
-        plan: Plan,
-        kinds: &mut Vec<EmulationKind>,
-        features: &mut FeatureSet,
-    ) -> Result<Plan> {
-        let (table, mut columns, mut source) = match plan {
-            Plan::Insert { table, columns, source } => (table, columns, source),
-            other => return Ok(other),
-        };
-        let def = self
-            .sidecars
-            .get(&table)
-            .cloned()
-            .or_else(|| self.tables.get(&table).cloned())
-            .or_else(|| {
-                self.gtt_defs
-                    .values()
-                    .find(|d| gtt_instance_name(&d.name) == table)
-                    .cloned()
-            })
-            .ok_or_else(|| HyperQError::Bind(format!("table {table} not found")))?;
-
-        let missing: Vec<ColumnDef> = def
-            .columns
-            .iter()
-            .filter(|c| {
-                c.default.is_some() && !columns.iter().any(|x| x.eq_ignore_ascii_case(&c.name))
-            })
-            .cloned()
-            .collect();
-        if !missing.is_empty() {
-            kinds.push(EmulationKind::DefaultInjection);
-            let schema = source.schema();
-            let mut exprs: Vec<(ScalarExpr, String)> = schema
-                .fields
-                .iter()
-                .map(|f| {
-                    (
-                        ScalarExpr::Column {
-                            qualifier: f.qualifier.clone(),
-                            name: f.name.clone(),
-                            ty: f.ty.clone(),
-                        },
-                        f.name.clone(),
-                    )
-                })
-                .collect();
-            for c in &missing {
-                let default = c.default.as_ref().expect("filtered on is_some");
-                if !matches!(default, ScalarExpr::Literal(..)) {
-                    features.insert(Feature::ColumnProperties);
-                }
-                let value = emulate::const_eval(default)?;
-                let ty = value.sql_type();
-                exprs.push((ScalarExpr::Literal(value, ty), c.name.clone()));
-                columns.push(c.name.clone());
-            }
-            source = RelExpr::Project { input: Box::new(source), exprs };
-        }
-
-        if def.set_semantics {
-            kinds.push(EmulationKind::SetTableDedup);
-            features.insert(Feature::SetTableSemantics);
-            let get = RelExpr::Get {
-                table: def.name.clone(),
-                alias: Some(def.base_name().to_string()),
-                schema: def.schema(None),
-            };
-            let existing = RelExpr::Project {
-                input: Box::new(get),
-                exprs: columns
-                    .iter()
-                    .map(|c| {
-                        let col = def
-                            .columns
-                            .iter()
-                            .find(|d| d.name.eq_ignore_ascii_case(c))
-                            .expect("insert columns validated by binder");
-                        (
-                            ScalarExpr::Column {
-                                qualifier: Some(def.base_name().to_string()),
-                                name: col.name.clone(),
-                                ty: col.ty.clone(),
-                            },
-                            col.name.clone(),
-                        )
-                    })
-                    .collect(),
-            };
-            source = RelExpr::SetOp {
-                kind: SetOpKind::Except,
-                all: false,
-                left: Box::new(RelExpr::Distinct { input: Box::new(source) }),
-                right: Box::new(existing),
-            };
-        }
-
-        Ok(Plan::Insert { table, columns, source })
-    }
-
-    /// Mirror of `emulate_recursive_inner`: split the recursive query,
-    /// bind the seed to learn the CTE schema, then validate that every
-    /// plan of the WorkTable/TempTable protocol transforms and serializes
-    /// for this target.
-    fn assess_recursive(
-        &mut self,
-        q: &past::Query,
-        kinds: &mut Vec<EmulationKind>,
-        features: &mut FeatureSet,
-        out_sql: &mut Vec<String>,
-    ) -> Result<()> {
-        let parts = emulate::split_recursive(q)?;
-        let seed_rel = {
-            let shadow = self.shadow(HashMap::new());
-            let mut binder = Binder::new(&shadow);
-            let rel = binder.bind_query(&parts.seed)?;
-            features.union(&binder.features);
-            rel
-        };
-        let seed_schema = seed_rel.schema();
-        let columns: Vec<String> = if parts.columns.is_empty() {
-            seed_schema.fields.iter().map(|f| f.name.clone()).collect()
-        } else {
-            parts.columns.clone()
-        };
-        if columns.len() != seed_schema.len() {
-            return Err(HyperQError::Emulation(format!(
-                "recursive CTE {} declares {} columns but its seed produces {}",
-                parts.name,
-                columns.len(),
-                seed_schema.len()
-            )));
-        }
-        let col_defs: Vec<ColumnDef> = columns
-            .iter()
-            .zip(seed_schema.fields.iter())
-            .map(|(name, f)| ColumnDef::new(name, f.ty.clone(), true))
-            .collect();
-        let work_table = self.fresh_name("WT");
-        let temp_table = self.fresh_name("TT");
-        let table_def = |name: &str| TableDef {
-            name: name.to_string(),
-            columns: col_defs.clone(),
-            set_semantics: false,
-            kind: TableKind::Temporary,
-        };
-
-        // Seed CTAS into WorkTable, copy into TempTable.
-        self.dry_exec(
-            Plan::CreateTable { def: table_def(&work_table), source: Some(seed_rel) },
-            kinds,
-            out_sql,
-        )?;
-        self.dry_exec(
-            Plan::CreateTable {
-                def: table_def(&temp_table),
-                source: Some(RelExpr::Get {
-                    table: work_table.clone(),
-                    alias: Some(work_table.clone()),
-                    schema: table_def(&work_table).schema(None),
-                }),
+            Ok(_) => match kinds.iter().map(EmulationKind::cost_tier).max() {
+                None => Verdict::Translatable,
+                Some(tier) => Verdict::NeedsEmulation { kinds, tier },
             },
-            kinds,
-            out_sql,
-        )?;
-
-        // One recursive step: the recursive expression with the CTE name
-        // mapped onto TempTable, materialized and appended to WorkTable.
-        let step_rel = {
-            let mut overlay = HashMap::new();
-            overlay.insert(parts.name.to_ascii_uppercase(), table_def(&temp_table));
-            let shadow = self.shadow(overlay);
-            let mut binder = Binder::new(&shadow);
-            let rel = binder.bind_query(&parts.recursive)?;
-            features.union(&binder.features);
-            rel
         };
-        let next_table = self.fresh_name("TT");
-        self.dry_exec(
-            Plan::CreateTable { def: table_def(&next_table), source: Some(step_rel) },
-            kinds,
-            out_sql,
-        )?;
-        self.dry_exec(
-            Plan::Insert {
-                table: work_table.clone(),
-                columns: Vec::new(),
-                source: RelExpr::Get {
-                    table: next_table.clone(),
-                    alias: Some(next_table.clone()),
-                    schema: table_def(&next_table).schema(None),
-                },
-            },
-            kinds,
-            out_sql,
-        )?;
-
-        // The main query with the CTE name mapped onto WorkTable.
-        let main_plan = {
-            let mut overlay = HashMap::new();
-            overlay.insert(parts.name.to_ascii_uppercase(), table_def(&work_table));
-            let shadow = self.shadow(overlay);
-            let mut binder = Binder::new(&shadow);
-            let plan = Plan::Query(binder.bind_query(&parts.main)?);
-            features.union(&binder.features);
-            plan
-        };
-        self.dry_exec(main_plan, kinds, out_sql)?;
-        self.dry_exec(
-            Plan::DropTable { name: next_table, if_exists: false },
-            kinds,
-            out_sql,
-        )?;
-        self.dry_exec(Plan::DropTable { name: temp_table, if_exists: false }, kinds, out_sql)?;
-        self.dry_exec(Plan::DropTable { name: work_table, if_exists: false }, kinds, out_sql)?;
-        Ok(())
+        StatementAssessment { index, text: ps.text, span: ps.span, features, verdict, findings }
     }
 
-    /// Mirror of `exec_plan`: transform + serialize one already-bound
-    /// plan, keeping the SQL for advisory lints. Like the live
-    /// `exec_plan`, a top-level row bound peels into a LimitFetch
-    /// prediction (recursion's main query can carry one).
-    fn dry_exec(
-        &mut self,
-        plan: Plan,
-        kinds: &mut Vec<EmulationKind>,
-        out_sql: &mut Vec<String>,
-    ) -> Result<()> {
-        let mut scratch = FeatureSet::new();
-        let plan = self.transformer.run_all(plan, &self.profile.caps, &mut scratch)?;
-        let (plan, fetch_limit) = self.peel_fetch_limit(plan);
-        if fetch_limit.is_some() {
-            kinds.push(EmulationKind::LimitFetch);
-        }
-        out_sql.push(Serializer::for_profile(&self.profile).serialize_plan(&plan)?);
-        Ok(())
-    }
-
-    /// Mirror of the crosscompiler's `peel_fetch_limit`: on a target that
-    /// spells neither `LIMIT` nor `TOP`, a plain top-level row bound (no
-    /// OFFSET, no WITH TIES) peels off for mid-tier truncation.
-    fn peel_fetch_limit(&self, plan: Plan) -> (Plan, Option<u64>) {
-        if self.profile.flavor.limit != LimitSpelling::None {
-            return (plan, None);
-        }
-        match plan {
-            Plan::Query(RelExpr::Limit { input, limit: Some(n), with_ties: false, offset: 0 }) => {
-                (Plan::Query(*input), Some(n))
-            }
-            // Hidden ORDER BY sort columns wrap a rename/strip projection
-            // above the bound; the projection is row-preserving, so
-            // truncating after it equals truncating before it.
-            Plan::Query(RelExpr::Project { input, exprs }) => match *input {
-                RelExpr::Limit { input, limit: Some(n), with_ties: false, offset: 0 } => {
-                    (Plan::Query(RelExpr::Project { input, exprs }), Some(n))
-                }
-                other => {
-                    (Plan::Query(RelExpr::Project { input: Box::new(other), exprs }), None)
-                }
-            },
-            other => (other, None),
-        }
-    }
-
-    // -------------------------------------------------------------------
-    // Binding with usage-driven catalog inference
-    // -------------------------------------------------------------------
-
-    fn shadow(&self, overlay: HashMap<String, TableDef>) -> AssessShadow<'_> {
-        AssessShadow {
-            tables: &self.tables,
-            sidecars: &self.sidecars,
-            gtt_defs: &self.gtt_defs,
-            views: &self.views,
-            default_database: default_database(&self.settings).map(str::to_string),
-            overlay,
-            gtt_touched: RefCell::new(HashSet::new()),
-        }
-    }
-
-    fn fresh_name(&mut self, prefix: &str) -> String {
-        self.fresh += 1;
-        format!("DTM_{prefix}_A{}", self.fresh)
-    }
-
-    /// Bind, fabricating unknown tables (and their columns) from the
-    /// binder's own errors plus qualified references in the statement
-    /// text. Each round learns one fact; statements whose tables all have
-    /// in-corpus DDL bind on the first round.
-    fn bind_with_inference(
-        &mut self,
-        stmt: &past::Statement,
-        text: &str,
-        features: &mut FeatureSet,
-    ) -> Result<(Plan, Vec<String>)> {
+    /// Run one statement on the session, learning one missing catalog
+    /// fact per binder error and retrying (statements whose tables all
+    /// have DDL run once). Returns the outcome's features and the
+    /// requests the final round sent.
+    fn run(&mut self, text: &str) -> (Result<FeatureSet, HyperQError>, Vec<String>) {
         let mut attempts = 0;
         loop {
-            let outcome = {
-                let shadow = self.shadow(HashMap::new());
-                let mut binder = Binder::new(&shadow);
-                match binder.bind_statement(stmt) {
-                    Ok(plan) => {
-                        features.union(&binder.features);
-                        Ok((plan, shadow.gtt_touched.into_inner()))
-                    }
-                    Err(e) => Err(e),
-                }
-            };
-            match outcome {
-                Ok((plan, touched)) => {
-                    let mut gtts: Vec<String> = touched.into_iter().collect();
-                    gtts.sort();
-                    return Ok((plan, gtts));
-                }
-                Err(HyperQError::Bind(msg)) => {
+            let mark = self.target.log.lock().len();
+            match self.hq.run_one(text) {
+                Err(HyperQError::Bind(msg))
+                    if attempts < MAX_INFERENCE_STEPS && self.learn_from(&msg, text) =>
+                {
                     attempts += 1;
-                    if attempts > MAX_INFERENCE_STEPS || !self.learn_from(&msg, text) {
-                        return Err(HyperQError::Bind(msg));
-                    }
                 }
-                Err(e) => return Err(e),
+                outcome => {
+                    let sent = self.target.log.lock()[mark..].to_vec();
+                    return (outcome.map(|r| r.features), sent);
+                }
             }
         }
     }
 
-    /// Interpret one binder error as a missing catalog fact and record
-    /// it. Returns false when nothing new can be learned (the error then
-    /// stands as the verdict).
+    /// Interpret one binder error as a missing catalog fact and record it
+    /// in the dry target's engine. Returns false when nothing new can be
+    /// learned (the error then stands as the verdict).
     fn learn_from(&mut self, msg: &str, text: &str) -> bool {
-        if let Some(name) = msg
-            .strip_prefix("table ")
-            .and_then(|r| r.strip_suffix(" not found"))
-        {
+        let engine = &self.target.engine;
+        if let Some(name) = msg.strip_prefix("table ").and_then(|r| r.strip_suffix(" not found")) {
             let upper = name.to_ascii_uppercase();
-            if self.dropped.contains(&upper)
-                || self.tables.contains_key(&upper)
-                || self.gtt_defs.contains_key(&upper)
+            let fabricated = TableDef::new(&upper, harvest_columns(text, &upper));
+            if self.target.dropped.lock().contains(&upper)
+                || engine.table_def(&upper).is_some()
+                || self.hq.session.global_temp_defs.contains_key(&upper)
+                || engine.create_table(fabricated).is_err()
             {
                 return false;
             }
-            let columns = harvest_columns(text, &upper);
-            self.tables.insert(upper.clone(), TableDef::new(&upper, columns));
             self.inferred.insert(upper);
             return true;
         }
         // "column C not found in T" (relational lookup) or
         // "column Q.C not found" (scalar reference).
-        if let Some(rest) = msg.strip_prefix("column ") {
-            let rest = rest.strip_suffix(" not found").unwrap_or(rest);
-            let (column, table_hint) = match rest.split_once(" not found in ") {
-                Some((c, t)) => (c, Some(t)),
-                None => match rest.rsplit_once('.') {
-                    Some((q, c)) => (c, Some(q)),
-                    None => (rest, None),
-                },
-            };
-            let column = column.trim().to_ascii_uppercase();
-            if column.is_empty() {
-                return false;
-            }
-            let target = table_hint
-                .map(|t| base_name(&t.to_ascii_uppercase()).to_string())
-                .filter(|t| self.inferred.contains(t))
-                .or_else(|| {
-                    // An unqualified (or alias-qualified) reference: only
-                    // unambiguous if exactly one table was fabricated.
-                    let mut it = self.inferred.iter();
-                    match (it.next(), it.next()) {
-                        (Some(only), None) => Some(only.clone()),
-                        _ => None,
-                    }
-                });
-            if let Some(t) = target {
-                if let Some(def) = self.tables.get_mut(&t) {
-                    if !def.columns.iter().any(|c| c.name == column) {
-                        def.columns
-                            .push(ColumnDef::new(&column, SqlType::Unknown, true));
-                        return true;
-                    }
-                }
-            }
+        let Some(rest) = msg.strip_prefix("column ") else {
+            return false;
+        };
+        let rest = rest.strip_suffix(" not found").unwrap_or(rest);
+        let (column, table_hint) = match rest.split_once(" not found in ") {
+            Some((c, t)) => (c, Some(t)),
+            None => match rest.rsplit_once('.') {
+                Some((q, c)) => (c, Some(q)),
+                None => (rest, None),
+            },
+        };
+        let column = column.trim().to_ascii_uppercase();
+        let target = table_hint
+            .map(|t| base_name(&t.to_ascii_uppercase()).to_string())
+            .filter(|t| self.inferred.contains(t))
+            // An unqualified (or alias-qualified) reference: only
+            // unambiguous if exactly one table was fabricated.
+            .or_else(|| self.inferred.first().filter(|_| self.inferred.len() == 1).cloned());
+        let Some(mut def) = target.and_then(|t| engine.table_def(&t)) else {
+            return false;
+        };
+        if column.is_empty() || def.columns.iter().any(|c| c.name == column) {
+            return false;
         }
-        false
+        // The engine has no ALTER: widen the table by re-creating it.
+        def.columns.push(ColumnDef::new(&column, SqlType::Unknown, true));
+        engine.drop_table(&def.name, false).is_ok() && engine.create_table(def).is_ok()
     }
 }
 
-/// The per-session target-side name of a GTT instance. The live session
-/// appends its session id; the assessor is one logical session.
-fn gtt_instance_name(logical: &str) -> String {
-    format!("GTT_{}_SA", logical.replace('.', "_"))
+fn emulation_counts(obs: &ObsContext) -> Vec<u64> {
+    EmulationKind::ALL
+        .iter()
+        .map(|k| {
+            obs.metrics.counter_value("hyperq_emulation_requests_total", &[("kind", k.as_str())])
+        })
+        .collect()
 }
 
 fn base_name(name: &str) -> &str {
     name.rsplit('.').next().unwrap_or(name)
 }
 
-/// Mirror of `SessionState::default_database`.
-fn default_database(settings: &[(String, String)]) -> Option<&str> {
-    settings
-        .iter()
-        .rev()
-        .find(|(k, _)| {
-            k.eq_ignore_ascii_case("DATABASE") || k.eq_ignore_ascii_case("DEFAULT DATABASE")
-        })
-        .map(|(_, v)| v.trim().trim_matches('\''))
-        .filter(|v| !v.is_empty() && !v.eq_ignore_ascii_case("DBC"))
-}
-
 /// Harvest `TBL.COL` references for a fabricated table from the statement
 /// text (the only schema evidence a usage-only corpus offers).
 fn harvest_columns(text: &str, table: &str) -> Vec<ColumnDef> {
     use hyperq_parser::token::Token;
-    let base = base_name(table);
-    let Ok(toks) = hyperq_parser::lexer::tokenize(text) else {
-        return Vec::new();
-    };
     let mut cols: Vec<ColumnDef> = Vec::new();
-    for w in toks.windows(3) {
-        let (Token::Word(q) | Token::QuotedIdent(q)) = &w[0].token else {
+    for w in hyperq_parser::lexer::tokenize(text).unwrap_or_default().windows(3) {
+        let (Token::Word(q) | Token::QuotedIdent(q), Token::Dot, Token::Word(c) | Token::QuotedIdent(c)) =
+            (&w[0].token, &w[1].token, &w[2].token)
+        else {
             continue;
         };
-        if !matches!(w[1].token, Token::Dot) {
-            continue;
-        }
-        let (Token::Word(c) | Token::QuotedIdent(c)) = &w[2].token else {
-            continue;
-        };
-        if q.eq_ignore_ascii_case(base) {
-            let upper = c.to_ascii_uppercase();
-            if !cols.iter().any(|existing| existing.name == upper) {
-                cols.push(ColumnDef::new(&upper, SqlType::Unknown, true));
-            }
+        let upper = c.to_ascii_uppercase();
+        if q.eq_ignore_ascii_case(base_name(table)) && !cols.iter().any(|e| e.name == upper) {
+            cols.push(ColumnDef::new(&upper, SqlType::Unknown, true));
         }
     }
     cols
 }
 
-/// The assessor's binder catalog: the same layering as the session's
-/// `ShadowCatalog` — overlay, sidecars, GTT instances, default-database
-/// qualification — over the inferred table map instead of a live backend.
-struct AssessShadow<'a> {
-    tables: &'a HashMap<String, TableDef>,
-    sidecars: &'a HashMap<String, TableDef>,
-    gtt_defs: &'a HashMap<String, TableDef>,
-    views: &'a HashMap<String, ViewDef>,
-    default_database: Option<String>,
-    overlay: HashMap<String, TableDef>,
-    gtt_touched: RefCell<HashSet<String>>,
+/// What to assess: schema-only DDL, which populates the catalog without
+/// verdicts, and the scripts whose statements get verdicts.
+#[derive(Debug, Clone)]
+pub struct Workload {
+    pub ddl: Vec<String>,
+    pub scripts: Vec<String>,
 }
 
-impl MetadataProvider for AssessShadow<'_> {
-    fn table(&self, name: &str) -> Option<TableDef> {
-        let upper = name.to_ascii_uppercase();
-        if let Some(def) = self.overlay.get(&upper) {
-            return Some(def.clone());
-        }
-        if let Some(def) = self.sidecars.get(&upper) {
-            if self.tables.contains_key(&upper) {
-                return Some(def.clone());
+impl Workload {
+    /// A built-in corpus by name (`tpch`, `health` or `telco`): the
+    /// workload generators supply both the DDL and the statements.
+    pub fn corpus(name: &str) -> Option<Workload> {
+        let w = match name {
+            "tpch" => {
+                let scripts = tpch::queries().into_iter().map(|(_, q)| q.to_string()).collect();
+                return Some(Workload { ddl: tpch::ddl(), scripts });
             }
-        }
-        if let Some(def) = self.gtt_defs.get(&upper) {
-            self.gtt_touched.borrow_mut().insert(upper.clone());
-            let mut instance = def.clone();
-            instance.name = gtt_instance_name(&upper);
-            instance.kind = TableKind::Temporary;
-            return Some(instance);
-        }
-        if !upper.contains('.') {
-            if let Some(db) = &self.default_database {
-                let qualified = format!("{}.{upper}", db.to_ascii_uppercase());
-                if let Some(def) = self.tables.get(&qualified) {
-                    let mut def = def.clone();
-                    def.name = qualified;
-                    return Some(def);
-                }
-            }
-        }
-        self.tables.get(&upper).cloned()
+            "health" => customer::health(0.05),
+            "telco" => customer::telco(0.02),
+            _ => return None,
+        };
+        let scripts = w.hyperq_setup.iter().chain(&w.distinct).cloned().collect();
+        Some(Workload { ddl: w.target_ddl, scripts })
     }
+}
 
-    fn view(&self, name: &str) -> Option<ViewDef> {
-        let upper = name.to_ascii_uppercase();
-        self.views
-            .get(&upper)
-            .or_else(|| self.views.get(base_name(&upper)))
-            .cloned()
+/// One target's report: a fresh assessor fed the whole workload.
+pub fn assess(profile: TargetProfile, workload: &Workload) -> Report {
+    let target = profile.name.clone();
+    let mut assessor = Assessor::for_target(profile);
+    for sql in &workload.ddl {
+        assessor.ingest_ddl(sql);
     }
+    let mut assessments: Vec<StatementAssessment> = Vec::new();
+    for sql in &workload.scripts {
+        let base = assessments.len();
+        for mut sa in assessor.assess_script(sql) {
+            sa.index += base;
+            assessments.push(sa);
+        }
+    }
+    Report::build(&target, &assessments, assessor.inferred_tables())
 }
 
 #[cfg(test)]
@@ -1134,13 +405,8 @@ mod tests {
         );
         assert_eq!(out.len(), 2);
         for sa in &out {
-            match &sa.verdict {
-                Verdict::NeedsEmulation { kinds, tier } => {
-                    assert_eq!(kinds, &vec![EmulationKind::Macro]);
-                    assert_eq!(*tier, CostTier::Medium);
-                }
-                v => panic!("expected emulation verdict, got {v:?}"),
-            }
+            let kinds = vec![EmulationKind::Macro];
+            assert_eq!(sa.verdict, Verdict::NeedsEmulation { kinds, tier: CostTier::Medium });
         }
     }
 
@@ -1165,19 +431,10 @@ mod tests {
              SELECT COUNT(*) FROM G",
         );
         assert_eq!(out.len(), 3);
-        match &out[0].verdict {
-            Verdict::NeedsEmulation { kinds, .. } => {
-                assert_eq!(kinds, &vec![EmulationKind::GttDefine]);
-            }
-            v => panic!("{v:?}"),
-        }
-        match &out[1].verdict {
-            Verdict::NeedsEmulation { kinds, tier } => {
-                assert_eq!(kinds, &vec![EmulationKind::GttMaterialize]);
-                assert_eq!(*tier, CostTier::High);
-            }
-            v => panic!("{v:?}"),
-        }
+        let kinds = vec![EmulationKind::GttDefine];
+        assert_eq!(out[0].verdict, Verdict::NeedsEmulation { kinds, tier: CostTier::Medium });
+        let kinds = vec![EmulationKind::GttMaterialize];
+        assert_eq!(out[1].verdict, Verdict::NeedsEmulation { kinds, tier: CostTier::High });
         // Second touch: the instance is already materialized.
         assert_eq!(out[2].verdict, Verdict::Translatable);
     }
@@ -1192,5 +449,51 @@ mod tests {
         assert!(matches!(out[1].verdict, Verdict::Unsupported { .. }));
         let span = &out[1].span;
         assert!(span.start >= 17 && span.end <= script.len(), "{span:?}");
+    }
+
+    fn verdicts(a: &mut Assessor, script: &str) -> Vec<String> {
+        a.assess_script(script).iter().map(|sa| format!("{:?}", sa.verdict)).collect()
+    }
+
+    /// A later unqualified reference widens an inferred table (the dry
+    /// target's engine has no ALTER: drop + re-create).
+    #[test]
+    fn inferred_table_learns_column_from_unqualified_reference() {
+        let mut a = assessor();
+        let v = verdicts(&mut a, "SELECT ORDERS.ID FROM ORDERS; SELECT TOTAL FROM ORDERS");
+        assert_eq!(v, ["Translatable", "Translatable"]);
+        let def = a.target.engine.table_def("ORDERS").expect("fabricated");
+        let names: Vec<&str> = def.columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["ID", "TOTAL"]);
+    }
+
+    #[test]
+    fn drop_of_missing_table_is_unsupported() {
+        let v = verdicts(&mut assessor(), "DROP TABLE NOPE");
+        assert!(v[0].starts_with("Unsupported"), "{v:?}");
+    }
+
+    /// The engine cannot parse cloud-c's `DATE_ADD(d, INTERVAL n DAY)`:
+    /// the CTAS is acknowledged without registering its table, and the
+    /// later reference infers it from usage.
+    #[test]
+    fn ctas_the_engine_cannot_parse_stays_translatable() {
+        let mut a = Assessor::for_target(hyperq_core::targets::lookup("cloud-c").expect("cloud-c"));
+        a.ingest_ddl("CREATE TABLE T (D DATE)");
+        let script = "CREATE TABLE T2 AS (SELECT D + 1 AS N FROM T) WITH DATA; SELECT T2.N FROM T2";
+        assert_eq!(verdicts(&mut a, script), ["Translatable", "Translatable"]);
+        assert!(a.target.log.lock().iter().any(|sql| sql.contains("DATE_ADD")));
+        assert_eq!(a.inferred_tables(), ["T2"]);
+    }
+
+    /// EXPLAIN binds its statement like the statement itself, so a
+    /// usage-only table is inferred for it too.
+    #[test]
+    fn explain_over_usage_only_table_infers_it() {
+        let mut a = assessor();
+        let out = a.assess_script("EXPLAIN SELECT ORDERS.ID FROM ORDERS");
+        let kinds = vec![EmulationKind::Explain];
+        assert_eq!(out[0].verdict, Verdict::NeedsEmulation { kinds, tier: CostTier::Low });
+        assert_eq!(a.inferred_tables(), ["ORDERS"]);
     }
 }

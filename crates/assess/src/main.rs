@@ -16,9 +16,8 @@
 
 use std::process::ExitCode;
 
-use hyperq_assess::{Assessor, Report, StatementAssessment};
+use hyperq_assess::{assess, Report, Workload};
 use hyperq_core::targets::{self, TargetProfile};
-use hyperq_workload::{customer, tpch};
 
 const USAGE: &str = "usage: hyperq-assess [--target NAME]... [--format text|json] \
                      [--fail-on-unsupported] (--corpus tpch|health|telco | [--ddl FILE]... FILE...)";
@@ -32,12 +31,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// The corpus to assess, read once and replayed per target profile.
-enum Inputs {
-    Corpus(String),
-    Files { ddl: Vec<String>, scripts: Vec<String> },
 }
 
 fn run(args: Vec<String>) -> Result<ExitCode, String> {
@@ -86,31 +79,21 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
     }
     profiles.dedup_by(|a, b| a.name == b.name);
 
-    let inputs = match corpus {
-        Some(name) => {
-            if !matches!(name.as_str(), "tpch" | "health" | "telco") {
-                return Err(format!("unknown corpus {name}"));
-            }
-            Inputs::Corpus(name)
-        }
+    let workload = match corpus {
+        Some(name) => Workload::corpus(&name).ok_or_else(|| format!("unknown corpus {name}"))?,
         None => {
             if files.is_empty() && ddl_files.is_empty() {
                 return Err("no inputs: pass --corpus or at least one SQL file".into());
             }
-            let mut ddl = Vec::new();
-            for f in &ddl_files {
-                ddl.push(std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?);
+            let read = |f: &String| std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"));
+            Workload {
+                ddl: ddl_files.iter().map(read).collect::<Result<_, _>>()?,
+                scripts: files.iter().map(read).collect::<Result<_, _>>()?,
             }
-            let mut scripts = Vec::new();
-            for f in &files {
-                scripts.push(std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?);
-            }
-            Inputs::Files { ddl, scripts }
         }
     };
 
-    let reports: Vec<Report> =
-        profiles.iter().map(|p| assess_for(p.clone(), &inputs)).collect();
+    let reports: Vec<Report> = profiles.iter().map(|p| assess(p.clone(), &workload)).collect();
     for report in &reports {
         report.record_metrics(hyperq_obs::ObsContext::global());
     }
@@ -133,50 +116,4 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// One target's verdict section: a fresh assessor fed the whole corpus.
-fn assess_for(profile: TargetProfile, inputs: &Inputs) -> Report {
-    let target = profile.name.clone();
-    let mut assessor = Assessor::for_target(profile);
-    let mut assessments: Vec<StatementAssessment> = Vec::new();
-    match inputs {
-        Inputs::Corpus(name) if name == "tpch" => {
-            for ddl in tpch::ddl() {
-                assessor.ingest_ddl(&ddl);
-            }
-            for (_, q) in tpch::queries() {
-                append(&mut assessments, assessor.assess_script(q));
-            }
-        }
-        Inputs::Corpus(name) => {
-            let w = if name == "health" { customer::health(0.05) } else { customer::telco(0.02) };
-            for ddl in &w.target_ddl {
-                assessor.ingest_ddl(ddl);
-            }
-            for setup in &w.hyperq_setup {
-                append(&mut assessments, assessor.assess_script(setup));
-            }
-            for text in &w.distinct {
-                append(&mut assessments, assessor.assess_script(text));
-            }
-        }
-        Inputs::Files { ddl, scripts } => {
-            for sql in ddl {
-                assessor.ingest_ddl(sql);
-            }
-            for sql in scripts {
-                append(&mut assessments, assessor.assess_script(sql));
-            }
-        }
-    }
-    Report::build(&target, &assessments, assessor.inferred_tables())
-}
-
-fn append(into: &mut Vec<StatementAssessment>, mut batch: Vec<StatementAssessment>) {
-    let base = into.len();
-    for sa in &mut batch {
-        sa.index += base;
-    }
-    into.append(&mut batch);
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use hyperq_core::conformance::Severity;
-use hyperq_core::emulate::EmulationKind;
+use hyperq_core::EmulationKind;
 use hyperq_obs::ObsContext;
 use hyperq_xtra::feature::Feature;
 

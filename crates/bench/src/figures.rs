@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyperq_core::backend::Backend;
-use hyperq_core::capability::{figure2_rows, TargetCapabilities};
+use hyperq_core::capability::figure2_rows;
 use hyperq_core::tracker::{table2, WorkloadTracker};
 use hyperq_core::HyperQBuilder;
 use hyperq_engine::EngineDb;
@@ -357,105 +357,4 @@ pub fn tpch_overhead_inprocess(scale: f64) -> (Duration, Duration) {
         execution += o.timings.execution;
     }
     (translation, execution)
-}
-
-// ---------------------------------------------------------------------------
-// Use case B.4 — side-by-side evaluation of candidate targets
-// ---------------------------------------------------------------------------
-
-/// For each candidate target profile, translate the whole workload and
-/// report coverage: how many statements translate cleanly, and how many
-/// rewrites of each class fire. "Customers can compare side-by-side how
-/// their workloads perform on a variety of potential target databases,
-/// which can be used to guide their decision of where to migrate to"
-/// (§B.4).
-pub fn compare_targets(statements: &[&str]) -> String {
-    use hyperq_core::binder::Binder;
-    use hyperq_core::serialize::Serializer;
-    use hyperq_core::session::{SessionState, ShadowCatalog};
-    use hyperq_core::transform::Transformer;
-    use hyperq_parser::{parse_one, Dialect};
-    use hyperq_xtra::feature::FeatureSet;
-
-    let db = load_tpch(0.0001, None);
-    let backend: Arc<dyn Backend> = db;
-    let session = SessionState::new(1, "EVAL");
-    let transformer = Transformer::standard();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Candidate-target evaluation (§B.4): {} statements",
-        statements.len()
-    );
-    let _ = writeln!(out, "{:-<76}", "");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>11} {:>13} {:>16} {:>10} {:>16}",
-        "Target", "translated", "translation", "transformation", "emulation", "target-rewrites"
-    );
-    let mut targets = vec![TargetCapabilities::simwh()];
-    targets.extend(TargetCapabilities::surveyed());
-    for caps in targets {
-        let mut ok = 0usize;
-        let mut class_counts = [0usize; 3];
-        let mut target_rewrites = 0usize;
-        for sql in statements {
-            let Ok(parsed) = parse_one(sql, Dialect::Teradata) else {
-                continue;
-            };
-            let catalog = ShadowCatalog::new(&*backend, &session);
-            let mut binder = Binder::new(&catalog);
-            let Ok(plan) = binder.bind_statement(&parsed.stmt) else {
-                continue;
-            };
-            let mut fired = FeatureSet::new();
-            fired.union(&parsed.features);
-            fired.union(&binder.features);
-            // Count the *target-specific* (serialization-phase) rewrites
-            // separately: this column is what actually differs between
-            // candidate targets.
-            let mut phase_fired = FeatureSet::new();
-            let Ok(plan) = transformer.run(
-                plan,
-                hyperq_core::transform::Phase::Binding,
-                &caps,
-                &mut fired,
-            ) else {
-                continue;
-            };
-            let Ok(plan) = transformer.run(
-                plan,
-                hyperq_core::transform::Phase::Serialization,
-                &caps,
-                &mut phase_fired,
-            ) else {
-                continue;
-            };
-            if Serializer::new(&caps).serialize_plan(&plan).is_ok() {
-                ok += 1;
-                target_rewrites += phase_fired.len();
-                fired.union(&phase_fired);
-                for f in fired.iter() {
-                    class_counts[match f.class() {
-                        FeatureClass::Translation => 0,
-                        FeatureClass::Transformation => 1,
-                        FeatureClass::Emulation => 2,
-                    }] += 1;
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8}/{:<2} {:>13} {:>16} {:>10} {:>16}",
-            caps.name,
-            ok,
-            statements.len(),
-            class_counts[0],
-            class_counts[1],
-            class_counts[2],
-            target_rewrites
-        );
-    }
-    out
 }

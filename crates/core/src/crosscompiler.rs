@@ -1582,7 +1582,10 @@ impl HyperQ {
         // a partial table behind, and cleanup drops with IF EXISTS.
         live.push(work_table.clone());
         self.exec_plan(
-            Plan::CreateTable { def: table_def(&work_table), source: Some(seed_rel) },
+            Plan::CreateTable {
+                def: table_def(&work_table),
+                source: Some(rename_columns(seed_rel, &columns)),
+            },
             timings,
             sql_sent,
         )?;
@@ -1621,7 +1624,10 @@ impl HyperQ {
             timings.translation += t.elapsed();
             live.push(next_table.clone());
             let produced = self.exec_plan(
-                Plan::CreateTable { def: table_def(&next_table), source: Some(step_rel) },
+                Plan::CreateTable {
+                    def: table_def(&next_table),
+                    source: Some(rename_columns(step_rel, &columns)),
+                },
                 timings,
                 sql_sent,
             )?;
@@ -1793,6 +1799,32 @@ impl HyperQ {
 /// impossible.
 fn profile_sig(profile: &TargetProfile) -> u64 {
     fnv1a(format!("{}|{:?}|{:?}", profile.name, profile.caps, profile.flavor).as_bytes())
+}
+
+/// Alias a recursion CTAS source's output columns to the CTE's declared
+/// names. A CTAS carries no column list — the target names the new
+/// table's columns after the SELECT's output — so a computed (`0`,
+/// `R.LVL + 1`) or renamed column would otherwise not be found by the
+/// next step. Sources whose names already match pass through unchanged.
+fn rename_columns(source: RelExpr, columns: &[String]) -> RelExpr {
+    let schema = source.schema();
+    if schema.fields.iter().zip(columns).all(|(f, c)| f.name.eq_ignore_ascii_case(c)) {
+        return source;
+    }
+    let exprs = schema
+        .fields
+        .iter()
+        .zip(columns)
+        .map(|(f, c)| {
+            let col = ScalarExpr::Column {
+                qualifier: f.qualifier.clone(),
+                name: f.name.clone(),
+                ty: f.ty.clone(),
+            };
+            (col, c.clone())
+        })
+        .collect();
+    RelExpr::Project { input: Box::new(source), exprs }
 }
 
 fn ack(features: FeatureSet) -> StatementResult {

@@ -303,6 +303,57 @@ fn recursive_query_emulation_matches_paper_example() {
     assert!(db.table_names().iter().all(|t| !t.starts_with("WT_") && !t.starts_with("TT_")));
 }
 
+/// A recursive CTE whose seed computes a column (`0`, unnamed) and whose
+/// step computes it again (`R.LVL + 1`, unaliased): the WorkTable and
+/// every step table must carry the CTE's declared column names, or the
+/// first step cannot resolve `R.LVL`. Also the renaming-list shape
+/// `R (X, Y)` over a seed whose columns are named differently.
+#[test]
+fn recursive_query_with_computed_and_renamed_columns() {
+    for profile in hyperq::core::targets::executable() {
+        let db = Arc::new(EngineDb::new());
+        db.execute_sql("CREATE TABLE EMP (ID INTEGER, MGR INTEGER)").unwrap();
+        db.execute_sql("INSERT INTO EMP VALUES (1, NULL), (2, 1)").unwrap();
+        let name = profile.name.clone();
+        let mut hq = HyperQBuilder::for_target(
+            Arc::clone(&db) as Arc<dyn hyperq::core::Backend>,
+            profile,
+        )
+        .build();
+        for sql in [
+            "WITH RECURSIVE R (ID, LVL) AS ( \
+               SELECT ID, 0 FROM EMP WHERE MGR IS NULL \
+               UNION ALL \
+               SELECT E.ID, R.LVL + 1 FROM EMP E, R WHERE E.MGR = R.ID ) \
+             SELECT ID, LVL FROM R ORDER BY ID",
+            "WITH RECURSIVE R (ID, LVL) AS ( \
+               SELECT ID, 0 AS LVL FROM EMP WHERE MGR IS NULL \
+               UNION ALL \
+               SELECT E.ID, R.LVL + 1 FROM EMP E, R WHERE E.MGR = R.ID ) \
+             SELECT ID, LVL FROM R ORDER BY ID",
+            "WITH RECURSIVE R (X, Y) AS ( \
+               SELECT ID, 0 AS LVL FROM EMP WHERE MGR IS NULL \
+               UNION ALL \
+               SELECT E.ID, R.Y + 1 AS LVL FROM EMP E, R WHERE E.MGR = R.X ) \
+             SELECT X, Y FROM R ORDER BY X",
+        ] {
+            let o = hq.run_one(sql).unwrap_or_else(|e| panic!("{name}: {e}\n{sql}"));
+            let rows: Vec<Vec<i64>> = o
+                .result
+                .rows
+                .iter()
+                .map(|r| r.iter().map(|d| d.to_i64().expect("integer")).collect())
+                .collect();
+            assert_eq!(rows, vec![vec![1, 0], vec![2, 1]], "{name}: {sql}");
+        }
+        assert!(
+            db.table_names().iter().all(|t| !t.starts_with("WT_") && !t.starts_with("TT_")),
+            "{name}: {:?}",
+            db.table_names()
+        );
+    }
+}
+
 #[test]
 fn macro_emulation_with_parameters() {
     let (mut hq, _db) = setup();
