@@ -16,6 +16,7 @@ use hyperq_xtra::Row;
 
 use crate::eval::{eval, eval_truth, EvalContext, EvalError};
 use crate::exec::execute_rel;
+use crate::memo::SubqueryMemo;
 
 /// One stored table: definition plus copy-on-write contents.
 #[derive(Clone)]
@@ -77,6 +78,10 @@ pub struct EngineDb {
     /// Statements currently holding an execution slot (or running, when no
     /// admission control is configured).
     inflight: Arc<hyperq_obs::Gauge>,
+    /// Subquery evaluations that ran their plan / were served by the
+    /// statement's memo.
+    subqueries_executed: Arc<hyperq_obs::Counter>,
+    subqueries_reused: Arc<hyperq_obs::Counter>,
 }
 
 impl Default for EngineDb {
@@ -90,6 +95,14 @@ impl Default for EngineDb {
                 .counter("hyperq_engine_statements_total", &[("engine", "SimWH")]),
             inflight: metrics
                 .gauge("hyperq_engine_statements_inflight", &[("engine", "SimWH")]),
+            subqueries_executed: metrics.counter(
+                "hyperq_engine_subqueries_total",
+                &[("engine", "SimWH"), ("outcome", "executed")],
+            ),
+            subqueries_reused: metrics.counter(
+                "hyperq_engine_subqueries_total",
+                &[("engine", "SimWH"), ("outcome", "reused")],
+            ),
         }
     }
 }
@@ -221,35 +234,45 @@ impl EngineDb {
         self.execute_plan(&plan).map_err(BackendError::classify)
     }
 
+    /// Execute one bound statement with a subquery memo of its own, so a
+    /// later statement of the same script sees this one's writes.
     fn execute_plan(&self, plan: &Plan) -> Result<ExecResult, EvalError> {
+        let memo = SubqueryMemo::default();
+        let result = self.execute_plan_with(plan, &memo);
+        let (executed, reused) = memo.counts();
+        self.subqueries_executed.add(executed);
+        self.subqueries_reused.add(reused);
+        result
+    }
+
+    fn execute_plan_with(&self, plan: &Plan, memo: &SubqueryMemo) -> Result<ExecResult, EvalError> {
         match plan {
             Plan::Query(rel) => {
                 let optimized = crate::optimize::optimize(rel.clone());
-                let rows = execute_rel(&optimized, self, &[])?;
+                let rows = execute_rel(&optimized, self, memo, &[])?;
                 Ok(ExecResult::rows(rel.schema(), rows))
             }
             Plan::Insert { table, columns, source } => {
                 let source = crate::optimize::optimize(source.clone());
-                let rows = execute_rel(&source, self, &[])?;
-                let n = self.insert_rows(table, columns, rows)?;
+                let rows = execute_rel(&source, self, memo, &[])?;
+                let n = self.insert_rows(table, columns, rows, memo)?;
                 Ok(ExecResult::affected(n))
             }
-            Plan::Update { table, alias, assignments, predicate } => {
-                self.update_rows(table, alias.as_deref(), assignments, predicate.as_ref())
-                    .map(ExecResult::affected)
-            }
+            Plan::Update { table, alias, assignments, predicate } => self
+                .update_rows(table, alias.as_deref(), assignments, predicate.as_ref(), memo)
+                .map(ExecResult::affected),
             Plan::Delete { table, alias, predicate } => self
-                .delete_rows(table, alias.as_deref(), predicate.as_ref())
+                .delete_rows(table, alias.as_deref(), predicate.as_ref(), memo)
                 .map(ExecResult::affected),
             Plan::CreateTable { def, source } => {
                 self.create_table(def.clone())?;
                 match source {
                     Some(src) => {
                         let src = crate::optimize::optimize(src.clone());
-                        let rows = execute_rel(&src, self, &[])?;
+                        let rows = execute_rel(&src, self, memo, &[])?;
                         let columns: Vec<String> =
                             def.columns.iter().map(|c| c.name.clone()).collect();
-                        let n = self.insert_rows(&def.name, &columns, rows)?;
+                        let n = self.insert_rows(&def.name, &columns, rows, memo)?;
                         Ok(ExecResult::affected(n))
                     }
                     None => Ok(ExecResult::ack()),
@@ -272,6 +295,7 @@ impl EngineDb {
         table: &str,
         columns: &[String],
         rows: Vec<Row>,
+        memo: &SubqueryMemo,
     ) -> Result<u64, EvalError> {
         let key = table.to_ascii_uppercase();
         let def = self
@@ -308,7 +332,7 @@ impl EngineDb {
             for (i, col) in def.columns.iter().enumerate() {
                 if !positions.contains(&i) {
                     if let Some(d) = &col.default {
-                        let mut ctx = EvalContext::new(self);
+                        let mut ctx = EvalContext::new(self, memo);
                         full[i] = eval(d, &mut ctx)?;
                     }
                 }
@@ -328,6 +352,7 @@ impl EngineDb {
         alias: Option<&str>,
         assignments: &[hyperq_xtra::rel::Assignment],
         predicate: Option<&hyperq_xtra::expr::ScalarExpr>,
+        memo: &SubqueryMemo,
     ) -> Result<u64, EvalError> {
         let key = table.to_ascii_uppercase();
         let (def, snapshot) = {
@@ -353,14 +378,14 @@ impl EngineDb {
             let matches = match predicate {
                 None => true,
                 Some(p) => {
-                    let mut ctx = EvalContext { db: self, scopes: vec![(&schema, row)] };
+                    let mut ctx = EvalContext { db: self, memo, scopes: vec![(&schema, row)] };
                     eval_truth(p, &mut ctx)? == Some(true)
                 }
             };
             if matches {
                 let mut new_row = row.clone();
                 for (a, &pos) in assignments.iter().zip(targets.iter()) {
-                    let mut ctx = EvalContext { db: self, scopes: vec![(&schema, row)] };
+                    let mut ctx = EvalContext { db: self, memo, scopes: vec![(&schema, row)] };
                     let v = eval(&a.value, &mut ctx)?;
                     new_row[pos] = coerce_value(&def.columns[pos], v)?;
                 }
@@ -381,6 +406,7 @@ impl EngineDb {
         table: &str,
         alias: Option<&str>,
         predicate: Option<&hyperq_xtra::expr::ScalarExpr>,
+        memo: &SubqueryMemo,
     ) -> Result<u64, EvalError> {
         let key = table.to_ascii_uppercase();
         let (def, snapshot) = {
@@ -397,7 +423,7 @@ impl EngineDb {
             let matches = match predicate {
                 None => true,
                 Some(p) => {
-                    let mut ctx = EvalContext { db: self, scopes: vec![(&schema, row)] };
+                    let mut ctx = EvalContext { db: self, memo, scopes: vec![(&schema, row)] };
                     eval_truth(p, &mut ctx)? == Some(true)
                 }
             };
@@ -511,4 +537,15 @@ impl Backend for EngineDb {
     }
 }
 
-
+#[cfg(test)]
+impl EngineDb {
+    /// Execute one statement and report its memo's `(executed, reused)`
+    /// subquery counts beside the result.
+    pub(crate) fn execute_counted(&self, sql: &str) -> (Result<ExecResult, EvalError>, (u64, u64)) {
+        let stmts = parse_statements(sql, Dialect::Ansi).unwrap();
+        let plan = Binder::new(&EngineCatalog(self)).bind_statement(&stmts[0].stmt).unwrap();
+        let memo = SubqueryMemo::default();
+        let result = self.execute_plan_with(&plan, &memo);
+        (result, memo.counts())
+    }
+}

@@ -1,5 +1,7 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 
+use std::rc::Rc;
+
 use hyperq_xtra::datum::{add_months, ymd_from_date, Datum, Decimal};
 use hyperq_xtra::expr::{
     AggFunc, ArithOp, BoolOp, CmpOp, DateField, Quantifier, ScalarExpr, ScalarFunc,
@@ -10,6 +12,7 @@ use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
 use crate::exec::execute_rel;
+use crate::memo::SubqueryMemo;
 
 /// Evaluation error.
 pub type EvalError = String;
@@ -17,15 +20,16 @@ pub type EvalResult = Result<Datum, EvalError>;
 
 /// A stack of (schema, row) scopes, innermost last: the evaluator resolves
 /// column references innermost-first, which is what makes correlated
-/// subqueries work.
+/// subqueries work. `memo` is the statement's subquery memo.
 pub struct EvalContext<'a> {
     pub db: &'a EngineDb,
+    pub memo: &'a SubqueryMemo,
     pub scopes: Vec<(&'a Schema, &'a Row)>,
 }
 
 impl<'a> EvalContext<'a> {
-    pub fn new(db: &'a EngineDb) -> Self {
-        EvalContext { db, scopes: Vec::new() }
+    pub fn new(db: &'a EngineDb, memo: &'a SubqueryMemo) -> Self {
+        EvalContext { db, memo, scopes: Vec::new() }
     }
 
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> EvalResult {
@@ -181,7 +185,7 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
                 .collect::<Result<_, _>>()?;
             let rows = execute_subquery(subquery, ctx)?;
             let mut saw_null = false;
-            for row in &rows {
+            for row in rows.iter() {
                 match rows_equal(&left, row) {
                     Some(true) => return Ok(Datum::Bool(!*negated)),
                     None => saw_null = true,
@@ -199,7 +203,7 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
             let mut saw_null = false;
             match quantifier {
                 Quantifier::Any => {
-                    for row in &rows {
+                    for row in rows.iter() {
                         match rows_cmp(*op, &l, row) {
                             Some(true) => return Ok(Datum::Bool(true)),
                             None => saw_null = true,
@@ -209,7 +213,7 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
                     Ok(if saw_null { Datum::Null } else { Datum::Bool(false) })
                 }
                 Quantifier::All => {
-                    for row in &rows {
+                    for row in rows.iter() {
                         match rows_cmp(*op, &l, row) {
                             Some(false) => return Ok(Datum::Bool(false)),
                             None => saw_null = true,
@@ -223,8 +227,15 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
     }
 }
 
-fn execute_subquery(rel: &hyperq_xtra::rel::RelExpr, ctx: &mut EvalContext<'_>) -> Result<Vec<Row>, EvalError> {
-    execute_rel(rel, ctx.db, &ctx.scopes)
+fn execute_subquery(
+    rel: &hyperq_xtra::rel::RelExpr,
+    ctx: &EvalContext<'_>,
+) -> Result<Rc<Vec<Row>>, EvalError> {
+    ctx.memo.rows(
+        rel,
+        |c| ctx.resolve(c.qualifier.as_deref(), &c.name).ok(),
+        || execute_rel(rel, ctx.db, ctx.memo, &ctx.scopes),
+    )
 }
 
 /// Evaluate a predicate to SQL truth: `Some(bool)` or `None` for UNKNOWN.

@@ -4,13 +4,14 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use hyperq_xtra::datum::Datum;
-use hyperq_xtra::expr::{CmpOp, ScalarExpr, SortExpr, WindowFuncKind};
+use hyperq_xtra::expr::{BoolOp, CmpOp, ScalarExpr, SortExpr, WindowFuncKind};
 use hyperq_xtra::rel::{Grouping, JoinKind, RelExpr, SetOpKind};
 use hyperq_xtra::schema::Schema;
 use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
 use crate::eval::{eval, eval_truth, AggState, EvalContext, EvalError};
+use crate::memo::SubqueryMemo;
 
 type Scopes<'a> = [(&'a Schema, &'a Row)];
 
@@ -67,10 +68,11 @@ impl ChargeTicker {
 }
 
 /// Execute a relational tree, with `outer` scopes available for correlated
-/// column references.
+/// column references and `memo` holding the statement's subquery results.
 pub fn execute_rel(
     rel: &RelExpr,
     db: &EngineDb,
+    memo: &SubqueryMemo,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
     // Cooperative cancellation at every operator boundary; joins and
@@ -84,7 +86,7 @@ pub fn execute_rel(
         RelExpr::Values { rows, .. } => {
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
-                let mut ctx = EvalContext { db, scopes: outer.to_vec() };
+                let mut ctx = EvalContext { db, memo, scopes: outer.to_vec() };
                 let mut vals = Vec::with_capacity(row.len());
                 for e in row {
                     vals.push(eval(e, &mut ctx)?);
@@ -95,12 +97,12 @@ pub fn execute_rel(
         }
         RelExpr::Select { input, predicate } => {
             let schema = input.schema();
-            let rows = execute_rel(input, db, outer)?;
+            let rows = execute_rel(input, db, memo, outer)?;
             let mut out = Vec::new();
             for row in rows {
                 let mut scopes = outer.to_vec();
                 scopes.push((&schema, &row));
-                let mut ctx = EvalContext { db, scopes };
+                let mut ctx = EvalContext { db, memo, scopes };
                 if eval_truth(predicate, &mut ctx)? == Some(true) {
                     out.push(row);
                 }
@@ -109,12 +111,12 @@ pub fn execute_rel(
         }
         RelExpr::Project { input, exprs } => {
             let schema = input.schema();
-            let rows = execute_rel(input, db, outer)?;
+            let rows = execute_rel(input, db, memo, outer)?;
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
                 let mut scopes = outer.to_vec();
                 scopes.push((&schema, &row));
-                let mut ctx = EvalContext { db, scopes };
+                let mut ctx = EvalContext { db, memo, scopes };
                 let mut projected = Vec::with_capacity(exprs.len());
                 for (e, _) in exprs {
                     projected.push(eval(e, &mut ctx)?);
@@ -124,10 +126,10 @@ pub fn execute_rel(
             Ok(out)
         }
         RelExpr::Window { input, exprs } => {
-            execute_window(input, exprs, db, outer)
+            execute_window(input, exprs, db, memo, outer)
         }
         RelExpr::Join { kind, left, right, condition } => {
-            execute_join(*kind, left, right, condition.as_ref(), db, outer)
+            execute_join(*kind, left, right, condition.as_ref(), db, memo, outer)
         }
         RelExpr::Aggregate { input, group_by, grouping, aggs } => {
             if matches!(grouping, Grouping::Sets(_)) {
@@ -135,23 +137,23 @@ pub fn execute_rel(
                 // expansion rule must fire before SQL reaches the engine.
                 return Err("GROUPING SETS are not supported by this warehouse".to_string());
             }
-            execute_aggregate(input, group_by, aggs, db, outer)
+            execute_aggregate(input, group_by, aggs, db, memo, outer)
         }
         RelExpr::Distinct { input } => {
-            let rows = execute_rel(input, db, outer)?;
+            let rows = execute_rel(input, db, memo, outer)?;
             let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
             Ok(rows.into_iter().filter(|r| seen.insert(r.clone())).collect())
         }
         RelExpr::Sort { input, keys } => {
             let schema = input.schema();
-            let rows = execute_rel(input, db, outer)?;
-            sort_rows(rows, &schema, keys, db, outer)
+            let rows = execute_rel(input, db, memo, outer)?;
+            sort_rows(rows, &schema, keys, db, memo, outer)
         }
         RelExpr::Limit { input, limit, offset, with_ties } => {
             if *with_ties {
                 return Err("FETCH ... WITH TIES is not supported by this warehouse".to_string());
             }
-            let mut rows = execute_rel(input, db, outer)?;
+            let mut rows = execute_rel(input, db, memo, outer)?;
             let start = (*offset as usize).min(rows.len());
             rows.drain(..start);
             if let Some(n) = limit {
@@ -160,11 +162,11 @@ pub fn execute_rel(
             Ok(rows)
         }
         RelExpr::SetOp { kind, all, left, right } => {
-            let l = execute_rel(left, db, outer)?;
-            let r = execute_rel(right, db, outer)?;
+            let l = execute_rel(left, db, memo, outer)?;
+            let r = execute_rel(right, db, memo, outer)?;
             Ok(execute_setop(*kind, *all, l, r))
         }
-        RelExpr::Alias { input, .. } => execute_rel(input, db, outer),
+        RelExpr::Alias { input, .. } => execute_rel(input, db, memo, outer),
     }?;
     // Joins charge incrementally while producing (see ChargeTicker);
     // every other operator charges its materialized output here, once.
@@ -182,13 +184,14 @@ pub fn sort_rows(
     schema: &Schema,
     keys: &[SortExpr],
     db: &EngineDb,
+    memo: &SubqueryMemo,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
     let mut keyed: Vec<(Vec<Datum>, Row)> = Vec::with_capacity(rows.len());
     for row in rows {
         let mut scopes = outer.to_vec();
         scopes.push((schema, &row));
-        let mut ctx = EvalContext { db, scopes };
+        let mut ctx = EvalContext { db, memo, scopes };
         let mut kv = Vec::with_capacity(keys.len());
         for k in keys {
             kv.push(eval(&k.expr, &mut ctx)?);
@@ -243,10 +246,11 @@ fn execute_window(
     input: &RelExpr,
     exprs: &[hyperq_xtra::expr::WindowExpr],
     db: &EngineDb,
+    memo: &SubqueryMemo,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
     let schema = input.schema();
-    let rows = execute_rel(input, db, outer)?;
+    let rows = execute_rel(input, db, memo, outer)?;
     let n = rows.len();
     // Each window function appends one column; computed independently.
     let mut appended: Vec<Vec<Datum>> = vec![Vec::with_capacity(exprs.len()); n];
@@ -259,7 +263,7 @@ fn execute_window(
         for row in &rows {
             let mut scopes = outer.to_vec();
             scopes.push((&schema, row));
-            let mut ctx = EvalContext { db, scopes };
+            let mut ctx = EvalContext { db, memo, scopes };
             let mut pk = Vec::with_capacity(w.partition_by.len());
             for p in &w.partition_by {
                 pk.push(eval(p, &mut ctx)?);
@@ -397,10 +401,11 @@ fn execute_aggregate(
     group_by: &[(ScalarExpr, String)],
     aggs: &[(ScalarExpr, String)],
     db: &EngineDb,
+    memo: &SubqueryMemo,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
     let schema = input.schema();
-    let rows = execute_rel(input, db, outer)?;
+    let rows = execute_rel(input, db, memo, outer)?;
 
     struct AggSpec<'e> {
         func: hyperq_xtra::expr::AggFunc,
@@ -421,9 +426,10 @@ fn execute_aggregate(
         })
         .collect::<Result<_, _>>()?;
 
-    // Group — preserving first-seen order for determinism.
-    let mut groups: HashMap<Vec<Datum>, Vec<AggState>> = HashMap::new();
-    let mut order: Vec<Vec<Datum>> = Vec::new();
+    // Group — preserving first-seen order for determinism: `slots` maps a
+    // key to its position in `groups`.
+    let mut slots: HashMap<Vec<Datum>, usize> = HashMap::new();
+    let mut groups: Vec<(Vec<Datum>, Vec<AggState>)> = Vec::new();
     // Each distinct group holds a key vector plus aggregate states; the
     // ticker charges that hash-table growth and checkpoints the loop.
     let mut ticker = ChargeTicker::new(group_by.len() + aggs.len());
@@ -435,33 +441,25 @@ fn execute_aggregate(
         }
         let mut scopes = outer.to_vec();
         scopes.push((&schema, row));
-        let mut ctx = EvalContext { db, scopes };
+        let mut ctx = EvalContext { db, memo, scopes };
         let mut key = Vec::with_capacity(group_by.len());
         for (g, _) in group_by {
             key.push(eval(g, &mut ctx)?);
         }
-        let states = match groups.get_mut(&key) {
-            Some(s) => s,
+        let slot = match slots.get(&key) {
+            Some(&slot) => slot,
             None => {
                 ticker.produced()?;
-                order.push(key.clone());
-                groups.entry(key.clone()).or_insert_with(|| {
-                    specs
-                        .iter()
-                        .map(|s| AggState::new(s.func, s.distinct, s.ty.clone()))
-                        .collect()
-                })
+                slots.insert(key.clone(), groups.len());
+                let states =
+                    specs.iter().map(|s| AggState::new(s.func, s.distinct, s.ty.clone())).collect();
+                groups.push((key, states));
+                groups.len() - 1
             }
         };
-        for (state, spec) in states.iter_mut().zip(specs.iter()) {
+        for (state, spec) in groups[slot].1.iter_mut().zip(specs.iter()) {
             match spec.arg {
-                Some(a) => {
-                    let mut scopes = outer.to_vec();
-                    scopes.push((&schema, row));
-                    let mut actx = EvalContext { db, scopes };
-                    let v = eval(a, &mut actx)?;
-                    state.update(Some(&v))?;
-                }
+                Some(a) => state.update(Some(&eval(a, &mut ctx)?))?,
                 None => state.update(None)?,
             }
         }
@@ -481,9 +479,8 @@ fn execute_aggregate(
         return Ok(vec![row]);
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let states = groups.remove(&key).expect("key recorded on insert");
+    let mut out = Vec::with_capacity(groups.len());
+    for (key, states) in groups {
         let mut row = key;
         for s in states {
             row.push(s.finish()?);
@@ -503,6 +500,7 @@ fn execute_join(
     right: &RelExpr,
     condition: Option<&ScalarExpr>,
     db: &EngineDb,
+    memo: &SubqueryMemo,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
     let lschema = left.schema();
@@ -510,24 +508,26 @@ fn execute_join(
     // Residual predicates always see the concatenated row, regardless of
     // the join's output schema (semi/anti joins output only the left side).
     let combined_schema = lschema.join(&rschema);
-    let lrows = execute_rel(left, db, outer)?;
-    let rrows = execute_rel(right, db, outer)?;
+    let lrows = execute_rel(left, db, memo, outer)?;
+    let rrows = execute_rel(right, db, memo, outer)?;
     let lwidth = lschema.len();
     let rwidth = rschema.len();
 
-    // Try to extract hash keys from the condition.
+    // Try to extract hash keys from the condition. Keys and residual
+    // borrow from the plan: the subquery memo keys on node addresses, so
+    // execution must not clone plan nodes into temporaries.
     let (lkeys, rkeys, residual) = match condition {
         Some(c) if kind != JoinKind::Cross => split_equi_condition(c, &lschema, &rschema),
-        _ => (Vec::new(), Vec::new(), condition.cloned()),
+        _ => (Vec::new(), Vec::new(), condition.into_iter().collect()),
     };
 
-    let eval_keys = |exprs: &[ScalarExpr],
+    let eval_keys = |exprs: &[&ScalarExpr],
                      schema: &Schema,
                      row: &Row|
      -> Result<Option<Vec<Datum>>, EvalError> {
         let mut scopes = outer.to_vec();
         scopes.push((schema, row));
-        let mut ctx = EvalContext { db, scopes };
+        let mut ctx = EvalContext { db, memo, scopes };
         let mut key = Vec::with_capacity(exprs.len());
         for e in exprs {
             let v = eval(e, &mut ctx)?;
@@ -539,16 +539,24 @@ fn execute_join(
         Ok(Some(key))
     };
 
+    // The residual conjuncts under AND's three-valued logic: FALSE stops
+    // the scan, UNKNOWN does not, and only all-TRUE passes.
     let residual_ok = |combined: &Row| -> Result<bool, EvalError> {
-        match &residual {
-            None => Ok(true),
-            Some(p) => {
-                let mut scopes = outer.to_vec();
-                scopes.push((&combined_schema, combined));
-                let mut ctx = EvalContext { db, scopes };
-                Ok(eval_truth(p, &mut ctx)? == Some(true))
+        if residual.is_empty() {
+            return Ok(true);
+        }
+        let mut scopes = outer.to_vec();
+        scopes.push((&combined_schema, combined));
+        let mut ctx = EvalContext { db, memo, scopes };
+        let mut all_true = true;
+        for p in &residual {
+            match eval_truth(p, &mut ctx)? {
+                Some(false) => return Ok(false),
+                None => all_true = false,
+                Some(true) => {}
             }
         }
+        Ok(all_true)
     };
 
     let mut out: Vec<Row> = Vec::new();
@@ -611,11 +619,7 @@ fn execute_join(
             for (ri, rrow) in rrows.iter().enumerate() {
                 let mut combined = lrow.clone();
                 combined.extend(rrow.iter().cloned());
-                let ok = match (&residual, kind) {
-                    (None, _) => true,
-                    (Some(_), _) => residual_ok(&combined)?,
-                };
-                if ok {
+                if residual_ok(&combined)? {
                     matched = true;
                     right_matched[ri] = true;
                     if !semi_anti {
@@ -654,53 +658,48 @@ fn execute_join(
     Ok(out)
 }
 
+/// The hash-joinable equi-pairs of an AND-tree (left keys, right keys)
+/// plus the residual conjuncts.
+type EquiSplit<'e> = (Vec<&'e ScalarExpr>, Vec<&'e ScalarExpr>, Vec<&'e ScalarExpr>);
+
 /// Split an AND-tree into hash-joinable equi-pairs plus a residual.
-fn split_equi_condition(
-    c: &ScalarExpr,
-    lschema: &Schema,
-    rschema: &Schema,
-) -> (Vec<ScalarExpr>, Vec<ScalarExpr>, Option<ScalarExpr>) {
-    let mut conjuncts: Vec<ScalarExpr> = Vec::new();
-    flatten_and(c, &mut conjuncts);
+fn split_equi_condition<'e>(c: &'e ScalarExpr, lschema: &Schema, rschema: &Schema) -> EquiSplit<'e> {
     let mut lkeys = Vec::new();
     let mut rkeys = Vec::new();
     let mut residual = Vec::new();
-    for conj in conjuncts {
-        if let ScalarExpr::Cmp { op: CmpOp::Eq, left, right } = &conj {
-            let l_in_l = resolves_in(left, lschema);
-            let r_in_r = resolves_in(right, rschema);
-            if l_in_l && r_in_r {
-                lkeys.push((**left).clone());
-                rkeys.push((**right).clone());
+    for conj in conjuncts(c) {
+        if let ScalarExpr::Cmp { op: CmpOp::Eq, left, right } = conj {
+            if resolves_in(left, lschema) && resolves_in(right, rschema) {
+                lkeys.push(&**left);
+                rkeys.push(&**right);
                 continue;
             }
-            let l_in_r = resolves_in(left, rschema);
-            let r_in_l = resolves_in(right, lschema);
-            if l_in_r && r_in_l {
-                lkeys.push((**right).clone());
-                rkeys.push((**left).clone());
+            if resolves_in(left, rschema) && resolves_in(right, lschema) {
+                lkeys.push(&**right);
+                rkeys.push(&**left);
                 continue;
             }
         }
         residual.push(conj);
     }
-    let residual = if residual.is_empty() {
-        None
-    } else {
-        Some(ScalarExpr::and(residual))
-    };
     (lkeys, rkeys, residual)
 }
 
-fn flatten_and(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
-    match e {
-        ScalarExpr::BoolExpr { op: hyperq_xtra::expr::BoolOp::And, args } => {
-            for a in args {
-                flatten_and(a, out);
+/// The conjuncts of a (possibly nested) AND-tree, left to right.
+pub(crate) fn conjuncts(e: &ScalarExpr) -> Vec<&ScalarExpr> {
+    fn walk<'e>(e: &'e ScalarExpr, out: &mut Vec<&'e ScalarExpr>) {
+        match e {
+            ScalarExpr::BoolExpr { op: BoolOp::And, args } => {
+                for a in args {
+                    walk(a, out);
+                }
             }
+            other => out.push(other),
         }
-        other => out.push(other.clone()),
     }
+    let mut out = Vec::new();
+    walk(e, &mut out);
+    out
 }
 
 /// Does every column reference in `e` resolve in `schema`, with at least

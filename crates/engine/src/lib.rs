@@ -15,8 +15,10 @@
 //!   no grouping sets — requests using them are rejected, which is what
 //!   forces Hyper-Q's rewrites and emulations to actually run;
 //! * execution is correct rather than clever: hash joins and hash
-//!   aggregation where possible, nested loops otherwise, naive (re-executed)
-//!   correlated subqueries.
+//!   aggregation where possible, nested loops otherwise. Subqueries the
+//!   optimizer cannot decorrelate run through a per-statement memo: once
+//!   per distinct value of their outer references (once per statement
+//!   when uncorrelated), not once per outer row.
 //!
 //! Concurrency: the catalog is guarded by an `RwLock` and table contents
 //! are copy-on-write (`Arc<Vec<Row>>`), so concurrent analytical readers —
@@ -28,6 +30,8 @@
 mod db;
 mod eval;
 mod exec;
+mod memo;
 mod optimize;
+mod scope;
 
 pub use db::EngineDb;

@@ -7,9 +7,12 @@
 //! particular, via implicit joins) routinely spell joins as cross products
 //! filtered by `WHERE`.
 
-use hyperq_xtra::expr::{BoolOp, ScalarExpr};
+use hyperq_xtra::expr::ScalarExpr;
 use hyperq_xtra::rel::{JoinKind, RelExpr};
 use hyperq_xtra::schema::Schema;
+
+use crate::exec::conjuncts;
+use crate::scope::{free_refs, free_refs_over};
 
 /// Push filter conjuncts down into join inputs/conditions and decorrelate
 /// top-level [NOT] EXISTS conjuncts into semi/anti joins, until fixed
@@ -73,50 +76,40 @@ fn decorrelate_exists(
     input: RelExpr,
     predicate: ScalarExpr,
 ) -> Result<RelExpr, (RelExpr, ScalarExpr)> {
-    let mut conjuncts = Vec::new();
-    flatten_and(predicate.clone(), &mut conjuncts);
+    let mut conjuncts: Vec<ScalarExpr> = conjuncts(&predicate).into_iter().cloned().collect();
     let input_schema = input.schema();
 
-    // Find the first decorrelatable [NOT] EXISTS or [NOT] IN conjunct.
-    let pos = conjuncts.iter().position(|c| match c {
-        ScalarExpr::Exists { subquery, .. } => exists_plan(subquery, &input_schema).is_some(),
-        ScalarExpr::InSubquery { exprs, subquery, negated } => {
-            in_subquery_decorrelatable(exprs, subquery, *negated, &input_schema)
+    // Find the first decorrelatable [NOT] EXISTS or [NOT] IN conjunct and
+    // plan its join: (position, negated, inner relation, join condition).
+    let found = conjuncts.iter().enumerate().find_map(|(pos, c)| match c {
+        ScalarExpr::Exists { subquery, negated } => {
+            exists_plan(subquery, &input_schema).map(|(inner, mut keys, residual)| {
+                keys.extend(residual);
+                (pos, *negated, inner, keys)
+            })
         }
-        _ => false,
-    });
-    let Some(pos) = pos else {
-        return Err((input, predicate));
-    };
-    let (negated, inner, condition) = match conjuncts.remove(pos) {
-        ScalarExpr::Exists { negated, subquery } => {
-            let (inner, keys, residual) =
-                exists_plan(&subquery, &input_schema).expect("checked by position");
-            let mut cond = keys;
-            cond.extend(residual);
-            (negated, inner, cond)
-        }
-        ScalarExpr::InSubquery { exprs, subquery, negated } => {
-            let inner_schema = subquery.schema();
-            let keys: Vec<ScalarExpr> = exprs
+        ScalarExpr::InSubquery { exprs, subquery, negated }
+            if in_subquery_decorrelatable(exprs, subquery, *negated, &input_schema) =>
+        {
+            let keys = exprs
                 .iter()
-                .zip(inner_schema.fields.iter())
+                .zip(subquery.schema().fields)
                 .map(|(e, f)| {
                     ScalarExpr::cmp(
                         hyperq_xtra::expr::CmpOp::Eq,
                         e.clone(),
-                        ScalarExpr::Column {
-                            qualifier: f.qualifier.clone(),
-                            name: f.name.clone(),
-                            ty: f.ty.clone(),
-                        },
+                        ScalarExpr::Column { qualifier: f.qualifier, name: f.name, ty: f.ty },
                     )
                 })
                 .collect();
-            (negated, *subquery, keys)
+            Some((pos, *negated, (**subquery).clone(), keys))
         }
-        _ => unreachable!("position matched above"),
+        _ => None,
+    });
+    let Some((pos, negated, inner, condition)) = found else {
+        return Err((input, predicate));
     };
+    conjuncts.remove(pos);
 
     let kind = if negated { JoinKind::Anti } else { JoinKind::Semi };
     if condition.is_empty() {
@@ -149,28 +142,25 @@ fn exists_plan(
     while let RelExpr::Project { input, .. } | RelExpr::Alias { input, .. } = cur {
         cur = input;
     }
-    let (inner, pred) = match cur {
-        RelExpr::Select { input, predicate } => ((**input).clone(), predicate.clone()),
-        _ => return None,
+    let RelExpr::Select { input: inner, predicate } = cur else {
+        return None;
     };
     // The inner source must be self-contained: no nested subqueries and
-    // every column resolvable against its own schema (otherwise the hash
-    // build would capture correlation).
-    if has_subquery_rel(&inner) || !rel_self_contained(&inner) {
+    // no free references (otherwise the hash build would capture
+    // correlation).
+    if has_subquery_rel(inner) || !free_refs(inner).is_empty() {
         return None;
     }
     let inner_schema = inner.schema();
-    let mut conjuncts = Vec::new();
-    flatten_and(pred, &mut conjuncts);
     let mut keys = Vec::new();
     let mut inner_local = Vec::new();
     let mut residual = Vec::new();
-    for c in conjuncts {
-        if refs_resolve_in(&c, &inner_schema) {
-            inner_local.push(c);
+    for c in conjuncts(predicate) {
+        if refs_resolve_in(c, &inner_schema) {
+            inner_local.push(c.clone());
             continue;
         }
-        if let ScalarExpr::Cmp { op: hyperq_xtra::expr::CmpOp::Eq, left, right } = &c {
+        if let ScalarExpr::Cmp { op: hyperq_xtra::expr::CmpOp::Eq, left, right } = c {
             let l_inner = refs_resolve_in(left, &inner_schema);
             let r_inner = refs_resolve_in(right, &inner_schema);
             let l_outer = refs_resolve_in(left, outer);
@@ -186,9 +176,8 @@ fn exists_plan(
         }
         // Correlated non-equi (or mixed): only safe as a join residual if
         // it resolves against the combined scope.
-        let combined = outer.join(&inner_schema);
-        if refs_resolve_in_allow_sub(&c, &combined) {
-            residual.push(c);
+        if free_refs_over(c, outer.join(&inner_schema)).is_empty() {
+            residual.push(c.clone());
         } else {
             return None;
         }
@@ -199,9 +188,9 @@ fn exists_plan(
         return None;
     }
     let inner = if inner_local.is_empty() {
-        inner
+        (**inner).clone()
     } else {
-        RelExpr::Select { input: Box::new(inner), predicate: ScalarExpr::and(inner_local) }
+        RelExpr::Select { input: inner.clone(), predicate: ScalarExpr::and(inner_local) }
     };
     Some((inner, keys, residual))
 }
@@ -218,7 +207,7 @@ fn in_subquery_decorrelatable(
     negated: bool,
     outer: &Schema,
 ) -> bool {
-    if has_subquery_rel(subquery) || !rel_self_contained(subquery) {
+    if has_subquery_rel(subquery) || !free_refs(subquery).is_empty() {
         return false;
     }
     if !exprs.iter().all(|e| refs_resolve_in(e, outer)) {
@@ -261,107 +250,6 @@ fn has_subquery_rel(rel: &RelExpr) -> bool {
     found
 }
 
-/// Every operator's expressions resolve against that operator's own
-/// input schema(s): the relation carries no correlated (outer) references
-/// and can safely serve as the build side of a hash semi/anti join.
-fn rel_self_contained(rel: &RelExpr) -> bool {
-    match rel {
-        RelExpr::Get { .. } => true,
-        RelExpr::Values { rows, .. } => rows
-            .iter()
-            .flatten()
-            .all(|e| refs_resolve_in_or_no_columns(e, &Schema::empty())),
-        RelExpr::Select { input, predicate } => {
-            rel_self_contained(input)
-                && refs_resolve_in_or_no_columns(predicate, &input.schema())
-        }
-        RelExpr::Project { input, exprs } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && exprs.iter().all(|(e, _)| refs_resolve_in_or_no_columns(e, &schema))
-        }
-        RelExpr::Window { input, exprs } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && exprs.iter().all(|w| {
-                    w.arg
-                        .as_ref()
-                        .is_none_or(|a| refs_resolve_in_or_no_columns(a, &schema))
-                        && w.partition_by
-                            .iter()
-                            .all(|p| refs_resolve_in_or_no_columns(p, &schema))
-                        && w.order_by
-                            .iter()
-                            .all(|k| refs_resolve_in_or_no_columns(&k.expr, &schema))
-                })
-        }
-        RelExpr::Join { left, right, condition, .. } => {
-            let combined = left.schema().join(&right.schema());
-            rel_self_contained(left)
-                && rel_self_contained(right)
-                && condition
-                    .as_ref()
-                    .is_none_or(|c| refs_resolve_in_or_no_columns(c, &combined))
-        }
-        RelExpr::Aggregate { input, group_by, aggs, .. } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && group_by
-                    .iter()
-                    .chain(aggs.iter())
-                    .all(|(e, _)| refs_resolve_in_or_no_columns(e, &schema))
-        }
-        RelExpr::Sort { input, keys } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && keys
-                    .iter()
-                    .all(|k| refs_resolve_in_or_no_columns(&k.expr, &schema))
-        }
-        RelExpr::Distinct { input }
-        | RelExpr::Limit { input, .. }
-        | RelExpr::Alias { input, .. } => rel_self_contained(input),
-        RelExpr::SetOp { left, right, .. } => {
-            rel_self_contained(left) && rel_self_contained(right)
-        }
-    }
-}
-
-/// Every column in `e` resolves in `schema` (expressions without columns
-/// trivially pass); subqueries have already been excluded by the caller.
-fn refs_resolve_in_or_no_columns(e: &ScalarExpr, schema: &Schema) -> bool {
-    let mut ok = true;
-    e.visit(
-        &mut |x| {
-            if let ScalarExpr::Column { qualifier, name, .. } = x {
-                if !matches!(schema.try_resolve(qualifier.as_deref(), name), Ok(Some(_))) {
-                    ok = false;
-                }
-            }
-        },
-        &mut |_| {},
-    );
-    ok
-}
-
-/// Like [`refs_resolve_in`] but tolerant of subqueries (not used for hash
-/// keys, only for residual classification where per-pair evaluation is
-/// fine).
-fn refs_resolve_in_allow_sub(e: &ScalarExpr, schema: &Schema) -> bool {
-    let mut ok = true;
-    e.visit(
-        &mut |x| {
-            if let ScalarExpr::Column { qualifier, name, .. } = x {
-                if !matches!(schema.try_resolve(qualifier.as_deref(), name), Ok(Some(_))) {
-                    ok = false;
-                }
-            }
-        },
-        &mut |_| {},
-    );
-    ok
-}
-
 /// Returns the rewritten tree and whether anything actually moved.
 fn push_into_join(
     _kind: JoinKind,
@@ -374,24 +262,16 @@ fn push_into_join(
     let rschema = right.schema();
     let combined = lschema.join(&rschema);
 
-    let mut pred_conjuncts = Vec::new();
-    flatten_and(predicate, &mut pred_conjuncts);
+    let pred_conjuncts = conjuncts(&predicate);
     let n_pred = pred_conjuncts.len();
-    let mut cond_conjuncts = Vec::new();
-    if let Some(c) = condition {
-        flatten_and(c, &mut cond_conjuncts);
-    }
+    let cond_conjuncts = condition.as_ref().map(conjuncts).unwrap_or_default();
 
     let mut left_preds = Vec::new();
     let mut right_preds = Vec::new();
     let mut join_preds = Vec::new();
     let mut residual = Vec::new();
     let mut moved = false;
-    for (i, c) in pred_conjuncts
-        .into_iter()
-        .chain(cond_conjuncts)
-        .enumerate()
-    {
+    for (i, c) in pred_conjuncts.into_iter().chain(cond_conjuncts).cloned().enumerate() {
         let from_predicate = i < n_pred;
         if refs_resolve_in(&c, &lschema) {
             moved = true;
@@ -433,17 +313,6 @@ fn push_into_join(
         RelExpr::Select { input: Box::new(join), predicate: ScalarExpr::and(residual) }
     };
     (out, moved)
-}
-
-fn flatten_and(e: ScalarExpr, out: &mut Vec<ScalarExpr>) {
-    match e {
-        ScalarExpr::BoolExpr { op: BoolOp::And, args } => {
-            for a in args {
-                flatten_and(a, out);
-            }
-        }
-        other => out.push(other),
-    }
 }
 
 /// True when the conjunct can be evaluated given only `schema`: every

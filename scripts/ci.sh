@@ -68,10 +68,10 @@ for i in $(seq 20); do cargo test -q --offline --test soak; done
 (cd bench && cargo test --offline)
 
 # Production-path panic hygiene: no `.unwrap()` / `.expect(` in non-test
-# code of the gateway-facing crates (wire, governor), the replica
-# HA modules, and the target-profile registry/flavor modules. The awk
-# strips everything from the first `#[cfg(test)]` module onward.
-for src in crates/wire/src crates/governor/src \
+# code of the gateway-facing crates (wire, governor), the engine, the
+# replica HA modules, and the target-profile registry/flavor modules. The
+# awk strips everything from the first `#[cfg(test)]` module onward.
+for src in crates/wire/src crates/governor/src crates/engine/src \
     crates/core/src/replicate.rs crates/core/src/repair.rs \
     crates/core/src/targets.rs crates/core/src/serialize/flavor.rs; do
     offenders=$(find "$src" -name '*.rs' -exec awk '

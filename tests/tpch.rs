@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hyperq::core::{Backend, HyperQBuilder};
+use hyperq::core::{Backend, HyperQBuilder, Request};
 use hyperq::engine::EngineDb;
 use hyperq::workload::tpch;
 
@@ -11,11 +11,15 @@ use hyperq::workload::tpch;
 const SCALE: f64 = 0.002;
 
 fn load() -> Arc<EngineDb> {
+    load_seed(1234)
+}
+
+fn load_seed(seed: u64) -> Arc<EngineDb> {
     let db = Arc::new(EngineDb::new());
     for ddl in tpch::ddl() {
         db.execute_sql(&ddl).unwrap();
     }
-    for (table, rows) in tpch::generate(SCALE, 1234).tables() {
+    for (table, rows) in tpch::generate(SCALE, seed).tables() {
         db.load_rows(table, rows).unwrap();
     }
     db
@@ -38,6 +42,69 @@ fn all_22_queries_run_through_hyperq() {
             outcome.timings.translation.as_nanos() > 0,
             "Q{n} recorded no translation time"
         );
+    }
+}
+
+/// One block per query: a `Qn` line with the row count and column names,
+/// then one tab-separated line per row in result order. `to_sql_string`
+/// keeps representations apart (`1`, `1.00`, `1.0`) and prints doubles in
+/// shortest round-trip form, so any change to a value shows.
+fn render_results(db: &Arc<EngineDb>) -> String {
+    let mut hq = HyperQBuilder::for_target(Arc::clone(db) as Arc<dyn Backend>, hyperq::core::targets::simwh()).build();
+    let mut out = String::new();
+    for (n, sql) in tpch::queries() {
+        let result = hq.run_one(sql).unwrap_or_else(|e| panic!("Q{n} failed: {e}")).result;
+        let columns: Vec<&str> = result.schema.fields.iter().map(|f| f.name.as_str()).collect();
+        out.push_str(&format!("Q{n}\t{} rows\t{}\n", result.rows.len(), columns.join(",")));
+        for row in &result.rows {
+            let cells: Vec<String> = row.iter().map(hyperq::xtra::Datum::to_sql_string).collect();
+            out.push_str(&cells.join("\t"));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn all_22_result_sets_match_the_snapshot() {
+    // The result-level gate for engine optimizations: every row of every
+    // query, compared with a snapshot captured before the subquery memo
+    // existed. Seed 28 joins the suite's seed 1234 because with 1234
+    // alone a memo that ran each correlated subquery (Q2, Q17, Q20) once
+    // per statement would still match every result. A mismatch writes
+    // the fresh rendering next to the test binaries so the two can be
+    // diffed.
+    let mut fresh = String::new();
+    for seed in [1234, 28] {
+        fresh.push_str(&format!("-- seed {seed}\n"));
+        fresh.push_str(&render_results(&load_seed(seed)));
+    }
+    let golden = include_str!("snapshots/tpch_results.txt");
+    if fresh != golden {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("tpch_results.txt");
+        std::fs::write(&path, &fresh).unwrap();
+        let first_diff = golden.lines().zip(fresh.lines()).position(|(g, f)| g != f);
+        panic!(
+            "TPC-H results drifted from tests/snapshots/tpch_results.txt (first differing \
+             line: {first_diff:?}); fresh rendering written to {}",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn subquery_heavy_queries_fit_a_56_mib_budget() {
+    // The ledger counts every charge, so a subquery re-run per outer row
+    // is charged per outer row. With seed 28 all three queries reach their
+    // subquery and Q17's outer rows span three parts. Run once per
+    // distinct outer value, each needs at most 29 MB of charges; re-run
+    // per outer row they needed 113 MB (Q15), 169 MB (Q11) and 543 MB
+    // (Q17).
+    let db = load_seed(28);
+    let mut hq = HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq::core::targets::simwh()).build();
+    for n in [11, 15, 17] {
+        hq.run(Request::script(tpch::query(n)).memory_budget(56 << 20))
+            .unwrap_or_else(|e| panic!("Q{n} under a 56 MiB budget: {e}"));
     }
 }
 
