@@ -15,7 +15,7 @@ use hyperq_xtra::rel::Plan;
 use hyperq_xtra::Row;
 
 use crate::eval::{eval, eval_truth, EvalContext, EvalError};
-use crate::exec::execute_rel;
+use crate::exec::{execute_rel, Rows};
 use crate::memo::SubqueryMemo;
 
 /// One stored table: definition plus copy-on-write contents.
@@ -250,7 +250,7 @@ impl EngineDb {
             Plan::Query(rel) => {
                 let optimized = crate::optimize::optimize(rel.clone());
                 let rows = execute_rel(&optimized, self, memo, &[])?;
-                Ok(ExecResult::rows(rel.schema(), rows))
+                Ok(ExecResult::rows(rel.schema(), rows.into_vec()))
             }
             Plan::Insert { table, columns, source } => {
                 let source = crate::optimize::optimize(source.clone());
@@ -294,7 +294,7 @@ impl EngineDb {
         &self,
         table: &str,
         columns: &[String],
-        rows: Vec<Row>,
+        rows: Rows,
         memo: &SubqueryMemo,
     ) -> Result<u64, EvalError> {
         let key = table.to_ascii_uppercase();
@@ -315,8 +315,9 @@ impl EngineDb {
                 })
                 .collect::<Result<_, _>>()?
         };
+        let mut defaults = EvalContext::new(self, memo, &[]);
         let mut full_rows: Vec<Row> = Vec::with_capacity(rows.len());
-        for row in rows {
+        for row in rows.into_vec() {
             if row.len() != positions.len() {
                 return Err(format!(
                     "INSERT provides {} values for {} columns",
@@ -332,8 +333,7 @@ impl EngineDb {
             for (i, col) in def.columns.iter().enumerate() {
                 if !positions.contains(&i) {
                     if let Some(d) = &col.default {
-                        let mut ctx = EvalContext::new(self, memo);
-                        full[i] = eval(d, &mut ctx)?;
+                        full[i] = eval(d, &mut defaults)?;
                     }
                 }
             }
@@ -374,18 +374,17 @@ impl EngineDb {
             .collect::<Result<_, _>>()?;
         let mut updated = 0u64;
         let mut new_rows: Vec<Row> = Vec::with_capacity(snapshot.len());
+        // Predicate and assignments all read the pre-update row.
+        let mut ctx = EvalContext::for_rows(self, memo, &[], &schema);
         for row in snapshot.iter() {
+            ctx.set_row(row);
             let matches = match predicate {
                 None => true,
-                Some(p) => {
-                    let mut ctx = EvalContext { db: self, memo, scopes: vec![(&schema, row)] };
-                    eval_truth(p, &mut ctx)? == Some(true)
-                }
+                Some(p) => eval_truth(p, &mut ctx)? == Some(true),
             };
             if matches {
                 let mut new_row = row.clone();
                 for (a, &pos) in assignments.iter().zip(targets.iter()) {
-                    let mut ctx = EvalContext { db: self, memo, scopes: vec![(&schema, row)] };
                     let v = eval(&a.value, &mut ctx)?;
                     new_row[pos] = coerce_value(&def.columns[pos], v)?;
                 }
@@ -419,13 +418,12 @@ impl EngineDb {
         let schema = def.schema(alias);
         let mut kept: Vec<Row> = Vec::with_capacity(snapshot.len());
         let mut deleted = 0u64;
+        let mut ctx = EvalContext::for_rows(self, memo, &[], &schema);
         for row in snapshot.iter() {
+            ctx.set_row(row);
             let matches = match predicate {
                 None => true,
-                Some(p) => {
-                    let mut ctx = EvalContext { db: self, memo, scopes: vec![(&schema, row)] };
-                    eval_truth(p, &mut ctx)? == Some(true)
-                }
+                Some(p) => eval_truth(p, &mut ctx)? == Some(true),
             };
             if matches {
                 deleted += 1;

@@ -11,37 +11,139 @@ use hyperq_xtra::types::SqlType;
 use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
-use crate::exec::execute_rel;
+use crate::exec::{execute_rel, Rows};
 use crate::memo::SubqueryMemo;
 
 /// Evaluation error.
 pub type EvalError = String;
 pub type EvalResult = Result<Datum, EvalError>;
 
+/// What a row scope points at until its operator's first `set_row`.
+static NO_ROW: Row = Vec::new();
+
 /// A stack of (schema, row) scopes, innermost last: the evaluator resolves
 /// column references innermost-first, which is what makes correlated
 /// subqueries work. `memo` is the statement's subquery memo.
+///
+/// An operator builds one context and repoints its innermost scope at each
+/// row with [`EvalContext::set_row`]. The scope *schemas* never change for
+/// a context's lifetime, so a column reference resolves to the same slot on
+/// every row; `slots` remembers it after the first.
 pub struct EvalContext<'a> {
-    pub db: &'a EngineDb,
-    pub memo: &'a SubqueryMemo,
-    pub scopes: Vec<(&'a Schema, &'a Row)>,
+    db: &'a EngineDb,
+    memo: &'a SubqueryMemo,
+    scopes: Vec<(&'a Schema, &'a Row)>,
+    slots: Slots,
+}
+
+/// The column references a context has resolved: a `Column` node's
+/// address and the (scope position, column index) the name lookup found.
+/// Addresses are stable while the plan is borrowed, because execution
+/// builds no temporary plan nodes (the subquery memo's precondition too).
+#[derive(Default)]
+pub struct Slots {
+    resolved: Vec<(*const ScalarExpr, usize, usize)>,
+    /// Where the next lookup starts. Every row evaluates the same
+    /// references in the same order, so it is usually the entry after the
+    /// last hit.
+    next: usize,
+}
+
+impl Slots {
+    fn get(&mut self, key: *const ScalarExpr) -> Option<(usize, usize)> {
+        let (before, after) = self.resolved.split_at(self.next);
+        let pos = match after.iter().position(|s| s.0 == key) {
+            Some(p) => self.next + p,
+            None => before.iter().position(|s| s.0 == key)?,
+        };
+        self.next = pos + 1;
+        let (_, d, i) = self.resolved[pos];
+        Some((d, i))
+    }
+
+    fn insert(&mut self, key: *const ScalarExpr, (d, i): (usize, usize)) {
+        self.resolved.push((key, d, i));
+        self.next = self.resolved.len();
+    }
 }
 
 impl<'a> EvalContext<'a> {
-    pub fn new(db: &'a EngineDb, memo: &'a SubqueryMemo) -> Self {
-        EvalContext { db, memo, scopes: Vec::new() }
+    /// A context over the `outer` scopes alone.
+    pub fn new(db: &'a EngineDb, memo: &'a SubqueryMemo, outer: &[(&'a Schema, &'a Row)]) -> Self {
+        EvalContext { db, memo, scopes: Vec::from(outer), slots: Slots::default() }
+    }
+
+    /// A context for one operator's row loop: `outer` plus an innermost
+    /// scope of `schema`, which [`EvalContext::set_row`] points at each row.
+    pub fn for_rows(
+        db: &'a EngineDb,
+        memo: &'a SubqueryMemo,
+        outer: &[(&'a Schema, &'a Row)],
+        schema: &'a Schema,
+    ) -> Self {
+        let mut scopes = Vec::with_capacity(outer.len() + 1);
+        scopes.extend_from_slice(outer);
+        scopes.push((schema, &NO_ROW));
+        EvalContext { db, memo, scopes, slots: Slots::default() }
+    }
+
+    /// Point the innermost scope of a [`EvalContext::for_rows`] context at
+    /// `row`.
+    pub fn set_row(&mut self, row: &'a Row) {
+        if let Some(scope) = self.scopes.last_mut() {
+            scope.1 = row;
+        }
+    }
+
+    /// Trade resolved slots with `slots`: how a context that lives for one
+    /// row hands them on to the next context over the same schemas.
+    pub fn swap_slots(&mut self, slots: &mut Slots) {
+        std::mem::swap(&mut self.slots, slots);
+    }
+
+    /// The scope position and column index of a reference: the innermost
+    /// scope that binds it unambiguously.
+    fn find(&self, qualifier: Option<&str>, name: &str) -> Result<(usize, usize), EvalError> {
+        self.scopes
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(d, (schema, _))| match schema.try_resolve(qualifier, name) {
+                Ok(Some(i)) => Some((d, i)),
+                _ => None,
+            })
+            .ok_or_else(|| {
+                format!(
+                    "column {}{name} not found at execution time",
+                    qualifier.map(|q| format!("{q}.")).unwrap_or_default()
+                )
+            })
     }
 
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> EvalResult {
-        for (schema, row) in self.scopes.iter().rev() {
-            if let Ok(Some(i)) = schema.try_resolve(qualifier, name) {
-                return Ok(row[i].clone());
+        let (d, i) = self.find(qualifier, name)?;
+        Ok(self.scopes[d].1[i].clone())
+    }
+
+    /// The value of column reference `e`: resolved by name on its first
+    /// evaluation, read from its cached slot on every later row.
+    fn column(&mut self, e: &ScalarExpr, qualifier: Option<&str>, name: &str) -> EvalResult {
+        let key = std::ptr::from_ref(e);
+        let (d, i) = match self.slots.get(key) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.find(qualifier, name)?;
+                self.slots.insert(key, slot);
+                slot
             }
-        }
-        Err(format!(
-            "column {}{name} not found at execution time",
-            qualifier.map(|q| format!("{q}.")).unwrap_or_default()
-        ))
+        };
+        let (schema, row) = self.scopes[d];
+        debug_assert!(
+            schema.fields[i].name.eq_ignore_ascii_case(name),
+            "slot of {name} holds {}",
+            schema.fields[i].name
+        );
+        Ok(row[i].clone())
     }
 }
 
@@ -49,7 +151,7 @@ impl<'a> EvalContext<'a> {
 pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
     match e {
         ScalarExpr::Column { qualifier, name, .. } => {
-            ctx.resolve(qualifier.as_deref(), name)
+            ctx.column(e, qualifier.as_deref(), name)
         }
         ScalarExpr::Literal(d, _) => Ok(d.clone()),
         ScalarExpr::Arith { op, left, right } => {
@@ -234,7 +336,7 @@ fn execute_subquery(
     ctx.memo.rows(
         rel,
         |c| ctx.resolve(c.qualifier.as_deref(), &c.name).ok(),
-        || execute_rel(rel, ctx.db, ctx.memo, &ctx.scopes),
+        || execute_rel(rel, ctx.db, ctx.memo, &ctx.scopes).map(Rows::into_vec),
     )
 }
 
@@ -511,6 +613,7 @@ fn now_micros() -> i64 {
 }
 
 /// Accumulator for one aggregate function.
+#[derive(Clone)]
 pub enum AggState {
     Count(i64),
     CountDistinct(std::collections::HashSet<Datum>),

@@ -18,12 +18,16 @@
 //!   aggregation where possible, nested loops otherwise. Subqueries the
 //!   optimizer cannot decorrelate run through a per-statement memo: once
 //!   per distinct value of their outer references (once per statement
-//!   when uncorrelated), not once per outer row.
+//!   when uncorrelated), not once per outer row. An operator's row loop
+//!   does per-row work only: it evaluates through one context whose
+//!   column references are resolved on the first row.
 //!
 //! Concurrency: the catalog is guarded by an `RwLock` and table contents
 //! are copy-on-write (`Arc<Vec<Row>>`), so concurrent analytical readers —
 //! the paper's stress-test scenario (§7.3) — proceed without blocking each
-//! other.
+//! other. A scan borrows that snapshot instead of copying it: operators
+//! read it by reference and copy only the rows they output, and a writer
+//! swaps in a new `Arc` rather than touching one a reader holds.
 
 #![forbid(unsafe_code)]
 

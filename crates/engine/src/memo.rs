@@ -126,7 +126,7 @@ mod tests {
     use hyperq_xtra::types::SqlType;
 
     use super::SubqueryMemo;
-    use crate::exec::execute_rel;
+    use crate::exec::{execute_rel, Rows};
     use crate::EngineDb;
 
     fn db(setup: &[&str]) -> EngineDb {
@@ -262,7 +262,7 @@ mod tests {
             exprs: vec![(ScalarExpr::ScalarSubquery(Box::new(sub)), "S".into())],
         };
         let memo = SubqueryMemo::default();
-        assert_eq!(execute_rel(&plan, &db, &memo, &[]), Ok(vec![vec![Datum::Null]]));
+        assert_eq!(execute_rel(&plan, &db, &memo, &[]).map(Rows::into_vec), Ok(vec![vec![Datum::Null]]));
         assert_eq!(memo.counts(), (1, 0));
 
         db.execute_sql("INSERT INTO E VALUES (1)").unwrap();

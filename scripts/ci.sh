@@ -51,6 +51,12 @@ cargo build --offline --release --workspace
 # - Target profiles (`core` targets + serialize,
 #   `tests/target_differential`): every corpus against every executable
 #   profile, client-visible transcripts byte-identical.
+# - Engine results (the `tests/tpch.rs` snapshot, the engine's `memo.rs`
+#   and `exec.rs` tests): engine optimizations are gated on result sets,
+#   not on "the query ran" — all 22 TPC-H answers at two seeds against a
+#   snapshot captured before the subquery memo, and hand-computed rows
+#   for memo keys, scope fall-through, column slots, borrowed scans and
+#   running window aggregates.
 cargo test -q --offline --workspace
 
 # Session continuity, cancellation and replica failover under chaos: the
@@ -84,6 +90,18 @@ for src in crates/wire/src crates/governor/src crates/engine/src \
         exit 1
     fi
 done
+
+# One evaluation context per operator, not per row: no copy of the outer
+# scope stack in the engine, and no `EvalContext` literal outside eval.rs,
+# whose constructors build the stack once and let `set_row` swap the row.
+offenders=$({ grep -rn 'outer\.to_vec()' crates/engine/src
+    grep -rn 'EvalContext {' crates/engine/src | grep -v '^crates/engine/src/eval\.rs:'
+} || true)
+if [ -n "$offenders" ]; then
+    echo "per-row evaluation context in crates/engine/src:" >&2
+    echo "$offenders" >&2
+    exit 1
+fi
 
 # Every registered hyperq_* metric family must be documented in the
 # DESIGN.md inventory table. Pull quoted family-name literals out of the
