@@ -73,7 +73,12 @@ fn table2_report_has_27_feature_rows() {
 
 #[test]
 fn overhead_shape_translation_much_smaller_than_execution() {
-    let (translation, execution) = figures::tpch_overhead_inprocess(0.001);
+    // Cold translation is a per-query constant while execution scales with
+    // the data. Since joins build only the columns a statement reads, the
+    // engine is fast enough that at SF 0.001 translation reaches about a
+    // tenth of execution, which is no longer the shape of Figure 9a; at SF
+    // 0.004 it is under a twentieth.
+    let (translation, execution) = figures::tpch_overhead_inprocess(0.004);
     assert!(
         translation < execution / 10,
         "translation {translation:?} must be well under execution {execution:?}"

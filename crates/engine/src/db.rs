@@ -546,4 +546,168 @@ impl EngineDb {
         let result = self.execute_plan_with(&plan, &memo);
         (result, memo.counts())
     }
+
+    /// The bound plan of one query, before optimization.
+    pub(crate) fn bind_query(&self, sql: &str) -> hyperq_xtra::rel::RelExpr {
+        let stmts = parse_statements(sql, Dialect::Ansi).unwrap();
+        match Binder::new(&EngineCatalog(self)).bind_statement(&stmts[0].stmt).unwrap() {
+            Plan::Query(rel) => rel,
+            other => panic!("not a query: {other:?}"),
+        }
+    }
+
+    /// `execute_sql`, except that each query runs twice, optimized with and
+    /// without join pruning, and must return the same rows or the same
+    /// error both ways. Also returns the join output widths of each pruned
+    /// query plan.
+    pub(crate) fn execute_pruning_differential(
+        &self,
+        sql: &str,
+    ) -> (Result<ExecResult, BackendError>, Vec<Vec<usize>>) {
+        let mut widths = Vec::new();
+        if strip_keyword(sql, "SET").is_some() {
+            return (self.execute_sql(sql), widths);
+        }
+        let stmts = parse_statements(sql, Dialect::Ansi).unwrap();
+        let mut last = Ok(ExecResult::ack());
+        for ps in stmts {
+            let plan = match Binder::new(&EngineCatalog(self)).bind_statement(&ps.stmt) {
+                Ok(plan) => plan,
+                Err(e) => return (Err(BackendError::fatal(e.to_string())), widths),
+            };
+            last = match &plan {
+                Plan::Query(rel) => {
+                    let run = |plan: &hyperq_xtra::rel::RelExpr| {
+                        execute_rel(plan, self, &SubqueryMemo::default(), &[]).map(Rows::into_vec)
+                    };
+                    let pruned = crate::optimize::optimize(rel.clone());
+                    let rows = run(&pruned);
+                    let whole = run(&crate::optimize::pushdown(rel.clone()));
+                    assert_eq!(format!("{rows:?}"), format!("{whole:?}"), "pruning changed {sql}");
+                    widths.push(crate::exec::join_widths(&pruned));
+                    rows.map(|rows| ExecResult::rows(rel.schema(), rows))
+                }
+                _ => self.execute_plan(&plan),
+            }
+            .map_err(BackendError::classify);
+            if last.is_err() {
+                break;
+            }
+        }
+        (last, widths)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use hyperq_core::backend::{Backend, BackendError, ExecResult};
+    use hyperq_core::{targets, HyperQBuilder};
+    use hyperq_workload::customer::{health, telco};
+    use hyperq_workload::tpch;
+    use hyperq_xtra::catalog::TableDef;
+    use hyperq_xtra::datum::Datum;
+    use hyperq_xtra::types::SqlType;
+
+    use super::EngineDb;
+
+    /// The engine as Hyper-Q's target, running every query it is sent
+    /// through [`EngineDb::execute_pruning_differential`] and keeping the
+    /// pruned plans' join widths.
+    struct Differential {
+        db: EngineDb,
+        widths: Mutex<Vec<Vec<usize>>>,
+    }
+
+    impl Backend for Differential {
+        fn name(&self) -> &str {
+            self.db.name()
+        }
+
+        fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
+            let (result, widths) = self.db.execute_pruning_differential(sql);
+            self.widths.lock().unwrap().extend(widths);
+            result
+        }
+
+        fn table_meta(&self, name: &str) -> Option<TableDef> {
+            self.db.table_meta(name)
+        }
+    }
+
+    /// Deterministic contents for the customer corpora's tables: small key
+    /// ranges so their joins match, and some NULLs in nullable columns.
+    fn fill(db: &EngineDb) {
+        for name in db.table_names() {
+            let def = db.table_def(&name).unwrap();
+            let rows = (0..40i64)
+                .map(|i| {
+                    def.columns
+                        .iter()
+                        .enumerate()
+                        .map(|(c, col)| {
+                            let k = (i * (c as i64 + 1)) % 13 + 1;
+                            if col.nullable && (i + c as i64) % 11 == 0 {
+                                return Datum::Null;
+                            }
+                            match col.ty {
+                                SqlType::Integer | SqlType::Decimal { .. } | SqlType::Double => {
+                                    Datum::Int(k)
+                                }
+                                SqlType::Date => Datum::Date(16_000 + 30 * k as i32),
+                                _ => Datum::str(["OPEN", "PAID", "DENIED", "x"][k as usize % 4]),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            db.load_rows(&name, rows).unwrap();
+        }
+    }
+
+    /// Hyper-Q over `db`, with every query checked by [`Differential`].
+    fn checked(db: EngineDb) -> (Arc<Differential>, hyperq_core::HyperQ) {
+        let target = Arc::new(Differential { db, widths: Mutex::new(Vec::new()) });
+        let backend = Arc::clone(&target) as Arc<dyn Backend>;
+        (target, HyperQBuilder::for_target(backend, targets::simwh()).build())
+    }
+
+    #[test]
+    fn pruning_never_changes_a_result() {
+        // Every statement Hyper-Q sends for TPC-H (two seeds, as the result
+        // snapshot uses) and for both customer corpora, bound as the engine
+        // binds it, with and without the prune step.
+        for seed in [1234, 28] {
+            let db = EngineDb::new();
+            for ddl in tpch::ddl() {
+                db.execute_sql(&ddl).unwrap();
+            }
+            for (table, rows) in tpch::generate(0.002, seed).tables() {
+                db.load_rows(table, rows).unwrap();
+            }
+            let (target, mut hq) = checked(db);
+            for (n, sql) in tpch::queries() {
+                target.widths.lock().unwrap().clear();
+                hq.run_one(sql).unwrap_or_else(|e| panic!("Q{n}, seed {seed}: {e}"));
+                if n == 7 {
+                    // Unpruned, the five-join chain built 48-column rows.
+                    let widths = target.widths.lock().unwrap().concat();
+                    let widest = widths.iter().max().copied();
+                    assert!(widest.is_some_and(|w| w <= 16), "Q7 join widths {widths:?}");
+                }
+            }
+        }
+        for w in [health(0.05), telco(0.02)] {
+            let db = EngineDb::new();
+            for ddl in &w.target_ddl {
+                db.execute_sql(ddl).unwrap();
+            }
+            fill(&db);
+            let (_, mut hq) = checked(db);
+            for sql in w.hyperq_setup.iter().chain(&w.distinct) {
+                hq.run_one(sql).unwrap_or_else(|e| panic!("{}: {sql}: {e}", w.profile.name));
+            }
+        }
+    }
 }

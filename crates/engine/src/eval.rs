@@ -18,21 +18,39 @@ use crate::memo::SubqueryMemo;
 pub type EvalError = String;
 pub type EvalResult = Result<Datum, EvalError>;
 
-/// What a row scope points at until its operator's first `set_row`.
-static NO_ROW: Row = Vec::new();
+/// One scope of an evaluation: a schema and the row bound to it. A join's
+/// residual binds a candidate *pair* instead: `left` holds the schema's
+/// first columns and `right` the rest, so testing a pair builds no
+/// combined row. Any other scope has an empty `right`.
+#[derive(Clone, Copy)]
+pub struct Scope<'a> {
+    schema: &'a Schema,
+    left: &'a [Datum],
+    right: &'a [Datum],
+}
 
-/// A stack of (schema, row) scopes, innermost last: the evaluator resolves
-/// column references innermost-first, which is what makes correlated
-/// subqueries work. `memo` is the statement's subquery memo.
+impl<'a> Scope<'a> {
+    fn value(&self, i: usize) -> &'a Datum {
+        match self.left.get(i) {
+            Some(d) => d,
+            None => &self.right[i - self.left.len()],
+        }
+    }
+}
+
+/// A stack of scopes, innermost last: the evaluator resolves column
+/// references innermost-first, which is what makes correlated subqueries
+/// work. `memo` is the statement's subquery memo.
 ///
 /// An operator builds one context and repoints its innermost scope at each
-/// row with [`EvalContext::set_row`]. The scope *schemas* never change for
-/// a context's lifetime, so a column reference resolves to the same slot on
+/// row with [`EvalContext::set_row`] (or each candidate pair with
+/// [`EvalContext::set_pair`]). The scope *schemas* never change for a
+/// context's lifetime, so a column reference resolves to the same slot on
 /// every row; `slots` remembers it after the first.
 pub struct EvalContext<'a> {
     db: &'a EngineDb,
     memo: &'a SubqueryMemo,
-    scopes: Vec<(&'a Schema, &'a Row)>,
+    scopes: Vec<Scope<'a>>,
     slots: Slots,
 }
 
@@ -69,7 +87,7 @@ impl Slots {
 
 impl<'a> EvalContext<'a> {
     /// A context over the `outer` scopes alone.
-    pub fn new(db: &'a EngineDb, memo: &'a SubqueryMemo, outer: &[(&'a Schema, &'a Row)]) -> Self {
+    pub fn new(db: &'a EngineDb, memo: &'a SubqueryMemo, outer: &[Scope<'a>]) -> Self {
         EvalContext { db, memo, scopes: Vec::from(outer), slots: Slots::default() }
     }
 
@@ -78,27 +96,28 @@ impl<'a> EvalContext<'a> {
     pub fn for_rows(
         db: &'a EngineDb,
         memo: &'a SubqueryMemo,
-        outer: &[(&'a Schema, &'a Row)],
+        outer: &[Scope<'a>],
         schema: &'a Schema,
     ) -> Self {
         let mut scopes = Vec::with_capacity(outer.len() + 1);
         scopes.extend_from_slice(outer);
-        scopes.push((schema, &NO_ROW));
+        scopes.push(Scope { schema, left: &[], right: &[] });
         EvalContext { db, memo, scopes, slots: Slots::default() }
     }
 
     /// Point the innermost scope of a [`EvalContext::for_rows`] context at
     /// `row`.
-    pub fn set_row(&mut self, row: &'a Row) {
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.1 = row;
-        }
+    pub fn set_row(&mut self, row: &'a [Datum]) {
+        self.set_pair(row, &[]);
     }
 
-    /// Trade resolved slots with `slots`: how a context that lives for one
-    /// row hands them on to the next context over the same schemas.
-    pub fn swap_slots(&mut self, slots: &mut Slots) {
-        std::mem::swap(&mut self.slots, slots);
+    /// Point the innermost scope at a candidate pair: `left` supplies the
+    /// schema's first `left.len()` columns and `right` the rest.
+    pub fn set_pair(&mut self, left: &'a [Datum], right: &'a [Datum]) {
+        if let Some(scope) = self.scopes.last_mut() {
+            scope.left = left;
+            scope.right = right;
+        }
     }
 
     /// The scope position and column index of a reference: the innermost
@@ -108,7 +127,7 @@ impl<'a> EvalContext<'a> {
             .iter()
             .enumerate()
             .rev()
-            .find_map(|(d, (schema, _))| match schema.try_resolve(qualifier, name) {
+            .find_map(|(d, scope)| match scope.schema.try_resolve(qualifier, name) {
                 Ok(Some(i)) => Some((d, i)),
                 _ => None,
             })
@@ -122,7 +141,7 @@ impl<'a> EvalContext<'a> {
 
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> EvalResult {
         let (d, i) = self.find(qualifier, name)?;
-        Ok(self.scopes[d].1[i].clone())
+        Ok(self.scopes[d].value(i).clone())
     }
 
     /// The value of column reference `e`: resolved by name on its first
@@ -137,13 +156,13 @@ impl<'a> EvalContext<'a> {
                 slot
             }
         };
-        let (schema, row) = self.scopes[d];
+        let scope = self.scopes[d];
         debug_assert!(
-            schema.fields[i].name.eq_ignore_ascii_case(name),
+            scope.schema.fields[i].name.eq_ignore_ascii_case(name),
             "slot of {name} holds {}",
-            schema.fields[i].name
+            scope.schema.fields[i].name
         );
-        Ok(row[i].clone())
+        Ok(scope.value(i).clone())
     }
 }
 

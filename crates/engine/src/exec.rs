@@ -2,7 +2,6 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::ops::Deref;
 use std::sync::Arc;
 
 use hyperq_xtra::datum::Datum;
@@ -12,69 +11,102 @@ use hyperq_xtra::schema::Schema;
 use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
-use crate::eval::{eval, eval_truth, AggState, EvalContext, EvalError, Slots};
+use crate::eval::{eval, eval_truth, AggState, EvalContext, EvalError, Scope};
 use crate::memo::SubqueryMemo;
 
-type Scopes<'a> = [(&'a Schema, &'a Row)];
+type Scopes<'a> = [Scope<'a>];
 
 /// An operator's output. A scan hands out the table's copy-on-write
-/// snapshot itself; every other operator owns the rows it built. Either
-/// way it reads as a slice of rows.
+/// snapshot itself, and a filter or window over a snapshot hands out the
+/// indices of the rows it keeps; every other operator owns the rows it
+/// built.
 #[derive(Debug)]
 pub enum Rows {
     Shared(Arc<Vec<Row>>),
+    /// The snapshot's rows at these indices, in this order.
+    Picked(Arc<Vec<Row>>, Vec<usize>),
     Owned(Vec<Row>),
 }
 
-impl Deref for Rows {
-    type Target = [Row];
-
-    fn deref(&self) -> &[Row] {
+impl Rows {
+    pub fn len(&self) -> usize {
         match self {
-            Rows::Shared(rows) => rows,
-            Rows::Owned(rows) => rows,
+            Rows::Shared(rows) => rows.len(),
+            Rows::Picked(_, picks) => picks.len(),
+            Rows::Owned(rows) => rows.len(),
         }
     }
-}
 
-impl Rows {
-    /// The rows as a vector of their own; only a shared snapshot is copied.
+    /// The `i`-th row.
+    pub fn get(&self, i: usize) -> Option<&Row> {
+        match self {
+            Rows::Shared(rows) => rows.get(i),
+            Rows::Picked(rows, picks) => picks.get(i).map(|&p| &rows[p]),
+            Rows::Owned(rows) => rows.get(i),
+        }
+    }
+
+    /// The rows in order, by reference.
+    pub fn iter(&self) -> impl Iterator<Item = &Row> + '_ {
+        let (rows, picks) = match self {
+            Rows::Shared(rows) => (rows.as_slice(), None),
+            Rows::Picked(rows, picks) => (rows.as_slice(), Some(picks.as_slice())),
+            Rows::Owned(rows) => (rows.as_slice(), None),
+        };
+        (0..picks.map_or(rows.len(), <[usize]>::len)).map(move |i| match picks {
+            Some(picks) => &rows[picks[i]],
+            None => &rows[i],
+        })
+    }
+
+    /// The rows as a vector of their own; a shared snapshot's rows are
+    /// copied, and so are picked ones.
     pub fn into_vec(self) -> Vec<Row> {
         match self {
             Rows::Shared(rows) => Arc::unwrap_or_clone(rows),
+            Rows::Picked(rows, picks) => picks.iter().map(|&i| rows[i].clone()).collect(),
             Rows::Owned(rows) => rows,
         }
     }
 
     /// The rows whose `keep` flag is set, in order: moved when owned,
-    /// cloned when shared, passed on as they are when every flag is set.
+    /// picked by index from a snapshot, passed on as they are when every
+    /// flag is set.
     fn keep(self, keep: &[bool]) -> Rows {
         if keep.iter().all(|&k| k) {
             return self;
         }
-        Rows::Owned(match self {
+        match self {
             Rows::Shared(rows) => {
-                rows.iter().zip(keep).filter(|(_, &k)| k).map(|(r, _)| r.clone()).collect()
+                Rows::Picked(rows, keep.iter().enumerate().filter(|(_, &k)| k).map(|(i, _)| i).collect())
+            }
+            Rows::Picked(rows, picks) => {
+                Rows::Picked(rows, picks.into_iter().zip(keep).filter_map(|(i, &k)| k.then_some(i)).collect())
             }
             Rows::Owned(rows) => {
-                rows.into_iter().zip(keep).filter_map(|(r, &k)| k.then_some(r)).collect()
+                Rows::Owned(rows.into_iter().zip(keep).filter_map(|(r, &k)| k.then_some(r)).collect())
             }
-        })
+        }
     }
 
-    /// The rows in `start..end`; a shared snapshot copies only those.
+    /// The rows in `start..end`; a snapshot's are picked by index.
     fn window(self, start: usize, end: usize) -> Rows {
         if start == 0 && end == self.len() {
             return self;
         }
-        Rows::Owned(match self {
-            Rows::Shared(rows) => rows[start..end].to_vec(),
+        match self {
+            Rows::Shared(rows) => Rows::Picked(rows, (start..end).collect()),
+            Rows::Picked(rows, mut picks) => {
+                picks.truncate(end);
+                picks.drain(..start);
+                Rows::Picked(rows, picks)
+            }
             Rows::Owned(mut rows) => {
                 rows.truncate(end);
                 rows.drain(..start);
-                rows
+                Rows::Owned(rows)
             }
-        })
+        }
     }
 }
 
@@ -85,15 +117,15 @@ fn row_bytes(width: usize) -> u64 {
     48 + 24 * width as u64
 }
 
-/// Charge an operator's materialized output to the statement's resource
-/// ledger (no-op without an installed governor). A denied charge cancels
-/// the statement, surfacing the budget error instead of an engine OOM.
-fn charge_rows(rows: &[Row]) -> Result<(), EvalError> {
-    if rows.is_empty() {
+/// Charge an operator's output to the statement's resource ledger (no-op
+/// without an installed governor). A denied charge cancels the statement,
+/// surfacing the budget error instead of an engine OOM. Snapshot rows,
+/// shared or picked, are charged as if they had been copied.
+fn charge_rows(rows: &Rows) -> Result<(), EvalError> {
+    let Some(first) = rows.get(0) else {
         return Ok(());
-    }
-    let width = rows[0].len();
-    hyperq_governor::charge(rows.len() as u64 * row_bytes(width)).map_err(|c| c.to_string())
+    };
+    hyperq_governor::charge(rows.len() as u64 * row_bytes(first.len())).map_err(|c| c.to_string())
 }
 
 /// Incremental governor accounting inside a single operator's row loop:
@@ -177,6 +209,16 @@ pub fn execute_rel(
             rows.keep(&keep)
         }
         RelExpr::Project { input, exprs } => {
+            if let RelExpr::Join { kind, left, right, condition } = &**input {
+                let join = JoinInputs::new(*kind, left, right, condition.as_ref());
+                if let Some(emit) = join.emit_list(exprs) {
+                    // The join builds the projected rows itself and its
+                    // ticker charges them: this is the join's operator
+                    // boundary, and nothing is left to charge below.
+                    hyperq_governor::checkpoint().map_err(|c| c.to_string())?;
+                    return execute_join(&join, &emit, db, memo, outer).map(Rows::Owned);
+                }
+            }
             let schema = input.schema();
             let rows = execute_rel(input, db, memo, outer)?;
             let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
@@ -195,15 +237,10 @@ pub fn execute_rel(
         RelExpr::Window { input, exprs } => {
             Rows::Owned(execute_window(input, exprs, db, memo, outer)?)
         }
-        RelExpr::Join { kind, left, right, condition } => Rows::Owned(execute_join(
-            *kind,
-            left,
-            right,
-            condition.as_ref(),
-            db,
-            memo,
-            outer,
-        )?),
+        RelExpr::Join { kind, left, right, condition } => {
+            let join = JoinInputs::new(*kind, left, right, condition.as_ref());
+            return execute_join(&join, &join.all_columns(), db, memo, outer).map(Rows::Owned);
+        }
         RelExpr::Aggregate { input, group_by, grouping, aggs } => {
             if matches!(grouping, Grouping::Sets(_)) {
                 // SimWH truthfully lacks OLAP grouping extensions; Hyper-Q's
@@ -239,12 +276,9 @@ pub fn execute_rel(
         }
         RelExpr::Alias { input, .. } => execute_rel(input, db, memo, outer)?,
     };
-    // Joins charge incrementally while producing (see ChargeTicker);
-    // every other operator charges its output here, once — a scan its
-    // snapshot's rows, as if it had copied them.
-    if !matches!(rel, RelExpr::Join { .. }) {
-        charge_rows(&out)?;
-    }
+    // Joins charge incrementally while producing (see ChargeTicker) and
+    // return above; every other operator charges its output here, once.
+    charge_rows(&out)?;
     Ok(out)
 }
 
@@ -548,6 +582,67 @@ fn execute_aggregate(
 // Joins
 // ---------------------------------------------------------------------------
 
+/// A join node's parts, borrowed from the plan, with the schemas its
+/// execution reads.
+struct JoinInputs<'p> {
+    kind: JoinKind,
+    left: &'p RelExpr,
+    right: &'p RelExpr,
+    condition: Option<&'p ScalarExpr>,
+    lschema: Schema,
+    rschema: Schema,
+    /// Left ⧺ right: what the condition sees, whatever the join outputs.
+    combined: Schema,
+}
+
+impl<'p> JoinInputs<'p> {
+    fn new(
+        kind: JoinKind,
+        left: &'p RelExpr,
+        right: &'p RelExpr,
+        condition: Option<&'p ScalarExpr>,
+    ) -> Self {
+        let (lschema, rschema) = (left.schema(), right.schema());
+        let combined = lschema.join(&rschema);
+        JoinInputs { kind, left, right, condition, lschema, rschema, combined }
+    }
+
+    /// Semi/anti joins output the left row alone.
+    fn output(&self) -> &Schema {
+        match self.kind {
+            JoinKind::Semi | JoinKind::Anti => &self.lschema,
+            _ => &self.combined,
+        }
+    }
+
+    /// Every output column, as indices into left ⧺ right.
+    fn all_columns(&self) -> Vec<usize> {
+        (0..self.output().len()).collect()
+    }
+
+    /// The output columns a projection over this join reads, as indices
+    /// into left ⧺ right (see [`emit_list`]).
+    fn emit_list(&self, exprs: &[(ScalarExpr, String)]) -> Option<Vec<usize>> {
+        emit_list(exprs, self.output())
+    }
+}
+
+/// The columns of `schema` that a projection reads, or `None` unless every
+/// expression is a plain column reference that resolves uniquely in
+/// `schema` — exactly the projections a join can build itself, since the
+/// evaluator would read each of those references from the join's row.
+pub(crate) fn emit_list(exprs: &[(ScalarExpr, String)], schema: &Schema) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|(e, _)| match e {
+            ScalarExpr::Column { qualifier, name, .. } => {
+                schema.try_resolve(qualifier.as_deref(), name).ok().flatten()
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// A row's hash-join key, or `None` when a component is NULL: NULL keys
 /// never join.
 fn eval_key(exprs: &[&ScalarExpr], ctx: &mut EvalContext<'_>) -> Result<Option<Vec<Datum>>, EvalError> {
@@ -576,63 +671,63 @@ fn all_true(conjuncts: &[&ScalarExpr], ctx: &mut EvalContext<'_>) -> Result<bool
     Ok(all_true)
 }
 
+/// Does the candidate pair pass the residual? `pair` scopes the combined
+/// schema, so the two rows are tested in place: a rejected candidate
+/// builds nothing.
+fn pair_passes<'r>(
+    residual: &[&ScalarExpr],
+    pair: &mut EvalContext<'r>,
+    lrow: &'r [Datum],
+    rrow: &'r [Datum],
+) -> Result<bool, EvalError> {
+    if residual.is_empty() {
+        return Ok(true);
+    }
+    pair.set_pair(lrow, rrow);
+    all_true(residual, pair)
+}
+
+/// The output row of a pair: the `emit` columns of left ⧺ right, built once
+/// and at its exact width.
+fn emit_row(emit: &[usize], lrow: &[Datum], rrow: &[Datum]) -> Row {
+    emit.iter()
+        .map(|&i| match lrow.get(i) {
+            Some(d) => d.clone(),
+            None => rrow[i - lrow.len()].clone(),
+        })
+        .collect()
+}
+
+/// Execute a join, building only the `emit` columns of each output row.
 fn execute_join(
-    kind: JoinKind,
-    left: &RelExpr,
-    right: &RelExpr,
-    condition: Option<&ScalarExpr>,
+    join: &JoinInputs<'_>,
+    emit: &[usize],
     db: &EngineDb,
     memo: &SubqueryMemo,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
-    let lschema = left.schema();
-    let rschema = right.schema();
-    // Residual predicates always see the concatenated row, regardless of
-    // the join's output schema (semi/anti joins output only the left side).
-    let combined_schema = lschema.join(&rschema);
+    let JoinInputs { kind, left, right, condition, lschema, rschema, combined } = join;
     let lrows = execute_rel(left, db, memo, outer)?;
-    let rrows = execute_rel(right, db, memo, outer)?;
-    let lwidth = lschema.len();
-    let rwidth = rschema.len();
+    let right_rows = execute_rel(right, db, memo, outer)?;
+    // Candidates and padding read the right side by position.
+    let rrows: Vec<&Row> = right_rows.iter().collect();
 
     // Try to extract hash keys from the condition. Keys and residual
     // borrow from the plan: the subquery memo and the evaluator's slot
     // cache key on node addresses, so execution must not clone plan nodes
     // into temporaries.
     let (lkeys, rkeys, residual) = match condition {
-        Some(c) if kind != JoinKind::Cross => split_equi_condition(c, &lschema, &rschema),
-        _ => (Vec::new(), Vec::new(), condition.into_iter().collect()),
+        Some(c) if *kind != JoinKind::Cross => split_equi_condition(c, lschema, rschema),
+        _ => (Vec::new(), Vec::new(), condition.iter().copied().collect()),
     };
 
-    // A combined row lives for one candidate pair, so each pair gets a
-    // context of its own; the resolved slots pass from pair to pair, since
-    // every pair has the same combined schema.
-    let mut residual_slots = Slots::default();
-    let mut residual_ok = |combined: &Row| -> Result<bool, EvalError> {
-        if residual.is_empty() {
-            return Ok(true);
-        }
-        let mut ctx = EvalContext::for_rows(db, memo, outer, &combined_schema);
-        ctx.set_row(combined);
-        ctx.swap_slots(&mut residual_slots);
-        let verdict = all_true(&residual, &mut ctx);
-        ctx.swap_slots(&mut residual_slots);
-        verdict
-    };
-
-    let mut out: Vec<Row> = Vec::new();
-    let mut right_matched = vec![false; rrows.len()];
-    // Semi/anti joins output left-width rows; everything else the
-    // concatenated width. The ticker charges the join's output
-    // incrementally so a runaway cross join dies mid-build.
-    let semi_anti = matches!(kind, JoinKind::Semi | JoinKind::Anti);
-    let out_width = if semi_anti { lwidth } else { lwidth + rwidth };
-    let mut ticker = ChargeTicker::new(out_width);
-
-    if !lkeys.is_empty() {
-        // Hash join: build on the right.
+    // Hash join: build on the right; without keys, every right row is a
+    // candidate (nested loop).
+    let table = if lkeys.is_empty() {
+        None
+    } else {
         let mut table: HashMap<Vec<Datum>, Vec<usize>> = HashMap::new();
-        let mut rctx = EvalContext::for_rows(db, memo, outer, &rschema);
+        let mut rctx = EvalContext::for_rows(db, memo, outer, rschema);
         for (i, row) in rrows.iter().enumerate() {
             rctx.set_row(row);
             if let Some(key) = eval_key(&rkeys, &mut rctx)? {
@@ -643,80 +738,57 @@ fn execute_join(
         // already-charged input; account for it up front.
         hyperq_governor::charge(rrows.len() as u64 * row_bytes(rkeys.len()))
             .map_err(|c| c.to_string())?;
-        let mut lctx = EvalContext::for_rows(db, memo, outer, &lschema);
-        for lrow in lrows.iter() {
-            lctx.set_row(lrow);
-            let mut matched = false;
-            if let Some(key) = eval_key(&lkeys, &mut lctx)? {
-                if let Some(candidates) = table.get(&key) {
-                    for &ri in candidates {
-                        let mut combined = lrow.clone();
-                        combined.extend(rrows[ri].iter().cloned());
-                        if residual_ok(&combined)? {
-                            matched = true;
-                            right_matched[ri] = true;
-                            if !semi_anti {
-                                out.push(combined);
-                                ticker.produced()?;
-                            } else {
-                                break;
-                            }
-                        }
-                    }
+        Some(table)
+    };
+    let every_right: Vec<usize> = if table.is_none() { (0..rrows.len()).collect() } else { Vec::new() };
+
+    let semi_anti = matches!(kind, JoinKind::Semi | JoinKind::Anti);
+    let rnulls = vec![Datum::Null; rschema.len()];
+    let mut out: Vec<Row> = Vec::new();
+    let mut right_matched = vec![false; rrows.len()];
+    // The ticker charges the join's output at the width it emits,
+    // incrementally, so a runaway cross join dies mid-build.
+    let mut ticker = ChargeTicker::new(emit.len());
+    let mut lctx = EvalContext::for_rows(db, memo, outer, lschema);
+    let mut pair = EvalContext::for_rows(db, memo, outer, combined);
+    for lrow in lrows.iter() {
+        let candidates: &[usize] = match &table {
+            Some(table) => {
+                lctx.set_row(lrow);
+                match eval_key(&lkeys, &mut lctx)? {
+                    Some(key) => table.get(&key).map_or(&[][..], Vec::as_slice),
+                    None => &[],
                 }
             }
-            match kind {
-                JoinKind::Semi if matched => out.push(lrow.clone()),
-                JoinKind::Anti if !matched => out.push(lrow.clone()),
-                JoinKind::Left | JoinKind::Full if !matched => {
-                    let mut padded = lrow.clone();
-                    padded.extend(std::iter::repeat_n(Datum::Null, rwidth));
-                    out.push(padded);
+            None => &every_right,
+        };
+        let mut matched = false;
+        for &ri in candidates {
+            let rrow = rrows[ri];
+            if pair_passes(&residual, &mut pair, lrow, rrow)? {
+                matched = true;
+                right_matched[ri] = true;
+                if semi_anti {
+                    break;
                 }
-                _ => {}
+                out.push(emit_row(emit, lrow, rrow));
+                ticker.produced()?;
             }
-            ticker.produced()?;
         }
-    } else {
-        // Nested-loop join.
-        for lrow in lrows.iter() {
-            let mut matched = false;
-            for (ri, rrow) in rrows.iter().enumerate() {
-                let mut combined = lrow.clone();
-                combined.extend(rrow.iter().cloned());
-                if residual_ok(&combined)? {
-                    matched = true;
-                    right_matched[ri] = true;
-                    if !semi_anti {
-                        out.push(combined);
-                        ticker.produced()?;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            match kind {
-                JoinKind::Semi if matched => out.push(lrow.clone()),
-                JoinKind::Anti if !matched => out.push(lrow.clone()),
-                JoinKind::Left | JoinKind::Full if !matched => {
-                    let mut padded = lrow.clone();
-                    padded.extend(std::iter::repeat_n(Datum::Null, rwidth));
-                    out.push(padded);
-                }
-                _ => {}
-            }
-            ticker.produced()?;
+        match kind {
+            JoinKind::Semi if matched => out.push(emit_row(emit, lrow, &[])),
+            JoinKind::Anti if !matched => out.push(emit_row(emit, lrow, &[])),
+            JoinKind::Left | JoinKind::Full if !matched => out.push(emit_row(emit, lrow, &rnulls)),
+            _ => {}
         }
+        ticker.produced()?;
     }
 
     if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, m) in right_matched.iter().enumerate() {
-            if !m {
-                let mut padded: Row = std::iter::repeat_n(Datum::Null, lwidth).collect();
-                padded.extend(rrows[ri].iter().cloned());
-                out.push(padded);
-                ticker.produced()?;
-            }
+        let lnulls = vec![Datum::Null; lschema.len()];
+        for (rrow, _) in rrows.iter().zip(&right_matched).filter(|(_, &m)| !m) {
+            out.push(emit_row(emit, &lnulls, rrow));
+            ticker.produced()?;
         }
     }
     ticker.flush()?;
@@ -792,12 +864,34 @@ fn resolves_in(e: &ScalarExpr, schema: &Schema) -> bool {
     has_column && all_resolve && !has_subquery
 }
 
+/// The width of every join's output rows in `rel`: the projection's width
+/// when a plain-column projection over the join is fused into it, else the
+/// join's schema width. Pre-order, subqueries included.
+#[cfg(test)]
+pub(crate) fn join_widths(rel: &RelExpr) -> Vec<usize> {
+    let mut widths = Vec::new();
+    let mut fused: Vec<*const RelExpr> = Vec::new();
+    rel.visit(&mut |_| {}, &mut |r| match r {
+        RelExpr::Project { input, exprs } if matches!(**input, RelExpr::Join { .. }) => {
+            if let Some(emit) = emit_list(exprs, &input.schema()) {
+                fused.push(std::ptr::from_ref(&**input));
+                widths.push(emit.len());
+            }
+        }
+        RelExpr::Join { .. } if !fused.contains(&std::ptr::from_ref(r)) => {
+            widths.push(r.schema().len());
+        }
+        _ => {}
+    });
+    widths
+}
+
 // ---------------------------------------------------------------------------
 // Set operations
 // ---------------------------------------------------------------------------
 
-/// A set operation over its two inputs. Rows are hashed by reference and
-/// only the survivors are copied out of a shared scan.
+/// A set operation over its two inputs. Rows are hashed by reference, and
+/// a snapshot's survivors are picked, not copied.
 fn execute_setop(kind: SetOpKind, all: bool, l: Rows, r: Rows) -> Rows {
     let keep: Vec<bool> = match (kind, all) {
         (SetOpKind::Union, true) => {
@@ -852,8 +946,9 @@ mod tests {
     use hyperq_xtra::types::SqlType;
     use hyperq_xtra::Row;
 
-    use super::{execute_rel, Rows};
+    use super::{execute_rel, join_widths, Rows};
     use crate::memo::SubqueryMemo;
+    use crate::optimize::optimize;
     use crate::EngineDb;
 
     fn db(setup: &[&str]) -> EngineDb {
@@ -873,6 +968,29 @@ mod tests {
         ScalarExpr::column(qualifier, name, SqlType::Integer)
     }
 
+    fn join(kind: JoinKind, left: RelExpr, right: RelExpr, condition: Option<ScalarExpr>) -> RelExpr {
+        RelExpr::Join { kind, left: Box::new(left), right: Box::new(right), condition }
+    }
+
+    fn eq(l: ScalarExpr, r: ScalarExpr) -> ScalarExpr {
+        ScalarExpr::cmp(CmpOp::Eq, l, r)
+    }
+
+    fn agg(func: AggFunc, arg: Option<ScalarExpr>, name: &str) -> (ScalarExpr, String) {
+        (ScalarExpr::Agg { func, distinct: false, arg: arg.map(Box::new) }, name.into())
+    }
+
+    fn aggregate(input: RelExpr, aggs: Vec<(ScalarExpr, String)>) -> RelExpr {
+        RelExpr::Aggregate { input: Box::new(input), group_by: vec![], grouping: Grouping::Simple, aggs }
+    }
+
+    fn project(input: RelExpr, cols: &[(Option<&str>, &str)]) -> RelExpr {
+        RelExpr::Project {
+            input: Box::new(input),
+            exprs: cols.iter().map(|&(q, n)| (col(q, n), n.to_string())).collect(),
+        }
+    }
+
     fn text(rows: &[Row]) -> Vec<Vec<String>> {
         rows.iter().map(|r| r.iter().map(Datum::to_sql_string).collect()).collect()
     }
@@ -882,7 +1000,14 @@ mod tests {
     }
 
     fn run(db: &EngineDb, plan: &RelExpr) -> Result<Vec<Vec<String>>, String> {
-        execute_rel(plan, db, &SubqueryMemo::default(), &[]).map(|rows| text(&rows))
+        execute_rel(plan, db, &SubqueryMemo::default(), &[]).map(|rows| text(&rows.into_vec()))
+    }
+
+    /// `plan` optimized as a statement, with its join output widths, and
+    /// its rows.
+    fn run_optimized(db: &EngineDb, plan: &RelExpr) -> (Vec<usize>, Result<Vec<Vec<String>>, String>) {
+        let optimized = optimize(plan.clone());
+        (join_widths(&optimized), run(db, &optimized))
     }
 
     fn query(db: &EngineDb, sql: &str) -> Vec<Row> {
@@ -900,23 +1025,10 @@ mod tests {
             "INSERT INTO O VALUES (2), (3)",
         ]);
         let pairs = RelExpr::Select {
-            input: Box::new(RelExpr::Join {
-                kind: JoinKind::Cross,
-                left: Box::new(get(&db, "T", "A")),
-                right: Box::new(get(&db, "T", "B")),
-                condition: None,
-            }),
-            predicate: ScalarExpr::cmp(CmpOp::Eq, col(Some("A"), "K"), col(None, "K")),
+            input: Box::new(join(JoinKind::Cross, get(&db, "T", "A"), get(&db, "T", "B"), None)),
+            predicate: eq(col(Some("A"), "K"), col(None, "K")),
         };
-        let count = RelExpr::Aggregate {
-            input: Box::new(pairs),
-            group_by: vec![],
-            grouping: Grouping::Simple,
-            aggs: vec![(
-                ScalarExpr::Agg { func: AggFunc::CountStar, distinct: false, arg: None },
-                "N".into(),
-            )],
-        };
+        let count = aggregate(pairs, vec![agg(AggFunc::CountStar, None, "N")]);
         let plan = RelExpr::Project {
             input: Box::new(get(&db, "O", "O")),
             exprs: vec![
@@ -926,6 +1038,177 @@ mod tests {
         };
         // O.K = 2: two A rows match, times three B rows; O.K = 3: none.
         assert_eq!(run(&db, &plan), Ok(strings(&[&["2", "6"], &["3", "0"]])));
+    }
+
+    #[test]
+    fn an_ambiguous_name_over_a_narrowed_self_join_still_falls_through() {
+        // SUM(K) over T AS A ⋈ T AS B under O: the bare K is ambiguous in
+        // the join, so it is O's K. The aggregate reads by name, so the join
+        // is narrowed to the fields named K; both stay, and K stays
+        // ambiguous.
+        let db = db(&[
+            "CREATE TABLE T (K INTEGER, V INTEGER)",
+            "INSERT INTO T VALUES (1, 10), (2, 20), (2, 30)",
+            "CREATE TABLE O (K INTEGER)",
+            "INSERT INTO O VALUES (2), (3)",
+        ]);
+        let pairs = join(
+            JoinKind::Inner,
+            get(&db, "T", "A"),
+            get(&db, "T", "B"),
+            Some(eq(col(Some("A"), "K"), col(Some("B"), "K"))),
+        );
+        let sum = aggregate(pairs, vec![agg(AggFunc::Sum, Some(col(None, "K")), "S")]);
+        let plan = RelExpr::Project {
+            input: Box::new(get(&db, "O", "O")),
+            exprs: vec![
+                (col(Some("O"), "K"), "K".into()),
+                (ScalarExpr::ScalarSubquery(Box::new(sum)), "S".into()),
+            ],
+        };
+        // Five pairs (1-1 and four 2-2), each adding O.K.
+        let expected = Ok(strings(&[&["2", "10"], &["3", "15"]]));
+        assert_eq!(run(&db, &plan), expected);
+        assert_eq!(run_optimized(&db, &plan), (vec![2], expected));
+    }
+
+    #[test]
+    fn a_column_only_a_correlated_subquery_reads_survives_the_narrowing() {
+        let db = db(&[
+            "CREATE TABLE L (K INTEGER, A INTEGER, X INTEGER, LPAD INTEGER)",
+            "INSERT INTO L VALUES (1, 10, 100, 0), (2, 20, 200, 0), (3, 30, 300, 0)",
+            "CREATE TABLE R (K INTEGER, B INTEGER, RPAD INTEGER)",
+            "INSERT INTO R VALUES (1, 5, 0), (3, 6, 0), (3, 7, 0)",
+            "CREATE TABLE S (X INTEGER, Y INTEGER)",
+            "INSERT INTO S VALUES (100, 1), (100, 2), (300, 9)",
+        ]);
+        // L.X is read only inside the subquery, above the join.
+        let sql = "SELECT L.A, (SELECT MAX(S.Y) FROM S WHERE S.X = L.X) AS M \
+                   FROM L, R WHERE L.K = R.K ORDER BY L.A";
+        assert_eq!(text(&query(&db, sql)), strings(&[&["10", "2"], &["30", "9"], &["30", "9"]]));
+        // Of L ⧺ R's seven fields the join builds L.K, L.A, L.X and R.K.
+        assert_eq!(join_widths(&optimize(db.bind_query(sql))), vec![4]);
+    }
+
+    #[test]
+    fn joins_read_whole_or_by_position_are_not_narrowed() {
+        let db = db(&[
+            "CREATE TABLE L (K INTEGER, A INTEGER)",
+            "INSERT INTO L VALUES (1, 10), (1, 11), (2, 20)",
+            "CREATE TABLE R (K INTEGER, B INTEGER)",
+            "INSERT INTO R VALUES (1, 5), (1, 5), (2, 6)",
+            "CREATE TABLE LR (K INTEGER, A INTEGER, K2 INTEGER, B INTEGER)",
+        ]);
+        let lr = || {
+            join(
+                JoinKind::Inner,
+                get(&db, "L", "L"),
+                get(&db, "R", "R"),
+                Some(eq(col(Some("L"), "K"), col(Some("R"), "K"))),
+            )
+        };
+        // Narrowed to its K fields, the join under DISTINCT would collapse
+        // to two rows.
+        let distinct = RelExpr::Distinct { input: Box::new(lr()) };
+        let (widths, rows) = run_optimized(&db, &distinct);
+        assert_eq!(widths, vec![4]);
+        assert_eq!(
+            rows,
+            Ok(strings(&[&["1", "10", "1", "5"], &["1", "11", "1", "5"], &["2", "20", "2", "6"]]))
+        );
+        let union = RelExpr::SetOp {
+            kind: SetOpKind::Union,
+            all: false,
+            left: Box::new(lr()),
+            right: Box::new(lr()),
+        };
+        let (widths, rows) = run_optimized(&db, &union);
+        assert_eq!(widths, vec![4, 4]);
+        assert_eq!(rows.map(|r| r.len()), Ok(3));
+        let (widths, rows) = run_optimized(&db, &lr());
+        assert_eq!(widths, vec![4]);
+        assert_eq!(rows.map(|r| r.len()), Ok(5));
+
+        let star = "SELECT * FROM L, R WHERE L.K = R.K";
+        assert_eq!(join_widths(&optimize(db.bind_query(star))), vec![4]);
+        assert_eq!(query(&db, star).len(), 5);
+        db.execute_sql(&format!("INSERT INTO LR {star}")).unwrap();
+        assert_eq!(
+            text(&query(&db, "SELECT * FROM LR ORDER BY A, B")),
+            strings(&[
+                &["1", "10", "1", "5"],
+                &["1", "10", "1", "5"],
+                &["1", "11", "1", "5"],
+                &["1", "11", "1", "5"],
+                &["2", "20", "2", "6"],
+            ])
+        );
+    }
+
+    #[test]
+    fn outer_semi_and_anti_joins_build_only_the_emitted_columns() {
+        let db = db(&[
+            "CREATE TABLE L (K INTEGER, A INTEGER)",
+            "INSERT INTO L VALUES (1, 10), (2, 20), (4, 40)",
+            "CREATE TABLE R (K INTEGER, B INTEGER)",
+            "INSERT INTO R VALUES (1, 5), (3, 6), (4, 7), (4, 8)",
+        ]);
+        let cases: [(JoinKind, &[&[&str]]); 6] = [
+            (JoinKind::Inner, &[&["10", "5"], &["40", "7"], &["40", "8"]]),
+            (JoinKind::Left, &[&["10", "5"], &["20", "NULL"], &["40", "7"], &["40", "8"]]),
+            (JoinKind::Right, &[&["10", "5"], &["40", "7"], &["40", "8"], &["NULL", "6"]]),
+            (
+                JoinKind::Full,
+                &[&["10", "5"], &["20", "NULL"], &["40", "7"], &["40", "8"], &["NULL", "6"]],
+            ),
+            (JoinKind::Semi, &[&["10"], &["40"]]),
+            (JoinKind::Anti, &[&["20"]]),
+        ];
+        for (kind, expected) in cases {
+            let on = Some(eq(col(Some("L"), "K"), col(Some("R"), "K")));
+            let pairs = join(kind, get(&db, "L", "L"), get(&db, "R", "R"), on);
+            let emitted: &[(Option<&str>, &str)] = match kind {
+                JoinKind::Semi | JoinKind::Anti => &[(Some("L"), "A")],
+                _ => &[(Some("L"), "A"), (Some("R"), "B")],
+            };
+            let plan = project(pairs, emitted);
+            assert_eq!(join_widths(&plan), vec![emitted.len()], "{kind:?}");
+            assert_eq!(run(&db, &plan), Ok(strings(expected)), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn counting_a_cross_join_builds_zero_width_rows() {
+        let db = db(&[
+            "CREATE TABLE A (X INTEGER, Y INTEGER)",
+            "INSERT INTO A VALUES (1, 1), (2, 2), (3, 3)",
+            "CREATE TABLE B (Z INTEGER)",
+            "INSERT INTO B VALUES (1), (2), (3), (4)",
+        ]);
+        let sql = "SELECT COUNT(*) FROM A, B";
+        assert_eq!(query(&db, sql), vec![vec![Datum::Int(12)]]);
+        assert_eq!(join_widths(&optimize(db.bind_query(sql))), vec![0]);
+    }
+
+    #[test]
+    fn a_join_with_a_duplicated_field_is_left_whole() {
+        // Both sides expose T.K, so a projection of T.K would not resolve:
+        // the join stays whole although only K and W are read.
+        let db = db(&[
+            "CREATE TABLE T (K INTEGER, V INTEGER)",
+            "INSERT INTO T VALUES (1, 10), (2, 20)",
+            "CREATE TABLE U (K INTEGER, W INTEGER)",
+            "INSERT INTO U VALUES (7, 3), (8, 4)",
+        ]);
+        let left = RelExpr::Select {
+            input: Box::new(get(&db, "T", "T")),
+            predicate: ScalarExpr::cmp(CmpOp::Gt, col(None, "K"), ScalarExpr::int(0)),
+        };
+        let plan = aggregate(
+            join(JoinKind::Cross, left, get(&db, "U", "T"), None),
+            vec![agg(AggFunc::CountStar, None, "N"), agg(AggFunc::Max, Some(col(None, "W")), "M")],
+        );
+        assert_eq!(run_optimized(&db, &plan), (vec![4], Ok(strings(&[&["4", "4"]]))));
     }
 
     #[test]
@@ -940,18 +1223,18 @@ mod tests {
         ]);
         let k = || col(None, "K");
         let plan = RelExpr::Project {
-            input: Box::new(RelExpr::Join {
-                kind: JoinKind::Inner,
-                left: Box::new(get(&db, "L", "L")),
-                right: Box::new(RelExpr::Select {
+            input: Box::new(join(
+                JoinKind::Inner,
+                get(&db, "L", "L"),
+                RelExpr::Select {
                     input: Box::new(get(&db, "R", "R")),
                     predicate: ScalarExpr::cmp(CmpOp::Gt, k(), ScalarExpr::int(1)),
-                }),
-                condition: Some(ScalarExpr::and(vec![
-                    ScalarExpr::cmp(CmpOp::Eq, col(None, "A"), k()),
+                },
+                Some(ScalarExpr::and(vec![
+                    eq(col(None, "A"), k()),
                     ScalarExpr::cmp(CmpOp::Gt, col(None, "C"), k()),
                 ])),
-            }),
+            )),
             exprs: vec![
                 (col(None, "A"), "A".into()),
                 (k(), "K".into()),
@@ -970,7 +1253,7 @@ mod tests {
         let db = db(&["CREATE TABLE E (X INTEGER)"]);
         let select = RelExpr::Select {
             input: Box::new(get(&db, "E", "E")),
-            predicate: ScalarExpr::cmp(CmpOp::Eq, col(Some("E"), "X"), col(Some("NOPE"), "Y")),
+            predicate: eq(col(Some("E"), "X"), col(Some("NOPE"), "Y")),
         };
         let project = RelExpr::Project {
             input: Box::new(get(&db, "E", "E")),
@@ -1005,6 +1288,26 @@ mod tests {
     }
 
     #[test]
+    fn limit_and_offset_over_a_filtered_scan_pick_from_the_snapshot() {
+        let db = db(&["CREATE TABLE T (K INTEGER)", "INSERT INTO T VALUES (1), (2), (3), (4), (5), (6)"]);
+        let limit = |limit: Option<u64>, offset: u64| RelExpr::Limit {
+            input: Box::new(RelExpr::Select {
+                input: Box::new(get(&db, "T", "T")),
+                predicate: ScalarExpr::cmp(CmpOp::Gt, col(None, "K"), ScalarExpr::int(2)),
+            }),
+            limit,
+            offset,
+            with_ties: false,
+        };
+        assert_eq!(run(&db, &limit(Some(2), 1)), Ok(strings(&[&["4"], &["5"]])));
+        assert_eq!(run(&db, &limit(None, 2)), Ok(strings(&[&["5"], &["6"]])));
+        assert_eq!(run(&db, &limit(Some(9), 0)), Ok(strings(&[&["3"], &["4"], &["5"], &["6"]])));
+        assert_eq!(run(&db, &limit(Some(1), 9)), Ok(vec![]));
+        let picked = execute_rel(&limit(Some(2), 1), &db, &SubqueryMemo::default(), &[]).unwrap();
+        assert!(matches!(&picked, Rows::Picked(_, picks) if picks == &[3, 4]), "{picked:?}");
+    }
+
+    #[test]
     fn distinct_and_set_ops_over_a_bare_scan_keep_first_seen_order() {
         let db = db(&[
             "CREATE TABLE T (K INTEGER)",
@@ -1032,6 +1335,10 @@ mod tests {
             (SetOpKind::Except, false, &[&["1"]]),
             (SetOpKind::Except, true, &[&["1"], &["3"], &["1"]]),
         ];
+        for (kind, all) in [(SetOpKind::Intersect, false), (SetOpKind::Except, true)] {
+            let rows = execute_rel(&setop(kind, all), &db, &SubqueryMemo::default(), &[]);
+            assert!(matches!(rows, Ok(Rows::Picked(..))), "{kind:?} all={all}: {rows:?}");
+        }
         for (kind, all, expected) in cases {
             assert_eq!(run(&db, &setop(kind, all)), Ok(strings(expected)), "{kind:?} all={all}");
         }
@@ -1039,14 +1346,22 @@ mod tests {
 
     #[test]
     fn a_borrowed_snapshot_survives_a_later_update() {
-        let db = db(&["CREATE TABLE T (C INTEGER)", "INSERT INTO T VALUES (1), (2)"]);
-        let before = execute_rel(&get(&db, "T", "T"), &db, &SubqueryMemo::default(), &[]).unwrap();
+        let db = db(&["CREATE TABLE T (C INTEGER)", "INSERT INTO T VALUES (1), (2), (3)"]);
+        let scan = get(&db, "T", "T");
+        let filter = RelExpr::Select {
+            input: Box::new(get(&db, "T", "T")),
+            predicate: ScalarExpr::cmp(CmpOp::Gt, col(None, "C"), ScalarExpr::int(1)),
+        };
+        let before = execute_rel(&scan, &db, &SubqueryMemo::default(), &[]).unwrap();
         assert!(matches!(before, Rows::Shared(_)));
+        let picked = execute_rel(&filter, &db, &SubqueryMemo::default(), &[]).unwrap();
+        assert!(matches!(picked, Rows::Picked(..)));
         let after = db
-            .execute_sql("SELECT C FROM T; UPDATE T SET C = C * 10; SELECT C FROM T")
+            .execute_sql("SELECT C FROM T WHERE C > 1; UPDATE T SET C = C * 10; SELECT C FROM T WHERE C > 1")
             .unwrap();
-        assert_eq!(text(&before), strings(&[&["1"], &["2"]]));
-        assert_eq!(text(&after.rows), strings(&[&["10"], &["20"]]));
+        assert_eq!(text(&before.into_vec()), strings(&[&["1"], &["2"], &["3"]]));
+        assert_eq!(text(&picked.into_vec()), strings(&[&["2"], &["3"]]));
+        assert_eq!(text(&after.rows), strings(&[&["10"], &["20"], &["30"]]));
     }
 
     #[test]

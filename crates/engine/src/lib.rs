@@ -25,9 +25,11 @@
 //! Concurrency: the catalog is guarded by an `RwLock` and table contents
 //! are copy-on-write (`Arc<Vec<Row>>`), so concurrent analytical readers —
 //! the paper's stress-test scenario (§7.3) — proceed without blocking each
-//! other. A scan borrows that snapshot instead of copying it: operators
-//! read it by reference and copy only the rows they output, and a writer
-//! swaps in a new `Arc` rather than touching one a reader holds.
+//! other. A scan borrows that snapshot instead of copying it, and a filter
+//! over it hands on the indices of the rows it keeps: operators read it by
+//! reference and copy only the rows they output, and a writer swaps in a
+//! new `Arc` rather than touching one a reader holds. A join builds only
+//! the columns the statement reads, once per row it emits.
 
 #![forbid(unsafe_code)]
 

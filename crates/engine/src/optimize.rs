@@ -1,23 +1,32 @@
-//! A minimal heuristic optimizer: predicate pushdown into (cross) joins.
+//! A minimal heuristic optimizer: predicate pushdown into (cross) joins,
+//! then join pruning.
 //!
 //! The engine is a substrate, not the paper's contribution, so there is no
 //! cost-based optimization — but *one* rewrite is indispensable for
 //! realistic analytical SQL: turning `σ[p](A × B)` into a hash-joinable
 //! `A ⋈ B`, since warehouse workloads (and Teradata applications in
 //! particular, via implicit joins) routinely spell joins as cross products
-//! filtered by `WHERE`.
+//! filtered by `WHERE`. The second keeps a join chain from concatenating
+//! whole rows when the statement reads a few of their columns.
+
+use std::collections::HashSet;
 
 use hyperq_xtra::expr::ScalarExpr;
 use hyperq_xtra::rel::{JoinKind, RelExpr};
-use hyperq_xtra::schema::Schema;
+use hyperq_xtra::schema::{Field, Schema};
 
-use crate::exec::conjuncts;
+use crate::exec::{conjuncts, emit_list};
 use crate::scope::{free_refs, free_refs_over};
+
+/// Optimize one statement's plan: `pushdown` to fixed point, then `prune`.
+pub fn optimize(rel: RelExpr) -> RelExpr {
+    prune(pushdown(rel))
+}
 
 /// Push filter conjuncts down into join inputs/conditions and decorrelate
 /// top-level [NOT] EXISTS conjuncts into semi/anti joins, until fixed
 /// point.
-pub fn optimize(mut rel: RelExpr) -> RelExpr {
+pub(crate) fn pushdown(mut rel: RelExpr) -> RelExpr {
     for _ in 0..10 {
         let changed = std::cell::Cell::new(false);
         rel = rel.rewrite(
@@ -335,6 +344,192 @@ fn refs_resolve_in(e: &ScalarExpr, schema: &Schema) -> bool {
         &mut |_| {},
     );
     ok
+}
+
+// ---------------------------------------------------------------------------
+// Join pruning
+// ---------------------------------------------------------------------------
+
+/// Narrow each join whose consumer reads its rows by name to the fields
+/// whose *name* the statement references anywhere, subqueries included:
+/// `Alias { kept fields, Project(plain column refs) }` over the join, a
+/// projection the executor fuses into the join's row build.
+///
+/// Why by name: every field a reference could match is kept, so each
+/// reference sees exactly the same-named fields it saw before. Every
+/// resolution, every ambiguity falling through to an outer scope and every
+/// error text is unchanged, with no scope analysis. Consumers that read
+/// rows whole or by position keep them whole: the statement root (an
+/// INSERT/CTAS source root too), each subquery root, `Distinct`, both
+/// `SetOp` inputs and an `Alias` input.
+fn prune(rel: RelExpr) -> RelExpr {
+    let mut has_join = false;
+    rel.visit(&mut |_| {}, &mut |r| has_join |= matches!(r, RelExpr::Join { .. }));
+    if !has_join {
+        return rel;
+    }
+    let mut names = HashSet::new();
+    rel.visit(
+        &mut |e| {
+            if let ScalarExpr::Column { name, .. } = e {
+                names.insert(name.to_ascii_uppercase());
+            }
+        },
+        &mut |_| {},
+    );
+    let prune = Prune { names };
+    // The bottom-up rewrite reaches each subquery exactly once, and
+    // `Prune::rel` never descends into expressions, so no body is pruned
+    // twice.
+    let rel = rel.rewrite(&mut |r| r, &mut |e| prune.subquery(e));
+    prune.rel(rel, true).0
+}
+
+struct Prune {
+    /// Every column name the statement references, upper-cased.
+    names: HashSet<String>,
+}
+
+impl Prune {
+    /// A subquery expression whose body is pruned as a root: its rows are
+    /// read by position.
+    fn subquery(&self, e: ScalarExpr) -> ScalarExpr {
+        let root = |body: Box<RelExpr>| Box::new(self.rel(*body, true).0);
+        match e {
+            ScalarExpr::ScalarSubquery(body) => ScalarExpr::ScalarSubquery(root(body)),
+            ScalarExpr::Exists { subquery, negated } => {
+                ScalarExpr::Exists { subquery: root(subquery), negated }
+            }
+            ScalarExpr::InSubquery { exprs, subquery, negated } => {
+                ScalarExpr::InSubquery { exprs, subquery: root(subquery), negated }
+            }
+            ScalarExpr::QuantifiedCmp { left, op, quantifier, subquery } => {
+                ScalarExpr::QuantifiedCmp { left, op, quantifier, subquery: root(subquery) }
+            }
+            other => other,
+        }
+    }
+
+    /// `rel` with its joins narrowed, where `whole` says whether its
+    /// consumer reads rows whole or by position. Returns `rel`'s schema too
+    /// when it came for free, so a join chain derives each schema once.
+    fn rel(&self, rel: RelExpr, whole: bool) -> (RelExpr, Option<Schema>) {
+        match rel {
+            RelExpr::Join { kind, left, right, condition } if whole => {
+                // Only the condition reads a semi/anti join's right side.
+                let semi_anti = matches!(kind, JoinKind::Semi | JoinKind::Anti);
+                let left = Box::new(self.rel(*left, true).0);
+                let right = Box::new(self.rel(*right, !semi_anti).0);
+                (RelExpr::Join { kind, left, right, condition }, None)
+            }
+            RelExpr::Join { kind, left, right, condition } => {
+                let (join, schema) = self.join(kind, *left, *right, condition);
+                let (join, schema) = self.narrow(join, schema);
+                (join, Some(schema))
+            }
+            RelExpr::Project { input, exprs } => {
+                let input = match *input {
+                    // A projection of plain columns over a join already is
+                    // the narrowing: the join builds just those columns.
+                    RelExpr::Join { kind, left, right, condition } => {
+                        let (join, schema) = self.join(kind, *left, *right, condition);
+                        if emit_list(&exprs, &schema).is_some() {
+                            join
+                        } else {
+                            self.narrow(join, schema).0
+                        }
+                    }
+                    input => self.rel(input, false).0,
+                };
+                (RelExpr::Project { input: Box::new(input), exprs }, None)
+            }
+            RelExpr::Aggregate { input, group_by, grouping, aggs } => {
+                let input = Box::new(self.rel(*input, false).0);
+                (RelExpr::Aggregate { input, group_by, grouping, aggs }, None)
+            }
+            RelExpr::Select { input, predicate } => {
+                let (input, schema) = self.rel(*input, whole);
+                (RelExpr::Select { input: Box::new(input), predicate }, schema)
+            }
+            RelExpr::Sort { input, keys } => {
+                let (input, schema) = self.rel(*input, whole);
+                (RelExpr::Sort { input: Box::new(input), keys }, schema)
+            }
+            RelExpr::Limit { input, limit, offset, with_ties } => {
+                let (input, schema) = self.rel(*input, whole);
+                (RelExpr::Limit { input: Box::new(input), limit, offset, with_ties }, schema)
+            }
+            RelExpr::Window { input, exprs } => {
+                let input = Box::new(self.rel(*input, whole).0);
+                (RelExpr::Window { input, exprs }, None)
+            }
+            RelExpr::Distinct { input } => {
+                let (input, schema) = self.rel(*input, true);
+                (RelExpr::Distinct { input: Box::new(input) }, schema)
+            }
+            RelExpr::SetOp { kind, all, left, right } => {
+                let left = Box::new(self.rel(*left, true).0);
+                let right = Box::new(self.rel(*right, true).0);
+                (RelExpr::SetOp { kind, all, left, right }, None)
+            }
+            RelExpr::Alias { input, alias, schema } => {
+                let input = Box::new(self.rel(*input, true).0);
+                (RelExpr::Alias { input, alias, schema: schema.clone() }, Some(schema))
+            }
+            leaf @ (RelExpr::Get { .. } | RelExpr::Values { .. }) => (leaf, None),
+        }
+    }
+
+    /// A join whose consumer reads by name, its inputs pruned for the same
+    /// kind of consumer, with its output schema.
+    fn join(
+        &self,
+        kind: JoinKind,
+        left: RelExpr,
+        right: RelExpr,
+        condition: Option<ScalarExpr>,
+    ) -> (RelExpr, Schema) {
+        let (left, lschema) = self.rel(left, false);
+        let (right, rschema) = self.rel(right, false);
+        let schema = kind.output_schema(
+            lschema.unwrap_or_else(|| left.schema()),
+            rschema.unwrap_or_else(|| right.schema()),
+        );
+        (RelExpr::Join { kind, left: Box::new(left), right: Box::new(right), condition }, schema)
+    }
+
+    /// `join` narrowed to the fields whose name the statement references.
+    /// It stays as it is when that drops nothing, or when a kept field's
+    /// `(qualifier, name)` would not resolve uniquely in the projection.
+    fn narrow(&self, join: RelExpr, schema: Schema) -> (RelExpr, Schema) {
+        let kept: Vec<Field> = schema
+            .fields
+            .iter()
+            .filter(|f| self.names.contains(&f.name.to_ascii_uppercase()))
+            .cloned()
+            .collect();
+        let resolvable = kept.iter().all(|f| {
+            matches!(schema.try_resolve(f.qualifier.as_deref(), &f.name), Ok(Some(_)))
+        });
+        if kept.len() == schema.len() || !resolvable {
+            return (join, schema);
+        }
+        let exprs = kept
+            .iter()
+            .map(|f| {
+                let column = ScalarExpr::Column {
+                    qualifier: f.qualifier.clone(),
+                    name: f.name.clone(),
+                    ty: f.ty.clone(),
+                };
+                (column, f.name.clone())
+            })
+            .collect();
+        let schema = Schema::new(kept);
+        let project = RelExpr::Project { input: Box::new(join), exprs };
+        let alias = RelExpr::Alias { input: Box::new(project), alias: String::new(), schema: schema.clone() };
+        (alias, schema)
+    }
 }
 
 #[cfg(test)]

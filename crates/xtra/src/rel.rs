@@ -37,6 +37,24 @@ impl JoinKind {
             JoinKind::Anti => "ANTI",
         }
     }
+
+    /// The output schema of a join of this kind over inputs of schemas `l`
+    /// and `r`: outer joins make the non-preserved side nullable, and
+    /// semi/anti joins output only the left side.
+    pub fn output_schema(self, mut l: Schema, mut r: Schema) -> Schema {
+        match self {
+            JoinKind::Left => r.fields.iter_mut().for_each(|f| f.nullable = true),
+            JoinKind::Right => l.fields.iter_mut().for_each(|f| f.nullable = true),
+            JoinKind::Full => {
+                l.fields.iter_mut().for_each(|f| f.nullable = true);
+                r.fields.iter_mut().for_each(|f| f.nullable = true);
+            }
+            JoinKind::Inner | JoinKind::Cross => {}
+            JoinKind::Semi | JoinKind::Anti => return l,
+        }
+        l.fields.extend(r.fields);
+        l
+    }
 }
 
 /// Set operation kinds.
@@ -210,21 +228,7 @@ impl RelExpr {
                 schema
             }
             RelExpr::Join { kind, left, right, .. } => {
-                let mut l = left.schema();
-                let mut r = right.schema();
-                // Outer joins make the non-preserved side nullable.
-                match kind {
-                    JoinKind::Left => r.fields.iter_mut().for_each(|f| f.nullable = true),
-                    JoinKind::Right => l.fields.iter_mut().for_each(|f| f.nullable = true),
-                    JoinKind::Full => {
-                        l.fields.iter_mut().for_each(|f| f.nullable = true);
-                        r.fields.iter_mut().for_each(|f| f.nullable = true);
-                    }
-                    JoinKind::Inner | JoinKind::Cross => {}
-                    // Semi/anti joins output only the left side.
-                    JoinKind::Semi | JoinKind::Anti => return l,
-                }
-                l.join(&r)
+                kind.output_schema(left.schema(), right.schema())
             }
             RelExpr::Aggregate { group_by, aggs, .. } => {
                 // Aggregate output columns are unqualified; the binder

@@ -52,11 +52,17 @@ cargo build --offline --release --workspace
 #   `tests/target_differential`): every corpus against every executable
 #   profile, client-visible transcripts byte-identical.
 # - Engine results (the `tests/tpch.rs` snapshot, the engine's `memo.rs`
-#   and `exec.rs` tests): engine optimizations are gated on result sets,
-#   not on "the query ran" — all 22 TPC-H answers at two seeds against a
-#   snapshot captured before the subquery memo, and hand-computed rows
-#   for memo keys, scope fall-through, column slots, borrowed scans and
-#   running window aggregates.
+#   and `exec.rs` tests, the `db.rs` pruning differential): engine
+#   optimizations are gated on result sets, not on "the query ran" — all
+#   22 TPC-H answers at two seeds against a snapshot captured before the
+#   subquery memo; every query Hyper-Q sends for TPC-H (two seeds) and
+#   the health/telco corpora run with and without join pruning, rows
+#   identical and Q7's widest join at most 16 columns; and hand-computed
+#   rows for memo keys, scope fall-through (also over a narrowed join),
+#   column slots, borrowed and picked scans, joins left whole under
+#   DISTINCT/UNION/the root/INSERT, outer/semi/anti joins with an emit
+#   list, zero-width COUNT(*) rows, duplicated fields, LIMIT/OFFSET over
+#   a filter and running window aggregates.
 cargo test -q --offline --workspace
 
 # Session continuity, cancellation and replica failover under chaos: the
