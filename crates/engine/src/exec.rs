@@ -12,6 +12,7 @@ use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
 use crate::eval::{eval, eval_truth, AggState, EvalContext, EvalError, Scope};
+use crate::keys::{Groups, KeyIndex, NO_KEY};
 use crate::memo::SubqueryMemo;
 
 type Scopes<'a> = [Scope<'a>];
@@ -293,20 +294,24 @@ pub fn sort_rows(
     memo: &SubqueryMemo,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
+    // Every row's key values back to back: row i's are
+    // `values[i * width..(i + 1) * width]`.
+    let width = keys.len();
+    let mut values = Vec::with_capacity(rows.len() * width);
     let mut ctx = EvalContext::for_rows(db, memo, outer, schema);
-    let mut key_rows: Vec<Vec<Datum>> = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
         tick(i)?;
         ctx.set_row(row);
-        let mut kv = Vec::with_capacity(keys.len());
         for k in keys {
-            kv.push(eval(&k.expr, &mut ctx)?);
+            values.push(eval(&k.expr, &mut ctx)?);
         }
-        key_rows.push(kv);
     }
-    let mut keyed: Vec<(Vec<Datum>, Row)> = key_rows.into_iter().zip(rows.into_vec()).collect();
-    keyed.sort_by(|(a, _), (b, _)| compare_key_rows(a, b, keys));
-    Ok(keyed.into_iter().map(|(_, r)| r).collect())
+    let key = |i: usize| &values[i * width..(i + 1) * width];
+    // A stable sort of row numbers: ties keep their input order.
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| compare_key_rows(key(a), key(b), keys));
+    let mut rows = rows.into_vec();
+    Ok(order.into_iter().map(|i| std::mem::take(&mut rows[i])).collect())
 }
 
 /// Compare two pre-computed key vectors.
@@ -359,45 +364,43 @@ fn execute_window(
     let schema = input.schema();
     let rows = execute_rel(input, db, memo, outer)?;
     let n = rows.len();
-    // Each window function appends one column; computed independently.
-    let mut appended: Vec<Vec<Datum>> = vec![Vec::with_capacity(exprs.len()); n];
+    // Each window function computes one column, independently.
+    let mut columns: Vec<Vec<Datum>> = Vec::with_capacity(exprs.len());
     let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
 
     for w in exprs {
-        // Evaluate partition and order keys per row.
-        let mut part_keys: Vec<Vec<Datum>> = Vec::with_capacity(n);
-        let mut order_keys: Vec<Vec<Datum>> = Vec::with_capacity(n);
+        // Per row: its partition's number, its order key (row i's is
+        // `order[i * width..(i + 1) * width]`) and its argument.
+        let width = w.order_by.len();
+        let mut partitions = KeyIndex::new(w.partition_by.len());
+        let mut partition_of = Vec::with_capacity(n);
+        let mut order = Vec::with_capacity(n * width);
         let mut args: Vec<Option<Datum>> = Vec::with_capacity(n);
+        let mut key = Vec::with_capacity(w.partition_by.len());
         for (i, row) in rows.iter().enumerate() {
             tick(i)?;
             ctx.set_row(row);
-            let mut pk = Vec::with_capacity(w.partition_by.len());
+            key.clear();
             for p in &w.partition_by {
-                pk.push(eval(p, &mut ctx)?);
+                key.push(eval(p, &mut ctx)?);
             }
-            part_keys.push(pk);
-            let mut ok = Vec::with_capacity(w.order_by.len());
+            partition_of.push(partitions.insert(&mut key).0);
             for k in &w.order_by {
-                ok.push(eval(&k.expr, &mut ctx)?);
+                order.push(eval(&k.expr, &mut ctx)?);
             }
-            order_keys.push(ok);
             args.push(match &w.arg {
                 Some(a) => Some(eval(a, &mut ctx)?),
                 None => None,
             });
         }
+        let order_key = |i: usize| &order[i * width..(i + 1) * width];
 
-        // Group row indices by partition.
-        let mut partitions: HashMap<Vec<Datum>, Vec<usize>> = HashMap::new();
-        for (i, key) in part_keys.iter().enumerate() {
-            partitions.entry(key.clone()).or_default().push(i);
-        }
-
+        let mut members = Groups::new(&partition_of, partitions.len());
         let mut results: Vec<Datum> = vec![Datum::Null; n];
-        for (_, mut indices) in partitions {
-            indices.sort_by(|&a, &b| {
-                compare_key_rows(&order_keys[a], &order_keys[b], &w.order_by)
-            });
+        for p in 0..partitions.len() {
+            let indices = members.get_mut(p);
+            indices.sort_by(|&a, &b| compare_key_rows(order_key(a), order_key(b), &w.order_by));
+            let indices = &*indices;
             match &w.func {
                 WindowFuncKind::RowNumber => {
                     for (pos, &i) in indices.iter().enumerate() {
@@ -408,19 +411,17 @@ fn execute_window(
                     let dense = matches!(w.func, WindowFuncKind::DenseRank);
                     let mut rank = 0i64;
                     let mut dense_rank = 0i64;
-                    let mut prev: Option<&Vec<Datum>> = None;
+                    let mut prev: Option<&[Datum]> = None;
                     for (pos, &i) in indices.iter().enumerate() {
-                        let tie = prev
-                            .is_some_and(|p| {
-                                compare_key_rows(p, &order_keys[i], &w.order_by)
-                                    == Ordering::Equal
-                            });
+                        let tie = prev.is_some_and(|p| {
+                            compare_key_rows(p, order_key(i), &w.order_by) == Ordering::Equal
+                        });
                         if !tie {
                             rank = pos as i64 + 1;
                             dense_rank += 1;
                         }
                         results[i] = Datum::Int(if dense { dense_rank } else { rank });
-                        prev = Some(&order_keys[i]);
+                        prev = Some(order_key(i));
                     }
                 }
                 WindowFuncKind::Agg(agg) => {
@@ -431,11 +432,11 @@ fn execute_window(
                     let mut state = AggState::new(*agg, false, w.ty());
                     if w.order_by.is_empty() {
                         // Whole-partition aggregate broadcast.
-                        for &i in &indices {
+                        for &i in indices {
                             state.update(arg(i))?;
                         }
                         let v = state.finish()?;
-                        for &i in &indices {
+                        for &i in indices {
                             results[i] = v.clone();
                         }
                     } else {
@@ -449,8 +450,8 @@ fn execute_window(
                             let mut end = pos + 1;
                             while end < indices.len()
                                 && compare_key_rows(
-                                    &order_keys[indices[pos]],
-                                    &order_keys[indices[end]],
+                                    order_key(indices[pos]),
+                                    order_key(indices[end]),
                                     &w.order_by,
                                 ) == Ordering::Equal
                             {
@@ -469,18 +470,18 @@ fn execute_window(
                 }
             }
         }
-        for i in 0..n {
-            appended[i].push(results[i].clone());
-        }
+        columns.push(results);
     }
 
+    // Each row at its final width: its own columns, then one per function.
+    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
     Ok(rows
-        .into_vec()
-        .into_iter()
-        .zip(appended)
-        .map(|(mut row, extra)| {
-            row.extend(extra);
-            row
+        .iter()
+        .map(|row| {
+            let mut out = Vec::with_capacity(row.len() + columns.len());
+            out.extend_from_slice(row);
+            out.extend(columns.iter_mut().filter_map(Iterator::next));
+            out
         })
         .collect())
 }
@@ -506,6 +507,11 @@ fn execute_aggregate(
         arg: Option<&'e ScalarExpr>,
         ty: hyperq_xtra::types::SqlType,
     }
+    impl AggSpec<'_> {
+        fn state(&self) -> AggState {
+            AggState::new(self.func, self.distinct, self.ty.clone())
+        }
+    }
     let specs: Vec<AggSpec> = aggs
         .iter()
         .map(|(a, _)| match a {
@@ -519,33 +525,29 @@ fn execute_aggregate(
         })
         .collect::<Result<_, _>>()?;
 
-    // Group — preserving first-seen order for determinism: `slots` maps a
-    // key to its position in `groups`.
-    let mut slots: HashMap<Vec<Datum>, usize> = HashMap::new();
-    let mut groups: Vec<(Vec<Datum>, Vec<AggState>)> = Vec::new();
-    // Each distinct group holds a key vector plus aggregate states; the
-    // ticker charges that hash-table growth and checkpoints the loop.
+    // Group in first-seen order: `groups` numbers each distinct key, and
+    // group g's aggregate states are `states[g * n..(g + 1) * n]`.
+    let n = specs.len();
+    let mut groups = KeyIndex::new(group_by.len());
+    let mut states: Vec<AggState> = Vec::new();
+    // Each distinct group holds a key plus aggregate states; the ticker
+    // charges that growth and checkpoints the loop.
     let mut ticker = ChargeTicker::new(group_by.len() + aggs.len());
     let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
+    let mut key = Vec::with_capacity(group_by.len());
     for (i, row) in rows.iter().enumerate() {
         tick(i)?;
         ctx.set_row(row);
-        let mut key = Vec::with_capacity(group_by.len());
+        key.clear();
         for (g, _) in group_by {
             key.push(eval(g, &mut ctx)?);
         }
-        let slot = match slots.get(&key) {
-            Some(&slot) => slot,
-            None => {
-                ticker.produced()?;
-                slots.insert(key.clone(), groups.len());
-                let states =
-                    specs.iter().map(|s| AggState::new(s.func, s.distinct, s.ty.clone())).collect();
-                groups.push((key, states));
-                groups.len() - 1
-            }
-        };
-        for (state, spec) in groups[slot].1.iter_mut().zip(specs.iter()) {
+        let (group, new) = groups.insert(&mut key);
+        if new {
+            ticker.produced()?;
+            states.extend(specs.iter().map(AggSpec::state));
+        }
+        for (state, spec) in states[group * n..(group + 1) * n].iter_mut().zip(&specs) {
             match spec.arg {
                 Some(a) => state.update(Some(&eval(a, &mut ctx)?))?,
                 None => state.update(None)?,
@@ -555,22 +557,19 @@ fn execute_aggregate(
     ticker.flush()?;
 
     // Global aggregate over empty input still produces one row.
-    if groups.is_empty() && group_by.is_empty() {
-        let states: Vec<AggState> = specs
-            .iter()
-            .map(|s| AggState::new(s.func, s.distinct, s.ty.clone()))
-            .collect();
-        let mut row = Vec::with_capacity(specs.len());
-        for s in states {
-            row.push(s.finish()?);
-        }
+    if groups.len() == 0 && group_by.is_empty() {
+        let row = specs.iter().map(|s| s.state().finish()).collect::<Result<_, _>>()?;
         return Ok(vec![row]);
     }
 
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, states) in groups {
-        let mut row = key;
-        for s in states {
+    let count = groups.len();
+    let mut keys = groups.into_values().into_iter();
+    let mut states = states.into_iter();
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        let mut row = Vec::with_capacity(group_by.len() + n);
+        row.extend(keys.by_ref().take(group_by.len()));
+        for s in states.by_ref().take(n) {
             row.push(s.finish()?);
         }
         out.push(row);
@@ -643,18 +642,33 @@ pub(crate) fn emit_list(exprs: &[(ScalarExpr, String)], schema: &Schema) -> Opti
         .collect()
 }
 
-/// A row's hash-join key, or `None` when a component is NULL: NULL keys
-/// never join.
-fn eval_key(exprs: &[&ScalarExpr], ctx: &mut EvalContext<'_>) -> Result<Option<Vec<Datum>>, EvalError> {
+/// Each row's join key, numbered in `index`: inserted when `build`, only
+/// looked up otherwise. A key with a NULL, or one a lookup does not find,
+/// is `NO_KEY`: NULL keys never join.
+fn key_numbers<'r>(
+    rows: impl Iterator<Item = &'r Row>,
+    exprs: &[&ScalarExpr],
+    ctx: &mut EvalContext<'r>,
+    index: &mut KeyIndex,
+    build: bool,
+) -> Result<Vec<usize>, EvalError> {
+    let mut numbers = Vec::with_capacity(rows.size_hint().0);
     let mut key = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let v = eval(e, ctx)?;
-        if v.is_null() {
-            return Ok(None);
+    'rows: for (i, row) in rows.enumerate() {
+        tick(i)?;
+        ctx.set_row(row);
+        key.clear();
+        for e in exprs {
+            let v = eval(e, ctx)?;
+            if v.is_null() {
+                numbers.push(NO_KEY);
+                continue 'rows;
+            }
+            key.push(v);
         }
-        key.push(v);
+        numbers.push(if build { index.insert(&mut key).0 } else { index.find(&key).unwrap_or(NO_KEY) });
     }
-    Ok(Some(key))
+    Ok(numbers)
 }
 
 /// The conjuncts under AND's three-valued logic: FALSE stops the scan,
@@ -721,26 +735,31 @@ fn execute_join(
         _ => (Vec::new(), Vec::new(), condition.iter().copied().collect()),
     };
 
-    // Hash join: build on the right; without keys, every right row is a
-    // candidate (nested loop).
-    let table = if lkeys.is_empty() {
+    // Hash join: a left row's candidates are the right rows with an equal
+    // key, in order; without keys, every right row is a candidate (nested
+    // loop). The smaller input's keys go into the index and the larger
+    // input's are only looked up, so the index holds the smaller input's
+    // distinct keys and a larger-side row whose key it lacks drops out.
+    let hashed = if lkeys.is_empty() {
         None
     } else {
-        let mut table: HashMap<Vec<Datum>, Vec<usize>> = HashMap::new();
+        let mut index = KeyIndex::new(lkeys.len());
+        let mut lctx = EvalContext::for_rows(db, memo, outer, lschema);
         let mut rctx = EvalContext::for_rows(db, memo, outer, rschema);
-        for (i, row) in rrows.iter().enumerate() {
-            rctx.set_row(row);
-            if let Some(key) = eval_key(&rkeys, &mut rctx)? {
-                table.entry(key).or_default().push(i);
-            }
-        }
-        // The build side holds one key vector per right row on top of the
-        // already-charged input; account for it up front.
-        hyperq_governor::charge(rrows.len() as u64 * row_bytes(rkeys.len()))
+        let (lnums, rnums) = if lrows.len() < rrows.len() {
+            let lnums = key_numbers(lrows.iter(), &lkeys, &mut lctx, &mut index, true)?;
+            (lnums, key_numbers(rrows.iter().copied(), &rkeys, &mut rctx, &mut index, false)?)
+        } else {
+            let rnums = key_numbers(rrows.iter().copied(), &rkeys, &mut rctx, &mut index, true)?;
+            (key_numbers(lrows.iter(), &lkeys, &mut lctx, &mut index, false)?, rnums)
+        };
+        // The index holds one key per distinct key of the smaller input on
+        // top of the already-charged inputs; account for it up front.
+        hyperq_governor::charge(index.len() as u64 * row_bytes(lkeys.len()))
             .map_err(|c| c.to_string())?;
-        Some(table)
+        Some((lnums, Groups::new(&rnums, index.len())))
     };
-    let every_right: Vec<usize> = if table.is_none() { (0..rrows.len()).collect() } else { Vec::new() };
+    let every_right: Vec<usize> = if hashed.is_none() { (0..rrows.len()).collect() } else { Vec::new() };
 
     let semi_anti = matches!(kind, JoinKind::Semi | JoinKind::Anti);
     let rnulls = vec![Datum::Null; rschema.len()];
@@ -749,17 +768,10 @@ fn execute_join(
     // The ticker charges the join's output at the width it emits,
     // incrementally, so a runaway cross join dies mid-build.
     let mut ticker = ChargeTicker::new(emit.len());
-    let mut lctx = EvalContext::for_rows(db, memo, outer, lschema);
     let mut pair = EvalContext::for_rows(db, memo, outer, combined);
-    for lrow in lrows.iter() {
-        let candidates: &[usize] = match &table {
-            Some(table) => {
-                lctx.set_row(lrow);
-                match eval_key(&lkeys, &mut lctx)? {
-                    Some(key) => table.get(&key).map_or(&[][..], Vec::as_slice),
-                    None => &[],
-                }
-            }
+    for (li, lrow) in lrows.iter().enumerate() {
+        let candidates: &[usize] = match &hashed {
+            Some((lnums, rgroups)) => rgroups.get(lnums[li]),
             None => &every_right,
         };
         let mut matched = false;
@@ -1175,6 +1187,100 @@ mod tests {
             assert_eq!(join_widths(&plan), vec![emitted.len()], "{kind:?}");
             assert_eq!(run(&db, &plan), Ok(strings(expected)), "{kind:?}");
         }
+    }
+
+    #[test]
+    fn a_hash_join_matches_its_nested_loop_twin_whichever_input_it_indexes() {
+        // S is the smaller input on either side: S ⋈ B indexes its left
+        // input's keys, B ⋈ S its right one's. Each returns the rows of the
+        // same join run as a nested loop (the equality as a residual the key
+        // split does not take), in the same order: INTEGER and DECIMAL keys
+        // compare by value, NULL keys join nothing, both sides repeat keys.
+        let db = db(&[
+            "CREATE TABLE S (K DECIMAL(5,2), A INTEGER)",
+            "INSERT INTO S VALUES (1.00, 10), (NULL, 11), (3, 12), (1, 13)",
+            "CREATE TABLE B (K INTEGER, C INTEGER)",
+            "INSERT INTO B VALUES (3, 20), (1, 21), (NULL, 22), (5, 23), (1, 24), (3, 25), (4, 26)",
+        ]);
+        let hashed = |l: &str, r: &str| Some(eq(col(Some(l), "K"), col(Some(r), "K")));
+        let nested = |l: &str, r: &str| {
+            let ne = ScalarExpr::cmp(CmpOp::Ne, col(Some(l), "K"), col(Some(r), "K"));
+            Some(ScalarExpr::Not(Box::new(ne)))
+        };
+        let kinds =
+            [JoinKind::Inner, JoinKind::Left, JoinKind::Right, JoinKind::Full, JoinKind::Semi, JoinKind::Anti];
+        for kind in kinds {
+            for (l, r) in [("S", "B"), ("B", "S")] {
+                let plan = |on| join(kind, get(&db, l, l), get(&db, r, r), on);
+                let rows = run(&db, &plan(hashed(l, r)));
+                assert_eq!(rows, run(&db, &plan(nested(l, r))), "{kind:?} {l} ⋈ {r}");
+                assert!(rows.is_ok_and(|rows| !rows.is_empty()), "{kind:?} {l} ⋈ {r}");
+            }
+        }
+        let pairs = |l: &str, r: &str| {
+            let on = hashed(l, r);
+            project(join(JoinKind::Inner, get(&db, l, l), get(&db, r, r), on), &[(Some("S"), "A"), (Some("B"), "C")])
+        };
+        assert_eq!(
+            run(&db, &pairs("S", "B")),
+            Ok(strings(&[&["10", "21"], &["10", "24"], &["12", "20"], &["12", "25"], &["13", "21"], &["13", "24"]]))
+        );
+        assert_eq!(
+            run(&db, &pairs("B", "S")),
+            Ok(strings(&[&["12", "20"], &["10", "21"], &["13", "21"], &["10", "24"], &["13", "24"], &["12", "25"]]))
+        );
+    }
+
+    #[test]
+    fn groups_come_out_in_first_seen_order_keyed_by_value() {
+        // UNION ALL keeps each branch's representation: 1 and 1.00 are one
+        // group, shown as first seen; NULLs are one group.
+        let db = db(&[
+            "CREATE TABLE TI (K INTEGER, V INTEGER)",
+            "INSERT INTO TI VALUES (2, 1), (NULL, 2), (1, 3)",
+            "CREATE TABLE TD (K DECIMAL(5,2), V INTEGER)",
+            "INSERT INTO TD VALUES (1.00, 4), (NULL, 5), (2.50, 6)",
+        ]);
+        let rows = query(
+            &db,
+            "SELECT K, SUM(V) AS S, COUNT(*) AS N FROM \
+             (SELECT K, V FROM TI UNION ALL SELECT K, V FROM TD) AS U GROUP BY K",
+        );
+        assert_eq!(
+            text(&rows),
+            strings(&[&["2", "1", "1"], &["NULL", "7", "2"], &["1", "7", "2"], &["2.50", "6", "1"]])
+        );
+    }
+
+    #[test]
+    fn window_partitions_and_sorts_keep_ties_in_input_order() {
+        // Partitions: 'b' and 'b ' are one, NULLs are one. IDs 1 and 6 tie
+        // on V in partition b, and so do IDs 2 and 4 in the whole table.
+        let db = db(&[
+            "CREATE TABLE T (ID INTEGER, G VARCHAR(5), V INTEGER)",
+            "INSERT INTO T VALUES (1, 'b', 3), (2, NULL, 1), (3, 'a', 2), (4, 'b ', 1), (5, NULL, 4), (6, 'b', 3)",
+        ]);
+        let rows = query(
+            &db,
+            "SELECT ID, ROW_NUMBER() OVER (PARTITION BY G ORDER BY V) AS RN, \
+             RANK() OVER (PARTITION BY G ORDER BY V) AS R, SUM(V) OVER (PARTITION BY G) AS S \
+             FROM T ORDER BY ID",
+        );
+        assert_eq!(
+            text(&rows),
+            strings(&[
+                &["1", "2", "2", "7"],
+                &["2", "1", "1", "5"],
+                &["3", "1", "1", "2"],
+                &["4", "1", "1", "7"],
+                &["5", "2", "2", "5"],
+                &["6", "3", "2", "7"],
+            ])
+        );
+        let ids = |sql: &str| text(&query(&db, sql)).concat();
+        assert_eq!(ids("SELECT ID FROM T ORDER BY V"), ["2", "4", "3", "1", "6", "5"]);
+        assert_eq!(ids("SELECT ID FROM T ORDER BY V DESC"), ["5", "1", "6", "3", "2", "4"]);
+        assert_eq!(ids("SELECT ID FROM T WHERE ID > 1 ORDER BY G, V"), ["3", "4", "6", "2", "5"]);
     }
 
     #[test]

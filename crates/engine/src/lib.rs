@@ -15,8 +15,11 @@
 //!   no grouping sets — requests using them are rejected, which is what
 //!   forces Hyper-Q's rewrites and emulations to actually run;
 //! * execution is correct rather than clever: hash joins and hash
-//!   aggregation where possible, nested loops otherwise. Subqueries the
-//!   optimizer cannot decorrelate run through a per-statement memo: once
+//!   aggregation where possible, nested loops otherwise. Joins, GROUP BY
+//!   and window partitions number their keys in one key index, with no
+//!   allocation per row, and a hash join indexes its smaller input.
+//!   Subqueries the optimizer cannot decorrelate run through a
+//!   per-statement memo: once
 //!   per distinct value of their outer references (once per statement
 //!   when uncorrelated), not once per outer row. An operator's row loop
 //!   does per-row work only: it evaluates through one context whose
@@ -36,6 +39,7 @@
 mod db;
 mod eval;
 mod exec;
+mod keys;
 mod memo;
 mod optimize;
 mod scope;

@@ -62,7 +62,10 @@ cargo build --offline --release --workspace
 #   column slots, borrowed and picked scans, joins left whole under
 #   DISTINCT/UNION/the root/INSERT, outer/semi/anti joins with an emit
 #   list, zero-width COUNT(*) rows, duplicated fields, LIMIT/OFFSET over
-#   a filter and running window aggregates.
+#   a filter, running window aggregates, every join kind against its
+#   nested-loop twin with either input indexed, groups in first-seen
+#   order keyed by value, and window partitions and sorts keeping ties in
+#   input order; the `keys.rs` tests pin the key index itself.
 cargo test -q --offline --workspace
 
 # Session continuity, cancellation and replica failover under chaos: the
@@ -100,11 +103,14 @@ done
 # One evaluation context per operator, not per row: no copy of the outer
 # scope stack in the engine, and no `EvalContext` literal outside eval.rs,
 # whose constructors build the stack once and let `set_row` swap the row.
+# No key vector per row either: joins, GROUP BY and window partitions
+# number their keys in `keys::KeyIndex`, not in a `HashMap<Vec<Datum>, _>`.
 offenders=$({ grep -rn 'outer\.to_vec()' crates/engine/src
     grep -rn 'EvalContext {' crates/engine/src | grep -v '^crates/engine/src/eval\.rs:'
+    grep -rn 'HashMap<Vec<Datum>' crates/engine/src
 } || true)
 if [ -n "$offenders" ]; then
-    echo "per-row evaluation context in crates/engine/src:" >&2
+    echo "per-row evaluation context or key vector in crates/engine/src:" >&2
     echo "$offenders" >&2
     exit 1
 fi
