@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hyperq_core::backend::Backend;
 use hyperq_core::capability::figure2_rows;
@@ -350,9 +350,7 @@ pub fn tpch_overhead_inprocess(scale: f64) -> (Duration, Duration) {
     let mut translation = Duration::ZERO;
     let mut execution = Duration::ZERO;
     for (n, sql) in tpch::queries() {
-        let t0 = Instant::now();
         let o = hq.run_one(sql).unwrap_or_else(|e| panic!("Q{n}: {e}"));
-        let _ = t0.elapsed();
         translation += o.timings.translation;
         execution += o.timings.execution;
     }

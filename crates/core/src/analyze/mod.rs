@@ -45,7 +45,8 @@ use crate::crosscompiler::STAGE_DURATION_METRIC;
 use crate::error::{HyperQError, Result};
 use crate::transform::Transformer;
 
-/// How the static-analysis layer reacts to findings.
+/// How the static-analysis layer reacts to findings. The conformance
+/// layer takes the same three modes as [`crate::ConformanceMode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalyzeMode {
     /// No validation walks at all.

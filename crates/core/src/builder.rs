@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use hyperq_obs::{ObsContext, ProvenanceConfig};
+use hyperq_obs::ObsContext;
 use hyperq_xtra::datum::Datum;
 
 use crate::analyze::AnalyzeMode;
@@ -78,8 +78,6 @@ pub struct HyperQBuilder {
     conformance: ConformanceMode,
     cache: CacheChoice,
     recover: RecoverConfig,
-    dml_batching: bool,
-    provenance: Option<ProvenanceConfig>,
     replicas: Vec<Arc<dyn Backend>>,
     replica_config: ReplicaConfig,
 }
@@ -100,8 +98,6 @@ impl HyperQBuilder {
             conformance: ConformanceMode::default(),
             cache: CacheChoice::Default,
             recover: RecoverConfig::default(),
-            dml_batching: true,
-            provenance: None,
             replicas: Vec::new(),
             replica_config: ReplicaConfig::default(),
         }
@@ -155,7 +151,7 @@ impl HyperQBuilder {
     }
 
     /// Disable the translation cache: every statement takes the full
-    /// pipeline (benchmark baselines, ablations).
+    /// pipeline (benchmark baselines).
     pub fn no_cache(mut self) -> Self {
         self.cache = CacheChoice::Disabled;
         self
@@ -175,27 +171,8 @@ impl HyperQBuilder {
         self
     }
 
-    /// Toggle the single-row DML batching transformation (§4.3). On by
-    /// default; the ablation benchmark turns it off.
-    pub fn dml_batching(mut self, on: bool) -> Self {
-        self.dml_batching = on;
-        self
-    }
-
-    /// Per-statement provenance capture knobs (enable/disable, ring
-    /// capacity, raw-SQL opt-in), applied to the session's observability
-    /// context at build time. Without this the context's existing settings
-    /// stand (capture on, 1024 records, literal-redacted SQL).
-    pub fn provenance(mut self, config: ProvenanceConfig) -> Self {
-        self.provenance = Some(config);
-        self
-    }
-
     pub fn build(self) -> HyperQ {
         let obs = self.obs.unwrap_or_else(|| Arc::clone(ObsContext::global()));
-        if let Some(cfg) = self.provenance {
-            cfg.apply(&obs.provenance);
-        }
         let cache = match self.cache {
             CacheChoice::Default => {
                 Some(Arc::new(TranslationCache::new(CacheConfig::default(), &obs)))
@@ -235,7 +212,6 @@ impl HyperQBuilder {
             conformance: self.conformance,
             cache,
             recover: self.recover,
-            dml_batching: self.dml_batching,
             replication,
             prober,
         })

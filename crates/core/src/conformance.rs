@@ -42,36 +42,11 @@ use crate::crosscompiler::STAGE_DURATION_METRIC;
 use crate::emulate::EmulationKind;
 use crate::error::{HyperQError, Result};
 
-/// How the conformance layer reacts to findings (mirrors
-/// [`crate::analyze::AnalyzeMode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConformanceMode {
-    /// No lint walks at all.
-    Off,
-    /// Lint and count findings in the metrics registry, but never fail a
-    /// statement — the production default.
-    #[default]
-    LogOnly,
-    /// [`Severity::Error`] findings on serialized SQL become
-    /// [`HyperQError::Validation`] errors. Advisory (warning/info) findings
-    /// still only count. Used by tests and CI.
-    Strict,
-}
-
-impl ConformanceMode {
-    pub fn is_strict(&self) -> bool {
-        matches!(self, ConformanceMode::Strict)
-    }
-
-    /// Stable lowercase name (cache-key ingredient and config spelling).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ConformanceMode::Off => "off",
-            ConformanceMode::LogOnly => "log_only",
-            ConformanceMode::Strict => "strict",
-        }
-    }
-}
+/// How the conformance layer reacts to findings: the analyze layer's
+/// Off / LogOnly / Strict. Under `Strict`, [`Severity::Error`] findings on
+/// serialized SQL become [`HyperQError::Validation`] errors; advisory
+/// (warning/info) findings only count in every mode.
+pub use crate::analyze::AnalyzeMode as ConformanceMode;
 
 /// Finding severity. Only [`Severity::Error`] fails statements in strict
 /// mode; warnings and infos are advisory in every mode.

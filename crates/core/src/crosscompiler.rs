@@ -123,9 +123,6 @@ pub struct HyperQ {
     profile: TargetProfile,
     transformer: Transformer,
     pub session: SessionState,
-    /// The single-row DML batching transformation (§4.3). On by default;
-    /// the ablation benchmark turns it off.
-    pub dml_batching: bool,
     obs: Arc<ObsContext>,
     stages: StageHandles,
     /// Workload-study statistics (Figure 8), fed automatically by
@@ -178,7 +175,6 @@ pub(crate) struct BuildSpec {
     pub conformance: ConformanceMode,
     pub cache: Option<Arc<TranslationCache>>,
     pub recover: RecoverConfig,
-    pub dml_batching: bool,
     /// When the builder assembled a replica set, the replicated backend
     /// itself (already `link`'s driver) plus its health prober,
     /// so the session can expose replica state and owns the prober thread.
@@ -207,7 +203,6 @@ impl HyperQ {
             profile: spec.profile,
             transformer: Transformer::standard().instrumented(&spec.obs.metrics),
             session,
-            dml_batching: spec.dml_batching,
             obs: spec.obs,
             stages,
             tracker: WorkloadTracker::new(),
@@ -338,10 +333,7 @@ impl HyperQ {
     /// The full pipeline path: parse the script, route every statement.
     fn run_script_slow(&mut self, sql: &str, cache_ok: bool) -> Result<Vec<StatementResult>> {
         let t0 = Instant::now();
-        let mut stmts = parse_statements(sql, Dialect::Teradata)?;
-        if self.dml_batching {
-            stmts = batch_single_row_inserts(stmts);
-        }
+        let stmts = batch_single_row_inserts(parse_statements(sql, Dialect::Teradata)?);
         let parse_time = t0.elapsed();
         let mut outcomes = Vec::with_capacity(stmts.len());
         let obs = Arc::clone(&self.obs);
@@ -451,7 +443,7 @@ impl HyperQ {
     /// The cache-key context hash: everything besides the statement text
     /// the translation output depends on.
     fn translation_ctx(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(34);
+        let mut bytes = Vec::with_capacity(26);
         bytes.extend_from_slice(&self.caps_sig.to_le_bytes());
         bytes.push(match self.analyzer.mode() {
             AnalyzeMode::Off => 0,
@@ -463,7 +455,6 @@ impl HyperQ {
             ConformanceMode::LogOnly => 1,
             ConformanceMode::Strict => 2,
         });
-        bytes.push(self.dml_batching as u8);
         bytes.extend_from_slice(&self.session.settings_epoch().to_le_bytes());
         bytes.extend_from_slice(&self.session.catalog_epoch().to_le_bytes());
         fnv1a(&bytes)

@@ -80,7 +80,7 @@ pub use crosscompiler::{
     HyperQ, StageTimings, StatementOutcome, StatementResult, STAGE_DURATION_METRIC,
 };
 pub use error::{HyperQError, Result};
-pub use hyperq_obs::{ObsContext, ProvenanceConfig, TraceId};
+pub use hyperq_obs::{ObsContext, TraceId};
 pub use recover::{
     JournalEntry, JournalEntryKind, RecoverConfig, SessionJournal, TXN_ABORT_MESSAGE,
 };

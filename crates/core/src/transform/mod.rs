@@ -74,16 +74,14 @@ pub trait TransformRule: Send + Sync {
     }
 }
 
+/// Safety bound on fixed-point iterations. Still changing after this many
+/// passes is an error: a cyclic rule set is a bug.
+const MAX_PASSES: usize = 32;
+
 /// The rule engine. Holds the rule registry and drives passes to a fixed
 /// point.
 pub struct Transformer {
     rules: Vec<Box<dyn TransformRule>>,
-    /// Safety bound on fixed-point iterations.
-    max_passes: usize,
-    /// When true (the default), exhausting `max_passes` while still
-    /// changing is an error (a cyclic rule is a bug). Ablation
-    /// configurations relax this to observe bounded-pass behavior.
-    strict: bool,
     /// Per-rule (fired, noop) counters aligned with `rules`; populated by
     /// [`Transformer::instrumented`], otherwise empty and free.
     rule_counters: Vec<Option<(Arc<Counter>, Arc<Counter>)>>,
@@ -101,10 +99,10 @@ impl Transformer {
         Self::with_rules(standard_rules())
     }
 
-    /// A transformer with a custom rule set (tests, ablations).
+    /// A transformer with a custom rule set (tests).
     pub fn with_rules(rules: Vec<Box<dyn TransformRule>>) -> Self {
         let rule_counters = rules.iter().map(|_| None).collect();
-        Transformer { rules, max_passes: 32, strict: true, rule_counters }
+        Transformer { rules, rule_counters }
     }
 
     /// Report per-rule activity into `metrics`: each `run` flushes one
@@ -125,14 +123,6 @@ impl Transformer {
                 Some((counter("fired"), counter("noop")))
             })
             .collect();
-        self
-    }
-
-    /// Cap the fixed-point iteration count (ablation: a cap of 1 models a
-    /// single-pass rewriter that never re-scans after a change).
-    pub fn with_max_passes(mut self, max_passes: usize) -> Self {
-        self.max_passes = max_passes.max(1);
-        self.strict = false;
         self
     }
 
@@ -158,7 +148,7 @@ impl Transformer {
         // Node-level rewrite counts per active rule, accumulated across
         // passes and flushed to the rule counters on exit.
         let mut fires = vec![0u64; active.len()];
-        for _pass in 0..self.max_passes {
+        for _pass in 0..MAX_PASSES {
             // Cooperative cancellation between fixed-point passes: a
             // pathological rule cascade must not outlive the statement's
             // deadline or a client abort.
@@ -207,15 +197,9 @@ impl Transformer {
                 return Ok(plan);
             }
         }
-        if self.strict {
-            Err(HyperQError::Transform(format!(
-                "transformation did not reach a fixed point within {} passes",
-                self.max_passes
-            )))
-        } else {
-            self.flush_rule_counters(&active, &fires);
-            Ok(plan)
-        }
+        Err(HyperQError::Transform(format!(
+            "transformation did not reach a fixed point within {MAX_PASSES} passes"
+        )))
     }
 
     fn flush_rule_counters(&self, active: &[(usize, &dyn TransformRule)], fires: &[u64]) {
@@ -270,7 +254,7 @@ impl Transformer {
         }
         let mut fires = vec![0u64; active.len()];
         let mut last_changed: Vec<&'static str> = Vec::new();
-        for _pass in 0..self.max_passes {
+        for _pass in 0..MAX_PASSES {
             hyperq_governor::checkpoint()?;
             last_changed.clear();
             for (slot, (_, rule)) in active.iter().enumerate() {
@@ -305,17 +289,11 @@ impl Transformer {
                 return Ok(plan);
             }
         }
-        if self.strict {
-            Err(HyperQError::Transform(format!(
-                "transformation did not reach a fixed point within {} passes \
-                 (rules still firing: {})",
-                self.max_passes,
-                last_changed.join(", ")
-            )))
-        } else {
-            self.flush_rule_counters(&active, &fires);
-            Ok(plan)
-        }
+        Err(HyperQError::Transform(format!(
+            "transformation did not reach a fixed point within {MAX_PASSES} passes \
+             (rules still firing: {})",
+            last_changed.join(", ")
+        )))
     }
 
     /// Audited variant of [`Transformer::run_all`].

@@ -157,7 +157,6 @@ fn in_transaction_dml_takes_the_slow_path() {
     let obs = ObsContext::new();
     let mut hq = HyperQBuilder::for_target(Arc::clone(&backend) as Arc<dyn Backend>, hyperq_core::targets::simwh())
         .obs(Arc::clone(&obs))
-        .dml_batching(false)
         .build();
     // Populate the entry outside a transaction.
     hq.run_one("UPDATE SALES SET AMOUNT = 5 WHERE STORE = 1").unwrap();

@@ -2,7 +2,8 @@
 //! gating, and rule-by-rule behavior on hand-built plans.
 
 use hyperq_core::capability::TargetCapabilities;
-use hyperq_core::transform::{Phase, Transformer};
+use hyperq_core::transform::{Phase, TransformRule, Transformer};
+use hyperq_core::HyperQError;
 use hyperq_xtra::datum::{date_from_ymd, Datum};
 use hyperq_xtra::expr::{CmpOp, ScalarExpr, SortExpr};
 use hyperq_xtra::feature::{Feature, FeatureSet};
@@ -256,4 +257,61 @@ fn scalar_quantified_comparison_left_alone() {
     let dbg = format!("{out:?}");
     assert!(dbg.contains("QuantifiedCmp"), "{dbg}");
     assert!(!fired.contains(Feature::VectorSubquery));
+}
+
+/// Rewrites the integer literal `from` to `to`. Two of these pointing at
+/// each other never reach a fixed point.
+struct Swap {
+    name: &'static str,
+    from: i64,
+    to: i64,
+}
+
+impl TransformRule for Swap {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn phase(&self) -> Phase {
+        Phase::Binding
+    }
+    fn rewrite_expr(&self, expr: ScalarExpr) -> (ScalarExpr, bool) {
+        match expr {
+            ScalarExpr::Literal(Datum::Int(v), _) if v == self.from => {
+                (ScalarExpr::int(self.to), true)
+            }
+            other => (other, false),
+        }
+    }
+}
+
+#[test]
+fn cyclic_rules_fail_after_the_pass_budget() {
+    let t = Transformer::with_rules(vec![
+        Box::new(Swap { name: "test_one_to_two", from: 1, to: 2 }),
+        Box::new(Swap { name: "test_two_to_one", from: 2, to: 1 }),
+    ]);
+    let plan = Plan::Query(RelExpr::Select {
+        input: Box::new(sales_get()),
+        predicate: ScalarExpr::cmp(
+            CmpOp::Eq,
+            ScalarExpr::column(Some("SALES"), "AMOUNT", SqlType::Integer),
+            ScalarExpr::int(1),
+        ),
+    });
+    let caps = TargetCapabilities::simwh();
+    let expect = "did not reach a fixed point within 32 passes";
+
+    let err = t.run_all(plan.clone(), &caps, &mut FeatureSet::new()).unwrap_err();
+    assert!(matches!(&err, HyperQError::Transform(m) if m.contains(expect)), "{err:?}");
+
+    let mut audits = 0;
+    let err = t
+        .run_all_audited(plan, &caps, &mut FeatureSet::new(), &mut |_, _| {
+            audits += 1;
+            Ok(())
+        })
+        .unwrap_err();
+    assert!(matches!(&err, HyperQError::Transform(m) if m.contains(expect)), "{err:?}");
+    assert!(err.to_string().contains("test_one_to_two, test_two_to_one"), "{err}");
+    assert_eq!(audits, 64, "both rules fire on every one of the 32 passes");
 }

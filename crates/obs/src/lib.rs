@@ -63,35 +63,6 @@ pub struct ObsContext {
     pub provenance: ProvenanceLog,
 }
 
-/// Provenance capture knobs, applied through `HyperQBuilder` or directly
-/// on an [`ObsContext`].
-#[derive(Debug, Clone, Copy)]
-pub struct ProvenanceConfig {
-    pub enabled: bool,
-    /// Total ring capacity across shards.
-    pub capacity: usize,
-    /// Store raw SQL in records instead of literal-redacted text.
-    pub capture_raw_sql: bool,
-}
-
-impl Default for ProvenanceConfig {
-    fn default() -> Self {
-        ProvenanceConfig {
-            enabled: true,
-            capacity: provenance::DEFAULT_PROVENANCE_CAPACITY,
-            capture_raw_sql: false,
-        }
-    }
-}
-
-impl ProvenanceConfig {
-    pub fn apply(&self, log: &ProvenanceLog) {
-        log.set_enabled(self.enabled);
-        log.set_capacity(self.capacity);
-        log.set_capture_raw(self.capture_raw_sql);
-    }
-}
-
 impl ObsContext {
     /// A fresh, isolated context (used by tests and by anything that wants
     /// metrics scoped away from the process globals).

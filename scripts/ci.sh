@@ -25,6 +25,11 @@ cargo build --offline --release --workspace
 #   `tests/analyze_strict`): validator invariants + property coverage,
 #   rule audit attribution, and the strict-mode acceptance corpora (TPC-H
 #   + the customer workloads with zero violations).
+# - Transformer convergence (`core/tests/transformer`
+#   `cyclic_rules_fail_after_the_pass_budget`): two rules rewriting one
+#   node back and forth must fail with the 32-pass error from both
+#   `run_all` and `run_all_audited`, the only way a fixed-point run ends
+#   early.
 # - Exposition (`tests/observability`): validator, recovery, admission,
 #   cache and wire request-latency metric families must surface in both
 #   formats end to end.

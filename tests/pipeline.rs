@@ -512,16 +512,6 @@ fn dml_batching_merges_consecutive_inserts() {
     assert_eq!(outcomes.len(), 2);
     assert_eq!(outcomes[0].result.row_count, 3);
     assert_eq!(int_col(&outcomes[1], 0), vec![3]);
-    // Ablation: turning batching off sends them separately.
-    let mut hq2 = HyperQBuilder::for_target(
-        Arc::clone(&db) as Arc<dyn hyperq::core::Backend>,
-        hyperq::core::targets::simwh(),
-    ).build();
-    hq2.dml_batching = false;
-    let outcomes2 = hq2
-        .run_script("INSERT INTO EVENTS VALUES (4); INSERT INTO EVENTS VALUES (5)")
-        .unwrap();
-    assert_eq!(outcomes2.len(), 2);
 }
 
 #[test]
