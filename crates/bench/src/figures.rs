@@ -6,13 +6,12 @@ use std::time::Duration;
 
 use hyperq_core::backend::Backend;
 use hyperq_core::capability::figure2_rows;
-use hyperq_core::tracker::{table2, WorkloadTracker};
-use hyperq_core::HyperQBuilder;
+use hyperq_core::{HyperQBuilder, ObsContext};
 use hyperq_engine::EngineDb;
 use hyperq_wire::{Client, Gateway, GatewayConfig, WireStats};
 use hyperq_workload::customer::{health, telco, CustomerWorkload};
 use hyperq_workload::tpch;
-use hyperq_xtra::feature::FeatureClass;
+use hyperq_xtra::feature::{Feature, FeatureClass};
 
 use crate::harness::{bar, load_tpch};
 
@@ -88,33 +87,73 @@ pub fn figure2() -> String {
 // Figure 8 — customer workload characteristics
 // ---------------------------------------------------------------------------
 
-/// Measured class statistics for one workload: runs every query of the
-/// replay sequence through the instrumented pipeline against an
-/// empty-content replica of the customer schema (feature measurement does
-/// not depend on data volume).
-pub fn measure_workload(w: &CustomerWorkload) -> WorkloadTracker {
+/// Figure 8 counts for one workload, read off the statement table.
+pub struct WorkloadStats {
+    /// Statements in the replay sequence, repeats included.
+    pub total_queries: u64,
+    /// Distinct query texts.
+    pub distinct_queries: u64,
+    /// Distinct texts with a feature of each class, in
+    /// [`FeatureClass::ALL`] order (the table's class order).
+    pub class_queries: [u64; 3],
+    /// Distinct texts per tracked feature, in [`Feature::ALL`] order.
+    pub feature_queries: Vec<(Feature, u64)>,
+}
+
+impl WorkloadStats {
+    /// 8a: share of the class's tracked features seen at least once.
+    pub fn feature_coverage_pct(&self, class: FeatureClass) -> f64 {
+        let of_class = || self.feature_queries.iter().filter(|(f, _)| f.class() == class);
+        let seen = of_class().filter(|(_, n)| *n > 0).count();
+        100.0 * seen as f64 / of_class().count() as f64
+    }
+
+    /// 8b: share of distinct texts with at least one feature of the class.
+    pub fn queries_affected_pct(&self, class: FeatureClass) -> f64 {
+        let ci = FeatureClass::ALL.iter().position(|c| *c == class).unwrap_or(0);
+        100.0 * self.class_queries[ci] as f64 / self.distinct_queries.max(1) as f64
+    }
+}
+
+/// Measured Figure 8 statistics for one workload: runs every distinct
+/// query once through the instrumented pipeline against an empty-content
+/// replica of the customer schema (feature measurement does not depend on
+/// data volume), then reads the per-class and per-feature call counts off
+/// the statement table. Each text runs once, so calls count distinct
+/// texts even where several share a fingerprint.
+pub fn measure_workload(w: &CustomerWorkload) -> WorkloadStats {
     let db = Arc::new(EngineDb::new());
     for ddl in &w.target_ddl {
         db.execute_sql(ddl).expect("workload DDL");
     }
-    let mut hq = HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq_core::targets::simwh()).no_cache().build();
+    let obs = ObsContext::new();
+    let mut hq = HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq_core::targets::simwh())
+        .obs(Arc::clone(&obs))
+        .no_cache()
+        .build();
     for setup in &w.hyperq_setup {
         hq.run_one(setup).expect("workload setup through Hyper-Q");
     }
-    let mut tracker = WorkloadTracker::new();
-    // Feature sets are per distinct text; measure each distinct query once
-    // through the pipeline, then account repeats from the replay sequence.
-    let mut per_distinct = Vec::with_capacity(w.distinct.len());
+    obs.provenance.clear();
     for text in &w.distinct {
-        let outcome = hq
-            .run_one(text)
-            .unwrap_or_else(|e| panic!("workload query failed: {text}: {e}"));
-        per_distinct.push(outcome.features);
+        hq.run_one(text).unwrap_or_else(|e| panic!("workload query failed: {text}: {e}"));
     }
-    for &idx in &w.sequence {
-        tracker.observe(&w.distinct[idx as usize], &per_distinct[idx as usize]);
+    let rows = obs.provenance.statements().snapshot();
+    let mut class_queries = [0u64; 3];
+    for row in &rows {
+        for (n, calls) in class_queries.iter_mut().zip(row.classes) {
+            *n += calls;
+        }
     }
-    tracker
+    WorkloadStats {
+        total_queries: w.sequence.len() as u64,
+        distinct_queries: rows.iter().map(|r| r.calls).sum(),
+        class_queries,
+        feature_queries: Feature::ALL
+            .iter()
+            .map(|&f| (f, rows.iter().map(|r| r.feature_calls(f.code())).sum()))
+            .collect(),
+    }
 }
 
 /// Regenerate Figures 8a and 8b.
@@ -123,27 +162,23 @@ pub fn figure8(scale: f64) -> String {
     let workloads = [health(scale), telco(scale)];
     let paper_8a = [[55.6, 77.8, 33.3], [22.2, 66.7, 33.3]];
     let paper_8b = [[1.4, 33.6, 0.2], [0.2, 4.0, 79.1]];
-    let trackers: Vec<WorkloadTracker> = workloads.iter().map(measure_workload).collect();
+    let stats: Vec<WorkloadStats> = workloads.iter().map(measure_workload).collect();
 
     let _ = writeln!(
         out,
         "Figure 8 (a): Percentage of tracked features contained in each workload"
     );
     let _ = writeln!(out, "{:-<72}", "");
-    for (wi, tracker) in trackers.iter().enumerate() {
+    for (wi, s) in stats.iter().enumerate() {
         let _ = writeln!(out, "{}:", workloads[wi].profile.name);
-        for (ci, class) in FeatureClass::ALL.iter().enumerate() {
-            let s = tracker
-                .class_stats()
-                .into_iter()
-                .find(|s| s.class == *class)
-                .expect("class present");
+        for (ci, &class) in FeatureClass::ALL.iter().enumerate() {
+            let pct = s.feature_coverage_pct(class);
             let _ = writeln!(
                 out,
                 "  {:<16} {} {:>5.1}%   [paper: {:.1}%]",
                 class.name(),
-                bar(s.feature_coverage_pct, 20),
-                s.feature_coverage_pct,
+                bar(pct, 20),
+                pct,
                 paper_8a[wi][ci]
             );
         }
@@ -154,26 +189,22 @@ pub fn figure8(scale: f64) -> String {
         "Figure 8 (b): Percentage of distinct queries affected by each feature class"
     );
     let _ = writeln!(out, "{:-<72}", "");
-    for (wi, tracker) in trackers.iter().enumerate() {
+    for (wi, s) in stats.iter().enumerate() {
         let _ = writeln!(
             out,
             "{} ({} total, {} distinct):",
             workloads[wi].profile.name,
-            tracker.total_queries,
-            tracker.distinct_queries()
+            s.total_queries,
+            s.distinct_queries
         );
-        for (ci, class) in FeatureClass::ALL.iter().enumerate() {
-            let s = tracker
-                .class_stats()
-                .into_iter()
-                .find(|s| s.class == *class)
-                .expect("class present");
+        for (ci, &class) in FeatureClass::ALL.iter().enumerate() {
+            let pct = s.queries_affected_pct(class);
             let _ = writeln!(
                 out,
                 "  {:<16} {} {:>5.1}%   [paper: {:.1}%]",
                 class.name(),
-                bar(s.queries_affected_pct, 20),
-                s.queries_affected_pct,
+                bar(pct, 20),
+                pct,
                 paper_8b[wi][ci]
             );
         }
@@ -184,9 +215,9 @@ pub fn figure8(scale: f64) -> String {
         "Drill-down: distinct queries per tracked feature (beyond the paper's charts)"
     );
     let _ = writeln!(out, "{:-<72}", "");
-    for (wi, tracker) in trackers.iter().enumerate() {
+    for (wi, s) in stats.iter().enumerate() {
         let _ = writeln!(out, "{}:", workloads[wi].profile.name);
-        for (feature, count) in tracker.feature_counts() {
+        for &(feature, count) in &s.feature_queries {
             if count > 0 {
                 let _ = writeln!(out, "  {:<42} {:>6}", feature.to_string(), count);
             }
@@ -324,15 +355,15 @@ pub fn table2_report() -> String {
         "Id", "Feature", "Category", "Component"
     );
     let _ = writeln!(out, "{:-<110}", "");
-    for (feature, class, synopsis, component) in table2() {
+    for feature in Feature::ALL {
         let _ = writeln!(
             out,
             "{:<4} {:<34} {:<15} {:<20} {}",
             feature.code(),
             feature.title(),
-            class.name(),
-            component,
-            synopsis
+            feature.class().name(),
+            feature.component().name(),
+            feature.rewrite_synopsis()
         );
     }
     out

@@ -28,6 +28,8 @@ fn figure2_report_contains_all_surveyed_features() {
     }
 }
 
+/// Figure 8 at scale 0.02, byte for byte: the golden was captured from
+/// the per-session workload tracker that the statement table replaced.
 #[test]
 fn figure8_report_at_small_scale() {
     let out = figures::figure8(0.02);
@@ -36,6 +38,7 @@ fn figure8_report_at_small_scale() {
     assert!(out.contains("Workload 1"));
     assert!(out.contains("Workload 2"));
     assert!(out.contains("[paper:"));
+    assert_eq!(out, include_str!("snapshots/figure8_0.02.txt"));
 }
 
 #[test]

@@ -33,7 +33,6 @@ use crate::recover::RecoverConfig;
 use crate::resilience::TargetLink;
 use crate::serialize::{LimitSpelling, Serializer};
 use crate::session::{RoutineDef, SessionState, ShadowCatalog};
-use crate::tracker::WorkloadTracker;
 use crate::transform::Transformer;
 
 /// Per-statement stage timings (the paper's Figure 9 instrumentation),
@@ -76,10 +75,6 @@ struct StageHandles {
     statement: Arc<Histogram>,
     statements_ok: Arc<Counter>,
     statements_err: Arc<Counter>,
-    /// Workload-study gauges (Figure 8), per session: statements observed
-    /// and distinct query texts seen.
-    workload_total: Arc<hyperq_obs::Gauge>,
-    workload_distinct: Arc<hyperq_obs::Gauge>,
 }
 
 /// The stage-latency histogram family shared by the whole pipeline
@@ -87,9 +82,8 @@ struct StageHandles {
 pub const STAGE_DURATION_METRIC: &str = "hyperq_stage_duration_seconds";
 
 impl StageHandles {
-    fn new(obs: &ObsContext, session_id: u64) -> Self {
+    fn new(obs: &ObsContext) -> Self {
         let stage = |s| obs.metrics.histogram(STAGE_DURATION_METRIC, &[("stage", s)]);
-        let sid = session_id.to_string();
         StageHandles {
             parse: stage("parse"),
             bind: stage("bind"),
@@ -103,12 +97,6 @@ impl StageHandles {
             statements_err: obs
                 .metrics
                 .counter("hyperq_statements_total", &[("outcome", "error")]),
-            workload_total: obs
-                .metrics
-                .gauge("hyperq_workload_queries", &[("session", &sid)]),
-            workload_distinct: obs
-                .metrics
-                .gauge("hyperq_workload_distinct_queries", &[("session", &sid)]),
         }
     }
 }
@@ -125,9 +113,6 @@ pub struct HyperQ {
     pub session: SessionState,
     obs: Arc<ObsContext>,
     stages: StageHandles,
-    /// Workload-study statistics (Figure 8), fed automatically by
-    /// `run_script` / `run_with_params`.
-    tracker: WorkloadTracker,
     /// Static-analysis driver: plan validation at stage boundaries,
     /// per-rule transformation audits, serializer round-trip checks.
     analyzer: Analyzer,
@@ -185,19 +170,13 @@ pub(crate) struct BuildSpec {
 impl HyperQ {
     pub(crate) fn from_spec(spec: BuildSpec) -> Self {
         let id = SESSION_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let stages = StageHandles::new(&spec.obs, id);
+        let stages = StageHandles::new(&spec.obs);
         let analyzer = Analyzer::new(spec.analyze, &spec.obs);
         let conformance = Conformance::new(spec.conformance, &spec.obs);
         let session = SessionState::new(id, "APP");
         let backend =
             spec.link.for_session(session.journal.clone(), spec.recover, Arc::clone(&spec.obs));
         let caps_sig = profile_sig(&spec.profile);
-        // Slow-query-log entries store literal-redacted SQL unless raw
-        // capture was opted into; the redactor reuses the fingerprinter's
-        // literal spans so it stays in lockstep with the lexer.
-        if !spec.obs.slowlog.has_redactor() {
-            spec.obs.slowlog.install_redactor(redact_literals);
-        }
         HyperQ {
             backend: Arc::new(backend),
             profile: spec.profile,
@@ -205,7 +184,6 @@ impl HyperQ {
             session,
             obs: spec.obs,
             stages,
-            tracker: WorkloadTracker::new(),
             analyzer,
             conformance,
             cache: spec.cache,
@@ -255,12 +233,6 @@ impl HyperQ {
     /// The observability context this session reports into.
     pub fn obs(&self) -> &Arc<ObsContext> {
         &self.obs
-    }
-
-    /// Workload-study statistics accumulated over every statement this
-    /// session has run.
-    pub fn tracker(&self) -> &WorkloadTracker {
-        &self.tracker
     }
 
     /// Execute one canonical [`Request`] — the single entry point behind
@@ -526,7 +498,7 @@ impl HyperQ {
     }
 
     /// Common statement epilogue: statement histogram and outcome counters,
-    /// workload tracking, slow-query capture, trace-id stamping.
+    /// per-feature counters, the provenance record, trace-id stamping.
     fn observe_statement(
         &mut self,
         processed: Result<StatementOutcome>,
@@ -548,9 +520,6 @@ impl HyperQ {
         match processed {
             Ok(mut outcome) => {
                 self.stages.statements_ok.inc();
-                self.tracker.observe(text, &outcome.features);
-                self.stages.workload_total.set(self.tracker.total_queries as i64);
-                self.stages.workload_distinct.set(self.tracker.distinct_queries() as i64);
                 for feature in outcome.features.iter() {
                     self.obs
                         .metrics
@@ -560,7 +529,6 @@ impl HyperQ {
                         )
                         .inc();
                 }
-                self.obs.slowlog.observe(&self.obs.traces, trace, text, total);
                 self.finish_provenance(trace, text, total, Some(&outcome), None);
                 outcome.trace_id = Some(trace);
                 Ok(outcome)
@@ -580,7 +548,6 @@ impl HyperQ {
                     None => e,
                 };
                 self.stages.statements_err.inc();
-                self.obs.slowlog.observe(&self.obs.traces, trace, text, total);
                 let msg = e.to_string();
                 self.finish_provenance(trace, text, total, None, Some(&msg));
                 Err(e)
@@ -589,9 +556,9 @@ impl HyperQ {
     }
 
     /// Seal the statement's provenance record (opened by `begin` at the
-    /// statement head; a no-op when capture is disabled). The fingerprint
-    /// and literal-redacted text are computed here, once, off the
-    /// translation hot path.
+    /// statement head; a no-op when capture is disabled). The text is
+    /// lexed here, once, off the translation hot path: the one fingerprint
+    /// gives both the hash and the literal spans the redaction replaces.
     fn finish_provenance(
         &self,
         trace: TraceId,
@@ -604,13 +571,15 @@ impl HyperQ {
         if !prov.is_enabled() {
             return;
         }
-        let hash = fingerprint(text).map_or(0, |f| f.hash);
+        let fp = fingerprint(text).ok();
+        let hash = fp.as_ref().map_or(0, |f| f.hash);
         // Surface the fingerprint on the in-flight query table too (the
         // governor's `/queries` snapshot keys on it).
         if let Some(gov) = hyperq_governor::current() {
             gov.set_fingerprint(hash);
         }
-        let sql = if prov.capture_raw() { text.to_string() } else { redact_literals(text) };
+        let sql =
+            if prov.capture_raw() { text.to_string() } else { redact_literals(text, fp.as_ref()) };
         let features: Vec<&'static str> = outcome
             .map(|o| o.features.iter().map(|f| f.code()).collect())
             .unwrap_or_default();
@@ -1876,7 +1845,7 @@ fn statement_kind(sql: &str) -> &'static str {
 /// The canonical statement text of a single-statement script: trimmed,
 /// trailing semicolons stripped — matching what the parser records as
 /// `ParsedStatement::text`, so cache-hit and slow-path statements report
-/// identical texts to the tracker and slow-query log.
+/// identical texts to provenance and the statement table.
 fn statement_text(sql: &str) -> &str {
     let mut s = sql.trim();
     while let Some(stripped) = s.strip_suffix(';') {

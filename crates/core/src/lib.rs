@@ -24,9 +24,9 @@
 //! * [`backend`] — the ODBC-Server abstraction over target databases,
 //! * [`session`] — per-connection state and the DTM shadow catalog,
 //! * [`crosscompiler`] — the façade tying it all together, with per-stage
-//!   timing instrumentation for the Figure 9 experiments,
-//! * [`tracker`] — the workload-study instrumentation (Figures 8a/8b,
-//!   Tables 1–2),
+//!   timing instrumentation for the Figure 9 experiments; each
+//!   statement's provenance record feeds the workload study (Figures
+//!   8a/8b) through `hyperq_obs`'s statement table,
 //! * [`analyze`] — the static-analysis layer: plan validation at stage
 //!   boundaries, per-rule transformation audits, and the serializer
 //!   round-trip check, in strict / log-only / off modes,
@@ -62,7 +62,6 @@ pub mod resilience;
 pub mod serialize;
 pub mod session;
 pub mod targets;
-pub mod tracker;
 pub mod transform;
 
 pub use analyze::{AnalyzeMode, Analyzer};

@@ -8,8 +8,9 @@
 //! * [`metrics`] — a registry of atomic counters, gauges and log-bucketed
 //!   latency histograms, rendered via [`metrics::MetricsRegistry::render_prometheus`]
 //!   and [`metrics::MetricsRegistry::render_json`].
-//! * [`slowlog`] — statements exceeding a latency threshold are captured
-//!   with their full span tree.
+//! * [`provenance`] — one record per statement in a bounded ring, folded
+//!   into the cumulative per-fingerprint [`statements`] table that
+//!   [`report`] projects.
 //!
 //! Pipeline layers share an [`ObsContext`]: the process-wide
 //! [`ObsContext::global`] by default, or an isolated instance in tests.
@@ -23,7 +24,7 @@ pub mod json;
 pub mod metrics;
 pub mod provenance;
 pub mod report;
-pub mod slowlog;
+pub mod statements;
 pub mod trace;
 
 use std::sync::{Arc, OnceLock};
@@ -32,7 +33,7 @@ use std::time::Duration;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use provenance::{CacheOutcome, ConvertStats, ProvenanceLog, ProvenanceRecord};
 pub use report::WorkloadReport;
-pub use slowlog::{SlowQueryEntry, SlowQueryLog};
+pub use statements::{StatementRow, StatementTable};
 pub use trace::{Span, SpanId, SpanRecord, TraceId, TraceSink};
 
 /// Per-statement stage timings (the paper's Figure 9 instrumentation):
@@ -53,13 +54,12 @@ impl StageTimings {
     }
 }
 
-/// Shared observability state: metrics registry, trace sink, slow-query
-/// log, per-statement provenance ring.
+/// Shared observability state: metrics registry, trace sink,
+/// per-statement provenance ring and its statement table.
 #[derive(Debug, Default)]
 pub struct ObsContext {
     pub metrics: MetricsRegistry,
     pub traces: TraceSink,
-    pub slowlog: SlowQueryLog,
     pub provenance: ProvenanceLog,
 }
 
@@ -72,24 +72,15 @@ impl ObsContext {
 
     /// The process-wide context. Environment knobs, read once:
     ///
-    /// * `HYPERQ_SLOW_QUERY_MS` — slow-query log threshold in milliseconds
-    ///   (unset or 0 disables capture).
     /// * `HYPERQ_TRACE` — set to `0` or `off` to disable span buffering.
     /// * `HYPERQ_PROVENANCE` — set to `0` or `off` to disable per-statement
-    ///   provenance capture.
+    ///   provenance capture (which also leaves the statement table empty).
     /// * `HYPERQ_RAW_SQL` — set to `1` or `on` to store raw (unredacted)
-    ///   SQL in the slow-query log and provenance records.
+    ///   SQL in provenance records and statement-table samples.
     pub fn global() -> &'static Arc<ObsContext> {
         static GLOBAL: OnceLock<Arc<ObsContext>> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let ctx = ObsContext::new();
-            if let Ok(ms) = std::env::var("HYPERQ_SLOW_QUERY_MS") {
-                if let Ok(ms) = ms.trim().parse::<u64>() {
-                    if ms > 0 {
-                        ctx.slowlog.set_threshold(Some(Duration::from_millis(ms)));
-                    }
-                }
-            }
             let off = |v: String| {
                 let v = v.trim().to_ascii_lowercase();
                 v == "0" || v == "off" || v == "false"
@@ -106,7 +97,6 @@ impl ObsContext {
             }
             if std::env::var("HYPERQ_RAW_SQL").is_ok_and(on) {
                 ctx.provenance.set_capture_raw(true);
-                ctx.slowlog.set_capture_raw(true);
             }
             ctx
         })

@@ -352,6 +352,16 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
+/// A JSON object from `(key, value)` pairs whose values already render as
+/// JSON (numbers, or pre-rendered JSON text).
+pub(crate) fn json_map<V: std::fmt::Display>(
+    pairs: impl IntoIterator<Item = (impl AsRef<str>, V)>,
+) -> String {
+    let body: Vec<String> =
+        pairs.into_iter().map(|(k, v)| format!("{}:{v}", json_str(k.as_ref()))).collect();
+    format!("{{{}}}", body.join(","))
+}
+
 fn json_labels(labels: &[(String, String)]) -> String {
     let body: Vec<String> =
         labels.iter().map(|(k, v)| format!("{}:{}", json_str(k), json_str(v))).collect();

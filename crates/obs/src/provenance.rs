@@ -18,20 +18,29 @@
 //! works because one statement runs on one thread end to end; layers never
 //! thread record handles explicitly, mirroring the span stack in
 //! [`crate::trace`].
+//!
+//! Every sealed record is also folded into the log's cumulative
+//! per-fingerprint [`StatementTable`], which outlives the ring's window.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::metrics::json_str;
+use crate::metrics::{json_map, json_str};
+use crate::statements::StatementTable;
 use crate::trace::TraceId;
 
-/// Default total ring capacity across all shards.
-pub const DEFAULT_PROVENANCE_CAPACITY: usize = 1024;
+/// Total ring capacity across all shards, and the statement table's row
+/// bound.
+pub const CAPACITY: usize = 1024;
 
-const SHARDS: usize = 8;
+pub(crate) const SHARDS: usize = 8;
+
+/// Byte bound on stored error text and statement-table samples.
+pub(crate) const TEXT_CLIP: usize = 240;
 
 /// How the translation cache treated a statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +165,11 @@ fn with_active(f: impl FnOnce(&mut Builder)) {
     });
 }
 
-fn accumulate(list: &mut Vec<(&'static str, u64)>, key: &'static str, n: u64) {
+pub(crate) fn accumulate<V: AddAssign>(
+    list: &mut Vec<(&'static str, V)>,
+    key: &'static str,
+    n: V,
+) {
     match list.iter_mut().find(|(k, _)| *k == key) {
         Some((_, v)) => *v += n,
         None => list.push((key, n)),
@@ -165,10 +178,7 @@ fn accumulate(list: &mut Vec<(&'static str, u64)>, key: &'static str, n: u64) {
 
 /// Add `d` to the named stage of the active record, if any.
 pub fn note_stage(name: &'static str, d: Duration) {
-    with_active(|b| match b.stages.iter_mut().find(|(k, _)| *k == name) {
-        Some((_, v)) => *v += d,
-        None => b.stages.push((name, d)),
-    });
+    with_active(|b| accumulate(&mut b.stages, name, d));
 }
 
 /// Credit `fires` firings of a transform rule to the active record.
@@ -265,7 +275,8 @@ pub struct FinishedStatement<'a> {
     pub error: Option<&'a str>,
 }
 
-/// Bounded, sharded ring of [`ProvenanceRecord`]s.
+/// Bounded, sharded ring of [`ProvenanceRecord`]s, plus the
+/// [`StatementTable`] every record is folded into.
 ///
 /// Shards are selected by trace id, so concurrent sessions rarely contend
 /// on the same lock and post-hoc attachment ([`ProvenanceLog::attach_convert`])
@@ -275,8 +286,8 @@ pub struct ProvenanceLog {
     enabled: AtomicBool,
     capture_raw: AtomicBool,
     seq: AtomicU64,
-    capacity: AtomicUsize,
     shards: [Mutex<VecDeque<ProvenanceRecord>>; SHARDS],
+    statements: StatementTable,
 }
 
 impl Default for ProvenanceLog {
@@ -285,8 +296,8 @@ impl Default for ProvenanceLog {
             enabled: AtomicBool::new(true),
             capture_raw: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            capacity: AtomicUsize::new(DEFAULT_PROVENANCE_CAPACITY),
             shards: std::array::from_fn(|_| Mutex::new(VecDeque::new())),
+            statements: StatementTable::default(),
         }
     }
 }
@@ -309,17 +320,9 @@ impl ProvenanceLog {
         self.capture_raw.load(Ordering::Relaxed)
     }
 
-    /// Total ring capacity across shards; applies to subsequent captures.
-    pub fn set_capacity(&self, total: usize) {
-        self.capacity.store(total.max(SHARDS), Ordering::Relaxed);
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    fn shard_capacity(&self) -> usize {
-        self.capacity().div_ceil(SHARDS)
+    /// The cumulative per-fingerprint table the records fold into.
+    pub fn statements(&self) -> &StatementTable {
+        &self.statements
     }
 
     /// Open a builder for the statement starting on this thread, consuming
@@ -339,11 +342,6 @@ impl ProvenanceLog {
             ..Builder::default()
         };
         ACTIVE.with(|a| *a.borrow_mut() = Some(builder));
-    }
-
-    /// Whether this thread currently has an open builder.
-    pub fn in_flight(&self) -> bool {
-        ACTIVE.with(|a| a.borrow().is_some())
     }
 
     /// Seal the active builder into a record. Returns the sequence number,
@@ -370,18 +368,19 @@ impl ProvenanceLog {
             analyze_mode: f.analyze_mode,
             violations: builder.violations,
             ok: f.error.is_none(),
-            error: f.error.map(|e| truncate(e, 240)),
+            error: f.error.map(|e| truncate(e, TEXT_CLIP)),
             cancelled: builder.cancelled,
             replica: builder.replica,
             rows: f.rows,
             convert: None,
         };
+        self.statements.fold(&record);
         self.push(record);
         Some(seq)
     }
 
     fn push(&self, record: ProvenanceRecord) {
-        let cap = self.shard_capacity();
+        let cap = CAPACITY / SHARDS;
         let shard = &self.shards[record.trace.0 as usize % SHARDS];
         let mut ring = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         while ring.len() >= cap {
@@ -391,7 +390,8 @@ impl ProvenanceLog {
     }
 
     /// Attach result-conversion stats to the (already sealed) record of a
-    /// trace. Returns whether a record was found.
+    /// trace, and its time to the record's statement-table row. Returns
+    /// whether a record was found.
     pub fn attach_convert(
         &self,
         trace: TraceId,
@@ -401,13 +401,15 @@ impl ProvenanceLog {
     ) -> bool {
         let shard = &self.shards[trace.0 as usize % SHARDS];
         let mut ring = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for rec in ring.iter_mut().rev() {
-            if rec.trace == trace && rec.convert.is_none() {
-                rec.convert = Some(ConvertStats { rows, bytes, duration });
-                return true;
-            }
-        }
-        false
+        let Some(rec) = ring.iter_mut().rev().find(|r| r.trace == trace && r.convert.is_none())
+        else {
+            return false;
+        };
+        rec.convert = Some(ConvertStats { rows, bytes, duration });
+        let fingerprint = rec.fingerprint;
+        drop(ring);
+        self.statements.add_convert(fingerprint, duration);
+        true
     }
 
     /// All buffered records, oldest first.
@@ -440,14 +442,16 @@ impl ProvenanceLog {
         self.len() == 0
     }
 
+    /// Forget every record and every statement-table row.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         }
+        self.statements.clear();
     }
 }
 
-fn truncate(s: &str, max: usize) -> String {
+pub(crate) fn truncate(s: &str, max: usize) -> String {
     if s.len() <= max {
         return s.to_string();
     }
@@ -461,98 +465,56 @@ fn truncate(s: &str, max: usize) -> String {
 /// Render records as a JSON array (hand-rolled; the workspace has no
 /// serde).
 pub fn render_json(records: &[ProvenanceRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&render_record_json(r));
-    }
-    out.push(']');
-    out
+    let rendered: Vec<String> = records.iter().map(render_record_json).collect();
+    format!("[{}]", rendered.join(","))
 }
 
 fn render_record_json(r: &ProvenanceRecord) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"seq\":{},", r.seq));
-    out.push_str(&format!("\"trace\":\"{}\",", r.trace));
-    out.push_str(&format!("\"fingerprint\":\"{:016x}\",", r.fingerprint));
-    out.push_str(&format!("\"kind\":{},", json_str(r.kind)));
-    out.push_str(&format!("\"target\":{},", json_str(&r.target)));
-    out.push_str(&format!("\"sql\":{},", json_str(&r.sql)));
-    out.push_str(&format!("\"total_seconds\":{},", r.total.as_secs_f64()));
-    out.push_str("\"stages\":{");
-    for (i, (name, d)) in r.stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", json_str(name), d.as_secs_f64()));
-    }
-    out.push_str("},\"rules\":{");
-    for (i, (name, n)) in r.rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", json_str(name), n));
-    }
-    out.push_str("},\"emulations\":{");
-    for (i, (kind, n)) in r.emulations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", json_str(kind), n));
-    }
-    out.push_str("},\"features\":[");
-    for (i, code) in r.features.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_str(code));
-    }
-    out.push_str("],");
-    out.push_str(&format!("\"cache\":{},", json_str(r.cache.as_str())));
-    out.push_str(&format!(
-        "\"cache_bypass_reason\":{},",
-        r.cache.bypass_reason().map_or("null".to_string(), json_str)
-    ));
-    out.push_str(&format!("\"retries\":{},", r.retries));
-    out.push_str(&format!("\"recoveries\":{},", r.recoveries));
-    out.push_str(&format!(
-        "\"admission_wait_seconds\":{},",
-        r.admission_wait.as_secs_f64()
-    ));
-    out.push_str(&format!("\"analyze_mode\":{},", json_str(r.analyze_mode)));
-    out.push_str(&format!("\"violations\":{},", r.violations));
-    out.push_str(&format!("\"ok\":{},", r.ok));
-    out.push_str(&format!(
-        "\"error\":{},",
-        r.error.as_deref().map_or("null".to_string(), json_str)
-    ));
-    out.push_str(&format!(
-        "\"cancelled\":{},",
-        r.cancelled.map_or("null".to_string(), json_str)
-    ));
-    out.push_str(&format!(
-        "\"replica\":{},",
-        r.replica.as_deref().map_or("null".to_string(), json_str)
-    ));
-    out.push_str(&format!("\"rows\":{},", r.rows));
-    match &r.convert {
-        Some(c) => out.push_str(&format!(
-            "\"convert\":{{\"rows\":{},\"bytes\":{},\"duration_seconds\":{}}}",
+    let null_or = |v: Option<&str>| v.map_or("null".to_string(), json_str);
+    let features: Vec<String> = r.features.iter().map(|c| json_str(c)).collect();
+    let convert = r.convert.map_or("null".to_string(), |c| {
+        format!(
+            "{{\"rows\":{},\"bytes\":{},\"duration_seconds\":{}}}",
             c.rows,
             c.bytes,
             c.duration.as_secs_f64()
-        )),
-        None => out.push_str("\"convert\":null"),
-    }
-    out.push('}');
-    out
+        )
+    });
+    json_map([
+        ("seq", r.seq.to_string()),
+        ("trace", format!("\"{}\"", r.trace)),
+        ("fingerprint", format!("\"{:016x}\"", r.fingerprint)),
+        ("kind", json_str(r.kind)),
+        ("target", json_str(&r.target)),
+        ("sql", json_str(&r.sql)),
+        ("total_seconds", r.total.as_secs_f64().to_string()),
+        ("stages", json_map(r.stages.iter().map(|(s, d)| (s, d.as_secs_f64())))),
+        ("rules", json_map(r.rules.iter().copied())),
+        ("emulations", json_map(r.emulations.iter().copied())),
+        ("features", format!("[{}]", features.join(","))),
+        ("cache", json_str(r.cache.as_str())),
+        ("cache_bypass_reason", null_or(r.cache.bypass_reason())),
+        ("retries", r.retries.to_string()),
+        ("recoveries", r.recoveries.to_string()),
+        ("admission_wait_seconds", r.admission_wait.as_secs_f64().to_string()),
+        ("analyze_mode", json_str(r.analyze_mode)),
+        ("violations", r.violations.to_string()),
+        ("ok", r.ok.to_string()),
+        ("error", null_or(r.error.as_deref())),
+        ("cancelled", null_or(r.cancelled)),
+        ("replica", null_or(r.replica.as_deref())),
+        ("rows", r.rows.to_string()),
+        ("convert", convert),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn in_flight() -> bool {
+        ACTIVE.with(|a| a.borrow().is_some())
+    }
 
     fn seal(log: &ProvenanceLog, trace: u64, sql: &str, ok: bool) -> Option<u64> {
         log.finish(FinishedStatement {
@@ -573,7 +535,7 @@ mod tests {
     fn begin_note_finish_roundtrip() {
         let log = ProvenanceLog::default();
         log.begin();
-        assert!(log.in_flight());
+        assert!(in_flight());
         note_stage("bind", Duration::from_micros(10));
         note_stage("bind", Duration::from_micros(5));
         note_rule("qualify_to_subquery", 2);
@@ -585,7 +547,7 @@ mod tests {
         note_recovery();
         note_violation();
         let seq = seal(&log, 7, "SELECT 1", true).unwrap();
-        assert!(!log.in_flight());
+        assert!(!in_flight());
         let records = log.snapshot();
         assert_eq!(records.len(), 1);
         let r = &records[0];
@@ -615,7 +577,7 @@ mod tests {
         pend_cache_bypass("volatile");
         log.set_enabled(false);
         log.begin();
-        assert!(!log.in_flight());
+        assert!(!in_flight());
         log.set_enabled(true);
         log.begin();
         let _ = seal(&log, 2, "SELECT 1", true);
@@ -658,18 +620,21 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_recent_returns_newest() {
         let log = ProvenanceLog::default();
-        log.set_capacity(SHARDS); // one record per shard
-        for i in 0..50 {
+        let sealed = 2 * CAPACITY as u64 + 50;
+        for i in 0..sealed {
             log.begin();
             let _ = seal(&log, i, "SELECT 1", true);
         }
-        assert!(log.len() <= SHARDS);
+        assert_eq!(log.len(), CAPACITY);
         let recent = log.recent(3);
         assert_eq!(recent.len(), 3);
         assert!(recent.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(recent.last().unwrap().seq, 49);
+        assert_eq!(recent.last().unwrap().seq, sealed - 1);
+        // The table outlives the ring: one fingerprint, every call.
+        assert_eq!(log.statements().snapshot()[0].calls, sealed);
         log.clear();
         assert!(log.is_empty());
+        assert!(log.statements().is_empty());
     }
 
     #[test]

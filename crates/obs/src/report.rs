@@ -1,35 +1,24 @@
-//! Workload intelligence: fold provenance records into the paper's
-//! evaluation artifacts.
+//! Workload intelligence: the paper's evaluation artifacts as a
+//! projection of the per-fingerprint [`StatementTable`](crate::statements::StatementTable).
 //!
 //! * **Figure 7 analog** — where time goes: aggregate stage shares plus
 //!   the distribution of per-query translation-overhead ratios
 //!   (translation time relative to end-to-end time).
 //! * **Figure 8 analog** — feature usage: for every tracked non-standard
-//!   feature code, how many statements and how many distinct queries used
-//!   it.
+//!   feature code, how many statements and how many distinct fingerprints
+//!   used it.
 //! * Top-N queries by latency, by volume and by emulation cost, and cache
 //!   efficiency by fingerprint.
 //!
-//! Everything is computed from live [`ProvenanceRecord`]s only — nothing
-//! here re-parses SQL or consults other registries — and renders as both
-//! JSON and aligned plain text.
+//! Everything is read off the table's rows — nothing here re-parses SQL,
+//! folds records or consults other registries — and renders as both JSON
+//! and aligned plain text.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use crate::metrics::json_str;
-use crate::provenance::{CacheOutcome, ProvenanceRecord};
-
-/// Stages counted as translation overhead (everything Hyper-Q adds in
-/// front of the target database). `execute` is the backend's time;
-/// `convert` is accounted from the attached conversion stats.
-const TRANSLATION_STAGES: [&str; 6] =
-    ["parse", "bind", "transform", "serialize", "validate", "cache"];
-
-/// Upper bounds (percent) of the overhead-ratio distribution bands.
-const BAND_BOUNDS: [f64; 7] = [0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0];
-const BAND_LABELS: [&str; 8] =
-    ["<=0.5%", "0.5-1%", "1-2%", "2-5%", "5-10%", "10-25%", "25-50%", ">50%"];
+use crate::metrics::{json_map, json_str};
+use crate::statements::{StatementRow, BAND_LABELS};
 
 /// Aggregate time spent in one pipeline stage across the workload.
 #[derive(Debug, Clone)]
@@ -60,32 +49,7 @@ pub struct FeatureRow {
     pub distinct_pct: f64,
 }
 
-/// Per-fingerprint aggregate used by the top-N tables.
-#[derive(Debug, Clone)]
-pub struct QueryAgg {
-    pub fingerprint: u64,
-    pub sample: String,
-    pub executions: u64,
-    pub total: Duration,
-    pub mean: Duration,
-    pub max: Duration,
-    pub rows: u64,
-    /// Total emulation requests across all executions.
-    pub emulations: u64,
-}
-
-/// Cache behavior of one fingerprint.
-#[derive(Debug, Clone)]
-pub struct CacheRow {
-    pub fingerprint: u64,
-    pub sample: String,
-    pub hits: u64,
-    pub misses: u64,
-    pub bypasses: u64,
-    pub hit_rate_pct: f64,
-}
-
-/// The folded workload analytics.
+/// The workload analytics projected from the statement table.
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
     pub statements: u64,
@@ -99,10 +63,11 @@ pub struct WorkloadReport {
     pub mean_overhead_pct: f64,
     pub overhead_bands: Vec<OverheadBand>,
     pub features: Vec<FeatureRow>,
-    pub top_latency: Vec<QueryAgg>,
-    pub top_volume: Vec<QueryAgg>,
-    pub top_emulation: Vec<QueryAgg>,
-    pub cache_rows: Vec<CacheRow>,
+    pub top_latency: Vec<StatementRow>,
+    pub top_volume: Vec<StatementRow>,
+    pub top_emulation: Vec<StatementRow>,
+    /// Fingerprints the cache saw, by hits + misses + bypasses.
+    pub cache_rows: Vec<StatementRow>,
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_bypasses: u64,
@@ -131,43 +96,41 @@ fn feature_order(code: &str) -> (u8, u32, String) {
     (class, num, code.to_string())
 }
 
+/// The `n` rows ranked highest by `key` (ties by fingerprint).
+fn top(rows: &[StatementRow], n: usize, key: impl Fn(&StatementRow) -> u64) -> Vec<StatementRow> {
+    let mut ranked: Vec<&StatementRow> = rows.iter().filter(|r| key(r) > 0).collect();
+    ranked.sort_by(|a, b| key(b).cmp(&key(a)).then(a.fingerprint.cmp(&b.fingerprint)));
+    ranked.into_iter().take(n).cloned().collect()
+}
+
+fn hit_rate_pct(r: &StatementRow) -> f64 {
+    pct(r.cache_hits as f64, (r.cache_hits + r.cache_misses) as f64)
+}
+
 impl WorkloadReport {
-    pub fn from_records(records: &[ProvenanceRecord]) -> WorkloadReport {
-        let statements = records.len() as u64;
-        let errors = records.iter().filter(|r| !r.ok).count() as u64;
-        let retries: u64 = records.iter().map(|r| r.retries).sum();
-        let recoveries: u64 = records.iter().map(|r| r.recoveries).sum();
-        let admission_wait: Duration = records.iter().map(|r| r.admission_wait).sum();
+    /// Project statement-table rows ([`StatementTable::snapshot`](crate::statements::StatementTable::snapshot))
+    /// onto the report.
+    pub fn from_rows(rows: &[StatementRow]) -> WorkloadReport {
+        let sum = |f: fn(&StatementRow) -> u64| rows.iter().map(f).sum::<u64>();
+        let statements = sum(|r| r.calls);
+        let distinct_fingerprints = rows.len() as u64;
 
         // Figure 7 analog: aggregate stage shares plus per-query overhead
         // ratio bands.
         let mut stage_totals: BTreeMap<&str, Duration> = BTreeMap::new();
-        let mut grand_total = Duration::ZERO;
         let mut bands = [0u64; BAND_LABELS.len()];
         let mut overhead_sum = 0.0f64;
-        let mut overhead_n = 0u64;
-        for r in records {
-            grand_total += r.total;
-            for (stage, d) in &r.stages {
-                *stage_totals.entry(stage).or_default() += *d;
+        for r in rows {
+            for &(stage, d) in &r.stages {
+                *stage_totals.entry(stage).or_default() += d;
             }
-            if let Some(c) = &r.convert {
-                *stage_totals.entry("convert").or_default() += c.duration;
+            for (total, n) in bands.iter_mut().zip(r.overhead_bands) {
+                *total += n;
             }
-            let translation: Duration = r
-                .stages
-                .iter()
-                .filter(|(s, _)| TRANSLATION_STAGES.contains(s))
-                .map(|(_, d)| *d)
-                .sum();
-            if !r.total.is_zero() {
-                let ratio = pct(translation.as_secs_f64(), r.total.as_secs_f64());
-                let band = BAND_BOUNDS.iter().position(|&b| ratio <= b).unwrap_or(BAND_BOUNDS.len());
-                bands[band] += 1;
-                overhead_sum += ratio;
-                overhead_n += 1;
-            }
+            overhead_sum += r.overhead_pct_sum;
         }
+        let grand_total: Duration = rows.iter().map(|r| r.total).sum();
+        let overhead_n: u64 = bands.iter().sum();
         let stage_shares = stage_totals
             .into_iter()
             .map(|(stage, total)| StageShare {
@@ -188,202 +151,125 @@ impl WorkloadReport {
 
         // Figure 8 analog: statements and distinct fingerprints per
         // feature code.
-        let mut per_fingerprint: BTreeMap<u64, QueryAggBuilder> = BTreeMap::new();
-        let mut feature_statements: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut feature_distinct: BTreeMap<&str, std::collections::BTreeSet<u64>> =
-            BTreeMap::new();
-        for r in records {
-            for code in &r.features {
-                *feature_statements.entry(code).or_default() += 1;
-                feature_distinct.entry(code).or_default().insert(r.fingerprint);
+        let mut per_code: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for r in rows {
+            for &(code, n) in &r.features {
+                let (calls, distinct) = per_code.entry(code).or_default();
+                *calls += n;
+                *distinct += 1;
             }
-            let agg = per_fingerprint.entry(r.fingerprint).or_insert_with(|| {
-                QueryAggBuilder { sample: r.sql.clone(), ..QueryAggBuilder::default() }
-            });
-            agg.observe(r);
         }
-        let distinct_fingerprints = per_fingerprint.len() as u64;
-        let mut features: Vec<FeatureRow> = feature_statements
-            .iter()
-            .map(|(code, &count)| {
-                let distinct = feature_distinct.get(code).map_or(0, |s| s.len() as u64);
-                FeatureRow {
-                    code: code.to_string(),
-                    statements: count,
-                    statement_pct: pct(count as f64, statements as f64),
-                    distinct_queries: distinct,
-                    distinct_pct: pct(distinct as f64, distinct_fingerprints as f64),
-                }
+        let mut features: Vec<FeatureRow> = per_code
+            .into_iter()
+            .map(|(code, (count, distinct))| FeatureRow {
+                code: code.to_string(),
+                statements: count,
+                statement_pct: pct(count as f64, statements as f64),
+                distinct_queries: distinct,
+                distinct_pct: pct(distinct as f64, distinct_fingerprints as f64),
             })
             .collect();
         features.sort_by_key(|f| feature_order(&f.code));
 
-        // Top-N and cache efficiency over the per-fingerprint aggregates.
-        let aggs: Vec<QueryAgg> =
-            per_fingerprint.iter().map(|(&fp, b)| b.build(fp)).collect();
-        let mut top_latency = aggs.clone();
-        top_latency.sort_by(|a, b| b.total.cmp(&a.total).then(a.fingerprint.cmp(&b.fingerprint)));
-        top_latency.truncate(TOP_N);
-        let mut top_volume = aggs.clone();
-        top_volume.sort_by(|a, b| {
-            b.executions.cmp(&a.executions).then(a.fingerprint.cmp(&b.fingerprint))
-        });
-        top_volume.truncate(TOP_N);
-        let mut top_emulation: Vec<QueryAgg> =
-            aggs.iter().filter(|a| a.emulations > 0).cloned().collect();
-        top_emulation.sort_by(|a, b| {
-            b.emulations.cmp(&a.emulations).then(a.fingerprint.cmp(&b.fingerprint))
-        });
-        top_emulation.truncate(TOP_N);
-
-        let mut cache_rows: Vec<CacheRow> = per_fingerprint
-            .iter()
-            .filter(|(_, b)| b.hits + b.misses + b.bypasses > 0)
-            .map(|(&fp, b)| CacheRow {
-                fingerprint: fp,
-                sample: b.sample.clone(),
-                hits: b.hits,
-                misses: b.misses,
-                bypasses: b.bypasses,
-                hit_rate_pct: pct(b.hits as f64, (b.hits + b.misses) as f64),
-            })
-            .collect();
-        cache_rows.sort_by(|a, b| {
-            (b.hits + b.misses + b.bypasses)
-                .cmp(&(a.hits + a.misses + a.bypasses))
-                .then(a.fingerprint.cmp(&b.fingerprint))
-        });
-        cache_rows.truncate(CACHE_ROWS);
-        let cache_hits = records.iter().filter(|r| r.cache == CacheOutcome::Hit).count() as u64;
-        let cache_misses =
-            records.iter().filter(|r| r.cache == CacheOutcome::Miss).count() as u64;
-        let cache_bypasses = records
-            .iter()
-            .filter(|r| matches!(r.cache, CacheOutcome::Bypass(_)))
-            .count() as u64;
-
         WorkloadReport {
             statements,
-            errors,
+            errors: sum(|r| r.errors),
             distinct_fingerprints,
-            retries,
-            recoveries,
-            admission_wait,
+            retries: sum(|r| r.retries),
+            recoveries: sum(|r| r.recoveries),
+            admission_wait: rows.iter().map(|r| r.admission_wait).sum(),
             stage_shares,
             mean_overhead_pct: if overhead_n == 0 { 0.0 } else { overhead_sum / overhead_n as f64 },
             overhead_bands,
             features,
-            top_latency,
-            top_volume,
-            top_emulation,
-            cache_rows,
-            cache_hits,
-            cache_misses,
-            cache_bypasses,
+            top_latency: top(rows, TOP_N, |r| r.total.as_nanos() as u64),
+            top_volume: top(rows, TOP_N, |r| r.calls),
+            top_emulation: top(rows, TOP_N, StatementRow::emulation_requests),
+            cache_rows: top(rows, CACHE_ROWS, |r| r.cache_hits + r.cache_misses + r.cache_bypasses),
+            cache_hits: sum(|r| r.cache_hits),
+            cache_misses: sum(|r| r.cache_misses),
+            cache_bypasses: sum(|r| r.cache_bypasses),
         }
     }
 
     /// Render the full report as JSON.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"statements\":{},", self.statements));
-        out.push_str(&format!("\"errors\":{},", self.errors));
-        out.push_str(&format!("\"distinct_fingerprints\":{},", self.distinct_fingerprints));
-        out.push_str(&format!("\"retries\":{},", self.retries));
-        out.push_str(&format!("\"recoveries\":{},", self.recoveries));
-        out.push_str(&format!(
-            "\"admission_wait_seconds\":{},",
-            self.admission_wait.as_secs_f64()
-        ));
-        out.push_str(&format!("\"mean_overhead_pct\":{},", self.mean_overhead_pct));
-        out.push_str("\"stage_shares\":[");
-        for (i, s) in self.stage_shares.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"stage\":{},\"total_seconds\":{},\"share_pct\":{}}}",
-                json_str(&s.stage),
-                s.total.as_secs_f64(),
-                s.share_pct
-            ));
-        }
-        out.push_str("],\"overhead_bands\":[");
-        for (i, b) in self.overhead_bands.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"band\":{},\"queries\":{},\"share_pct\":{}}}",
-                json_str(b.label),
-                b.queries,
-                b.share_pct
-            ));
-        }
-        out.push_str("],\"features\":[");
-        for (i, f) in self.features.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"statements\":{},\"statement_pct\":{},\
-                 \"distinct_queries\":{},\"distinct_pct\":{}}}",
-                json_str(&f.code),
-                f.statements,
-                f.statement_pct,
-                f.distinct_queries,
-                f.distinct_pct
-            ));
-        }
-        out.push_str("],");
-        for (key, list) in [
-            ("top_latency", &self.top_latency),
-            ("top_volume", &self.top_volume),
-            ("top_emulation", &self.top_emulation),
-        ] {
-            out.push_str(&format!("\"{key}\":["));
-            for (i, q) in list.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"fingerprint\":\"{:016x}\",\"sample\":{},\"executions\":{},\
-                     \"total_seconds\":{},\"mean_seconds\":{},\"max_seconds\":{},\
-                     \"rows\":{},\"emulations\":{}}}",
-                    q.fingerprint,
-                    json_str(&q.sample),
-                    q.executions,
-                    q.total.as_secs_f64(),
-                    q.mean.as_secs_f64(),
-                    q.max.as_secs_f64(),
-                    q.rows,
-                    q.emulations
-                ));
-            }
-            out.push_str("],");
-        }
-        out.push_str("\"cache\":{");
-        out.push_str(&format!("\"hits\":{},", self.cache_hits));
-        out.push_str(&format!("\"misses\":{},", self.cache_misses));
-        out.push_str(&format!("\"bypasses\":{},", self.cache_bypasses));
-        out.push_str("\"by_fingerprint\":[");
-        for (i, c) in self.cache_rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fingerprint\":\"{:016x}\",\"sample\":{},\"hits\":{},\"misses\":{},\
-                 \"bypasses\":{},\"hit_rate_pct\":{}}}",
-                c.fingerprint,
-                json_str(&c.sample),
-                c.hits,
-                c.misses,
-                c.bypasses,
-                c.hit_rate_pct
-            ));
-        }
-        out.push_str("]}}");
-        out
+        let list = |items: Vec<String>| format!("[{}]", items.join(","));
+        let fingerprint = |r: &StatementRow| format!("\"{:016x}\"", r.fingerprint);
+        let top = |rows: &[StatementRow]| {
+            list(rows
+                .iter()
+                .map(|q| {
+                    json_map([
+                        ("fingerprint", fingerprint(q)),
+                        ("sample", json_str(&q.sample)),
+                        ("executions", q.calls.to_string()),
+                        ("total_seconds", q.total.as_secs_f64().to_string()),
+                        ("mean_seconds", q.mean().as_secs_f64().to_string()),
+                        ("max_seconds", q.max.as_secs_f64().to_string()),
+                        ("rows", q.rows.to_string()),
+                        ("emulations", q.emulation_requests().to_string()),
+                    ])
+                })
+                .collect())
+        };
+        let stage_shares = self.stage_shares.iter().map(|s| {
+            json_map([
+                ("stage", json_str(&s.stage)),
+                ("total_seconds", s.total.as_secs_f64().to_string()),
+                ("share_pct", s.share_pct.to_string()),
+            ])
+        });
+        let bands = self.overhead_bands.iter().map(|b| {
+            json_map([
+                ("band", json_str(b.label)),
+                ("queries", b.queries.to_string()),
+                ("share_pct", b.share_pct.to_string()),
+            ])
+        });
+        let features = self.features.iter().map(|f| {
+            json_map([
+                ("code", json_str(&f.code)),
+                ("statements", f.statements.to_string()),
+                ("statement_pct", f.statement_pct.to_string()),
+                ("distinct_queries", f.distinct_queries.to_string()),
+                ("distinct_pct", f.distinct_pct.to_string()),
+            ])
+        });
+        let cache_rows = self.cache_rows.iter().map(|c| {
+            json_map([
+                ("fingerprint", fingerprint(c)),
+                ("sample", json_str(&c.sample)),
+                ("hits", c.cache_hits.to_string()),
+                ("misses", c.cache_misses.to_string()),
+                ("bypasses", c.cache_bypasses.to_string()),
+                ("hit_rate_pct", hit_rate_pct(c).to_string()),
+            ])
+        });
+        json_map([
+            ("statements", self.statements.to_string()),
+            ("errors", self.errors.to_string()),
+            ("distinct_fingerprints", self.distinct_fingerprints.to_string()),
+            ("retries", self.retries.to_string()),
+            ("recoveries", self.recoveries.to_string()),
+            ("admission_wait_seconds", self.admission_wait.as_secs_f64().to_string()),
+            ("mean_overhead_pct", self.mean_overhead_pct.to_string()),
+            ("stage_shares", list(stage_shares.collect())),
+            ("overhead_bands", list(bands.collect())),
+            ("features", list(features.collect())),
+            ("top_latency", top(&self.top_latency)),
+            ("top_volume", top(&self.top_volume)),
+            ("top_emulation", top(&self.top_emulation)),
+            (
+                "cache",
+                json_map([
+                    ("hits", self.cache_hits.to_string()),
+                    ("misses", self.cache_misses.to_string()),
+                    ("bypasses", self.cache_bypasses.to_string()),
+                    ("by_fingerprint", list(cache_rows.collect())),
+                ]),
+            ),
+        ])
     }
 
     /// Render the full report as aligned plain text.
@@ -443,10 +329,10 @@ impl WorkloadReport {
                     out.push_str(&format!(
                         "  {:016x} {:>6} {:>12} {:>12} {:>6} {}\n",
                         q.fingerprint,
-                        q.executions,
+                        q.calls,
                         format!("{:.3?}", q.total),
-                        format!("{:.3?}", q.mean),
-                        q.emulations,
+                        format!("{:.3?}", q.mean()),
+                        q.emulation_requests(),
                         clip(&q.sample, 48)
                     ));
                 }
@@ -466,10 +352,10 @@ impl WorkloadReport {
                 out.push_str(&format!(
                     "  {:016x} {:>6} {:>6} {:>8} {:>7.1}% {}\n",
                     c.fingerprint,
-                    c.hits,
-                    c.misses,
-                    c.bypasses,
-                    c.hit_rate_pct,
+                    c.cache_hits,
+                    c.cache_misses,
+                    c.cache_bypasses,
+                    hit_rate_pct(c),
                     clip(&c.sample, 48)
                 ));
             }
@@ -505,112 +391,53 @@ fn clip(s: &str, max: usize) -> String {
     format!("{clipped}…")
 }
 
-#[derive(Debug, Default)]
-struct QueryAggBuilder {
-    sample: String,
-    executions: u64,
-    total: Duration,
-    max: Duration,
-    rows: u64,
-    emulations: u64,
-    hits: u64,
-    misses: u64,
-    bypasses: u64,
-}
-
-impl QueryAggBuilder {
-    fn observe(&mut self, r: &ProvenanceRecord) {
-        self.executions += 1;
-        self.total += r.total;
-        self.max = self.max.max(r.total);
-        self.rows += r.rows;
-        self.emulations += r.emulations.iter().map(|(_, n)| n).sum::<u64>();
-        match r.cache {
-            CacheOutcome::Hit => self.hits += 1,
-            CacheOutcome::Miss => self.misses += 1,
-            CacheOutcome::Bypass(_) => self.bypasses += 1,
-            CacheOutcome::Uncached => {}
-        }
-    }
-
-    fn build(&self, fingerprint: u64) -> QueryAgg {
-        QueryAgg {
-            fingerprint,
-            sample: self.sample.clone(),
-            executions: self.executions,
-            total: self.total,
-            mean: if self.executions == 0 {
-                Duration::ZERO
-            } else {
-                self.total / self.executions as u32
-            },
-            max: self.max,
-            rows: self.rows,
-            emulations: self.emulations,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provenance::{ConvertStats, ProvenanceRecord};
-    use crate::trace::TraceId;
+    use crate::provenance::CacheOutcome;
+    use crate::statements::tests::record;
+    use crate::statements::StatementTable;
+    use crate::ProvenanceRecord;
 
-    fn record(
-        seq: u64,
-        fp: u64,
-        features: Vec<&'static str>,
-        cache: CacheOutcome,
-        translation_micros: u64,
-        execute_micros: u64,
-    ) -> ProvenanceRecord {
-        ProvenanceRecord {
-            seq,
-            trace: TraceId(seq),
-            fingerprint: fp,
-            kind: "select",
-            target: "simwh".to_string(),
-            sql: format!("SELECT {fp}"),
-            total: Duration::from_micros(translation_micros + execute_micros),
-            stages: vec![
-                ("bind", Duration::from_micros(translation_micros)),
-                ("execute", Duration::from_micros(execute_micros)),
-            ],
-            rules: vec![("r", 1)],
-            emulations: if fp == 2 { vec![("macro", 2)] } else { Vec::new() },
-            features,
-            cache,
-            retries: 0,
-            recoveries: 0,
-            admission_wait: Duration::ZERO,
-            analyze_mode: "log_only",
-            violations: 0,
-            ok: true,
-            error: None,
-            cancelled: None,
-            replica: None,
-            rows: 4,
-            convert: Some(ConvertStats {
-                rows: 4,
-                bytes: 100,
-                duration: Duration::from_micros(2),
-            }),
+    fn folded(records: &[ProvenanceRecord]) -> Vec<StatementRow> {
+        let table = StatementTable::default();
+        for r in records {
+            table.fold(r);
         }
+        table.snapshot()
     }
 
     fn sample_records() -> Vec<ProvenanceRecord> {
-        vec![
-            record(0, 1, vec!["X1"], CacheOutcome::Miss, 10, 990),
-            record(1, 1, vec!["X1"], CacheOutcome::Hit, 5, 995),
-            record(2, 2, vec!["E2", "X1"], CacheOutcome::Bypass("volatile"), 500, 500),
-            record(3, 3, vec![], CacheOutcome::Uncached, 1, 999),
-        ]
+        let mut records = Vec::new();
+        for (seq, fp, features, cache, translation, execute) in [
+            (0, 1, vec!["X1"], CacheOutcome::Miss, 10, 990),
+            (1, 1, vec!["X1"], CacheOutcome::Hit, 5, 995),
+            (2, 2, vec!["E2", "X1"], CacheOutcome::Bypass("volatile"), 500, 500),
+            (3, 3, vec![], CacheOutcome::Uncached, 1, 999),
+        ] {
+            let mut r = record(seq, fp, translation + execute);
+            r.stages = vec![
+                ("bind", Duration::from_micros(translation)),
+                ("execute", Duration::from_micros(execute)),
+            ];
+            if fp == 2 {
+                r.emulations = vec![("macro", 2)];
+            }
+            r.features = features;
+            r.cache = cache;
+            r.rows = 4;
+            records.push(r);
+        }
+        records
     }
 
     #[test]
     fn folds_figure7_and_figure8_analogs() {
-        let report = WorkloadReport::from_records(&sample_records());
+        let table = StatementTable::default();
+        for r in sample_records() {
+            table.fold(&r);
+        }
+        let report = WorkloadReport::from_rows(&table.snapshot());
         assert_eq!(report.statements, 4);
         assert_eq!(report.distinct_fingerprints, 3);
         assert_eq!(
@@ -634,28 +461,33 @@ mod tests {
         assert_eq!(band("<=0.5%"), 2);
         assert_eq!(band("0.5-1%"), 1);
         assert_eq!(band("25-50%"), 1);
-        // Stage shares include the convert stage from attached stats.
+        assert!((report.mean_overhead_pct - (1.0 + 0.5 + 50.0 + 0.1) / 4.0).abs() < 1e-9);
+        // Stage shares include the convert stage once one is attached.
+        assert!(!report.stage_shares.iter().any(|s| s.stage == "convert"));
+        table.add_convert(1, Duration::from_micros(2));
+        let report = WorkloadReport::from_rows(&table.snapshot());
         assert!(report.stage_shares.iter().any(|s| s.stage == "convert"));
     }
 
     #[test]
     fn top_n_and_cache_rows_are_ranked() {
-        let report = WorkloadReport::from_records(&sample_records());
+        let report = WorkloadReport::from_rows(&folded(&sample_records()));
         assert_eq!(report.top_volume[0].fingerprint, 1);
-        assert_eq!(report.top_volume[0].executions, 2);
+        assert_eq!(report.top_volume[0].calls, 2);
         assert_eq!(report.top_latency[0].fingerprint, 1, "2 execs of fp 1 dominate total");
         assert_eq!(report.top_emulation.len(), 1);
         assert_eq!(report.top_emulation[0].fingerprint, 2);
-        assert_eq!(report.top_emulation[0].emulations, 2);
+        assert_eq!(report.top_emulation[0].emulation_requests(), 2);
         let fp1 = report.cache_rows.iter().find(|c| c.fingerprint == 1).unwrap();
-        assert_eq!((fp1.hits, fp1.misses), (1, 1));
-        assert!((fp1.hit_rate_pct - 50.0).abs() < 1e-9);
+        assert_eq!((fp1.cache_hits, fp1.cache_misses), (1, 1));
+        assert!((hit_rate_pct(fp1) - 50.0).abs() < 1e-9);
+        assert!(report.cache_rows.iter().all(|c| c.fingerprint != 3), "uncached row listed");
     }
 
     #[test]
     fn renders_json_text_and_stable_feature_table() {
-        let records = sample_records();
-        let report = WorkloadReport::from_records(&records);
+        let rows = folded(&sample_records());
+        let report = WorkloadReport::from_rows(&rows);
         let json = report.render_json();
         crate::json::validate(&json).expect("report JSON must parse");
         assert!(json.contains("\"features\":"));
@@ -664,15 +496,15 @@ mod tests {
         assert!(text.contains("figure 7 analog"), "{text}");
         assert!(text.contains("figure 8 analog"), "{text}");
         assert!(text.contains("cache efficiency by fingerprint"), "{text}");
-        // Same records, same bytes.
-        let again = WorkloadReport::from_records(&records);
+        // Same rows, same bytes.
+        let again = WorkloadReport::from_rows(&rows);
         assert_eq!(report.render_feature_table(), again.render_feature_table());
         assert_eq!(text, again.render_text());
     }
 
     #[test]
-    fn empty_records_fold_without_panicking() {
-        let report = WorkloadReport::from_records(&[]);
+    fn empty_table_projects_without_panicking() {
+        let report = WorkloadReport::from_rows(&[]);
         assert_eq!(report.statements, 0);
         assert_eq!(report.mean_overhead_pct, 0.0);
         crate::json::validate(&report.render_json()).unwrap();

@@ -5,7 +5,7 @@
 //! like recursive-CTE iterations). Span context propagates through a
 //! thread-local stack, so instrumented layers never thread IDs explicitly;
 //! finished spans land in a bounded ring buffer for inspection and for the
-//! slow-query log.
+//! slowest-call trees on `/statements`.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -179,8 +179,8 @@ impl TraceSink {
         self.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
     }
 
-    /// Render the span tree of a trace as an indented text outline —
-    /// the slow-query log's payload.
+    /// Render the span tree of a trace as an indented text outline (empty
+    /// once the ring has dropped the trace).
     pub fn render_tree(&self, trace: TraceId) -> String {
         let spans = self.spans_for(trace);
         let mut out = String::new();

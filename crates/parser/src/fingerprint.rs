@@ -233,29 +233,25 @@ pub fn splice_source(sql: &str, slots: &[LiteralSlot], replacements: &[String]) 
 }
 
 /// Redact every literal in `sql` with a class tag — numbers become `?`,
-/// strings become `'?'` — via the fingerprint's literal spans. Statement
-/// shape, identifiers and keywords survive untouched, so redacted text is
-/// still useful for forensics. Text that does not tokenize is replaced
-/// wholesale: if the literal spans are unknown, nothing of the text can be
-/// trusted not to be a literal.
-pub fn redact_literals(sql: &str) -> String {
-    match fingerprint(sql) {
-        Ok(fp) => {
-            if fp.literals.is_empty() {
-                return sql.to_string();
-            }
-            let reps: Vec<String> = fp
-                .literals
-                .iter()
-                .map(|l| match l.kind {
-                    LiteralKind::Number => "?".to_string(),
-                    LiteralKind::String => "'?'".to_string(),
-                })
-                .collect();
-            splice_source(sql, &fp.literals, &reps)
-        }
-        Err(_) => "<unlexable statement redacted>".to_string(),
-    }
+/// strings become `'?'` — via the literal spans of `fp`, the fingerprint
+/// of `sql` (`None` when it did not lex). Statement shape, identifiers and
+/// keywords survive untouched, so redacted text is still useful for
+/// forensics. Text that does not tokenize is replaced wholesale: if the
+/// literal spans are unknown, nothing of the text can be trusted not to be
+/// a literal.
+pub fn redact_literals(sql: &str, fp: Option<&Fingerprint>) -> String {
+    let Some(fp) = fp else {
+        return "<unlexable statement redacted>".to_string();
+    };
+    let reps: Vec<String> = fp
+        .literals
+        .iter()
+        .map(|l| match l.kind {
+            LiteralKind::Number => "?".to_string(),
+            LiteralKind::String => "'?'".to_string(),
+        })
+        .collect();
+    splice_source(sql, &fp.literals, &reps)
 }
 
 #[cfg(test)]
@@ -334,15 +330,36 @@ mod tests {
 
     #[test]
     fn redaction_replaces_literals_with_class_tags() {
+        let redact = |sql: &str| redact_literals(sql, fingerprint(sql).ok().as_ref());
         assert_eq!(
-            redact_literals("SELECT NAME FROM T WHERE ID = 42 AND CITY = 'Ber''lin'"),
+            redact("SELECT NAME FROM T WHERE ID = 42 AND CITY = 'Ber''lin'"),
             "SELECT NAME FROM T WHERE ID = ? AND CITY = '?'"
         );
         // No literals: text passes through.
-        assert_eq!(redact_literals("SELECT A FROM T"), "SELECT A FROM T");
+        assert_eq!(redact("SELECT A FROM T"), "SELECT A FROM T");
         // Unlexable text is dropped entirely rather than stored raw.
-        let redacted = redact_literals("SELECT 'unterminated");
-        assert!(!redacted.contains("unterminated"), "{redacted}");
+        assert!(fingerprint("SELECT 'unterminated").is_err());
+        assert_eq!(redact("SELECT 'unterminated"), "<unlexable statement redacted>");
+        assert_eq!(redact_literals("SELECT 1", None), "<unlexable statement redacted>");
+    }
+
+    #[test]
+    fn redaction_reuses_the_callers_fingerprint() {
+        // One lex serves both the hash and the redaction: the spans index
+        // the text they came from, across statements and comments.
+        let sql = "SEL A FROM T WHERE B = -7 /* 'c' */ AND C IN ('x', 1.5); SEL 'y'";
+        let fp = fingerprint(sql).unwrap();
+        assert_eq!(fp.literals.len(), 4);
+        assert_eq!(
+            redact_literals(sql, Some(&fp)),
+            "SEL A FROM T WHERE B = -? /* 'c' */ AND C IN ('?', ?); SEL '?'"
+        );
+        let other = fingerprint("SELECT A FROM T WHERE B = 123456").unwrap();
+        assert_eq!(fp.hash, fingerprint(&sql.replace("-7", "-8")).unwrap().hash);
+        assert_eq!(
+            redact_literals("SELECT A FROM T WHERE B = 123456", Some(&other)),
+            "SELECT A FROM T WHERE B = ?"
+        );
     }
 
     #[test]

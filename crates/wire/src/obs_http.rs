@@ -9,12 +9,15 @@
 //! * `/metrics.json` — the same registry as JSON.
 //! * `/provenance?n=N` — the most recent `N` per-statement provenance
 //!   records (default 100) as JSON.
-//! * `/report` — workload intelligence folded from the provenance ring
+//! * `/statements` — the cumulative per-fingerprint statement table
+//!   (calls, errors, latency, stages, cache, emulations, features, a
+//!   literal-redacted sample) as JSON, by total time, with the count of
+//!   evicted rows and the span tree of each row's slowest call while the
+//!   trace ring still holds it.
+//! * `/report` — workload intelligence projected from the statement table
 //!   (stage shares, overhead-ratio bands, feature usage, top queries,
 //!   cache efficiency) as JSON; `?format=text` renders the aligned
 //!   plain-text report instead.
-//! * `/slowlog` — captured slow statements (literal-redacted SQL unless
-//!   raw capture was opted into) as JSON.
 //! * `/queries` — the governor's in-flight query table (id, session,
 //!   fingerprint, stage, elapsed, charged memory) as JSON, when a
 //!   [`GovernorRegistry`] is attached. `?cancel=<id>` cancels that query —
@@ -36,7 +39,7 @@ use std::time::Duration;
 
 use hyperq_core::replicate::{ReplicaSnapshot, ReplicatedBackend};
 use hyperq_governor::{CancelReason, GovernorRegistry, QuerySnapshot};
-use hyperq_obs::{provenance, slowlog, ObsContext, WorkloadReport};
+use hyperq_obs::{provenance, ObsContext, WorkloadReport};
 
 /// Default cap on `/provenance` records per response.
 const DEFAULT_PROVENANCE_LIMIT: usize = 100;
@@ -178,16 +181,16 @@ fn serve_one(
             let body = provenance::render_json(&obs.provenance.recent(n));
             respond(stream, "200 OK", "application/json", &body)
         }
+        "/statements" => {
+            let body = obs.provenance.statements().render_json(&obs.traces);
+            respond(stream, "200 OK", "application/json", &body)
+        }
         "/report" => {
-            let report = WorkloadReport::from_records(&obs.provenance.snapshot());
+            let report = WorkloadReport::from_rows(&obs.provenance.statements().snapshot());
             match query_param(query, "format") {
                 Some("text") => respond(stream, "200 OK", "text/plain", &report.render_text()),
                 _ => respond(stream, "200 OK", "application/json", &report.render_json()),
             }
-        }
-        "/slowlog" => {
-            let body = slowlog::render_json(&obs.slowlog.entries());
-            respond(stream, "200 OK", "application/json", &body)
         }
         "/queries" => match governor {
             None => respond(
@@ -360,8 +363,9 @@ mod tests {
         hyperq_obs::json::validate(&report).unwrap();
         let (_, text) = get(handle.addr, "/report?format=text");
         assert!(text.contains("workload report"), "{text}");
-        let (_, slow) = get(handle.addr, "/slowlog");
-        hyperq_obs::json::validate(&slow).unwrap();
+        let (_, statements) = get(handle.addr, "/statements");
+        hyperq_obs::json::validate(&statements).unwrap();
+        assert!(statements.contains("\"calls\":1,"), "{statements}");
         let (head, _) = get(handle.addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         let mut stream = TcpStream::connect(handle.addr).unwrap();

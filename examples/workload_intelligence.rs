@@ -1,7 +1,8 @@
 //! Watching a workload live: run a customer-corpus slice through the
 //! gateway, then read everything an operator needs — Prometheus metrics,
-//! per-query provenance, and the Figure 7/8 analog workload report — off
-//! the observability endpoint with nothing but an HTTP GET.
+//! per-query provenance, the per-fingerprint statement table, and the
+//! Figure 7/8 analog workload report — off the observability endpoint with
+//! nothing but an HTTP GET.
 //!
 //! ```sh
 //! cargo run --example workload_intelligence
@@ -58,6 +59,9 @@ fn main() {
     // What the operator sees, live, while the workload runs.
     println!("== GET /report?format=text ==");
     println!("{}", http_get(obs_addr, "/report?format=text"));
+
+    println!("== GET /statements (cumulative, one row per fingerprint) ==");
+    println!("{}\n", http_get(obs_addr, "/statements"));
 
     println!("== GET /provenance?n=2 (most recent statements) ==");
     println!("{}\n", http_get(obs_addr, "/provenance?n=2"));

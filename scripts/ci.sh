@@ -36,12 +36,16 @@ cargo build --offline --release --workspace
 # - Translation cache (`parser` fingerprint, `core` cache unit +
 #   `core/tests/cache`, `tests/cache_equivalence`): cache-off vs cold vs
 #   warm must be byte-identical corpus-wide.
-# - Provenance & workload intelligence (`obs` provenance/report, `wire`
-#   obs_http, `tests/provenance`, `tests/obs_http`): per-statement
-#   forensics with an injected fault must match independently observed
-#   metrics; the Figure 8 analog replay against generator ground truth;
-#   the byte-stable report snapshot; the endpoint against a live gateway
-#   (including `/replicas`).
+# - Provenance & workload intelligence (`obs` provenance/statements/
+#   report, `wire` obs_http, `tests/provenance`, `tests/obs_http`,
+#   `bench` figures_smoke): per-statement forensics with an injected
+#   fault must match independently observed metrics, and so must the
+#   statement-table row they fold into; the table's fold, LRU eviction
+#   bound and convert attachment against hand-computed rows; the Figure 8
+#   analog replay against generator ground truth; the byte-stable report
+#   snapshot and the Figure 8 golden; the endpoint against a live gateway
+#   (`/statements` one row per fingerprint, `/replicas`), and twenty
+#   logon/logoff cycles adding no `/metrics` series.
 # - Query lifecycle governance (`governor`, `tests/cancel`): client abort
 #   / deadline / memory budget end to end over the wire and at the
 #   library level, each leaving the breaker and every replica alone.
@@ -88,10 +92,11 @@ for i in $(seq 20); do cargo test -q --offline --test soak; done
 (cd bench && cargo test --offline)
 
 # Production-path panic hygiene: no `.unwrap()` / `.expect(` in non-test
-# code of the gateway-facing crates (wire, governor), the engine, the
+# code of the gateway-facing crates (wire, governor), the observability
+# crate (its statement table folds every statement), the engine, the
 # replica HA modules, and the target-profile registry/flavor modules. The
 # awk strips everything from the first `#[cfg(test)]` module onward.
-for src in crates/wire/src crates/governor/src crates/engine/src \
+for src in crates/wire/src crates/governor/src crates/obs/src crates/engine/src \
     crates/core/src/replicate.rs crates/core/src/repair.rs \
     crates/core/src/targets.rs crates/core/src/serialize/flavor.rs; do
     offenders=$(find "$src" -name '*.rs' -exec awk '

@@ -2,51 +2,27 @@
 //! workloads processes through the full pipeline, and the measured
 //! Figure 8 statistics land near the published values.
 
-use std::sync::Arc;
-
-use hyperq::core::tracker::WorkloadTracker;
-use hyperq::core::{Backend, HyperQBuilder};
-use hyperq::engine::EngineDb;
-use hyperq::workload::customer::{health, telco, CustomerWorkload};
+use hyperq::workload::customer::{health, telco};
 use hyperq::xtra::feature::FeatureClass;
+use hyperq_bench::figures::{measure_workload, WorkloadStats};
 
-fn run_workload(w: &CustomerWorkload) -> (WorkloadTracker, u64) {
-    let db = Arc::new(EngineDb::new());
-    for ddl in &w.target_ddl {
-        db.execute_sql(ddl).unwrap();
-    }
-    let mut hq = HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq::core::targets::simwh()).build();
-    for setup in &w.hyperq_setup {
-        hq.run_one(setup).unwrap();
-    }
-    let mut tracker = WorkloadTracker::new();
-    let mut failures = 0u64;
-    for text in &w.distinct {
-        match hq.run_one(text) {
-            Ok(outcome) => tracker.observe(text, &outcome.features),
-            Err(e) => {
-                failures += 1;
-                eprintln!("FAILED: {text}\n  -> {e}");
-            }
-        }
-    }
-    (tracker, failures)
+/// (8a, 8b) for one class: share of its tracked features seen, share of
+/// distinct queries affected.
+fn class_stats(s: &WorkloadStats, class: FeatureClass) -> (f64, f64) {
+    (s.feature_coverage_pct(class), s.queries_affected_pct(class))
 }
 
 #[test]
 fn health_distinct_queries_all_process() {
+    // `measure_workload` panics on the first query that fails.
     let w = health(0.05);
-    let (tracker, failures) = run_workload(&w);
-    assert_eq!(failures, 0);
-    assert_eq!(tracker.distinct_queries(), w.distinct.len() as u64);
+    assert_eq!(measure_workload(&w).distinct_queries, w.distinct.len() as u64);
 }
 
 #[test]
 fn telco_distinct_queries_all_process() {
     let w = telco(0.02);
-    let (tracker, failures) = run_workload(&w);
-    assert_eq!(failures, 0);
-    assert_eq!(tracker.distinct_queries(), w.distinct.len() as u64);
+    assert_eq!(measure_workload(&w).distinct_queries, w.distinct.len() as u64);
 }
 
 #[test]
@@ -54,40 +30,32 @@ fn health_figure8_statistics_near_paper() {
     // At scale 0.2 the shares stabilize; the paper reports (8a) 55.6 / 77.8
     // / 33.3 % of tracked features and (8b) 1.4 / 33.6 / 0.2 % of distinct
     // queries for translation / transformation / emulation.
-    let w = health(0.2);
-    let (tracker, failures) = run_workload(&w);
-    assert_eq!(failures, 0);
-    let stats = tracker.class_stats();
-    let get = |c: FeatureClass| stats.iter().find(|s| s.class == c).unwrap();
-    let tr = get(FeatureClass::Translation);
-    let xf = get(FeatureClass::Transformation);
-    let em = get(FeatureClass::Emulation);
+    let s = measure_workload(&health(0.2));
+    let tr = class_stats(&s, FeatureClass::Translation);
+    let xf = class_stats(&s, FeatureClass::Transformation);
+    let em = class_stats(&s, FeatureClass::Emulation);
     // 8a: feature coverage per class.
-    assert!((tr.feature_coverage_pct - 55.6).abs() < 0.2, "{}", tr.feature_coverage_pct);
-    assert!((xf.feature_coverage_pct - 77.8).abs() < 0.2, "{}", xf.feature_coverage_pct);
-    assert!((em.feature_coverage_pct - 33.3).abs() < 0.2, "{}", em.feature_coverage_pct);
+    assert!((tr.0 - 55.6).abs() < 0.2, "{}", tr.0);
+    assert!((xf.0 - 77.8).abs() < 0.2, "{}", xf.0);
+    assert!((em.0 - 33.3).abs() < 0.2, "{}", em.0);
     // 8b: distinct queries affected, within a couple of points.
-    assert!((tr.queries_affected_pct - 1.4).abs() < 1.0, "{}", tr.queries_affected_pct);
-    assert!((xf.queries_affected_pct - 33.6).abs() < 2.0, "{}", xf.queries_affected_pct);
-    assert!(em.queries_affected_pct < 2.0, "{}", em.queries_affected_pct);
+    assert!((tr.1 - 1.4).abs() < 1.0, "{}", tr.1);
+    assert!((xf.1 - 33.6).abs() < 2.0, "{}", xf.1);
+    assert!(em.1 < 2.0, "{}", em.1);
 }
 
 #[test]
 fn telco_figure8_statistics_near_paper() {
     // Paper: (8a) 22.2 / 66.7 / 33.3; (8b) 0.2 / 4.0 / 79.1 — macros
     // dominate.
-    let w = telco(0.1);
-    let (tracker, failures) = run_workload(&w);
-    assert_eq!(failures, 0);
-    let stats = tracker.class_stats();
-    let get = |c: FeatureClass| stats.iter().find(|s| s.class == c).unwrap();
-    let tr = get(FeatureClass::Translation);
-    let xf = get(FeatureClass::Transformation);
-    let em = get(FeatureClass::Emulation);
-    assert!((tr.feature_coverage_pct - 22.2).abs() < 0.2, "{}", tr.feature_coverage_pct);
-    assert!((xf.feature_coverage_pct - 66.7).abs() < 0.2, "{}", xf.feature_coverage_pct);
-    assert!((em.feature_coverage_pct - 33.3).abs() < 0.2, "{}", em.feature_coverage_pct);
-    assert!(tr.queries_affected_pct < 1.0, "{}", tr.queries_affected_pct);
-    assert!((xf.queries_affected_pct - 4.0).abs() < 1.5, "{}", xf.queries_affected_pct);
-    assert!((em.queries_affected_pct - 79.1).abs() < 2.0, "{}", em.queries_affected_pct);
+    let s = measure_workload(&telco(0.1));
+    let tr = class_stats(&s, FeatureClass::Translation);
+    let xf = class_stats(&s, FeatureClass::Transformation);
+    let em = class_stats(&s, FeatureClass::Emulation);
+    assert!((tr.0 - 22.2).abs() < 0.2, "{}", tr.0);
+    assert!((xf.0 - 66.7).abs() < 0.2, "{}", xf.0);
+    assert!((em.0 - 33.3).abs() < 0.2, "{}", em.0);
+    assert!(tr.1 < 1.0, "{}", tr.1);
+    assert!((xf.1 - 4.0).abs() < 1.5, "{}", xf.1);
+    assert!((em.1 - 79.1).abs() < 2.0, "{}", em.1);
 }

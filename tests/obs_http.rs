@@ -1,17 +1,26 @@
 //! The observability endpoint against a live gateway: drive TPC-H and a
 //! customer-corpus slice through the wire protocol, then watch the same
 //! workload through plain HTTP GETs — Prometheus metrics with quantile
-//! gauges, per-statement provenance, the Figure 7/8 analog report built
-//! from live records only, the slow-query log, and the health probe.
+//! gauges, per-statement provenance, the per-fingerprint statement table,
+//! the Figure 7/8 analog report projected from it, and the health probe.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use hyperq::core::Backend;
+use hyperq::core::{Backend, ObsContext};
 use hyperq::engine::EngineDb;
+use hyperq::parser::fingerprint::fingerprint;
 use hyperq::wire::{Client, Gateway, GatewayConfig};
 use hyperq::workload::{customer::health, tpch};
+
+/// Gateways report into the process-global observability context, so the
+/// tests that count what lands there take turns.
+fn global_obs() -> MutexGuard<'static, ()> {
+    static GLOBAL_OBS: Mutex<()> = Mutex::new(());
+    GLOBAL_OBS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn get(addr: SocketAddr, target: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -22,11 +31,25 @@ fn get(addr: SocketAddr, target: &str) -> (String, String) {
     (head.to_string(), body.to_string())
 }
 
+/// `(fingerprint, calls)` of every `/statements` row.
+fn statement_calls(body: &str) -> Vec<(String, u64)> {
+    body.split("{\"fingerprint\":\"")
+        .skip(1)
+        .map(|row| {
+            let (fp, rest) = row.split_once("\",\"calls\":").unwrap();
+            let calls: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            (fp.to_string(), calls.parse().unwrap())
+        })
+        .collect()
+}
+
 /// One big scenario instead of parallel small tests: the gateway reports
 /// into the process-global observability context, so concurrent tests in
 /// this binary would race each other's metrics.
 #[test]
 fn gateway_observability_endpoint_serves_live_workload_intelligence() {
+    let _global = global_obs();
+    ObsContext::global().provenance.clear();
     let db = Arc::new(EngineDb::new());
     for ddl in tpch::ddl() {
         db.execute_sql(&ddl).unwrap();
@@ -45,16 +68,14 @@ fn gateway_observability_endpoint_serves_live_workload_intelligence() {
 
     let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
     // TPC-H through the wire — Q1 twice so the translation cache records a
-    // hit alongside the misses.
-    for q in [1, 1, 3, 6] {
-        client.run(tpch::query(q)).unwrap();
-    }
-    // Customer-corpus slice on the same session (its setup views included).
-    for setup in &corpus.hyperq_setup {
-        client.run(setup).unwrap();
-    }
-    for text in &corpus.distinct {
+    // hit alongside the misses — then a customer-corpus slice on the same
+    // session, its setup views included.
+    let mut sent: Vec<&str> = [1, 1, 3, 6].map(tpch::query).to_vec();
+    sent.extend(corpus.hyperq_setup.iter().chain(&corpus.distinct).map(String::as_str));
+    let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+    for text in &sent {
         client.run(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        *expected.entry(format!("{:016x}", fingerprint(text).unwrap().hash)).or_default() += 1;
     }
 
     // /healthz — liveness.
@@ -99,9 +120,15 @@ fn gateway_observability_endpoint_serves_live_workload_intelligence() {
     assert!(text.contains("figure 7 analog"), "{text}");
     assert!(text.contains("figure 8 analog"), "{text}");
 
-    // /slowlog — parseable even when empty (default threshold is off).
-    let (_, slow) = get(obs_addr, "/slowlog");
-    hyperq::obs::json::validate(&slow).expect("/slowlog must parse");
+    // /statements — one row per distinct fingerprint run, calls summing
+    // to the statements sent.
+    let (_, statements) = get(obs_addr, "/statements");
+    hyperq::obs::json::validate(&statements).expect("/statements must parse");
+    assert!(statements.starts_with("{\"evicted\":0,"), "{statements}");
+    let rows: BTreeMap<String, u64> = statement_calls(&statements).into_iter().collect();
+    assert_eq!(rows, expected, "one row per fingerprint, one call per statement");
+    assert_eq!(rows.values().sum::<u64>(), sent.len() as u64);
+    assert!(statements.contains("\"max_trace_tree\":\"statement "), "{statements}");
 
     // /queries — the governor's in-flight table (idle here, so an empty
     // array) is attached whenever the gateway serves the endpoint.
@@ -128,10 +155,46 @@ fn gateway_observability_endpoint_serves_live_workload_intelligence() {
     handle.shutdown();
 }
 
+/// Connections come and go without leaving metric series behind: after
+/// one warm-up session, twenty more logon/logoff cycles must not grow
+/// `/metrics` (histogram bucket lines aside, which follow the observed
+/// maximum).
+#[test]
+fn logon_logoff_cycles_add_no_metric_series() {
+    let _global = global_obs();
+    let db = Arc::new(EngineDb::new());
+    db.execute_sql("CREATE TABLE CYCLES (ID INTEGER)").unwrap();
+    let config = GatewayConfig { obs_http: Some("127.0.0.1:0".to_string()), ..Default::default() };
+    let handle = Gateway::spawn(Arc::clone(&db) as Arc<dyn Backend>, config).unwrap();
+    let obs_addr = handle.obs_addr().unwrap();
+    let cycle = || {
+        let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+        client.run("SEL COUNT(*) FROM CYCLES").unwrap();
+        client.logoff().unwrap();
+    };
+    let series = || -> Vec<String> {
+        let (_, prom) = get(obs_addr, "/metrics");
+        prom.lines()
+            .filter(|l| !l.starts_with('#') && !l.contains("_bucket{"))
+            .filter_map(|l| l.rsplit_once(' ').map(|(series, _)| series.to_string()))
+            .collect()
+    };
+    cycle();
+    let warm = series();
+    for _ in 0..20 {
+        cycle();
+    }
+    let after = series();
+    let added: Vec<&String> = after.iter().filter(|s| !warm.contains(s)).collect();
+    assert!(added.is_empty(), "logon/logoff cycles added series: {added:?}");
+    handle.shutdown();
+}
+
 /// A standalone endpoint spawned without a gateway has no governor to ask:
 /// `/queries` answers 404, everything else still serves.
 #[test]
 fn queries_route_without_governor_is_absent() {
+    let _global = global_obs();
     let handle = hyperq::wire::obs_http::spawn(
         "127.0.0.1:0",
         Arc::clone(hyperq::core::ObsContext::global()),
@@ -150,6 +213,7 @@ fn queries_route_without_governor_is_absent() {
 /// the journal drain back to zero after the prober heals it.
 #[test]
 fn replicas_route_reports_health_and_journal_depth() {
+    let _global = global_obs();
     use hyperq::core::backend::testing::{FaultInjectingBackend, FaultPlan, FaultScope};
     use hyperq::core::{BackendErrorKind, ReplicaConfig};
 
@@ -218,6 +282,7 @@ fn replicas_route_reports_health_and_journal_depth() {
 /// client-abort wire code and keeps its session.
 #[test]
 fn http_cancel_kills_live_query_when_enabled() {
+    let _global = global_obs();
     use std::time::Duration;
 
     use hyperq::core::backend::{BackendError, ExecResult, RequestContext};

@@ -308,22 +308,24 @@ fn run_script_trace_ids_and_error_accounting() {
             .counter_value("hyperq_statements_total", &[("outcome", "error")]),
         1
     );
-    // The session tracker observed the two successful statements.
-    assert_eq!(hq.tracker().total_queries, 2);
+    // The statement table counted all three calls, the failure included.
+    let rows = obs.provenance.statements().snapshot();
+    assert_eq!(rows.iter().map(|r| r.calls).sum::<u64>(), 3);
+    assert_eq!(rows.iter().map(|r| r.errors).sum::<u64>(), 1);
 }
 
-/// Statements crossing the slow-query threshold are captured with their
-/// span tree.
+/// A statement-table row keeps the trace of its slowest call, whose span
+/// tree renders while the trace ring still holds it.
 #[test]
-fn slow_query_log_captures_span_tree() {
+fn statement_row_keeps_the_slowest_calls_span_tree() {
     let obs = ObsContext::new();
-    obs.slowlog.set_threshold(Some(Duration::from_nanos(1)));
     let mut hq = session(&obs);
-    hq.run_one(tpch::query(1)).unwrap();
-    let entries = obs.slowlog.entries();
-    assert_eq!(entries.len(), 1);
-    assert!(entries[0].sql.starts_with("SEL L_RETURNFLAG"), "{}", entries[0].sql);
-    let tree = &entries[0].spans;
+    let outcome = hq.run_one(tpch::query(1)).unwrap();
+    let rows = obs.provenance.statements().snapshot();
+    let row = rows.iter().find(|r| r.sample.starts_with("SEL L_RETURNFLAG")).unwrap();
+    assert_eq!(row.calls, 1);
+    assert_eq!(Some(row.max_trace), outcome.trace_id);
+    let tree = obs.traces.render_tree(row.max_trace);
     assert!(tree.starts_with("statement "), "{tree}");
     for stage in ["parse", "bind", "transform", "serialize", "execute"] {
         assert!(tree.contains(&format!("  {stage} ")), "{stage} missing in:\n{tree}");

@@ -1,16 +1,17 @@
 //! Per-statement provenance end to end: the forensic record a statement
-//! leaves behind must agree with the independently recorded metrics, the
-//! translation cache's actual behavior, and the workload tracker's feature
-//! measurement — and captured SQL must never leak literal values unless
-//! raw capture was explicitly opted into.
+//! leaves behind, and the statement-table row it folds into, must agree
+//! with the independently recorded metrics, the translation cache's
+//! actual behavior, and the features the pipeline reported — and captured
+//! SQL must never leak literal values unless raw capture was explicitly
+//! opted into.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use hyperq::core::backend::testing::{FaultInjectingBackend, FaultPlan};
 use hyperq::core::backend::BackendErrorKind;
 use hyperq::core::resilience::{BreakerConfig, ResilienceConfig, RetryPolicy, TargetLink};
-use hyperq::core::tracker::WorkloadTracker;
 use hyperq::core::{Backend, HyperQBuilder, ObsContext};
 use hyperq::engine::EngineDb;
 use hyperq::obs::provenance::CacheOutcome;
@@ -36,7 +37,6 @@ fn fast_retry() -> RetryPolicy {
 #[test]
 fn cache_miss_then_hit_with_injected_fault_leaves_matching_forensics() {
     let obs = ObsContext::new();
-    obs.slowlog.set_threshold(Some(Duration::from_micros(1)));
     let db = Arc::new(EngineDb::new());
     db.execute_sql("CREATE TABLE ORDERS (O_ID INTEGER NOT NULL, TOTAL INTEGER)").unwrap();
     db.execute_sql("INSERT INTO ORDERS VALUES (1, 500)").unwrap();
@@ -97,24 +97,25 @@ fn cache_miss_then_hit_with_injected_fault_leaves_matching_forensics() {
         2
     );
 
-    // The slow-query log captured both, with the literal redacted.
-    let slow = obs.slowlog.entries();
-    assert_eq!(slow.len(), 2);
-    for entry in &slow {
-        assert!(!entry.sql.contains("= 1"), "literal leaked into slowlog: {}", entry.sql);
-        assert!(entry.sql.contains('?'), "redacted placeholder expected: {}", entry.sql);
-    }
+    // Both folded into one statement-table row, the literal redacted.
+    let rows = obs.provenance.statements().snapshot();
+    assert_eq!(rows.len(), 1);
+    let row = &rows[0];
+    assert_eq!(row.fingerprint, miss.fingerprint);
+    assert_eq!((row.calls, row.errors, row.retries), (2, 0, 1));
+    assert_eq!((row.cache_hits, row.cache_misses), (1, 1));
+    assert_eq!(row.total, miss.total + hit.total);
+    assert!(!row.sample.contains("= 1"), "literal leaked into the table: {}", row.sample);
+    assert!(row.sample.contains('?'), "redacted placeholder expected: {}", row.sample);
 }
 
-/// Regression: no literal values in the slow-query log or provenance ring
-/// by default; raw text only behind the explicit opt-in.
+/// Regression: no literal values in the statement table or provenance
+/// ring by default; raw text only behind the explicit opt-in.
 #[test]
 fn captured_sql_is_literal_redacted_unless_raw_capture_opted_in() {
     let run = |capture_raw: bool| -> (Vec<String>, Vec<String>) {
         let obs = ObsContext::new();
-        obs.slowlog.set_threshold(Some(Duration::from_micros(1)));
         if capture_raw {
-            obs.slowlog.set_capture_raw(true);
             obs.provenance.set_capture_raw(true);
         }
         let db = Arc::new(EngineDb::new());
@@ -126,25 +127,29 @@ fn captured_sql_is_literal_redacted_unless_raw_capture_opted_in() {
         hq.run_one("SELECT UID FROM USERS WHERE TOKEN = 'SECRET-TOKEN' AND UID = 98765")
             .unwrap();
         (
-            obs.slowlog.entries().into_iter().map(|e| e.sql).collect(),
+            obs.provenance.statements().snapshot().into_iter().map(|r| r.sample).collect(),
             obs.provenance.recent(10).into_iter().map(|r| r.sql).collect(),
         )
     };
 
-    let (slow, prov) = run(false);
-    for sql in slow.iter().chain(prov.iter()) {
+    let (samples, prov) = run(false);
+    assert_eq!(samples.len(), 1);
+    for sql in samples.iter().chain(prov.iter()) {
         assert!(!sql.contains("SECRET-TOKEN"), "string literal leaked: {sql}");
         assert!(!sql.contains("98765"), "number literal leaked: {sql}");
         assert!(sql.contains('?'), "expected redaction placeholders: {sql}");
     }
 
-    let (slow_raw, prov_raw) = run(true);
-    for sql in slow_raw.iter().chain(prov_raw.iter()) {
+    let (samples_raw, prov_raw) = run(true);
+    for sql in samples_raw.iter().chain(prov_raw.iter()) {
         assert!(sql.contains("SECRET-TOKEN") && sql.contains("98765"), "raw opt-in: {sql}");
     }
 }
 
-fn replay_distinct(w: &CustomerWorkload) -> (Arc<ObsContext>, WorkloadTracker) {
+/// Run every distinct query once, with the setup statements cleared out of
+/// the ring and the table. Returns the context and, per feature code, how
+/// many queries the pipeline reported it for.
+fn replay_distinct(w: &CustomerWorkload) -> (Arc<ObsContext>, BTreeMap<&'static str, u64>) {
     let obs = ObsContext::new();
     let db = Arc::new(EngineDb::new());
     for ddl in &w.target_ddl {
@@ -157,54 +162,45 @@ fn replay_distinct(w: &CustomerWorkload) -> (Arc<ObsContext>, WorkloadTracker) {
         hq.run_one(setup).unwrap();
     }
     // The report must reflect the application queries only, not the
-    // one-time setup DDL; records before this mark are skipped.
-    let setup_records = obs.provenance.snapshot().len();
-    let mut tracker = WorkloadTracker::new();
+    // one-time setup DDL.
+    obs.provenance.clear();
+    let mut reported: BTreeMap<&'static str, u64> = BTreeMap::new();
     for text in &w.distinct {
         let outcome = hq.run_one(text).unwrap_or_else(|e| panic!("{text}: {e}"));
-        tracker.observe(text, &outcome.features);
+        for feature in outcome.features.iter() {
+            *reported.entry(feature.code()).or_default() += 1;
+        }
     }
-    let total = obs.provenance.snapshot().len();
     assert_eq!(
-        total - setup_records,
+        obs.provenance.len(),
         w.distinct.len(),
         "one provenance record per distinct query"
     );
-    (obs, tracker)
+    (obs, reported)
 }
 
-fn application_records(
-    obs: &ObsContext,
-    w: &CustomerWorkload,
-) -> Vec<hyperq::obs::ProvenanceRecord> {
-    let mut all = obs.provenance.snapshot();
-    let skip = all.len() - w.distinct.len();
-    all.drain(..skip);
-    all
+fn report(obs: &ObsContext) -> WorkloadReport {
+    WorkloadReport::from_rows(&obs.provenance.statements().snapshot())
 }
 
-/// Figure 8 analog from live provenance records: per-feature frequencies
-/// must agree exactly with the workload tracker's independent measurement,
-/// and every class-tagged query must exhibit a feature of its class.
+/// Figure 8 analog from the statement table: per-feature frequencies must
+/// agree exactly with the features the pipeline reported statement by
+/// statement, and every class-tagged query must exhibit a feature of its
+/// class.
 #[test]
-fn figure8_report_matches_tracker_and_generator_tags() {
+fn figure8_report_matches_pipeline_features_and_generator_tags() {
     for w in [health(0.05), telco(0.02)] {
-        let (obs, tracker) = replay_distinct(&w);
-        let records = application_records(&obs, &w);
-        let report = WorkloadReport::from_records(&records);
+        let (obs, reported) = replay_distinct(&w);
+        let records = obs.provenance.snapshot();
+        let report = report(&obs);
         assert_eq!(report.statements, w.distinct.len() as u64);
         assert_eq!(report.errors, 0);
 
-        // Per-feature statement counts: the report (folded from provenance
-        // records) against the tracker (fed directly from pipeline
-        // outcomes). Each distinct query ran exactly once, so statement
-        // counts equal distinct-query counts.
-        let tracked: Vec<(&str, u64)> = tracker
-            .feature_counts()
-            .into_iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(f, n)| (f.code(), n))
-            .collect();
+        // Per-feature statement counts: the report (projected from the
+        // table the records folded into) against the features each
+        // statement's outcome carried. Each distinct query ran exactly
+        // once, so statement counts equal distinct-query counts.
+        let tracked: Vec<(&str, u64)> = reported.into_iter().collect();
         assert!(!tracked.is_empty(), "{}: corpus must exercise features", w.profile.sector);
         for (code, n) in &tracked {
             let row = report
@@ -214,14 +210,14 @@ fn figure8_report_matches_tracker_and_generator_tags() {
                 .unwrap_or_else(|| panic!("{}: feature {code} missing from report", w.profile.sector));
             assert_eq!(
                 row.statements, *n,
-                "{}: feature {code} frequency diverges from tracker",
+                "{}: feature {code} frequency diverges from the pipeline's",
                 w.profile.sector
             );
         }
         assert_eq!(
             report.features.len(),
             tracked.len(),
-            "{}: report lists features the tracker never saw",
+            "{}: report lists features the pipeline never reported",
             w.profile.sector
         );
 
@@ -256,9 +252,8 @@ fn figure8_report_matches_tracker_and_generator_tags() {
 #[test]
 fn figure8_table_is_byte_stable_for_fixed_seed() {
     let render = || {
-        let w = health(0.05);
-        let (obs, _) = replay_distinct(&w);
-        WorkloadReport::from_records(&application_records(&obs, &w)).render_feature_table()
+        let (obs, _) = replay_distinct(&health(0.05));
+        report(&obs).render_feature_table()
     };
     let first = render();
     let second = render();
