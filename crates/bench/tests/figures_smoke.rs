@@ -26,6 +26,7 @@ fn figure2_report_contains_all_surveyed_features() {
     ] {
         assert!(out.contains(needle), "missing {needle}:\n{out}");
     }
+    assert_eq!(out, include_str!("snapshots/figure2.txt"));
 }
 
 /// Figure 8 at scale 0.02, byte for byte: the golden was captured from
@@ -72,6 +73,7 @@ fn table2_report_has_27_feature_rows() {
         })
         .count();
     assert!(feature_rows >= 27, "{feature_rows}");
+    assert_eq!(out, include_str!("snapshots/table2.txt"));
 }
 
 #[test]

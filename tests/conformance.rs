@@ -14,6 +14,7 @@ use hyperq::assess::{Assessor, Verdict};
 use hyperq::core::capability::TargetCapabilities;
 use hyperq::core::conformance::{lint_serialized, Conformance, ConformanceMode, Severity};
 use hyperq::core::{Backend, EmulationKind, HyperQBuilder, ObsContext};
+use hyperq::xtra::feature::Feature;
 use hyperq::engine::EngineDb;
 use hyperq::workload::customer::{health, telco};
 use hyperq::workload::tpch;
@@ -243,4 +244,99 @@ proptest! {
             prop_assert!(f.span.0 <= f.span.1);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Golden: every registered profile's transcribed capabilities and the
+// lint verdicts they imply
+// ---------------------------------------------------------------------
+
+/// Statements that trigger each capability and spelling rule, plus one
+/// clean ANSI query.
+const LINT_TRIGGERS: &[&str] = &[
+    "SELECT a, b FROM t INNER JOIN u ON t.id = u.id WHERE a > 3 GROUP BY a, b ORDER BY a LIMIT 10",
+    "SEL a FROM t",
+    "SELECT a FROM t WHERE a EQ 3",
+    "SELECT a ** 2 FROM t",
+    "SELECT CHARS(a) FROM t",
+    "SELECT ZEROIFNULL(a) FROM t",
+    "SELECT INDEX(a, 'x') FROM t",
+    "SELECT SUBSTR(a, 1, 2) FROM t",
+    "SELECT a FROM t QUALIFY rn = 1",
+    "SELECT a FROM t, u WHERE t.id = u.id",
+    "SELECT a FROM t GROUP BY 1",
+    "SELECT a FROM t WHERE d > DATE '2020-01-01' AND DATE '2020-01-01' = 20200101",
+    "SELECT a, b FROM t WHERE (a, b) > ANY (SELECT x, y FROM u)",
+    "SELECT a FROM t GROUP BY GROUPING SETS ((a), ())",
+    "SELECT a FROM t GROUP BY ROLLUP (a)",
+    "SELECT RANK(a DESC) FROM t",
+    "WITH RECURSIVE r AS (SELECT 1) SELECT * FROM r",
+    "MERGE INTO t USING u ON t.id = u.id",
+    "HELP TABLE t",
+    "CREATE GLOBAL TEMPORARY TABLE g (a INT)",
+    "CREATE SET TABLE t (a INT)",
+    "CREATE TABLE t (a VARCHAR(3) CASESPECIFIC)",
+    "SELECT TOP 3 a FROM t",
+    "INSERT INTO t VALUES (1) RETURNING a",
+    "BT",
+    "EXPLAIN SELECT 1",
+    "CREATE VIEW v AS SELECT 1",
+    "EXEC report(3)",
+    "CALL p(1)",
+    "SELECT a % 2 FROM t",
+    "SELECT ADD_MONTHS(d, 3) FROM t",
+    "SELECT DATEADD(DAY, 3, d) FROM t",
+    "SELECT a FROM t LIMIT 5",
+    "SELECT TOP 5 a FROM t",
+    ") AS d (x, y)",
+];
+
+fn target_profiles_report() -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for p in hyperq::core::targets::all() {
+        let c = &p.caps;
+        let supported: Vec<&str> =
+            Feature::ALL.iter().filter(|f| c.supports(**f)).map(|f| f.code()).collect();
+        let _ = writeln!(out, "{} ({}) executable={}", p.name, c.name, p.executable);
+        let _ = writeln!(out, "  supports: {}", supported.join(" "));
+        let _ = writeln!(out, "  limit: {:?}", p.flavor.limit);
+        let _ = writeln!(
+            out,
+            "  derived_table_column_aliases={} top_clause={} with_ties={} limit_clause={} \
+             returning_clause={} session_settings={}",
+            c.derived_table_column_aliases,
+            c.top_clause,
+            c.with_ties,
+            c.limit_clause,
+            c.returning_clause,
+            c.session_settings
+        );
+        let _ = writeln!(
+            out,
+            "  spelling: mod={:?} date_add={:?} add_months={:?}",
+            c.mod_style, c.date_add_style, c.add_months_style
+        );
+        for sql in LINT_TRIGGERS {
+            let _ = writeln!(out, "  {sql}");
+            for f in lint_serialized(sql, c) {
+                let _ = writeln!(out, "    {} {:?}: {}", f.rule, f.severity, f.message);
+            }
+        }
+    }
+    out
+}
+
+/// The eight registered profiles, byte for byte: supported feature codes,
+/// limit spelling, output-only capabilities, spellings, and every rule
+/// `lint_serialized` reports on each trigger statement.
+#[test]
+fn target_profiles_match_golden() {
+    let fresh = target_profiles_report();
+    let golden = include_str!("snapshots/target_profiles.txt");
+    let first_diff = golden.lines().zip(fresh.lines()).position(|(g, f)| g != f);
+    assert!(
+        fresh == golden,
+        "target_profiles.txt drifted (first differing line: {first_diff:?}); fresh report:\n{fresh}"
+    );
 }
