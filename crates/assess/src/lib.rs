@@ -19,7 +19,7 @@
 //! emulation kinds, and the logged requests are linted against the
 //! target's capabilities.
 //!
-//! A `CREATE`/`DROP` the bundled engine cannot parse (a flavor's own
+//! A `CREATE`/`DROP` the bundled engine cannot parse (a target's own
 //! spelling, e.g. cloud-c's `DATE_ADD(d, INTERVAL n DAY)` in a CTAS) is
 //! acknowledged without touching the catalog, so a later reference to its
 //! table falls back to usage inference: tables with no DDL in the corpus
@@ -125,13 +125,7 @@ pub struct Assessor {
 }
 
 impl Assessor {
-    /// Assess for a bare capability signature (resolved to a registry
-    /// profile when one matches, an anonymous custom profile otherwise).
-    pub fn new(caps: TargetCapabilities) -> Self {
-        Self::for_target(TargetProfile::from_caps(caps))
-    }
-
-    /// Assess for a named target profile — the primary constructor.
+    /// Assess for a target profile.
     pub fn for_target(profile: TargetProfile) -> Self {
         let target = Arc::new(DryTarget {
             engine: EngineDb::new(),
@@ -374,7 +368,7 @@ mod tests {
     use super::*;
 
     fn assessor() -> Assessor {
-        Assessor::new(TargetCapabilities::simwh())
+        Assessor::for_target(hyperq_core::targets::simwh())
     }
 
     #[test]

@@ -308,17 +308,16 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperq_core::capability::TargetCapabilities;
 
     #[test]
     fn report_is_byte_stable_and_json_is_wellformed() {
-        let mut a = crate::Assessor::new(TargetCapabilities::simwh());
+        let mut a = crate::Assessor::for_target(hyperq_core::targets::simwh());
         a.ingest_ddl("CREATE TABLE T (A INTEGER)");
         let script = "SELECT A FROM T; BT; INSERT INTO T SELECT 1; ET; EXEC NOPE(1)";
         let one = a.assess_script(script);
         let r1 = Report::build("simwh", &one, a.inferred_tables());
 
-        let mut b = crate::Assessor::new(TargetCapabilities::simwh());
+        let mut b = crate::Assessor::for_target(hyperq_core::targets::simwh());
         b.ingest_ddl("CREATE TABLE T (A INTEGER)");
         let two = b.assess_script(script);
         let r2 = Report::build("simwh", &two, b.inferred_tables());

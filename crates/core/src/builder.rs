@@ -85,9 +85,9 @@ pub struct HyperQBuilder {
 impl HyperQBuilder {
     /// Start a builder for the given target profile (the primary
     /// constructor). Profiles come from the registry
-    /// ([`crate::targets::lookup`], [`crate::targets::simwh`], ...) or
-    /// from [`TargetProfile::from_caps`] for a hand-rolled capability
-    /// signature. `backend` is the driver itself, or a `&TargetLink` to
+    /// ([`crate::targets::lookup`], [`crate::targets::simwh`], ...); a
+    /// hand-rolled one is a registered profile with its `caps` edited.
+    /// `backend` is the driver itself, or a `&TargetLink` to
     /// share that link's retry policy and breaker with other sessions.
     pub fn for_target(backend: impl Into<LinkSource>, profile: TargetProfile) -> Self {
         HyperQBuilder {

@@ -1,16 +1,20 @@
-//! Target-database capability profiles.
+//! Target-database capability signatures.
 //!
 //! The paper's Figure 2 surveys "support for select Teradata features across
-//! major cloud databases"; the Transformer and Serializer consult the same
-//! capability model to decide which system-specific rewrites to trigger
-//! (§5.3: "for target database systems that support vector comparison in
-//! subqueries, this transformation would not be triggered").
+//! major cloud databases"; the Transformer, the Serializer and the
+//! conformance lints consult the same signature to decide which
+//! system-specific rewrites to trigger (§5.3: "for target database systems
+//! that support vector comparison in subqueries, this transformation would
+//! not be triggered") and how to spell what the target does support.
 //!
-//! Six anonymized profiles model the documented behavior of 2017-era cloud
-//! warehouses; `simwh()` describes the bundled `hyperq-engine` substrate,
-//! which is the only profile whose serialized SQL is actually executed.
+//! A signature is one plain value: the set of tracked features the target
+//! supports natively, six output-only capabilities no Teradata feature maps
+//! onto, and three spelling choices. The registered signatures live in
+//! [`crate::targets`].
 
-use hyperq_xtra::feature::Feature;
+use std::sync::OnceLock;
+
+use hyperq_xtra::feature::{Feature, FeatureSet};
 
 /// How the target spells modulo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,52 +49,43 @@ pub enum AddMonthsStyle {
     IntervalLiteral,
 }
 
+/// How the target spells a row-count bound on a query block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LimitSpelling {
+    /// Trailing `LIMIT n`.
+    Limit,
+    /// `SELECT TOP n …`.
+    Top,
+    /// Neither: the mid tier must peel the bound and truncate the result
+    /// itself (the `LimitFetch` emulation).
+    None,
+}
+
 /// Feature support and dialect spellings of one target database.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetCapabilities {
+    /// Display name (`"SimWH"`, `"CloudWH-A"`, …) used in reports and lint
+    /// messages.
     pub name: &'static str,
-    // --- feature support (drives Figure 2 and rewrite triggering) ---
-    pub qualify: bool,
-    pub implicit_joins: bool,
-    pub named_expr_reuse: bool,
-    pub ordinal_group_by: bool,
-    pub date_int_comparison: bool,
-    pub date_arithmetic: bool,
-    pub vector_subquery: bool,
-    pub grouping_sets: bool,
-    pub td_window_syntax: bool,
-    pub recursive_cte: bool,
-    pub macros: bool,
-    pub stored_procedures: bool,
-    pub merge: bool,
-    pub help_commands: bool,
-    pub updatable_views: bool,
-    pub global_temp_tables: bool,
-    pub set_tables: bool,
-    pub column_properties: bool,
+    /// The tracked Teradata features (T1..E9) the target supports natively:
+    /// drives Figure 2, rewrite triggering and the conformance lints.
+    pub supported: FeatureSet,
+    /// `(subquery) AS d (x, y)` column aliases on derived tables.
     pub derived_table_column_aliases: bool,
-    pub keyword_shortcuts: bool,
-    pub keyword_comparisons: bool,
-    pub mod_operator_infix: bool,
-    pub exponent_operator: bool,
-    pub chars_function: bool,
-    pub zeroifnull: bool,
-    pub index_function: bool,
-    pub substr_function: bool,
-    pub add_months_function: bool,
+    /// `SELECT TOP n …`.
     pub top_clause: bool,
+    /// `TOP n WITH TIES`.
     pub with_ties: bool,
+    /// Trailing `LIMIT n`.
     pub limit_clause: bool,
-    /// The target accepts a `RETURNING` clause on DML. No Teradata source
-    /// feature maps onto it — it exists purely as an *output* capability the
-    /// conformance linter checks emitted SQL against (and the knob the
-    /// reduced-signature acceptance profile removes).
+    /// A `RETURNING` clause on DML. No Teradata source feature maps onto
+    /// it: it exists purely as an *output* capability the conformance
+    /// linter checks emitted SQL against.
     pub returning_clause: bool,
-    /// The target accepts session-scoped `SET <name> = <value>` statements,
-    /// so Hyper-Q pushes settings through (and journals them for replay on
-    /// reconnect) instead of keeping them purely mid-tier.
+    /// Session-scoped `SET <name> = <value>` statements, so Hyper-Q pushes
+    /// settings through (and journals them for replay on reconnect)
+    /// instead of keeping them purely mid-tier.
     pub session_settings: bool,
-    // --- dialect spellings ---
     pub mod_style: ModStyle,
     pub date_add_style: DateAddStyle,
     pub add_months_style: AddMonthsStyle,
@@ -99,378 +94,19 @@ pub struct TargetCapabilities {
 impl TargetCapabilities {
     /// Does this target natively support the tracked feature?
     pub fn supports(&self, f: Feature) -> bool {
-        use Feature::*;
-        match f {
-            KeywordShortcut => self.keyword_shortcuts,
-            KeywordComparison => self.keyword_comparisons,
-            ModOperator => self.mod_operator_infix,
-            ExponentOperator => self.exponent_operator,
-            CharsFunction => self.chars_function,
-            ZeroIfNull => self.zeroifnull,
-            IndexFunction => self.index_function,
-            SubstrFunction => self.substr_function,
-            AddMonths => self.add_months_function,
-            Qualify => self.qualify,
-            ImplicitJoin => self.implicit_joins,
-            NamedExprReference => self.named_expr_reuse,
-            OrdinalGroupBy => self.ordinal_group_by,
-            DateIntComparison => self.date_int_comparison,
-            DateArithmetic => self.date_arithmetic,
-            VectorSubquery => self.vector_subquery,
-            GroupingExtensions => self.grouping_sets,
-            NonAnsiWindowSyntax => self.td_window_syntax,
-            RecursiveQuery => self.recursive_cte,
-            MacroStatement => self.macros,
-            StoredProcedureCall => self.stored_procedures,
-            MergeStatement => self.merge,
-            HelpCommand => self.help_commands,
-            DmlOnView => self.updatable_views,
-            GlobalTempTable => self.global_temp_tables,
-            SetTableSemantics => self.set_tables,
-            ColumnProperties => self.column_properties,
-        }
+        self.supported.contains(f)
     }
 
-    /// The bundled engine substrate: a deliberately minimal ANSI target so
-    /// every rewrite class is exercised end-to-end.
-    pub fn simwh() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "SimWH",
-            qualify: false,
-            implicit_joins: false,
-            named_expr_reuse: false,
-            ordinal_group_by: false,
-            date_int_comparison: false,
-            // The engine evaluates `date + n` natively, so the DATEADD
-            // rewrite is not triggered for it (matching systems with native
-            // date arithmetic).
-            date_arithmetic: true,
-            vector_subquery: false,
-            grouping_sets: false,
-            td_window_syntax: false,
-            recursive_cte: false,
-            macros: false,
-            stored_procedures: false,
-            merge: false,
-            help_commands: false,
-            updatable_views: false,
-            global_temp_tables: false,
-            set_tables: false,
-            column_properties: false,
-            derived_table_column_aliases: true,
-            keyword_shortcuts: false,
-            keyword_comparisons: false,
-            mod_operator_infix: false,
-            exponent_operator: false,
-            chars_function: false,
-            zeroifnull: false,
-            index_function: false,
-            substr_function: false,
-            add_months_function: true,
-            top_clause: false,
-            with_ties: false,
-            limit_clause: true,
-            returning_clause: false,
-            session_settings: true,
-            mod_style: ModStyle::Percent,
-            date_add_style: DateAddStyle::PlusInteger,
-            add_months_style: AddMonthsStyle::AddMonthsFn,
+    /// How a row bound is spelled: `LIMIT` where the target has it, else
+    /// `TOP`, else neither.
+    pub fn limit_spelling(&self) -> LimitSpelling {
+        if self.limit_clause {
+            LimitSpelling::Limit
+        } else if self.top_clause {
+            LimitSpelling::Top
+        } else {
+            LimitSpelling::None
         }
-    }
-
-    /// The engine substrate behind a deliberately reduced dialect: the
-    /// same executable backend as [`simwh`](Self::simwh), but the
-    /// signature withholds derived-table column aliases, both row-bound
-    /// spellings (`LIMIT` *and* `TOP`), native date arithmetic and the
-    /// `ADD_MONTHS` function, and spells modulo as `MOD(a, b)` and date
-    /// math as `DATEADD`. Every translation-class rewrite that the default
-    /// target never triggers — alias normalization, the `DATEADD` family,
-    /// the `LimitFetch` emulation — fires here on live corpus traffic.
-    pub fn simwh_reduced() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "SimWH-Reduced",
-            date_arithmetic: false,
-            derived_table_column_aliases: false,
-            add_months_function: false,
-            limit_clause: false,
-            top_clause: false,
-            mod_style: ModStyle::Function,
-            date_add_style: DateAddStyle::DateAddFn,
-            add_months_style: AddMonthsStyle::DateAddFn,
-            ..Self::simwh()
-        }
-    }
-
-    /// Modeled on a 2017-era MPP SQL warehouse with T-SQL heritage.
-    pub fn cloud_a() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "CloudWH-A",
-            qualify: false,
-            implicit_joins: false,
-            named_expr_reuse: false,
-            ordinal_group_by: true,
-            date_int_comparison: false,
-            date_arithmetic: false,
-            vector_subquery: false,
-            grouping_sets: true,
-            td_window_syntax: false,
-            recursive_cte: false,
-            macros: false,
-            stored_procedures: true,
-            merge: false,
-            help_commands: false,
-            updatable_views: false,
-            global_temp_tables: false,
-            set_tables: false,
-            column_properties: false,
-            derived_table_column_aliases: false,
-            keyword_shortcuts: false,
-            keyword_comparisons: false,
-            mod_operator_infix: false,
-            exponent_operator: false,
-            chars_function: false,
-            zeroifnull: false,
-            index_function: false,
-            substr_function: true,
-            add_months_function: false,
-            top_clause: true,
-            with_ties: true,
-            limit_clause: false,
-            returning_clause: false,
-            session_settings: false,
-            mod_style: ModStyle::Percent,
-            date_add_style: DateAddStyle::DateAddFn,
-            add_months_style: AddMonthsStyle::DateAddFn,
-        }
-    }
-
-    /// Modeled on a 2017-era columnar cloud warehouse with Postgres
-    /// heritage.
-    pub fn cloud_b() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "CloudWH-B",
-            qualify: false,
-            implicit_joins: true,
-            named_expr_reuse: false,
-            ordinal_group_by: true,
-            date_int_comparison: false,
-            date_arithmetic: true,
-            vector_subquery: false,
-            grouping_sets: false,
-            td_window_syntax: false,
-            recursive_cte: false,
-            macros: false,
-            stored_procedures: false,
-            merge: false,
-            help_commands: false,
-            updatable_views: false,
-            global_temp_tables: false,
-            set_tables: false,
-            column_properties: false,
-            derived_table_column_aliases: true,
-            keyword_shortcuts: false,
-            keyword_comparisons: false,
-            mod_operator_infix: false,
-            exponent_operator: false,
-            chars_function: false,
-            zeroifnull: false,
-            index_function: false,
-            substr_function: true,
-            add_months_function: true,
-            top_clause: true,
-            with_ties: false,
-            limit_clause: true,
-            returning_clause: true,
-            session_settings: false,
-            mod_style: ModStyle::Percent,
-            date_add_style: DateAddStyle::PlusInteger,
-            add_months_style: AddMonthsStyle::AddMonthsFn,
-        }
-    }
-
-    /// Modeled on a 2017-era serverless query service with its own SQL
-    /// dialect.
-    pub fn cloud_c() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "CloudWH-C",
-            qualify: false,
-            implicit_joins: false,
-            named_expr_reuse: false,
-            ordinal_group_by: true,
-            date_int_comparison: false,
-            date_arithmetic: false,
-            vector_subquery: false,
-            grouping_sets: false,
-            td_window_syntax: false,
-            recursive_cte: false,
-            macros: false,
-            stored_procedures: false,
-            merge: false,
-            help_commands: false,
-            updatable_views: false,
-            global_temp_tables: false,
-            set_tables: false,
-            column_properties: false,
-            derived_table_column_aliases: false,
-            keyword_shortcuts: false,
-            keyword_comparisons: false,
-            mod_operator_infix: false,
-            exponent_operator: false,
-            chars_function: false,
-            zeroifnull: false,
-            index_function: false,
-            substr_function: true,
-            add_months_function: false,
-            top_clause: false,
-            with_ties: false,
-            limit_clause: true,
-            returning_clause: false,
-            session_settings: false,
-            mod_style: ModStyle::Function,
-            date_add_style: DateAddStyle::IntervalFn,
-            add_months_style: AddMonthsStyle::IntervalLiteral,
-        }
-    }
-
-    /// Modeled on a 2017-era elastic multi-cluster warehouse.
-    pub fn cloud_d() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "CloudWH-D",
-            qualify: true,
-            implicit_joins: false,
-            named_expr_reuse: true,
-            ordinal_group_by: true,
-            date_int_comparison: false,
-            date_arithmetic: true,
-            vector_subquery: false,
-            grouping_sets: true,
-            td_window_syntax: false,
-            recursive_cte: true,
-            macros: false,
-            stored_procedures: false,
-            merge: true,
-            help_commands: false,
-            updatable_views: false,
-            global_temp_tables: false,
-            set_tables: false,
-            column_properties: false,
-            derived_table_column_aliases: true,
-            keyword_shortcuts: false,
-            keyword_comparisons: false,
-            mod_operator_infix: false,
-            exponent_operator: false,
-            chars_function: false,
-            zeroifnull: true,
-            index_function: false,
-            substr_function: true,
-            add_months_function: true,
-            top_clause: true,
-            with_ties: false,
-            limit_clause: true,
-            returning_clause: false,
-            session_settings: false,
-            mod_style: ModStyle::Percent,
-            date_add_style: DateAddStyle::DateAddFn,
-            add_months_style: AddMonthsStyle::AddMonthsFn,
-        }
-    }
-
-    /// Modeled on a 2017-era federated SQL-on-anything engine.
-    pub fn cloud_e() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "CloudWH-E",
-            qualify: false,
-            implicit_joins: false,
-            named_expr_reuse: false,
-            ordinal_group_by: true,
-            date_int_comparison: false,
-            date_arithmetic: false,
-            vector_subquery: true,
-            grouping_sets: true,
-            td_window_syntax: false,
-            recursive_cte: false,
-            macros: false,
-            stored_procedures: false,
-            merge: false,
-            help_commands: false,
-            updatable_views: false,
-            global_temp_tables: false,
-            set_tables: false,
-            column_properties: false,
-            derived_table_column_aliases: true,
-            keyword_shortcuts: false,
-            keyword_comparisons: false,
-            mod_operator_infix: false,
-            exponent_operator: false,
-            chars_function: false,
-            zeroifnull: false,
-            index_function: false,
-            substr_function: true,
-            add_months_function: false,
-            top_clause: false,
-            with_ties: false,
-            limit_clause: true,
-            returning_clause: false,
-            session_settings: false,
-            mod_style: ModStyle::Function,
-            date_add_style: DateAddStyle::IntervalLiteral,
-            add_months_style: AddMonthsStyle::IntervalLiteral,
-        }
-    }
-
-    /// Modeled on a 2017-era managed Postgres-compatible service.
-    pub fn cloud_f() -> TargetCapabilities {
-        TargetCapabilities {
-            name: "CloudWH-F",
-            qualify: false,
-            implicit_joins: true,
-            named_expr_reuse: false,
-            ordinal_group_by: true,
-            date_int_comparison: false,
-            date_arithmetic: true,
-            vector_subquery: true,
-            grouping_sets: true,
-            td_window_syntax: false,
-            recursive_cte: true,
-            macros: false,
-            stored_procedures: true,
-            merge: false,
-            help_commands: false,
-            updatable_views: true,
-            global_temp_tables: false,
-            set_tables: false,
-            column_properties: false,
-            derived_table_column_aliases: true,
-            keyword_shortcuts: false,
-            keyword_comparisons: false,
-            mod_operator_infix: false,
-            exponent_operator: false,
-            chars_function: false,
-            zeroifnull: false,
-            index_function: false,
-            substr_function: true,
-            add_months_function: false,
-            top_clause: false,
-            with_ties: false,
-            limit_clause: true,
-            returning_clause: true,
-            session_settings: false,
-            mod_style: ModStyle::Percent,
-            date_add_style: DateAddStyle::IntervalLiteral,
-            add_months_style: AddMonthsStyle::IntervalLiteral,
-        }
-    }
-
-    /// The six surveyed cloud profiles (Figure 2's population).
-    pub fn surveyed() -> Vec<TargetCapabilities> {
-        vec![
-            Self::cloud_a(),
-            Self::cloud_b(),
-            Self::cloud_c(),
-            Self::cloud_d(),
-            Self::cloud_e(),
-            Self::cloud_f(),
-        ]
     }
 }
 
@@ -533,16 +169,25 @@ pub fn figure2_rows() -> Vec<SupportRow> {
     rows_for(figure2_features())
 }
 
-/// Cloud-support rows for *every* tracked feature (T1..E9), not just the
-/// Figure 2 selection — the full table the assessment report and the
-/// conformance exhaustiveness audit consume.
+/// Cloud-support rows for *every* tracked feature (T1..E9, registry order),
+/// not just the Figure 2 selection — the full table the assessment report
+/// and the conformance exhaustiveness audit consume.
 pub fn support_rows() -> Vec<SupportRow> {
     rows_for(Feature::ALL)
+}
+
+/// The percentage of surveyed cloud targets supporting `f`: the
+/// `percent_supported` of its [`support_rows`] row, computed once.
+pub(crate) fn percent_supported(f: Feature) -> f64 {
+    static PERCENT: OnceLock<Vec<f64>> = OnceLock::new();
+    PERCENT.get_or_init(|| support_rows().iter().map(|r| r.percent_supported).collect())
+        [f as usize]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::targets;
 
     #[test]
     fn support_rows_cover_every_feature_exactly_once() {
@@ -559,11 +204,18 @@ mod tests {
     }
 
     #[test]
+    fn percent_supported_reads_the_support_rows() {
+        for row in support_rows() {
+            assert_eq!(percent_supported(row.feature), row.percent_supported);
+        }
+    }
+
+    #[test]
     fn no_cloud_target_supports_macros_or_help() {
-        for t in TargetCapabilities::surveyed() {
-            assert!(!t.supports(Feature::MacroStatement), "{}", t.name);
-            assert!(!t.supports(Feature::HelpCommand), "{}", t.name);
-            assert!(!t.supports(Feature::DateIntComparison), "{}", t.name);
+        for t in targets::surveyed() {
+            assert!(!t.caps.supports(Feature::MacroStatement), "{}", t.name);
+            assert!(!t.caps.supports(Feature::HelpCommand), "{}", t.name);
+            assert!(!t.caps.supports(Feature::DateIntComparison), "{}", t.name);
         }
     }
 
@@ -580,18 +232,26 @@ mod tests {
 
     #[test]
     fn qualify_is_rare_across_clouds() {
-        let rows = figure2_rows();
-        let q = rows
-            .iter()
-            .find(|r| r.feature == Feature::Qualify)
-            .expect("qualify row");
-        assert!(q.percent_supported < 50.0);
+        assert!(percent_supported(Feature::Qualify) < 50.0);
     }
 
     #[test]
     fn simwh_is_minimal_on_purpose() {
-        let s = TargetCapabilities::simwh();
-        assert!(!s.qualify && !s.vector_subquery && !s.recursive_cte && !s.merge);
-        assert!(s.limit_clause && !s.top_clause);
+        let s = targets::simwh().caps;
+        for f in [Feature::Qualify, Feature::VectorSubquery, Feature::RecursiveQuery, Feature::MergeStatement] {
+            assert!(!s.supports(f), "{f:?}");
+        }
+        assert_eq!(s.limit_spelling(), LimitSpelling::Limit);
+    }
+
+    #[test]
+    fn limit_spelling_prefers_limit_then_top() {
+        let mut c = targets::simwh().caps;
+        c.top_clause = true;
+        assert_eq!(c.limit_spelling(), LimitSpelling::Limit);
+        c.limit_clause = false;
+        assert_eq!(c.limit_spelling(), LimitSpelling::Top);
+        c.top_clause = false;
+        assert_eq!(c.limit_spelling(), LimitSpelling::None);
     }
 }

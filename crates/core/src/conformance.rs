@@ -37,7 +37,7 @@ use hyperq_parser::lexer::tokenize;
 use hyperq_parser::token::{Spanned, Token};
 use hyperq_xtra::feature::{Feature, FeatureSet};
 
-use crate::capability::{support_rows, AddMonthsStyle, DateAddStyle, ModStyle, TargetCapabilities};
+use crate::capability::{percent_supported, AddMonthsStyle, DateAddStyle, ModStyle, TargetCapabilities};
 use crate::crosscompiler::STAGE_DURATION_METRIC;
 use crate::emulate::EmulationKind;
 use crate::error::{HyperQError, Result};
@@ -614,35 +614,35 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
             stmt_start = false;
             if let Some(kw) = leading.as_deref() {
                 match kw {
-                    "SEL" | "INS" | "UPD" | "DEL" if !caps.keyword_shortcuts => {
+                    "SEL" | "INS" | "UPD" | "DEL" if !caps.supports(Feature::KeywordShortcut) => {
                         w.flag(
                             "keyword-shortcut",
                             i,
                             format!("{} shortcut: {} lacks keyword shortcuts", kw, caps.name),
                         );
                     }
-                    "EXEC" | "EXECUTE" if !caps.macros => {
+                    "EXEC" | "EXECUTE" if !caps.supports(Feature::MacroStatement) => {
                         w.flag(
                             "macro-statement",
                             i,
                             format!("{} leaked to {}: macros are mid-tier objects", kw, caps.name),
                         );
                     }
-                    "CALL" if !caps.stored_procedures => {
+                    "CALL" if !caps.supports(Feature::StoredProcedureCall) => {
                         w.flag(
                             "stored-procedure",
                             i,
                             format!("CALL leaked to {}: procedures are mid-tier objects", caps.name),
                         );
                     }
-                    "MERGE" if !caps.merge => {
+                    "MERGE" if !caps.supports(Feature::MergeStatement) => {
                         w.flag(
                             "merge-statement",
                             i,
                             format!("MERGE is not supported by {}", caps.name),
                         );
                     }
-                    "HELP" if !caps.help_commands => {
+                    "HELP" if !caps.supports(Feature::HelpCommand) => {
                         w.flag(
                             "help-command",
                             i,
@@ -691,24 +691,24 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                         let fi = i - 1;
                         let nonempty = w.tok(i + 1).is_some_and(|t| *t != Token::RParen);
                         match kw.as_str() {
-                            "CHARS" | "CHARACTERS" if !caps.chars_function => w.flag(
+                            "CHARS" | "CHARACTERS" if !caps.supports(Feature::CharsFunction) => w.flag(
                                 "chars-function",
                                 fi,
                                 format!("{}() is not supported by {}", kw, caps.name),
                             ),
-                            "ZEROIFNULL" | "NULLIFZERO" if !caps.zeroifnull => w.flag(
+                            "ZEROIFNULL" | "NULLIFZERO" if !caps.supports(Feature::ZeroIfNull) => w.flag(
                                 "zeroifnull-function",
                                 fi,
                                 format!("{}() is not supported by {}", kw, caps.name),
                             ),
-                            "INDEX" if !caps.index_function && fi > 0 && !w.is_kw(fi - 1, "CREATE") => {
+                            "INDEX" if !caps.supports(Feature::IndexFunction) && fi > 0 && !w.is_kw(fi - 1, "CREATE") => {
                                 w.flag(
                                     "index-function",
                                     fi,
                                     format!("INDEX() is not supported by {}", caps.name),
                                 );
                             }
-                            "SUBSTR" if !caps.substr_function => w.flag(
+                            "SUBSTR" if !caps.supports(Feature::SubstrFunction) => w.flag(
                                 "substr-function",
                                 fi,
                                 format!("{} only accepts SUBSTRING", caps.name),
@@ -735,12 +735,12 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                                 fi,
                                 format!("{} does not use the DATE_ADD spelling", caps.name),
                             ),
-                            "RANK" if !caps.td_window_syntax && nonempty => w.flag(
+                            "RANK" if !caps.supports(Feature::NonAnsiWindowSyntax) && nonempty => w.flag(
                                 "td-window-syntax",
                                 fi,
                                 format!("RANK(expr) shorthand is not supported by {}", caps.name),
                             ),
-                            "CSUM" | "MAVG" | "MSUM" | "MDIFF" if !caps.td_window_syntax => w.flag(
+                            "CSUM" | "MAVG" | "MSUM" | "MDIFF" if !caps.supports(Feature::NonAnsiWindowSyntax) => w.flag(
                                 "td-window-syntax",
                                 fi,
                                 format!("{}() is not supported by {}", kw, caps.name),
@@ -748,7 +748,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                             // The new nesting level was already pushed;
                             // ROLLUP/CUBE sit in the *enclosing* clause.
                             "ROLLUP" | "CUBE"
-                                if !caps.grouping_sets
+                                if !caps.supports(Feature::GroupingExtensions)
                                     && clause[clause.len() - 2] == Clause::GroupBy =>
                             {
                                 w.flag(
@@ -769,7 +769,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                 let had_comma = group_comma.pop().unwrap_or(false);
                 // `(a, b) cmp [ANY|ALL|SOME] (…)` — a row-value (vector)
                 // comparison. The group must not be a call argument list.
-                if had_comma && !caps.vector_subquery {
+                if had_comma && !caps.supports(Feature::VectorSubquery) {
                     // Find the matching LParen to inspect the token before it.
                     // Walk back using a simple depth count.
                     let mut depth = 0usize;
@@ -823,7 +823,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                 if let Some(f) = group_comma.last_mut() {
                     *f = true;
                 }
-                if *clause.last().unwrap() == Clause::From && !caps.implicit_joins {
+                if *clause.last().unwrap() == Clause::From && !caps.supports(Feature::ImplicitJoin) {
                     w.flag(
                         "implicit-join",
                         i,
@@ -838,7 +838,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                     format!("{} spells modulo MOD(a, b), not `%`", caps.name),
                 );
             }
-            Token::Power if !caps.exponent_operator => {
+            Token::Power if !caps.supports(Feature::ExponentOperator) => {
                 w.flag(
                     "exponent-operator",
                     i,
@@ -849,7 +849,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                 // Ordinal GROUP BY item: a bare number that is a complete
                 // list element in GROUP BY context.
                 if *clause.last().unwrap() == Clause::GroupBy
-                    && !caps.ordinal_group_by
+                    && !caps.supports(Feature::OrdinalGroupBy)
                     && i > 0
                     && matches!(toks[i - 1].token, Token::Comma | Token::Word(_))
                     && (w.is_kw(i - 1, "BY") || toks[i - 1].token == Token::Comma)
@@ -888,7 +888,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                     "SET" if !dotted && i > 0 => {
                         // UPDATE … SET resets clause context; CREATE SET
                         // TABLE is the Teradata set-semantics leak.
-                        if w.is_kw(i - 1, "CREATE") && w.is_kw(i + 1, "TABLE") && !caps.set_tables {
+                        if w.is_kw(i - 1, "CREATE") && w.is_kw(i + 1, "TABLE") && !caps.supports(Feature::SetTableSemantics) {
                             w.flag(
                                 "set-table",
                                 i,
@@ -897,7 +897,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                         }
                         *clause.last_mut().unwrap() = Clause::None;
                     }
-                    "QUALIFY" if !dotted && !caps.qualify => {
+                    "QUALIFY" if !dotted && !caps.supports(Feature::Qualify) => {
                         *clause.last_mut().unwrap() = Clause::None;
                         w.flag(
                             "qualify-clause",
@@ -926,7 +926,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                         );
                     }
                     "WITH" if !dotted => {
-                        if w.is_kw(i + 1, "RECURSIVE") && !caps.recursive_cte {
+                        if w.is_kw(i + 1, "RECURSIVE") && !caps.supports(Feature::RecursiveQuery) {
                             w.flag(
                                 "recursive-cte",
                                 i,
@@ -941,14 +941,14 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                             );
                         }
                     }
-                    "GROUPING" if w.is_kw(i + 1, "SETS") && !caps.grouping_sets => {
+                    "GROUPING" if w.is_kw(i + 1, "SETS") && !caps.supports(Feature::GroupingExtensions) => {
                         w.flag(
                             "grouping-sets",
                             i,
                             format!("GROUPING SETS is not supported by {}", caps.name),
                         );
                     }
-                    "MACRO" if !caps.macros
+                    "MACRO" if !caps.supports(Feature::MacroStatement)
                         && i > 0
                         && (w.is_kw(i - 1, "CREATE")
                             || w.is_kw(i - 1, "REPLACE")
@@ -960,7 +960,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                             format!("macro DDL leaked to {}: macros are mid-tier objects", caps.name),
                         );
                     }
-                    "PROCEDURE" if !caps.stored_procedures
+                    "PROCEDURE" if !caps.supports(Feature::StoredProcedureCall)
                         && i > 0
                         && (w.is_kw(i - 1, "CREATE")
                             || w.is_kw(i - 1, "REPLACE")
@@ -983,14 +983,14 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                             "view DDL is kept mid-tier and must not reach the target".into(),
                         );
                     }
-                    "GLOBAL" if w.is_kw(i + 1, "TEMPORARY") && !caps.global_temp_tables => {
+                    "GLOBAL" if w.is_kw(i + 1, "TEMPORARY") && !caps.supports(Feature::GlobalTempTable) => {
                         w.flag(
                             "global-temp-table",
                             i,
                             format!("GLOBAL TEMPORARY is not supported by {}", caps.name),
                         );
                     }
-                    "CASESPECIFIC" if !caps.column_properties => {
+                    "CASESPECIFIC" if !caps.supports(Feature::ColumnProperties) => {
                         w.flag(
                             "column-properties",
                             i,
@@ -1011,7 +1011,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                         );
                     }
                     "EQ" | "NE" | "LT" | "LE" | "GT" | "GE"
-                        if !caps.keyword_comparisons
+                        if !caps.supports(Feature::KeywordComparison)
                             && i > 0
                             && ends_operand(&toks[i - 1].token)
                             && w.tok(i + 1).is_some_and(starts_operand) =>
@@ -1022,7 +1022,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                             format!("{} comparison keyword: {} only accepts symbols", kw, caps.name),
                         );
                     }
-                    "MOD" if !caps.mod_operator_infix
+                    "MOD" if !caps.supports(Feature::ModOperator)
                         && i > 0
                         && ends_operand(&toks[i - 1].token)
                         && w.tok(i + 1).is_some_and(starts_operand)
@@ -1054,7 +1054,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                         // a bare integer (or preceded by one).
                         if w.tok(i + 1).is_some_and(|t| matches!(t, Token::StringLit(_))) {
                             let after = i + 2;
-                            if !caps.date_int_comparison
+                            if !caps.supports(Feature::DateIntComparison)
                                 && w.tok(after).is_some_and(is_cmp)
                                 && w.tok(after + 1).is_some_and(|t| matches!(t, Token::Number(_)))
                             {
@@ -1064,7 +1064,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                                     format!("DATE vs integer comparison: {} lacks the internal date encoding", caps.name),
                                 );
                             }
-                            if !caps.date_arithmetic
+                            if !caps.supports(Feature::DateArithmetic)
                                 && w.tok(after)
                                     .is_some_and(|t| matches!(t, Token::Plus | Token::Minus))
                                 && w.tok(after + 1).is_some_and(|t| matches!(t, Token::Number(_)))
@@ -1078,7 +1078,7 @@ pub fn lint_serialized(sql: &str, caps: &TargetCapabilities) -> Vec<Finding> {
                             }
                         }
                         // integer cmp DATE 'lit'
-                        if !caps.date_int_comparison
+                        if !caps.supports(Feature::DateIntComparison)
                             && i >= 2
                             && matches!(toks[i - 2].token, Token::Number(_))
                             && is_cmp(&toks[i - 1].token)
@@ -1163,24 +1163,19 @@ pub fn lint_source(sql: &str, features: &FeatureSet, in_transaction: bool) -> Ve
 
     // Portability advisory: any tracked feature supported by fewer than half
     // of the surveyed cloud targets.
-    if !features.is_empty() {
-        let rows = support_rows();
-        for f in features.iter() {
-            let Some(row) = rows.iter().find(|r| r.feature == f) else {
-                continue;
-            };
-            if row.percent_supported < 50.0 {
-                w.flag(
-                    "non-portable",
-                    0,
-                    format!(
-                        "{} ({}) is supported by only {:.0}% of surveyed cloud targets",
-                        f.code(),
-                        f.title(),
-                        row.percent_supported
-                    ),
-                );
-            }
+    for f in features.iter() {
+        let percent = percent_supported(f);
+        if percent < 50.0 {
+            w.flag(
+                "non-portable",
+                0,
+                format!(
+                    "{} ({}) is supported by only {:.0}% of surveyed cloud targets",
+                    f.code(),
+                    f.title(),
+                    percent
+                ),
+            );
         }
     }
     w.findings
@@ -1293,7 +1288,11 @@ mod tests {
     use super::*;
 
     fn simwh() -> TargetCapabilities {
-        TargetCapabilities::simwh()
+        crate::targets::simwh().caps
+    }
+
+    fn cloud(name: &str) -> TargetCapabilities {
+        crate::targets::lookup(name).unwrap().caps
     }
 
     fn find(sql: &str, caps: &TargetCapabilities, rule: &str) -> bool {
@@ -1399,12 +1398,12 @@ mod tests {
         assert!(lint_serialized("SELECT a % 2 FROM t", &caps).is_empty());
         assert!(lint_serialized("SELECT ADD_MONTHS(d, 3) FROM t", &caps).is_empty());
         // cloud_c spells modulo MOD() and months via intervals.
-        let c = TargetCapabilities::cloud_c();
+        let c = cloud("cloud-c");
         assert!(find("SELECT a % 2 FROM t", &c, "mod-spelling"));
         assert!(find("SELECT ADD_MONTHS(d, 3) FROM t", &c, "add-months-function"));
         assert!(find("SELECT DATEADD(DAY, 3, d) FROM t", &simwh(), "date-arithmetic"));
         // LIMIT on a TOP-only target, and vice versa.
-        let a = TargetCapabilities::cloud_a();
+        let a = cloud("cloud-a");
         assert!(find("SELECT a FROM t LIMIT 5", &a, "limit-clause"));
         assert!(lint_serialized("SELECT TOP 5 a FROM t", &a).is_empty());
         assert!(find(") AS d (x, y)", &a, "derived-table-column-aliases"));
@@ -1414,19 +1413,19 @@ mod tests {
     fn reduced_profile_flags_grouping_sets_and_returning() {
         // cloud_d supports GROUPING SETS; remove it and the rule must fire
         // with correct attribution.
-        let mut reduced = TargetCapabilities::cloud_d();
+        let mut reduced = cloud("cloud-d");
         assert!(lint_serialized(
             "SELECT a FROM t GROUP BY GROUPING SETS ((a), ())",
             &reduced
         )
         .is_empty());
-        reduced.grouping_sets = false;
+        reduced.supported.remove(Feature::GroupingExtensions);
         let f = lint_serialized("SELECT a FROM t GROUP BY GROUPING SETS ((a), ())", &reduced);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "grouping-sets");
         assert_eq!(f[0].severity, Severity::Error);
 
-        let mut no_ret = TargetCapabilities::cloud_b();
+        let mut no_ret = cloud("cloud-b");
         assert!(lint_serialized("INSERT INTO t VALUES (1) RETURNING a", &no_ret).is_empty());
         no_ret.returning_clause = false;
         let f = lint_serialized("INSERT INTO t VALUES (1) RETURNING a", &no_ret);

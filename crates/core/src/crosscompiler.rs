@@ -31,7 +31,8 @@ use crate::emulate::{self, EmulationKind};
 use crate::error::{HyperQError, Result};
 use crate::recover::RecoverConfig;
 use crate::resilience::TargetLink;
-use crate::serialize::{LimitSpelling, Serializer};
+use crate::capability::LimitSpelling;
+use crate::serialize::Serializer;
 use crate::session::{RoutineDef, SessionState, ShadowCatalog};
 use crate::transform::Transformer;
 
@@ -105,8 +106,7 @@ impl StageHandles {
 /// out.
 pub struct HyperQ {
     backend: Arc<dyn Backend>,
-    /// The session's target: capability signature + dialect flavor +
-    /// registry name (the value of every `target` metric label). A
+    /// The session's target: capabilities + registry name (the value of every `target` metric label). A
     /// [`Request`] may override it for one request via `ctx.target`.
     profile: TargetProfile,
     transformer: Transformer,
@@ -126,8 +126,8 @@ pub struct HyperQ {
     /// Scratch: the cacheable artifacts of the most recent
     /// `run_pipeline_with` run, consumed by `maybe_populate`.
     cache_seed: Option<CacheSeed>,
-    /// FNV-1a signature of the target profile (registry name, capability
-    /// signature and flavor), precomputed for the cache-key context hash.
+    /// FNV-1a signature of the target profile (registry name and
+    /// capabilities), precomputed for the cache-key context hash.
     caps_sig: u64,
     /// The replica set behind this session's backend stack, when built via
     /// `HyperQBuilder::replicas` (exposed for health snapshots).
@@ -208,7 +208,7 @@ impl HyperQ {
         &self.profile.caps
     }
 
-    /// The session's target profile (capabilities + dialect flavor).
+    /// The session's target profile.
     pub fn profile(&self) -> &TargetProfile {
         &self.profile
     }
@@ -408,7 +408,7 @@ impl HyperQ {
     fn revalidate_hit(&mut self, sql: &str, cached: &str) -> Option<bool> {
         let stmts = parse_statements(sql, Dialect::Teradata).ok()?;
         let ps = stmts.into_iter().next()?;
-        let (fresh, _features) = self.translate_statement(&ps.stmt).ok()?;
+        let fresh = self.translate_statement(&ps.stmt).ok()?;
         Some(fresh == cached)
     }
 
@@ -655,13 +655,12 @@ impl HyperQ {
         let stmts = parse_statements(sql, Dialect::Teradata)?;
         let mut out = Vec::new();
         for ps in stmts {
-            let (plan_sql, _features) = self.translate_statement(&ps.stmt)?;
-            out.push(plan_sql);
+            out.push(self.translate_statement(&ps.stmt)?);
         }
         Ok(out)
     }
 
-    fn translate_statement(&mut self, stmt: &past::Statement) -> Result<(String, FeatureSet)> {
+    fn translate_statement(&mut self, stmt: &past::Statement) -> Result<String> {
         let mut features = FeatureSet::new();
         let backend = Arc::clone(&self.backend);
         let catalog = ShadowCatalog::new(&*backend, &self.session);
@@ -669,18 +668,19 @@ impl HyperQ {
         let plan = binder.bind_statement(stmt)?;
         features.union(&binder.features);
         self.analyzer.check_plan(&plan, "bind")?;
+        // Translation-only path: emulate and peel quietly (no emulation
+        // counter — the statement is not being executed) so `translate()`
+        // shows the SQL execution would actually send.
+        let plan = self.apply_insert_emulations_inner(plan, &mut features, true, &mut false)?;
         let plan = self
             .analyzer
             .transform(&self.transformer, plan, &self.profile.caps, &mut features)?;
-        // Translation-only path: peel quietly (no emulation counter — the
-        // statement is not being executed) so `translate()` shows the SQL
-        // the LimitFetch emulation would actually send.
         let (plan, _fetch_limit) = self.peel_fetch_limit(plan);
         self.analyzer.check_plan(&plan, "serializer")?;
         let sql = Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
         self.analyzer.audit_roundtrip(&sql, &plan, &catalog)?;
         self.conformance.check_serialized(&sql, &self.profile.caps, &self.profile.name)?;
-        Ok((sql, features))
+        Ok(sql)
     }
 
     // -----------------------------------------------------------------------
@@ -1022,6 +1022,10 @@ impl HyperQ {
             features.union(&binder.features);
             plan
         };
+        // As in `translate()`: the insert emulations run quietly, and what
+        // they track stays out of the report's feature list.
+        let plan =
+            self.apply_insert_emulations_inner(plan, &mut FeatureSet::new(), true, &mut false)?;
         let plan = self.transformer.run_all(plan, &self.profile.caps, features)?;
         let (plan, fetch_limit) = self.peel_fetch_limit(plan);
         let sql = Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
@@ -1672,7 +1676,7 @@ impl HyperQ {
     /// `n` rows. Only the plain shape (no OFFSET, no WITH TIES) peels —
     /// anything else still fails in the serializer.
     fn peel_fetch_limit(&self, plan: Plan) -> (Plan, Option<u64>) {
-        if self.profile.flavor.limit != LimitSpelling::None {
+        if self.profile.caps.limit_spelling() != LimitSpelling::None {
             return (plan, None);
         }
         match plan {
@@ -1753,12 +1757,11 @@ impl HyperQ {
 }
 
 /// The profile's contribution to the cache-key context hash: registry
-/// name, capability signature, and dialect flavor. Two profiles sharing a
-/// capability signature (or even a name) still key distinctly if any
-/// component differs, so cross-target cache pollution is structurally
-/// impossible.
+/// name and capabilities. Two profiles sharing a capability signature (or
+/// even a name) still key distinctly if either differs, so cross-target
+/// cache pollution is structurally impossible.
 fn profile_sig(profile: &TargetProfile) -> u64 {
-    fnv1a(format!("{}|{:?}|{:?}", profile.name, profile.caps, profile.flavor).as_bytes())
+    fnv1a(format!("{}|{:?}", profile.name, profile.caps).as_bytes())
 }
 
 /// Alias a recursion CTAS source's output columns to the CTE's declared

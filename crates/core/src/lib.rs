@@ -12,12 +12,16 @@
 //! * [`transform`] — the Transformer: pluggable rewrite rules cascaded to a
 //!   fixed point, split into target-agnostic (binding-stage) and
 //!   target-specific (serialization-stage) phases,
+//! * [`capability`] — one target's description as a plain value: the
+//!   tracked features it supports natively, its output-only capabilities
+//!   and its dialect spellings,
 //! * [`targets`] — the named target-profile registry: each
-//!   [`targets::TargetProfile`] bundles a capability signature with the
-//!   dialect spellings ([`serialize::Flavor`]) the serializer consumes,
+//!   [`targets::TargetProfile`] is a name, one
+//!   [`capability::TargetCapabilities`] value and whether the bundled
+//!   engine executes it,
 //! * [`serialize`] — per-target SQL serializers driven by a
-//!   [`targets::TargetProfile`] (capabilities decide *what* to emit, the
-//!   [`serialize::Flavor`] decides *how to spell it*),
+//!   [`targets::TargetProfile`] (its capabilities decide both *what* to
+//!   emit and *how to spell it*),
 //! * [`emulate`] — the mid-tier emulation layer (§6): recursion via
 //!   temporary tables, macros, procedures, `MERGE`, `HELP`, views, global
 //!   temporary tables, SET-table semantics,
@@ -72,7 +76,6 @@ pub use backend::{
 };
 pub use capability::TargetCapabilities;
 pub use conformance::{Conformance, ConformanceMode, Finding, Severity};
-pub use serialize::Flavor;
 pub use targets::TargetProfile;
 pub use emulate::{CostTier, EmulationKind};
 pub use crosscompiler::{

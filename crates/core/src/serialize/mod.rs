@@ -4,11 +4,11 @@
 //! different serializers share a common interface: the input is an XTRA
 //! expression, and the output is the serialized SQL statement of that
 //! XTRA." We realize the family of serializers as one engine parameterized
-//! by a target profile: [`TargetCapabilities`] decides *what* must be
-//! rewritten away before serialization, and the profile's [`Flavor`]
-//! decides every dialect spelling (`LIMIT` vs `TOP` vs neither, `%` vs
-//! `MOD()`, the date-add family, identifier quoting, type names) exactly
-//! where real targets differ.
+//! by a target profile's [`TargetCapabilities`]: its feature set decides
+//! *what* must be rewritten away before serialization, and its spelling
+//! fields decide every dialect choice (`LIMIT` vs `TOP` vs neither, `%` vs
+//! `MOD()`, the date-add and add-months families) exactly where real
+//! targets differ.
 //!
 //! Serialization "takes place by walking through the XTRA expression,
 //! generating a SQL block for each operator": the walker assembles
@@ -25,17 +25,15 @@ use hyperq_xtra::expr::{
 };
 use hyperq_xtra::rel::{Grouping, JoinKind, Plan, RelExpr};
 
-use crate::capability::{AddMonthsStyle, DateAddStyle, ModStyle, TargetCapabilities};
+use hyperq_xtra::feature::Feature;
+
+use crate::capability::{AddMonthsStyle, DateAddStyle, LimitSpelling, ModStyle, TargetCapabilities};
 use crate::error::{HyperQError, Result};
 use crate::targets::TargetProfile;
-
-pub mod flavor;
-pub use flavor::{Flavor, IdentQuoting, LimitSpelling, ParamStyle};
 
 /// Serializes plans for one target.
 pub struct Serializer<'a> {
     caps: &'a TargetCapabilities,
-    flavor: Flavor,
     counter: std::cell::Cell<usize>,
     /// Qualifier-rename frames. Wrapping a block into a derived table
     /// `_Tn` makes the original range variables invisible to the enclosing
@@ -75,23 +73,11 @@ impl Block {
 }
 
 impl<'a> Serializer<'a> {
-    /// Serialize for a bare capability signature, with the flavor the
-    /// signature has always implied ([`Flavor::from_caps`]).
-    pub fn new(caps: &'a TargetCapabilities) -> Self {
-        Serializer {
-            caps,
-            flavor: Flavor::from_caps(caps),
-            counter: std::cell::Cell::new(0),
-            frames: std::cell::RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Serialize for a registered [`TargetProfile`], taking both the
-    /// capability signature and the dialect flavor from the profile.
+    /// Serialize for a [`TargetProfile`], spelling everything as its
+    /// capabilities say.
     pub fn for_profile(profile: &'a TargetProfile) -> Self {
         Serializer {
             caps: &profile.caps,
-            flavor: profile.flavor.clone(),
             counter: std::cell::Cell::new(0),
             frames: std::cell::RefCell::new(Vec::new()),
         }
@@ -247,11 +233,7 @@ impl<'a> Serializer<'a> {
             .columns
             .iter()
             .map(|c| {
-                let mut s = format!(
-                    "{} {}",
-                    self.flavor.ident(&c.name),
-                    self.flavor.type_name(&c.ty.to_string())
-                );
+                let mut s = format!("{} {}", c.name, c.ty);
                 if !c.nullable {
                     s.push_str(" NOT NULL");
                 }
@@ -315,8 +297,12 @@ impl<'a> Serializer<'a> {
         if let Some(keys) = order {
             let _ = write!(sql, " ORDER BY {}", self.order_list(keys)?);
         }
+        // Spelled `LIMIT` whatever the target. TOP targets get a block's
+        // bound injected after SELECT in render(); a set-operation bound
+        // on them needs a wrap. `build()` rejects any Limit operator for
+        // targets with neither spelling.
         if let Some(n) = limit {
-            sql.push_str(&self.limit_suffix(n));
+            let _ = write!(sql, " LIMIT {n}");
         }
         Ok(sql)
     }
@@ -331,17 +317,6 @@ impl<'a> Serializer<'a> {
                 self.setop_operand(right)?
             )),
             other => self.query(other),
-        }
-    }
-
-    fn limit_suffix(&self, n: u64) -> String {
-        match self.flavor.limit {
-            LimitSpelling::Limit => format!(" LIMIT {n}"),
-            // TOP targets get the limit injected after SELECT in render();
-            // reaching here means a set-operation limit, which needs a wrap.
-            // LimitSpelling::None never reaches this point: `build()`
-            // rejects any Limit operator for such targets.
-            LimitSpelling::Top | LimitSpelling::None => format!(" LIMIT {n}"),
         }
     }
 
@@ -369,7 +344,7 @@ impl<'a> Serializer<'a> {
         if b.distinct {
             sql.push_str("DISTINCT ");
         }
-        if self.flavor.limit == LimitSpelling::Top {
+        if self.caps.limit_spelling() == LimitSpelling::Top {
             if let Some(n) = b.limit {
                 let _ = write!(sql, "TOP {n} ");
             }
@@ -393,7 +368,7 @@ impl<'a> Serializer<'a> {
         if let Some(o) = &b.order_by {
             let _ = write!(sql, " ORDER BY {o}");
         }
-        if self.flavor.limit == LimitSpelling::Limit {
+        if self.caps.limit_spelling() == LimitSpelling::Limit {
             if let Some(n) = b.limit {
                 let _ = write!(sql, " LIMIT {n}");
             }
@@ -546,7 +521,7 @@ impl<'a> Serializer<'a> {
                     b.group_by = Some(match grouping {
                         Grouping::Simple => keys.join(", "),
                         Grouping::Sets(sets) => {
-                            if !self.caps.grouping_sets {
+                            if !self.caps.supports(Feature::GroupingExtensions) {
                                 return Err(HyperQError::Transform(
                                     "grouping sets reached a serializer for a target without \
                                      native support; the expansion rule should have fired"
@@ -600,7 +575,7 @@ impl<'a> Serializer<'a> {
                         "OFFSET serialization is not supported".into(),
                     ));
                 }
-                if self.flavor.limit == LimitSpelling::None {
+                if self.caps.limit_spelling() == LimitSpelling::None {
                     return Err(HyperQError::Transform(format!(
                         "{} spells neither LIMIT nor TOP; the LimitFetch \
                          emulation should have peeled this bound",
@@ -768,7 +743,7 @@ impl<'a> Serializer<'a> {
             },
             ScalarExpr::Literal(d, _) => self.literal(d),
             ScalarExpr::Arith { op, left, right } => match op {
-                ArithOp::Mod => match self.flavor.mod_style {
+                ArithOp::Mod => match self.caps.mod_style {
                     ModStyle::Percent => {
                         format!("({} % {})", self.expr(left)?, self.expr(right)?)
                     }
@@ -881,7 +856,7 @@ impl<'a> Serializer<'a> {
                 )
             }
             ScalarExpr::QuantifiedCmp { left, op, quantifier, subquery } => {
-                if left.len() > 1 && !self.caps.vector_subquery {
+                if left.len() > 1 && !self.caps.supports(Feature::VectorSubquery) {
                     return Err(HyperQError::Transform(
                         "vector subquery comparison reached a serializer for a target \
                          without support; the EXISTS rewrite should have fired"
@@ -935,7 +910,7 @@ impl<'a> Serializer<'a> {
             ScalarFunc::Position => {
                 format!("POSITION({} IN {})", rendered[0], rendered[1])
             }
-            ScalarFunc::DateAddDays => match self.flavor.date_add_style {
+            ScalarFunc::DateAddDays => match self.caps.date_add_style {
                 DateAddStyle::PlusInteger => format!("({} + {})", rendered[0], rendered[1]),
                 DateAddStyle::DateAddFn => {
                     format!("DATEADD(DAY, {}, {})", rendered[1], rendered[0])
@@ -947,7 +922,7 @@ impl<'a> Serializer<'a> {
                     format!("({} + INTERVAL '{}' DAY)", rendered[0], rendered[1])
                 }
             },
-            ScalarFunc::AddMonths => match self.flavor.add_months_style {
+            ScalarFunc::AddMonths => match self.caps.add_months_style {
                 AddMonthsStyle::AddMonthsFn => {
                     format!("ADD_MONTHS({}, {})", rendered[0], rendered[1])
                 }
@@ -958,7 +933,7 @@ impl<'a> Serializer<'a> {
                     format!("({} + INTERVAL '{}' MONTH)", rendered[0], rendered[1])
                 }
             },
-            ScalarFunc::Mod => match self.flavor.mod_style {
+            ScalarFunc::Mod => match self.caps.mod_style {
                 ModStyle::Percent => format!("({} % {})", rendered[0], rendered[1]),
                 ModStyle::Function => format!("MOD({}, {})", rendered[0], rendered[1]),
             },

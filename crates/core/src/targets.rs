@@ -4,12 +4,12 @@
 //!
 //! The paper's premise is one Teradata frontend adapting to *many* cloud
 //! targets (§4.4, Figure 2). A [`TargetProfile`] is everything the
-//! pipeline needs to know about one of them: a stable registry name, the
-//! capability signature ([`TargetCapabilities`], *whether* a construct is
-//! supported — drives the transformer, the emulation layer, and the
-//! conformance lints) and the dialect [`Flavor`] (*how* supported
-//! constructs are spelled — drives the serializer), plus whether the
-//! bundled `hyperq-engine` can actually execute the profile's output.
+//! pipeline needs to know about one of them: a stable registry name, one
+//! [`TargetCapabilities`] value (the features the target supports natively
+//! and how it spells what it supports — read by the transformer, the
+//! emulation layer, the serializer and the conformance lints alike), and
+//! whether the bundled `hyperq-engine` can actually execute the profile's
+//! output.
 //!
 //! Two profiles are executable: `simwh`, the historical default, and
 //! `simwh-reduced`, a deliberately poorer signature (no derived-table
@@ -17,109 +17,241 @@
 //! `LIMIT` nor `TOP`) that forces the transformer and the emulation layer
 //! down genuinely different rewrite paths while the engine still executes
 //! every corpus — the cross-target differential suite pins both profiles'
-//! client-visible transcripts byte-for-byte against each other.
+//! client-visible transcripts byte-for-byte against each other. The six
+//! surveyed cloud profiles model the documented behavior of 2017-era cloud
+//! warehouses; they serve Figure 2, assessment and the conformance lints.
 
-use crate::capability::TargetCapabilities;
-use crate::serialize::Flavor;
+use hyperq_xtra::feature::Feature::*;
+use hyperq_xtra::feature::FeatureSet;
 
-/// One named target: capabilities + dialect flavor + execution substrate.
+use crate::capability::{AddMonthsStyle, DateAddStyle, ModStyle, TargetCapabilities};
+
+/// One named target: its capabilities and whether the engine executes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetProfile {
     /// The registry key (`"simwh"`, `"cloud-a"`, …): stable, lowercase,
     /// and the value of every `target` metric label and provenance field.
     pub name: String,
-    /// Feature support: what the transformer/emulation layer must rewrite.
+    /// What the target supports and how it spells it.
     pub caps: TargetCapabilities,
-    /// Dialect spellings: how the serializer writes what is supported.
-    pub flavor: Flavor,
     /// Whether the bundled `hyperq-engine` executes this profile's output
     /// (the surveyed cloud profiles are assess/serialize-only).
     pub executable: bool,
-    /// One-line description for reports and docs.
-    pub description: &'static str,
 }
 
-impl TargetProfile {
-    /// Bridge from a raw capability signature (the pre-registry API): a
-    /// signature matching a registered profile resolves to that profile;
-    /// anything else becomes an anonymous, non-executable custom profile
-    /// whose flavor is derived from the signature.
-    pub fn from_caps(caps: TargetCapabilities) -> TargetProfile {
-        for p in all() {
-            if p.caps == caps {
-                return p;
-            }
-        }
-        TargetProfile {
-            name: slug(caps.name),
-            flavor: Flavor::from_caps(&caps),
-            executable: false,
-            description: "custom capability signature",
-            caps,
-        }
-    }
-
-    /// The display name carried on the capability signature (`"SimWH"`,
-    /// `"Cloud A"`, …) — the registry `name` is the lookup key.
-    pub fn display_name(&self) -> &'static str {
-        self.caps.name
-    }
+fn profile(name: &str, executable: bool, caps: TargetCapabilities) -> TargetProfile {
+    TargetProfile { name: name.to_string(), caps, executable }
 }
 
-fn slug(display: &str) -> String {
-    display
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
-        .collect()
-}
-
-fn profile(
-    name: &str,
-    caps: TargetCapabilities,
-    executable: bool,
-    description: &'static str,
-) -> TargetProfile {
-    let flavor = Flavor::from_caps(&caps);
-    TargetProfile { name: name.to_string(), caps, flavor, executable, description }
-}
-
-/// The default executable profile: the bundled engine substrate.
+/// The default executable profile: the bundled engine substrate, a
+/// deliberately minimal ANSI target so every rewrite class is exercised
+/// end to end.
 pub fn simwh() -> TargetProfile {
     profile(
         "simwh",
-        TargetCapabilities::simwh(),
         true,
-        "bundled ANSI engine substrate (default target)",
+        TargetCapabilities {
+            name: "SimWH",
+            // The engine evaluates `date + n` natively, so the DATEADD
+            // rewrite is not triggered for it (matching systems with
+            // native date arithmetic).
+            supported: FeatureSet::from_iter([AddMonths, DateArithmetic]),
+            derived_table_column_aliases: true,
+            top_clause: false,
+            with_ties: false,
+            limit_clause: true,
+            returning_clause: false,
+            session_settings: true,
+            mod_style: ModStyle::Percent,
+            date_add_style: DateAddStyle::PlusInteger,
+            add_months_style: AddMonthsStyle::AddMonthsFn,
+        },
     )
 }
 
 /// The second executable profile: the engine substrate behind a
-/// deliberately reduced dialect, so emulations and spellings that the
-/// default target never needs (`LimitFetch`, `MOD(a, b)`, `DATEADD`,
-/// derived-table alias normalization) fire on live corpus traffic.
+/// deliberately reduced dialect. It withholds derived-table column
+/// aliases, both row-bound spellings (`LIMIT` *and* `TOP`), native date
+/// arithmetic and the `ADD_MONTHS` function, and spells modulo as
+/// `MOD(a, b)` and date math as `DATEADD`, so every translation-class
+/// rewrite the default target never triggers — alias normalization, the
+/// `DATEADD` family, the `LimitFetch` emulation — fires on live corpus
+/// traffic.
 pub fn simwh_reduced() -> TargetProfile {
     profile(
         "simwh-reduced",
-        TargetCapabilities::simwh_reduced(),
         true,
-        "engine substrate with a reduced dialect: no LIMIT/TOP, no \
-         derived-table column aliases, MOD(a, b), DATEADD date math",
+        TargetCapabilities {
+            name: "SimWH-Reduced",
+            supported: FeatureSet::new(),
+            derived_table_column_aliases: false,
+            limit_clause: false,
+            top_clause: false,
+            mod_style: ModStyle::Function,
+            date_add_style: DateAddStyle::DateAddFn,
+            add_months_style: AddMonthsStyle::DateAddFn,
+            ..simwh().caps
+        },
     )
+}
+
+/// The six surveyed cloud profiles, in Figure 2's column order.
+fn clouds() -> [TargetProfile; 6] {
+    [
+        // A 2017-era MPP SQL warehouse with T-SQL heritage.
+        profile(
+            "cloud-a",
+            false,
+            TargetCapabilities {
+                name: "CloudWH-A",
+                supported: FeatureSet::from_iter([
+                    SubstrFunction,
+                    OrdinalGroupBy,
+                    GroupingExtensions,
+                    StoredProcedureCall,
+                ]),
+                derived_table_column_aliases: false,
+                top_clause: true,
+                with_ties: true,
+                limit_clause: false,
+                returning_clause: false,
+                session_settings: false,
+                mod_style: ModStyle::Percent,
+                date_add_style: DateAddStyle::DateAddFn,
+                add_months_style: AddMonthsStyle::DateAddFn,
+            },
+        ),
+        // A 2017-era columnar cloud warehouse with Postgres heritage.
+        profile(
+            "cloud-b",
+            false,
+            TargetCapabilities {
+                name: "CloudWH-B",
+                supported: FeatureSet::from_iter([
+                    SubstrFunction,
+                    AddMonths,
+                    ImplicitJoin,
+                    OrdinalGroupBy,
+                    DateArithmetic,
+                ]),
+                derived_table_column_aliases: true,
+                top_clause: true,
+                with_ties: false,
+                limit_clause: true,
+                returning_clause: true,
+                session_settings: false,
+                mod_style: ModStyle::Percent,
+                date_add_style: DateAddStyle::PlusInteger,
+                add_months_style: AddMonthsStyle::AddMonthsFn,
+            },
+        ),
+        // A 2017-era serverless query service with its own SQL dialect.
+        profile(
+            "cloud-c",
+            false,
+            TargetCapabilities {
+                name: "CloudWH-C",
+                supported: FeatureSet::from_iter([SubstrFunction, OrdinalGroupBy]),
+                derived_table_column_aliases: false,
+                top_clause: false,
+                with_ties: false,
+                limit_clause: true,
+                returning_clause: false,
+                session_settings: false,
+                mod_style: ModStyle::Function,
+                date_add_style: DateAddStyle::IntervalFn,
+                add_months_style: AddMonthsStyle::IntervalLiteral,
+            },
+        ),
+        // A 2017-era elastic multi-cluster warehouse.
+        profile(
+            "cloud-d",
+            false,
+            TargetCapabilities {
+                name: "CloudWH-D",
+                supported: FeatureSet::from_iter([
+                    ZeroIfNull,
+                    SubstrFunction,
+                    AddMonths,
+                    Qualify,
+                    NamedExprReference,
+                    OrdinalGroupBy,
+                    DateArithmetic,
+                    GroupingExtensions,
+                    RecursiveQuery,
+                    MergeStatement,
+                ]),
+                derived_table_column_aliases: true,
+                top_clause: true,
+                with_ties: false,
+                limit_clause: true,
+                returning_clause: false,
+                session_settings: false,
+                mod_style: ModStyle::Percent,
+                date_add_style: DateAddStyle::DateAddFn,
+                add_months_style: AddMonthsStyle::AddMonthsFn,
+            },
+        ),
+        // A 2017-era federated SQL-on-anything engine.
+        profile(
+            "cloud-e",
+            false,
+            TargetCapabilities {
+                name: "CloudWH-E",
+                supported: FeatureSet::from_iter([
+                    SubstrFunction,
+                    OrdinalGroupBy,
+                    VectorSubquery,
+                    GroupingExtensions,
+                ]),
+                derived_table_column_aliases: true,
+                top_clause: false,
+                with_ties: false,
+                limit_clause: true,
+                returning_clause: false,
+                session_settings: false,
+                mod_style: ModStyle::Function,
+                date_add_style: DateAddStyle::IntervalLiteral,
+                add_months_style: AddMonthsStyle::IntervalLiteral,
+            },
+        ),
+        // A 2017-era managed Postgres-compatible service.
+        profile(
+            "cloud-f",
+            false,
+            TargetCapabilities {
+                name: "CloudWH-F",
+                supported: FeatureSet::from_iter([
+                    SubstrFunction,
+                    ImplicitJoin,
+                    OrdinalGroupBy,
+                    DateArithmetic,
+                    VectorSubquery,
+                    GroupingExtensions,
+                    RecursiveQuery,
+                    StoredProcedureCall,
+                    DmlOnView,
+                ]),
+                derived_table_column_aliases: true,
+                top_clause: false,
+                with_ties: false,
+                limit_clause: true,
+                returning_clause: true,
+                session_settings: false,
+                mod_style: ModStyle::Percent,
+                date_add_style: DateAddStyle::IntervalLiteral,
+                add_months_style: AddMonthsStyle::IntervalLiteral,
+            },
+        ),
+    ]
 }
 
 /// Every registered profile, registry order: the executable pair first,
 /// then the six surveyed cloud profiles of Figure 2.
 pub fn all() -> Vec<TargetProfile> {
-    vec![
-        simwh(),
-        simwh_reduced(),
-        profile("cloud-a", TargetCapabilities::cloud_a(), false, "2017-era MPP warehouse, T-SQL heritage"),
-        profile("cloud-b", TargetCapabilities::cloud_b(), false, "serverless query service over object storage"),
-        profile("cloud-c", TargetCapabilities::cloud_c(), false, "distributed Postgres-heritage warehouse"),
-        profile("cloud-d", TargetCapabilities::cloud_d(), false, "elastic data warehouse, ANSI-leaning"),
-        profile("cloud-e", TargetCapabilities::cloud_e(), false, "managed columnar warehouse"),
-        profile("cloud-f", TargetCapabilities::cloud_f(), false, "SQL-on-Hadoop engine"),
-    ]
+    let mut all = vec![simwh(), simwh_reduced()];
+    all.extend(clouds());
+    all
 }
 
 /// The profiles whose serialized SQL the bundled engine executes.
@@ -129,7 +261,7 @@ pub fn executable() -> Vec<TargetProfile> {
 
 /// The six surveyed cloud profiles (Figure 2's population).
 pub fn surveyed() -> Vec<TargetProfile> {
-    all().into_iter().filter(|p| p.name.starts_with("cloud-")).collect()
+    clouds().into()
 }
 
 /// Look a profile up by registry name, case-insensitively; `_` and `-`
@@ -145,7 +277,7 @@ pub fn lookup(name: &str) -> Option<TargetProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serialize::LimitSpelling;
+    use crate::capability::LimitSpelling;
 
     #[test]
     fn lookup_resolves_every_registered_name() {
@@ -167,23 +299,15 @@ mod tests {
         );
         let [a, b] = &exec[..] else { unreachable!() };
         assert_ne!(a.caps, b.caps, "executable profiles must differ in capabilities");
-        assert_eq!(a.flavor.limit, LimitSpelling::Limit);
-        assert_eq!(b.flavor.limit, LimitSpelling::None);
+        assert_eq!(a.caps.limit_spelling(), LimitSpelling::Limit);
+        assert_eq!(b.caps.limit_spelling(), LimitSpelling::None);
     }
 
     #[test]
-    fn from_caps_round_trips_registered_signatures() {
-        for p in all() {
-            assert_eq!(TargetProfile::from_caps(p.caps.clone()), p);
-        }
-        let mut custom = TargetCapabilities::cloud_d();
-        custom.grouping_sets = false;
-        custom.returning_clause = false;
-        let p = TargetProfile::from_caps(custom.clone());
-        assert!(!p.executable);
-        assert_eq!(p.name, "cloudwh-d", "anonymous profiles slug their display name");
-        assert_eq!(p.display_name(), "CloudWH-D");
-        assert_eq!(p.caps, custom);
+    fn surveyed_are_the_cloud_profiles() {
+        let names: Vec<String> = surveyed().into_iter().map(|p| p.name).collect();
+        assert_eq!(names, ["cloud-a", "cloud-b", "cloud-c", "cloud-d", "cloud-e", "cloud-f"]);
+        assert!(surveyed().iter().all(|p| !p.executable));
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl TransformRule for VectorSubqueryToExists {
     }
 
     fn enabled_for(&self, caps: &TargetCapabilities) -> bool {
-        !caps.vector_subquery
+        !caps.supports(Feature::VectorSubquery)
     }
 
     fn rewrite_expr(&self, expr: ScalarExpr) -> (ScalarExpr, bool) {
@@ -222,7 +222,7 @@ impl TransformRule for ExpandGroupingSets {
     }
 
     fn enabled_for(&self, caps: &TargetCapabilities) -> bool {
-        !caps.grouping_sets
+        !caps.supports(Feature::GroupingExtensions)
     }
 
     fn rewrite_rel(&self, rel: RelExpr) -> (RelExpr, bool) {
@@ -308,7 +308,7 @@ impl TransformRule for DateArithToFunction {
     }
 
     fn enabled_for(&self, caps: &TargetCapabilities) -> bool {
-        !caps.date_arithmetic
+        !caps.supports(Feature::DateArithmetic)
     }
 
     fn rewrite_expr(&self, expr: ScalarExpr) -> (ScalarExpr, bool) {

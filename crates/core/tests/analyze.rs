@@ -7,7 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use hyperq_core::binder::Binder;
-use hyperq_core::capability::TargetCapabilities;
+use hyperq_core::serialize::Serializer;
+use hyperq_core::targets;
 use hyperq_core::transform::{Phase, TransformRule, Transformer};
 use hyperq_core::{AnalyzeMode, Analyzer, HyperQError, ObsContext};
 use hyperq_parser::{parse_one, Dialect};
@@ -55,14 +56,14 @@ fn analyzer(mode: AnalyzeMode) -> (Analyzer, Arc<ObsContext>) {
 /// boundary check, then the round-trip audit against the same catalog.
 fn strict_pipeline(sql: &str) -> Result<(), HyperQError> {
     let (az, _obs) = analyzer(AnalyzeMode::Strict);
-    let caps = TargetCapabilities::simwh();
+    let target = targets::simwh();
     let transformer = Transformer::standard();
     let plan = bind(sql);
     az.check_plan(&plan, "bind")?;
     let mut fired = FeatureSet::new();
-    let plan = az.transform(&transformer, plan, &caps, &mut fired)?;
+    let plan = az.transform(&transformer, plan, &target.caps, &mut fired)?;
     az.check_plan(&plan, "serializer")?;
-    let out = hyperq_core::serialize::Serializer::new(&caps).serialize_plan(&plan)?;
+    let out = Serializer::for_profile(&target).serialize_plan(&plan)?;
     az.audit_roundtrip(&out, &plan, &catalog())
 }
 
@@ -138,7 +139,7 @@ fn audited(rule: Box<dyn TransformRule>, mode: AnalyzeMode) -> (Result<Plan, Hyp
     let transformer = Transformer::with_rules(vec![rule]);
     let plan = bind("SEL A, B FROM T WHERE A > 0");
     let mut fired = FeatureSet::new();
-    let out = az.transform(&transformer, plan, &TargetCapabilities::simwh(), &mut fired);
+    let out = az.transform(&transformer, plan, &targets::simwh().caps, &mut fired);
     (out, obs)
 }
 
@@ -224,9 +225,7 @@ fn semi_and_anti_joins_are_rejected_at_the_serializer_boundary() {
         assert!(err.contains("internal_join"), "{err}");
         // Regression anchor: the serializer itself also refuses the plan,
         // so the validator gate fires strictly earlier on the same input.
-        let caps = TargetCapabilities::simwh();
-        let ser = hyperq_core::serialize::Serializer::new(&caps);
-        assert!(ser.serialize_plan(&plan).is_err());
+        assert!(Serializer::for_profile(&targets::simwh()).serialize_plan(&plan).is_err());
     }
     assert!(
         obs.metrics.counter_value(

@@ -225,7 +225,7 @@ fn shared_cache_isolates_entries_per_target() {
     let mut full = mk(hyperq_core::targets::simwh());
     let mut reduced = mk(hyperq_core::targets::simwh_reduced());
 
-    // A statement whose spelling differs between the flavors.
+    // A statement whose spelling differs between the two profiles.
     let sql = "SEL STORE FROM SALES WHERE STORE MOD 3 = 1";
     let full_cold = full.run_one(sql).unwrap().sql_sent;
     let reduced_cold = reduced.run_one(sql).unwrap().sql_sent;

@@ -2,6 +2,7 @@
 //! gating, and rule-by-rule behavior on hand-built plans.
 
 use hyperq_core::capability::TargetCapabilities;
+use hyperq_core::targets;
 use hyperq_core::transform::{Phase, TransformRule, Transformer};
 use hyperq_core::HyperQError;
 use hyperq_xtra::datum::{date_from_ymd, Datum};
@@ -10,6 +11,10 @@ use hyperq_xtra::feature::{Feature, FeatureSet};
 use hyperq_xtra::rel::{Grouping, Plan, RelExpr};
 use hyperq_xtra::schema::{Field, Schema};
 use hyperq_xtra::types::SqlType;
+
+fn target_caps(name: &str) -> TargetCapabilities {
+    targets::lookup(name).unwrap().caps
+}
 
 fn sales_get() -> RelExpr {
     RelExpr::Get {
@@ -33,7 +38,7 @@ fn date_int_comparison_fires_in_binding_phase_only() {
         predicate: ScalarExpr::cmp(CmpOp::Gt, date_col(), ScalarExpr::int(1_140_101)),
     });
     let t = Transformer::standard();
-    let caps = TargetCapabilities::simwh();
+    let caps = target_caps("simwh");
     let mut fired = FeatureSet::new();
     // Serialization phase alone must not touch it…
     let unchanged = t.run(plan.clone(), Phase::Serialization, &caps, &mut fired).unwrap();
@@ -60,7 +65,7 @@ fn constant_date_folds_to_teradata_int() {
     });
     let mut fired = FeatureSet::new();
     let out = Transformer::standard()
-        .run(plan, Phase::Binding, &TargetCapabilities::simwh(), &mut fired)
+        .run(plan, Phase::Binding, &target_caps("simwh"), &mut fired)
         .unwrap();
     let dbg = format!("{out:?}");
     assert!(!dbg.contains("Extract"), "{dbg}");
@@ -82,12 +87,12 @@ fn grouping_sets_gated_by_capability() {
     let mut fired = FeatureSet::new();
     // Target WITH grouping sets: untouched.
     let kept = t
-        .run(Plan::Query(agg.clone()), Phase::Serialization, &TargetCapabilities::cloud_d(), &mut fired)
+        .run(Plan::Query(agg.clone()), Phase::Serialization, &target_caps("cloud-d"), &mut fired)
         .unwrap();
     assert!(format!("{kept:?}").contains("Sets"), "{kept:?}");
     // Target WITHOUT: expanded to a union.
     let expanded = t
-        .run(Plan::Query(agg), Phase::Serialization, &TargetCapabilities::simwh(), &mut fired)
+        .run(Plan::Query(agg), Phase::Serialization, &target_caps("simwh"), &mut fired)
         .unwrap();
     let dbg = format!("{expanded:?}");
     assert!(dbg.contains("SetOp"), "{dbg}");
@@ -110,7 +115,7 @@ fn rollup_expansion_has_one_branch_per_set() {
         .run(
             Plan::Query(agg),
             Phase::Serialization,
-            &TargetCapabilities::simwh(),
+            &target_caps("simwh"),
             &mut fired,
         )
         .unwrap();
@@ -147,12 +152,12 @@ fn with_ties_lowering_gated_by_capability() {
     let mut fired = FeatureSet::new();
     // CloudWH-A supports WITH TIES: the Limit survives.
     let kept = t
-        .run(Plan::Query(limit.clone()), Phase::Serialization, &TargetCapabilities::cloud_a(), &mut fired)
+        .run(Plan::Query(limit.clone()), Phase::Serialization, &target_caps("cloud-a"), &mut fired)
         .unwrap();
     assert!(format!("{kept:?}").contains("with_ties: true"), "{kept:?}");
     // SimWH does not: lowered to a RANK window + filter.
     let lowered = t
-        .run(Plan::Query(limit), Phase::Serialization, &TargetCapabilities::simwh(), &mut fired)
+        .run(Plan::Query(limit), Phase::Serialization, &target_caps("simwh"), &mut fired)
         .unwrap();
     let dbg = format!("{lowered:?}");
     assert!(dbg.contains("__TIES_RANK"), "{dbg}");
@@ -170,7 +175,7 @@ fn null_ordering_rule_is_idempotent_across_runs() {
         ))],
     };
     let t = Transformer::standard();
-    let caps = TargetCapabilities::simwh();
+    let caps = target_caps("simwh");
     let mut fired = FeatureSet::new();
     let once = t.run(Plan::Query(sort), Phase::Serialization, &caps, &mut fired).unwrap();
     let twice = t.run(once.clone(), Phase::Serialization, &caps, &mut fired).unwrap();
@@ -221,7 +226,7 @@ fn cascade_reaches_fixed_point() {
     });
     let mut fired = FeatureSet::new();
     let out = Transformer::standard()
-        .run_all(plan, &TargetCapabilities::simwh(), &mut fired)
+        .run_all(plan, &target_caps("simwh"), &mut fired)
         .unwrap();
     assert!(fired.contains(Feature::DateIntComparison));
     assert!(fired.contains(Feature::VectorSubquery));
@@ -252,7 +257,7 @@ fn scalar_quantified_comparison_left_alone() {
     });
     let mut fired = FeatureSet::new();
     let out = Transformer::standard()
-        .run_all(plan.clone(), &TargetCapabilities::simwh(), &mut fired)
+        .run_all(plan.clone(), &target_caps("simwh"), &mut fired)
         .unwrap();
     let dbg = format!("{out:?}");
     assert!(dbg.contains("QuantifiedCmp"), "{dbg}");
@@ -298,7 +303,7 @@ fn cyclic_rules_fail_after_the_pass_budget() {
             ScalarExpr::int(1),
         ),
     });
-    let caps = TargetCapabilities::simwh();
+    let caps = target_caps("simwh");
     let expect = "did not reach a fixed point within 32 passes";
 
     let err = t.run_all(plan.clone(), &caps, &mut FeatureSet::new()).unwrap_err();

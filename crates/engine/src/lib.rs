@@ -9,9 +9,9 @@
 //!
 //! * the engine accepts *only* the ANSI dialect — Teradata-isms are syntax
 //!   errors, so a serializer leak fails loudly;
-//! * the engine's feature surface matches
-//!   [`hyperq_core::capability::TargetCapabilities::simwh`] exactly: no
-//!   `QUALIFY`, no vector subquery comparison, no recursion, no `MERGE`,
+//! * the engine's feature surface matches the
+//!   [`hyperq_core::targets::simwh`] profile exactly: no `QUALIFY`, no
+//!   vector subquery comparison, no recursion, no `MERGE`,
 //!   no grouping sets — requests using them are rejected, which is what
 //!   forces Hyper-Q's rewrites and emulations to actually run;
 //! * execution is correct rather than clever: hash joins and hash

@@ -331,7 +331,8 @@ impl fmt::Display for Feature {
     }
 }
 
-/// A set of tracked features, observed while processing one statement.
+/// A set of tracked features: the ones observed while processing one
+/// statement, or the ones a target database supports natively.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FeatureSet {
     bits: u32,
@@ -342,12 +343,18 @@ impl FeatureSet {
         Self::default()
     }
 
+    /// Declaration order is registry order, so a feature's discriminant is
+    /// its index in [`Feature::ALL`].
     fn bit(f: Feature) -> u32 {
-        1 << Feature::ALL.iter().position(|x| *x == f).expect("feature in ALL")
+        1 << f as u32
     }
 
     pub fn insert(&mut self, f: Feature) {
         self.bits |= Self::bit(f);
+    }
+
+    pub fn remove(&mut self, f: Feature) {
+        self.bits &= !Self::bit(f);
     }
 
     pub fn contains(&self, f: Feature) -> bool {
@@ -373,6 +380,16 @@ impl FeatureSet {
 
     pub fn len(&self) -> usize {
         self.bits.count_ones() as usize
+    }
+}
+
+impl FromIterator<Feature> for FeatureSet {
+    fn from_iter<I: IntoIterator<Item = Feature>>(iter: I) -> Self {
+        let mut set = FeatureSet::new();
+        for f in iter {
+            set.insert(f);
+        }
+        set
     }
 }
 
@@ -417,6 +434,21 @@ mod tests {
         assert!(!s.has_class(FeatureClass::Translation));
         let collected: Vec<Feature> = s.iter().collect();
         assert_eq!(collected, vec![Feature::Qualify, Feature::MergeStatement]);
+    }
+
+    #[test]
+    fn discriminants_are_registry_indices() {
+        for (i, f) in Feature::ALL.iter().enumerate() {
+            assert_eq!(*f as usize, i, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn remove_and_collect() {
+        let mut s: FeatureSet = [Feature::Qualify, Feature::ColumnProperties].into_iter().collect();
+        s.remove(Feature::Qualify);
+        s.remove(Feature::ModOperator);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![Feature::ColumnProperties]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn provision() -> Arc<EngineDb> {
 }
 
 fn run_on(label: &str, profile: TargetProfile, backend: Arc<EngineDb>) -> Vec<(i64, String)> {
-    let display = profile.display_name().to_string();
+    let display = profile.caps.name.to_string();
     let mut hq = HyperQBuilder::for_target(backend as Arc<dyn Backend>, profile).build();
     let outcome = hq.run_one(APP_QUERY).expect("application query");
     println!("{label} (capability profile {display}):");

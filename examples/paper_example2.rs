@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use hyperq::core::backend::Backend;
 use hyperq::core::binder::Binder;
-use hyperq::core::capability::TargetCapabilities;
 use hyperq::core::serialize::Serializer;
 use hyperq::core::session::{SessionState, ShadowCatalog};
+use hyperq::core::targets;
 use hyperq::core::transform::{Phase, Transformer};
 use hyperq::engine::EngineDb;
 use hyperq::parser::{parse_one, Dialect};
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.execute_sql("CREATE TABLE SALES_HISTORY (GROSS INTEGER, NET INTEGER)")?;
     let backend: Arc<dyn Backend> = Arc::new(db);
     let session = SessionState::new(1, "DEMO");
-    let caps = TargetCapabilities::simwh();
+    let target = targets::simwh();
 
     println!("── input (Example 2, Teradata dialect) ──────────────────────────");
     println!("{EXAMPLE2}\n");
@@ -57,14 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Binding-phase transformations (comp_date_to_int, §5.2).
     let transformer = Transformer::standard();
     let mut fired = FeatureSet::new();
-    let plan = transformer.run(plan, Phase::Binding, &caps, &mut fired)?;
+    let plan = transformer.run(plan, Phase::Binding, &target.caps, &mut fired)?;
     if let Plan::Query(rel) = &plan {
         println!("\n── XTRA after binding-phase transformations ─────────────────────");
         print!("{}", render_rel(rel));
     }
 
     // Serialization-phase transformations (vector subquery → EXISTS, §5.3).
-    let plan = transformer.run(plan, Phase::Serialization, &caps, &mut fired)?;
+    let plan = transformer.run(plan, Phase::Serialization, &target.caps, &mut fired)?;
     if let Plan::Query(rel) = &plan {
         println!("\n── final XTRA (cf. Figure 6) ─────────────────────────────────────");
         print!("{}", render_rel(rel));
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Serialization: target SQL (cf. Example 3).
-    let sql = Serializer::new(&caps).serialize_plan(&plan)?;
+    let sql = Serializer::for_profile(&target).serialize_plan(&plan)?;
     println!("\n── serialized SQL for the target (cf. Example 3) ────────────────");
     println!("{sql}");
 

@@ -58,8 +58,11 @@ cargo build --offline --release --workspace
 #   over the built-in corpora match their golden snapshots byte for byte;
 #   Strict-clean corpora on every executable target.
 # - Target profiles (`core` targets + serialize,
-#   `tests/target_differential`): every corpus against every executable
-#   profile, client-visible transcripts byte-identical.
+#   `tests/target_differential`, `tests/conformance`): every corpus
+#   against every executable profile, client-visible transcripts
+#   byte-identical; every registered profile's supported features,
+#   output-only capabilities, spellings and lint verdicts against the
+#   `target_profiles.txt` golden.
 # - Engine results (the `tests/tpch.rs` snapshot, the engine's `memo.rs`
 #   and `exec.rs` tests, the `db.rs` pruning differential): engine
 #   optimizations are gated on result sets, not on "the query ran" — all
@@ -94,11 +97,13 @@ for i in $(seq 20); do cargo test -q --offline --test soak; done
 # Production-path panic hygiene: no `.unwrap()` / `.expect(` in non-test
 # code of the gateway-facing crates (wire, governor), the observability
 # crate (its statement table folds every statement), the engine, the
-# replica HA modules, and the target-profile registry/flavor modules. The
-# awk strips everything from the first `#[cfg(test)]` module onward.
+# replica HA modules, the target-profile registry and capability modules,
+# and the feature registry. The awk strips everything from the first
+# `#[cfg(test)]` module onward.
 for src in crates/wire/src crates/governor/src crates/obs/src crates/engine/src \
     crates/core/src/replicate.rs crates/core/src/repair.rs \
-    crates/core/src/targets.rs crates/core/src/serialize/flavor.rs; do
+    crates/core/src/targets.rs crates/core/src/capability.rs \
+    crates/xtra/src/feature.rs; do
     offenders=$(find "$src" -name '*.rs' -exec awk '
         /#\[cfg\(test\)\]/ { intest = 1 }
         !intest && /\.unwrap\(\)|\.expect\(/ { print FILENAME ":" FNR ": " $0 }

@@ -27,6 +27,7 @@ use hyperq::core::{Backend, EmulationKind, HyperQBuilder, HyperQ, ObsContext};
 use hyperq::engine::EngineDb;
 use hyperq::workload::customer::{health, telco, CustomerWorkload};
 use hyperq::workload::tpch;
+use hyperq::xtra::feature::Feature;
 
 fn snapshot(obs: &ObsContext) -> Vec<u64> {
     EmulationKind::ALL
@@ -179,29 +180,15 @@ fn customer_verdicts_agree_on_simwh_reduced() {
 /// (neither corpus uses those constructs), and verdicts still agree.
 #[test]
 fn telco_verdicts_agree_on_reduced_profile() {
-    let mut caps = TargetCapabilities::cloud_d();
-    caps.grouping_sets = false;
-    caps.returning_clause = false;
+    let cloud_d = hyperq::core::targets::lookup("cloud-d").unwrap();
+    let mut profile = TargetProfile {
+        name: "cloud-d-reduced".into(),
+        caps: TargetCapabilities { returning_clause: false, ..cloud_d.caps },
+        ..cloud_d
+    };
+    profile.caps.supported.remove(Feature::GroupingExtensions);
     let w = telco(0.02);
-    let db = Arc::new(EngineDb::new());
-    let obs = ObsContext::new();
-    for d in &w.target_ddl {
-        db.execute_sql(d).unwrap();
-    }
-    let mut hq = HyperQBuilder::for_target(
-        Arc::clone(&db) as Arc<dyn Backend>,
-        TargetProfile::from_caps(caps.clone()),
-    )
-        .obs(Arc::clone(&obs))
-        .no_cache()
-        .build();
-    let mut assessor = Assessor::new(caps);
-    for d in &w.target_ddl {
-        assessor.ingest_ddl(d);
-    }
-    for text in customer_entries(&w) {
-        check_entry(&mut hq, &mut assessor, &obs, &text);
-    }
+    oracle_over_target(profile, &w.target_ddl, customer_entries(&w));
 }
 
 /// Statements whose outcome depends on the target catalog's state or on

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use hyperq::assess::{Assessor, Verdict};
 use hyperq::core::capability::TargetCapabilities;
+use hyperq::core::targets;
 use hyperq::core::conformance::{lint_serialized, Conformance, ConformanceMode, Severity};
 use hyperq::core::{Backend, EmulationKind, HyperQBuilder, ObsContext};
 use hyperq::xtra::feature::Feature;
@@ -27,7 +28,7 @@ use proptest::prelude::*;
 /// `DATEADD` spelling and the peeled row bounds must still lint clean).
 #[test]
 fn corpora_are_conformance_clean_under_strict() {
-    for profile in hyperq::core::targets::executable() {
+    for profile in targets::executable() {
         let target = profile.name.clone();
 
         // TPC-H.
@@ -66,16 +67,16 @@ fn corpora_are_conformance_clean_under_strict() {
 /// flagged — and by exactly the right rules.
 #[test]
 fn reduced_signature_is_flagged_with_attributed_rules() {
-    let mut reduced = TargetCapabilities::cloud_d();
-    reduced.grouping_sets = false;
-    reduced.returning_clause = false;
+    let cloud_d = targets::lookup("cloud-d").unwrap().caps;
+    let mut reduced = TargetCapabilities { returning_clause: false, ..cloud_d.clone() };
+    reduced.supported.remove(Feature::GroupingExtensions);
 
     let grouping = "SELECT REGION, SUM(AMOUNT) FROM SALES \
                     GROUP BY GROUPING SETS ((REGION), ())";
     let returning = "INSERT INTO SALES (REGION, AMOUNT) VALUES ('EU', 5) RETURNING AMOUNT";
 
     // Full cloud-d signature: both statements are conformant.
-    assert!(lint_serialized(grouping, &TargetCapabilities::cloud_d())
+    assert!(lint_serialized(grouping, &cloud_d)
         .iter()
         .all(|f| f.severity != Severity::Error));
 
@@ -117,7 +118,7 @@ fn reduced_signature_is_flagged_with_attributed_rules() {
 /// the pipeline actually sends.
 #[test]
 fn lint_spans_are_real_source_ranges_over_corpus_sql() {
-    let caps = TargetCapabilities::simwh();
+    let caps = targets::simwh().caps;
     let check = |sql: &str| -> usize {
         let findings = lint_serialized(sql, &caps);
         for f in &findings {
@@ -139,7 +140,7 @@ fn lint_spans_are_real_source_ranges_over_corpus_sql() {
         db.execute_sql(ddl).unwrap();
     }
     let mut hq =
-        HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq::core::targets::simwh()).build();
+        HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, targets::simwh()).build();
     let mut findings = 0usize;
     for text in w.hyperq_setup.iter().chain(w.distinct.iter()) {
         findings += check(text);
@@ -197,11 +198,11 @@ proptest! {
         db.execute_sql("CREATE TABLE STORES (STORE_ID INTEGER, REGION INTEGER)").unwrap();
         let obs = ObsContext::new();
         let mut hq =
-            HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq::core::targets::simwh())
+            HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, targets::simwh())
                 .obs(Arc::clone(&obs))
                 .no_cache()
                 .build();
-        let mut assessor = Assessor::new(TargetCapabilities::simwh());
+        let mut assessor = Assessor::for_target(targets::simwh());
         assessor.ingest_ddl("CREATE TABLE SALES (STORE INTEGER, AMOUNT INTEGER)");
         assessor.ingest_ddl("CREATE TABLE STORES (STORE_ID INTEGER, REGION INTEGER)");
 
@@ -294,13 +295,13 @@ const LINT_TRIGGERS: &[&str] = &[
 fn target_profiles_report() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    for p in hyperq::core::targets::all() {
+    for p in targets::all() {
         let c = &p.caps;
         let supported: Vec<&str> =
-            Feature::ALL.iter().filter(|f| c.supports(**f)).map(|f| f.code()).collect();
+            Feature::ALL.iter().filter(|f| c.supports(**f)).map(Feature::code).collect();
         let _ = writeln!(out, "{} ({}) executable={}", p.name, c.name, p.executable);
         let _ = writeln!(out, "  supports: {}", supported.join(" "));
-        let _ = writeln!(out, "  limit: {:?}", p.flavor.limit);
+        let _ = writeln!(out, "  limit: {:?}", c.limit_spelling());
         let _ = writeln!(
             out,
             "  derived_table_column_aliases={} top_clause={} with_ties={} limit_clause={} \

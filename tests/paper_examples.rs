@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use hyperq::core::backend::Backend;
 use hyperq::core::binder::Binder;
-use hyperq::core::capability::TargetCapabilities;
 use hyperq::core::serialize::Serializer;
 use hyperq::core::session::{SessionState, ShadowCatalog};
+use hyperq::core::targets;
 use hyperq::core::transform::{Phase, Transformer};
 use hyperq::core::HyperQBuilder;
 use hyperq::engine::EngineDb;
@@ -37,7 +37,7 @@ fn example2_xtra(phases: &[Phase]) -> Plan {
     let parsed = parse_one(EXAMPLE2, Dialect::Teradata).unwrap();
     let mut plan = binder.bind_statement(&parsed.stmt).unwrap();
     let transformer = Transformer::standard();
-    let caps = TargetCapabilities::simwh();
+    let caps = targets::simwh().caps;
     let mut fired = FeatureSet::new();
     for phase in phases {
         plan = transformer.run(plan, *phase, &caps, &mut fired).unwrap();
@@ -94,8 +94,7 @@ fn figure6_final_xtra_after_serialization_phase() {
 #[test]
 fn example3_final_sql_shape() {
     let plan = example2_xtra(&[Phase::Binding, Phase::Serialization]);
-    let caps = TargetCapabilities::simwh();
-    let sql = Serializer::new(&caps).serialize_plan(&plan).unwrap();
+    let sql = Serializer::for_profile(&targets::simwh()).serialize_plan(&plan).unwrap();
     let upper = sql.to_uppercase();
     // Example 3 landmarks.
     assert!(upper.contains("RANK() OVER (ORDER BY"), "{sql}");
@@ -130,7 +129,7 @@ fn example3_sql_executes_on_target_with_paper_semantics() {
     // History: (200, 100): amount=200 ties on gross, 200*0.85=170 > 100 → keep.
     db.execute_sql("INSERT INTO SALES_HISTORY VALUES (200, 100), (150, 149)").unwrap();
     let backend: Arc<dyn Backend> = Arc::new(db);
-    let mut hq = HyperQBuilder::for_target(Arc::clone(&backend), hyperq::core::targets::simwh()).build();
+    let mut hq = HyperQBuilder::for_target(Arc::clone(&backend), targets::simwh()).build();
     let outcome = hq.run_one(EXAMPLE2).unwrap();
     // Expected: rows after 2014-01-01 with (amount, amount*.85) > ANY
     // {(200,100),(150,149)}:
@@ -159,7 +158,7 @@ fn example1_runs_end_to_end() {
     )
     .unwrap();
     let backend: Arc<dyn Backend> = Arc::new(db);
-    let mut hq = HyperQBuilder::for_target(backend, hyperq::core::targets::simwh()).build();
+    let mut hq = HyperQBuilder::for_target(backend, targets::simwh()).build();
     let outcome = hq
         .run_one(
             "SEL PRODUCT_NAME, SALES AS SALES_BASE, SALES_BASE + 100 AS SALES_OFFSET \
@@ -195,7 +194,7 @@ fn figure7_recursion_trace() {
     db.execute_sql("CREATE TABLE EMP (EMPNO INTEGER, MGRNO INTEGER)").unwrap();
     db.execute_sql("INSERT INTO EMP VALUES (1,7),(7,8),(8,10),(9,10),(10,11)").unwrap();
     let backend: Arc<dyn Backend> = Arc::new(db);
-    let mut hq = HyperQBuilder::for_target(backend, hyperq::core::targets::simwh()).build();
+    let mut hq = HyperQBuilder::for_target(backend, targets::simwh()).build();
     let outcome = hq
         .run_one(
             "WITH RECURSIVE REPORTS (EMPNO, MGRNO) AS ( \

@@ -453,6 +453,26 @@ fn set_table_semantics_dedup_on_insert() {
     // Re-inserting existing rows inserts nothing.
     let o2 = hq.run_one("INSERT INTO UNIQ VALUES (1, 1), (3, 3)").unwrap();
     assert_eq!(o2.result.row_count, 1);
+    assert_preview_matches_execution(&mut hq, "INSERT INTO UNIQ VALUES (1, 2)");
+}
+
+/// `translate()` and EXPLAIN's `target SQL:` line show exactly the SQL
+/// that executing `sql` sends, emulations included.
+fn assert_preview_matches_execution(hq: &mut HyperQ, sql: &str) {
+    let translated = hq.translate(sql).unwrap();
+    let explained: Vec<String> = hq
+        .run_one(&format!("EXPLAIN {sql}"))
+        .unwrap()
+        .result
+        .rows
+        .iter()
+        .map(|r| r[0].to_sql_string())
+        .collect();
+    let at = explained.iter().position(|l| l == "target SQL:").expect("target SQL line");
+    let explained_sql = explained[at + 1].strip_prefix("  ").expect("indented SQL").to_string();
+    let sent = hq.run_one(sql).unwrap().sql_sent;
+    assert_eq!(translated, sent, "translate() differs from what {sql} sends");
+    assert_eq!(vec![explained_sql], sent, "EXPLAIN differs from what {sql} sends");
 }
 
 #[test]
@@ -484,6 +504,7 @@ fn non_constant_default_injected_mid_tier() {
     assert!(o.features.contains(hyperq::xtra::Feature::ColumnProperties));
     let r = db.execute_sql("SELECT AT FROM LOG_ROWS").unwrap();
     assert!(!r.rows[0][0].is_null(), "default must be injected by the mid tier");
+    assert_preview_matches_execution(&mut hq, "INSERT INTO LOG_ROWS (MSG) VALUES ('again')");
 }
 
 #[test]
