@@ -56,9 +56,6 @@ pub struct StatementResult {
     pub trace_id: Option<TraceId>,
 }
 
-/// Backwards-compatible alias for the pre-`Response` name.
-pub type StatementOutcome = StatementResult;
-
 static SESSION_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 /// Hard bound on emulated recursion depth.
@@ -501,11 +498,11 @@ impl HyperQ {
     /// per-feature counters, the provenance record, trace-id stamping.
     fn observe_statement(
         &mut self,
-        processed: Result<StatementOutcome>,
+        processed: Result<StatementResult>,
         trace: TraceId,
         text: &str,
         total: Duration,
-    ) -> Result<StatementOutcome> {
+    ) -> Result<StatementResult> {
         // Reconcile DTM state with what a mid-statement recovery did on the
         // target: GTT instances whose replay failed must re-materialize on
         // next touch, and a transaction that died with its connection is no
@@ -639,7 +636,7 @@ impl HyperQ {
         self.stages.parse.record(parse_time);
         let processed = self
             .run_pipeline_with(&ps.stmt, HashMap::new(), values.to_vec(), &mut features)
-            .map(|o| StatementOutcome { features, ..o });
+            .map(|o| StatementResult { features, ..o });
         // As above: parsing preceded the root span but belongs to this
         // statement's end-to-end time.
         let total = root.finish() + parse_time;
@@ -719,7 +716,7 @@ impl HyperQ {
                         emulate::help_table(&def)
                     }
                 };
-                Ok(StatementOutcome {
+                Ok(StatementResult {
                     result,
                     features,
                     timings: StageTimings::default(),
@@ -744,7 +741,7 @@ impl HyperQ {
                     .lines()
                     .map(|l| vec![hyperq_xtra::datum::Datum::str(l)])
                     .collect();
-                Ok(StatementOutcome {
+                Ok(StatementResult {
                     result: ExecResult::rows(schema, rows),
                     features,
                     timings: StageTimings::default(),
@@ -856,7 +853,7 @@ impl HyperQ {
                     timings.merge(o.timings);
                     sql_sent.extend(o.sql_sent);
                 }
-                Ok(StatementOutcome {
+                Ok(StatementResult {
                     result: ExecResult::affected(affected),
                     features,
                     timings,
@@ -942,7 +939,7 @@ impl HyperQ {
                 let rewritten =
                     emulate::rewrite_dml_on_view(&ps.stmt, &view_query, &view.columns)?;
                 let o = self.run_pipeline(&rewritten, HashMap::new(), &mut features)?;
-                Ok(StatementOutcome { features, ..o })
+                Ok(StatementResult { features, ..o })
             }
 
             // --- standard path ----------------------------------------------
@@ -1060,7 +1057,7 @@ impl HyperQ {
         routine: &RoutineDef,
         args: &[(Option<String>, past::Expr)],
         mut features: FeatureSet,
-    ) -> Result<StatementOutcome> {
+    ) -> Result<StatementResult> {
         features.union(&routine.features);
         let env = emulate::bind_routine_args(routine, args)?;
         let mut timings = StageTimings::default();
@@ -1095,7 +1092,7 @@ impl HyperQ {
                 last = o.result;
             }
         }
-        Ok(StatementOutcome { result: last, features, timings, sql_sent, trace_id: None })
+        Ok(StatementResult { result: last, features, timings, sql_sent, trace_id: None })
     }
 
     /// The standard bind → transform → serialize → execute path, plus the
@@ -1106,7 +1103,7 @@ impl HyperQ {
         stmt: &past::Statement,
         params: HashMap<String, Datum>,
         features: &mut FeatureSet,
-    ) -> Result<StatementOutcome> {
+    ) -> Result<StatementResult> {
         self.run_pipeline_with(stmt, params, Vec::new(), features)
     }
 
@@ -1116,7 +1113,7 @@ impl HyperQ {
         params: HashMap<String, Datum>,
         positional: Vec<Datum>,
         features: &mut FeatureSet,
-    ) -> Result<StatementOutcome> {
+    ) -> Result<StatementResult> {
         self.cache_seed = None;
         hyperq_governor::note_stage(hyperq_governor::Stage::Translating);
         hyperq_governor::checkpoint()?;
@@ -1177,7 +1174,7 @@ impl HyperQ {
                 self.session
                     .global_temp_defs
                     .insert(def.name.clone(), def.clone());
-                return Ok(StatementOutcome {
+                return Ok(StatementResult {
                     result: ExecResult::ack(),
                     features: features.clone(),
                     timings,
@@ -1439,7 +1436,7 @@ impl HyperQ {
         &mut self,
         q: &past::Query,
         mut features: FeatureSet,
-    ) -> Result<StatementOutcome> {
+    ) -> Result<StatementResult> {
         let mut timings = StageTimings::default();
         let mut sql_sent = Vec::new();
         // Temp tables created so far; on a mid-sequence failure they are
@@ -1448,7 +1445,7 @@ impl HyperQ {
         let mut live: Vec<String> = Vec::new();
         match self.emulate_recursive_inner(q, &mut features, &mut timings, &mut sql_sent, &mut live)
         {
-            Ok(result) => Ok(StatementOutcome { result, features, timings, sql_sent, trace_id: None }),
+            Ok(result) => Ok(StatementResult { result, features, timings, sql_sent, trace_id: None }),
             Err(e) => {
                 self.cleanup_temp_tables(&live, &mut timings, &mut sql_sent);
                 Err(e)

@@ -78,9 +78,7 @@ pub use capability::TargetCapabilities;
 pub use conformance::{Conformance, ConformanceMode, Finding, Severity};
 pub use targets::TargetProfile;
 pub use emulate::{CostTier, EmulationKind};
-pub use crosscompiler::{
-    HyperQ, StageTimings, StatementOutcome, StatementResult, STAGE_DURATION_METRIC,
-};
+pub use crosscompiler::{HyperQ, StageTimings, StatementResult, STAGE_DURATION_METRIC};
 pub use error::{HyperQError, Result};
 pub use hyperq_obs::{ObsContext, TraceId};
 pub use recover::{

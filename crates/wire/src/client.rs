@@ -4,6 +4,13 @@
 //!
 //! The client speaks only WP-A (TDWP): it has no idea whether a real
 //! Teradata or Hyper-Q answers — which is the entire point of ADV.
+//!
+//! A response is read frame by frame into one payload buffer the session
+//! keeps, and each `Record` is decoded in place by the result set's
+//! [`RowDecoder`], which shares repeated strings of a column (up to 16
+//! distinct values, a fixed bound). A response is always read through its
+//! `EndRequest`, even after a row fails to decode, so the next request
+//! reads its own response; the first error is what `run` returns.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -12,7 +19,7 @@ use hyperq_xtra::schema::Schema;
 use hyperq_xtra::Row;
 
 use crate::auth::digest;
-use crate::message::{decode_client_row, schema_from_header, Message, WireError};
+use crate::message::{read_frame, schema_from_header, Message, RowDecoder, WireError, RECORD_KIND};
 
 /// One result set (or DML acknowledgement) of a request.
 #[derive(Debug, Clone)]
@@ -29,6 +36,8 @@ pub struct Client {
     /// not two per frame.
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The payload of the frame just read, reused for every frame.
+    frame: Vec<u8>,
     pub session_id: u64,
 }
 
@@ -77,7 +86,7 @@ impl Client {
                 )))
             }
         };
-        Ok(Client { reader, writer, session_id })
+        Ok(Client { reader, writer, frame: Vec::new(), session_id })
     }
 
     /// Submit a request (one or more statements) and collect all result
@@ -110,51 +119,58 @@ impl Client {
         use std::io::Write as _;
         message.write_to(&mut self.writer)?;
         self.writer.flush()?;
-        // (header columns, decoded schema, accumulated rows) of the result
-        // set currently streaming in.
-        type InFlight = (Vec<(String, u8)>, Schema, Vec<Row>);
+        // The result set streaming in: its schema, its decoder and the rows
+        // decoded so far.
+        let mut current: Option<(Schema, RowDecoder, Vec<Row>)> = None;
         let mut results = Vec::new();
-        let mut current: Option<InFlight> = None;
-        let mut error: Option<String> = None;
+        // The first thing wrong with the response. The rest of it is still
+        // read, through `EndRequest`, so that the next request reads its
+        // own response and not the tail of this one.
+        let mut error: Option<WireError> = None;
         loop {
-            match Message::read_from(&mut self.reader)? {
-                Message::RecordSetHeader { columns } => {
-                    let schema = schema_from_header(&columns);
-                    current = Some((columns, schema, Vec::new()));
+            let kind = match read_frame(&mut self.reader, &mut self.frame) {
+                Ok(kind) => kind,
+                Err(e) => return Err(error.unwrap_or(e)),
+            };
+            if kind == RECORD_KIND {
+                if error.is_none() {
+                    let decoded = match &mut current {
+                        Some((_, decoder, rows)) => {
+                            decoder.decode(&self.frame).map(|row| rows.push(row))
+                        }
+                        None => Err(WireError::Protocol("Record before RecordSetHeader".into())),
+                    };
+                    error = decoded.err();
                 }
-                Message::Record { row_bytes } => match &mut current {
-                    Some((columns, _, rows)) => {
-                        rows.push(decode_client_row(&row_bytes, columns)?);
-                    }
-                    None => {
-                        return Err(WireError::Protocol(
-                            "Record before RecordSetHeader".into(),
-                        ))
-                    }
-                },
-                Message::StatementOk { activity_count } => {
+                continue;
+            }
+            let failure = match Message::parse(kind, &self.frame) {
+                Ok(Message::RecordSetHeader { columns }) => {
+                    current = Some((schema_from_header(&columns), RowDecoder::new(&columns), Vec::new()));
+                    continue;
+                }
+                Ok(Message::StatementOk { activity_count }) => {
                     let (schema, rows) = match current.take() {
-                        Some((_, schema, rows)) => (schema, rows),
+                        Some((schema, _, rows)) => (schema, rows),
                         None => (Schema::empty(), Vec::new()),
                     };
                     results.push(ClientResultSet { schema, rows, activity_count });
+                    continue;
                 }
-                Message::ErrorResponse { code, message } => {
-                    // Keep the wire code visible: tests (and operators)
-                    // distinguish shed (3135/3136), txn abort (2631) and
-                    // plain statement failure (3807) by it.
-                    error = Some(format!("[{code}] {message}"));
+                Ok(Message::EndRequest) => break,
+                // Keep the wire code visible: tests (and operators)
+                // distinguish shed (3135/3136), txn abort (2631) and plain
+                // statement failure (3807) by it.
+                Ok(Message::ErrorResponse { code, message }) => {
+                    WireError::Protocol(format!("[{code}] {message}"))
                 }
-                Message::EndRequest => break,
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected message {other:?}"
-                    )))
-                }
-            }
+                Ok(other) => WireError::Protocol(format!("unexpected message {other:?}")),
+                Err(e) => e,
+            };
+            error.get_or_insert(failure);
         }
         match error {
-            Some(m) => Err(WireError::Protocol(m)),
+            Some(e) => Err(e),
             None => Ok(results),
         }
     }

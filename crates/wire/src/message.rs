@@ -9,6 +9,13 @@
 //! logon, a typed binary row format, and an explicit end-of-request marker.
 //!
 //! Frame layout: `kind: u8`, `len: u32 LE`, `payload: len bytes`.
+//!
+//! Reading is two steps: [`read_frame`] fills a caller's buffer with one
+//! payload, and [`Message::parse`] turns it into a message;
+//! [`Message::read_from`] composes them. A reader that keeps its buffer,
+//! like the client, allocates no buffer per frame, and decodes a `Record`
+//! straight from it with a [`RowDecoder`] built once per result set.
+//! [`decode_client_row`] runs the same decoder for a single row.
 
 use bytes::{Buf, BufMut, BytesMut};
 use hyperq_xtra::datum::{Datum, Decimal, Interval};
@@ -16,6 +23,7 @@ use hyperq_xtra::schema::{Field, Schema};
 use hyperq_xtra::types::SqlType;
 use hyperq_xtra::Row;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Protocol-level error.
 #[derive(Debug)]
@@ -134,18 +142,21 @@ impl Message {
         frame
     }
 
-    /// Read one framed message from a stream.
+    /// Read one framed message from a stream: [`read_frame`] into a fresh
+    /// buffer, then [`Message::parse`]. A `Record` keeps that buffer as its
+    /// `row_bytes` rather than copying it.
     pub fn read_from(stream: &mut impl Read) -> Result<Message, WireError> {
-        let mut head = [0u8; 5];
-        stream.read_exact(&mut head)?;
-        let kind = head[0];
-        let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
-        if len > 256 * 1024 * 1024 {
-            return Err(WireError::Protocol(format!("oversized frame ({len} bytes)")));
+        let mut payload = Vec::new();
+        match read_frame(stream, &mut payload)? {
+            RECORD_KIND => Ok(Message::Record { row_bytes: payload }),
+            kind => Message::parse(kind, &payload),
         }
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload)?;
-        let mut buf = payload.as_slice();
+    }
+
+    /// Parse the payload of a frame of kind `kind`, as [`read_frame`]
+    /// returned them.
+    pub fn parse(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
+        let mut buf = payload;
         Ok(match kind {
             0x01 => Message::LogonRequest { user: get_str(&mut buf)? },
             0x02 => Message::LogonDigest { digest: get_u64(&mut buf)? },
@@ -211,6 +222,25 @@ impl Message {
 }
 
 pub(crate) const RECORD_KIND: u8 = 0x84;
+
+/// Largest frame payload a reader accepts.
+const MAX_FRAME: usize = 256 * 1024 * 1024;
+
+/// Read one frame from `stream` into `payload`, replacing its contents,
+/// and return the frame's kind. A reader that keeps `payload` across
+/// frames allocates only when a frame outgrows every earlier one.
+pub fn read_frame(stream: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, WireError> {
+    let mut head = [0u8; 5];
+    stream.read_exact(&mut head)?;
+    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
+    if len > MAX_FRAME {
+        return Err(WireError::Protocol(format!("oversized frame ({len} bytes)")));
+    }
+    payload.clear();
+    payload.resize(len, 0);
+    stream.read_exact(payload)?;
+    Ok(head[0])
+}
 
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
@@ -297,8 +327,105 @@ pub fn encode_client_row(row: &Row, schema: &Schema) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Decode a client-format row given the header type codes.
+/// Decode a client-format row given the header type codes: the same
+/// decoding as [`RowDecoder::decode`], with every string its own
+/// allocation.
 pub fn decode_client_row(bytes: &[u8], columns: &[(String, u8)]) -> Result<Row, WireError> {
+    decode_fields(bytes, columns.iter().map(|(_, code)| (FieldKind::of(*code), None)))
+}
+
+/// Distinct values one string column of a result set shares before it
+/// stops interning. A fixed bound, not a setting: enough for flags,
+/// statuses and modes, and a linear scan stays cheaper than the
+/// allocation it saves.
+const DICTIONARY_ENTRIES: usize = 16;
+
+/// Decodes the rows of one result set. Built once from its
+/// [`Message::RecordSetHeader`], it resolves each column's type code
+/// once, and shares one `Arc<str>` among the repeated values of a string
+/// column: each column keeps its first 16 distinct values, compared by
+/// bytes, and from its 17th distinct value on allocates every value
+/// itself for the rest of the result set.
+pub struct RowDecoder {
+    columns: Vec<(FieldKind, Dictionary)>,
+}
+
+impl RowDecoder {
+    pub fn new(columns: &[(String, u8)]) -> RowDecoder {
+        RowDecoder {
+            columns: columns
+                .iter()
+                .map(|(_, code)| (FieldKind::of(*code), Dictionary::default()))
+                .collect(),
+        }
+    }
+
+    /// Decode one row of this result set.
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<Row, WireError> {
+        decode_fields(bytes, self.columns.iter_mut().map(|(kind, dict)| (*kind, Some(dict))))
+    }
+}
+
+/// The wire layout of a column's values, from its header type code.
+#[derive(Clone, Copy)]
+enum FieldKind {
+    Bool,
+    Int,
+    Double,
+    Dec,
+    Date,
+    Timestamp,
+    Interval,
+    Str,
+}
+
+impl FieldKind {
+    fn of(code: u8) -> FieldKind {
+        match code {
+            1 => FieldKind::Bool,
+            2 => FieldKind::Int,
+            3 => FieldKind::Double,
+            4 => FieldKind::Dec,
+            5 => FieldKind::Date,
+            6 => FieldKind::Timestamp,
+            8 => FieldKind::Interval,
+            _ => FieldKind::Str,
+        }
+    }
+}
+
+/// The distinct values a string column has shared so far; emptied, and
+/// bypassed, once the column has more than [`DICTIONARY_ENTRIES`].
+#[derive(Default)]
+struct Dictionary {
+    values: Vec<Arc<str>>,
+    full: bool,
+}
+
+impl Dictionary {
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if !self.full {
+            if let Some(v) = self.values.iter().find(|v| v.as_bytes() == s.as_bytes()) {
+                return Arc::clone(v);
+            }
+            if self.values.len() < DICTIONARY_ENTRIES {
+                let v: Arc<str> = Arc::from(s);
+                self.values.push(Arc::clone(&v));
+                return v;
+            }
+            self.full = true;
+            self.values = Vec::new();
+        }
+        Arc::from(s)
+    }
+}
+
+/// The one row decoder: per column, its kind and, for a [`RowDecoder`],
+/// its dictionary.
+fn decode_fields<'d>(
+    bytes: &[u8],
+    columns: impl ExactSizeIterator<Item = (FieldKind, Option<&'d mut Dictionary>)>,
+) -> Result<Row, WireError> {
     let mut buf = bytes;
     if buf.remaining() < 2 {
         return Err(WireError::Protocol("truncated row".into()));
@@ -310,8 +437,15 @@ pub fn decode_client_row(bytes: &[u8], columns: &[(String, u8)]) -> Result<Row, 
             columns.len()
         )));
     }
+    let need = |buf: &[u8], n: usize| -> Result<(), WireError> {
+        if buf.remaining() < n {
+            Err(WireError::Protocol("truncated field".into()))
+        } else {
+            Ok(())
+        }
+    };
     let mut row = Vec::with_capacity(n);
-    for (_, code) in columns {
+    for (kind, dict) in columns {
         if buf.remaining() < 1 {
             return Err(WireError::Protocol("truncated presence byte".into()));
         }
@@ -319,34 +453,27 @@ pub fn decode_client_row(bytes: &[u8], columns: &[(String, u8)]) -> Result<Row, 
             row.push(Datum::Null);
             continue;
         }
-        let need = |buf: &&[u8], n: usize| -> Result<(), WireError> {
-            if buf.remaining() < n {
-                Err(WireError::Protocol("truncated field".into()))
-            } else {
-                Ok(())
-            }
-        };
-        row.push(match code {
-            1 => {
-                need(&buf, 1)?;
+        row.push(match kind {
+            FieldKind::Bool => {
+                need(buf, 1)?;
                 Datum::Bool(buf.get_u8() != 0)
             }
-            2 => {
-                need(&buf, 8)?;
+            FieldKind::Int => {
+                need(buf, 8)?;
                 Datum::Int(buf.get_i64_le())
             }
-            3 => {
-                need(&buf, 8)?;
+            FieldKind::Double => {
+                need(buf, 8)?;
                 Datum::Double(buf.get_f64_le())
             }
-            4 => {
-                need(&buf, 17)?;
+            FieldKind::Dec => {
+                need(buf, 17)?;
                 let mantissa = buf.get_i128_le();
                 let scale = buf.get_u8();
                 Datum::Dec(Decimal::new(mantissa, scale))
             }
-            5 => {
-                need(&buf, 4)?;
+            FieldKind::Date => {
+                need(buf, 4)?;
                 let encoded = buf.get_i32_le() as i64;
                 match hyperq_xtra::datum::date_from_teradata_int(encoded) {
                     Some(days) => Datum::Date(days),
@@ -357,25 +484,27 @@ pub fn decode_client_row(bytes: &[u8], columns: &[(String, u8)]) -> Result<Row, 
                     }
                 }
             }
-            6 => {
-                need(&buf, 8)?;
+            FieldKind::Timestamp => {
+                need(buf, 8)?;
                 Datum::Timestamp(buf.get_i64_le())
             }
-            8 => {
-                need(&buf, 8)?;
+            FieldKind::Interval => {
+                need(buf, 8)?;
                 let months = buf.get_i32_le();
                 let days = buf.get_i32_le();
                 Datum::Interval(Interval { months, days })
             }
-            _ => {
-                need(&buf, 4)?;
+            FieldKind::Str => {
+                need(buf, 4)?;
                 let len = buf.get_u32_le() as usize;
-                need(&buf, len)?;
+                need(buf, len)?;
                 let s = std::str::from_utf8(&buf[..len])
                     .map_err(|_| WireError::Protocol("row string not UTF-8".into()))?;
-                let d = Datum::str(s);
                 buf.advance(len);
-                d
+                Datum::Str(match dict {
+                    Some(dict) => dict.intern(s),
+                    None => Arc::from(s),
+                })
             }
         });
     }
@@ -437,11 +566,14 @@ mod tests {
             Message::ErrorResponse { code: 3807, message: "table not found".into() },
             Message::EndRequest,
         ];
+        // One payload buffer for every frame, as the client reads them.
+        let mut payload = Vec::new();
         for m in messages {
             let frame = m.to_frame();
-            let mut cursor = std::io::Cursor::new(frame);
-            let back = Message::read_from(&mut cursor).unwrap();
+            let back = Message::read_from(&mut frame.as_slice()).unwrap();
             assert_eq!(back, m);
+            let kind = read_frame(&mut frame.as_slice(), &mut payload).unwrap();
+            assert_eq!(Message::parse(kind, &payload).unwrap(), m);
         }
     }
 

@@ -898,7 +898,7 @@ impl Gateway {
         }
 
         let mut request_stats = WireStats { requests: 1, ..Default::default() };
-        match run_result {
+        match &run_result {
             Ok(outcomes) => {
                 let mut failed: Option<(u16, String)> = None;
                 for outcome in outcomes {
@@ -954,7 +954,7 @@ impl Gateway {
                     // before its statement starts is seen by the parser,
                     // which reports it as a syntax error).
                     Some(c) => (c.reason.wire_code(), c.to_string()),
-                    None => match &e {
+                    None => match e {
                         // A backend failure carries the code the policy
                         // table gave it (a mid-transaction connection loss
                         // surfaces as 2631, not the generic code).
@@ -973,6 +973,9 @@ impl Gateway {
         self.stats.lock().merge(&request_stats);
         drop(stmt_permit);
         flush_response(exchange, writer, obs, decoded)?;
+        // Free the result only now: a wide one takes milliseconds to
+        // free, which the client need not wait for.
+        drop(run_result);
         Ok(true)
     }
 }

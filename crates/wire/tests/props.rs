@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 
-use hyperq_wire::message::{decode_client_row, encode_client_row, header_columns, Message};
+use hyperq_wire::message::{
+    decode_client_row, encode_client_row, header_columns, Message, RowDecoder,
+};
 use hyperq_wire::tdf;
 use hyperq_xtra::datum::{Datum, Decimal, Interval};
 use hyperq_xtra::schema::{Field, Schema};
@@ -21,7 +23,8 @@ fn datum_for(col: u8) -> impl Strategy<Value = Datum> {
         3 => (any::<i64>(), 0u8..10)
             .prop_map(|(m, s)| Datum::Dec(Decimal::new(m as i128, s)))
             .boxed(),
-        4 => (0i32..80_000).prop_map(Datum::Date).boxed(),
+        // 0001-01-01 through 9999-12-31, the dates a Teradata DATE holds.
+        4 => (-719_162i32..=2_932_896).prop_map(Datum::Date).boxed(),
         5 => (0i64..4_000_000_000_000_000i64)
             .prop_map(Datum::Timestamp)
             .boxed(),
@@ -47,7 +50,11 @@ fn col_type(col: u8) -> SqlType {
 
 fn rows_strategy() -> impl Strategy<Value = (Schema, Vec<Row>)> {
     // 1..6 columns of random types, 0..20 rows with per-cell nulls.
-    proptest::collection::vec(0u8..8, 1..6).prop_flat_map(|cols| {
+    rows_of(0..20)
+}
+
+fn rows_of(count: std::ops::Range<usize>) -> impl Strategy<Value = (Schema, Vec<Row>)> {
+    proptest::collection::vec(0u8..8, 1..6).prop_flat_map(move |cols| {
         let schema = Schema::new(
             cols.iter()
                 .enumerate()
@@ -63,9 +70,40 @@ fn rows_strategy() -> impl Strategy<Value = (Schema, Vec<Row>)> {
                 ]
             })
             .collect::<Vec<_>>();
-        let rows = proptest::collection::vec(row, 0..20);
+        let rows = proptest::collection::vec(row, count.clone());
         (Just(schema), rows)
     })
+}
+
+/// Rows for the result-set decoder: a leading string column cycling
+/// through `1..40` distinct values (NULL every seventh row), so that its
+/// dictionary both fills and overflows, then random columns.
+fn decoder_strategy() -> impl Strategy<Value = (Schema, Vec<Row>)> {
+    (rows_of(0..80), 1usize..40).prop_map(|((schema, rows), distinct)| {
+        let mut fields = vec![Field::new(None, "CYCLE", SqlType::Varchar(None), true)];
+        fields.extend(schema.fields);
+        let rows = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let cycle = match i % 7 {
+                    3 => Datum::Null,
+                    _ => Datum::str(format!("v{}", i % distinct)),
+                };
+                [vec![cycle], row].concat()
+            })
+            .collect();
+        (Schema::new(fields), rows)
+    })
+}
+
+/// Rows equal field by field, doubles bit for bit.
+fn same_row(a: &Row, b: &Row) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (Datum::Double(p), Datum::Double(q)) => p.to_bits() == q.to_bits(),
+            _ => x == y,
+        })
 }
 
 /// A column for the transcoder tests: its declared type and the values
@@ -231,6 +269,35 @@ proptest! {
                     _ => prop_assert_eq!(x, y),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_decoder_per_result_set_matches_per_row_decoding((schema, rows) in decoder_strategy()) {
+        let columns = header_columns(&schema);
+        let mut decoder = RowDecoder::new(&columns);
+        let error = |r: Result<Row, hyperq_wire::WireError>| r.map_err(|e| e.to_string());
+        for row in &rows {
+            let bytes = encode_client_row(row, &schema);
+            // A truncated row, or a string that is not UTF-8, fails the
+            // same way through both, and leaves the decoder usable.
+            for cut in 0..bytes.len() {
+                let got = error(decoder.decode(&bytes[..cut]));
+                prop_assert!(got.is_err(), "a row cut at {} decoded", cut);
+                prop_assert_eq!(got, error(decode_client_row(&bytes[..cut], &columns)));
+            }
+            if !row[0].is_null() {
+                // Presence byte, then the string's length, then its bytes.
+                let mut bad = bytes.clone();
+                bad[2 + 1 + 4] = 0xFF;
+                let got = error(decoder.decode(&bad));
+                prop_assert!(got.is_err());
+                prop_assert_eq!(got, error(decode_client_row(&bad, &columns)));
+            }
+            let got = decoder.decode(&bytes).unwrap();
+            let expected = decode_client_row(&bytes, &columns).unwrap();
+            prop_assert!(same_row(&got, &expected), "{:?} != {:?}", got, expected);
+            prop_assert!(same_row(&got, row), "{:?} != {:?}", got, row);
         }
     }
 

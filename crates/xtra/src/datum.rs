@@ -271,11 +271,13 @@ pub fn teradata_int_from_date(days: i32) -> i64 {
 }
 
 /// Inverse of [`teradata_int_from_date`]; returns `None` for an encoding
-/// that does not name a valid civil date.
+/// that does not name a valid civil date. Dates before 1900 encode as
+/// negative integers (`-8769` is `1899-12-31`), so the fields split off
+/// with Euclidean division.
 pub fn date_from_teradata_int(v: i64) -> Option<i32> {
-    let d = (v % 100) as u32;
-    let m = ((v / 100) % 100) as u32;
-    let y = (v / 10_000) as i32 + 1900;
+    let d = v.rem_euclid(100) as u32;
+    let m = v.div_euclid(100).rem_euclid(100) as u32;
+    let y = i32::try_from(v.div_euclid(10_000) + 1900).ok()?;
     if m == 0 || m > 12 || d == 0 || d > days_in_month(y, m) {
         return None;
     }
@@ -924,6 +926,12 @@ mod tests {
         assert_eq!(teradata_int_from_date(d), 1_140_101);
         assert_eq!(date_from_teradata_int(1_140_101), Some(d));
         assert_eq!(date_from_teradata_int(1_141_350), None); // month 13
+        // Before 1900 the encoding is negative.
+        for (y, m, d, enc) in [(1899, 12, 31, -8_769), (1, 1, 1, -18_989_899)] {
+            assert_eq!(teradata_int_from_date(date_from_ymd(y, m, d)), enc);
+            assert_eq!(date_from_teradata_int(enc), Some(date_from_ymd(y, m, d)));
+        }
+        assert_eq!(date_from_teradata_int(-8_699), None); // 1899, month 13
     }
 
     #[test]
@@ -1008,6 +1016,8 @@ mod tests {
     fn cast_date_to_int_uses_teradata_encoding() {
         let d = Datum::Date(date_from_ymd(2014, 1, 1));
         assert_eq!(d.cast_to(&SqlType::Integer).unwrap(), Datum::Int(1_140_101));
+        let before_1900 = Datum::Int(-8_769).cast_to(&SqlType::Date).unwrap();
+        assert_eq!(before_1900, Datum::Date(date_from_ymd(1899, 12, 31)));
     }
 
     #[test]

@@ -63,6 +63,17 @@ cargo build --offline --release --workspace
 #   byte-identical; every registered profile's supported features,
 #   output-only capabilities, spellings and lint verdicts against the
 #   `target_profiles.txt` golden.
+# - Result path (`wire` props `one_decoder_per_result_set_matches_per_row_decoding`,
+#   `tests/wire`): one `RowDecoder` per result set decodes every row,
+#   truncation and non-UTF-8 error as per-row `decode_client_row` does;
+#   a row that fails to decode leaves the session reading its own next
+#   response (`a_row_that_fails_to_decode_leaves_the_session_in_step`);
+#   dates before 1900 round-trip, on the wire and in the value layer
+#   (`dates_before_1900_reach_the_client`, `xtra` props); a 20,000-row
+#   result streams intact and in order under a 64 KiB converter budget;
+#   repeated strings share one allocation per distinct value
+#   (`repeated_strings_share_one_allocation_per_distinct_value`); and the
+#   response bytes match `wire_three_batches.hex`.
 # - Engine results (the `tests/tpch.rs` snapshot, the engine's `memo.rs`
 #   and `exec.rs` tests, the `db.rs` pruning differential): engine
 #   optimizations are gated on result sets, not on "the query ran" — all
@@ -98,12 +109,12 @@ for i in $(seq 20); do cargo test -q --offline --test soak; done
 # code of the gateway-facing crates (wire, governor), the observability
 # crate (its statement table folds every statement), the engine, the
 # replica HA modules, the target-profile registry and capability modules,
-# and the feature registry. The awk strips everything from the first
-# `#[cfg(test)]` module onward.
+# the feature registry, and the value codec both ends of the wire use.
+# The awk strips everything from the first `#[cfg(test)]` module onward.
 for src in crates/wire/src crates/governor/src crates/obs/src crates/engine/src \
     crates/core/src/replicate.rs crates/core/src/repair.rs \
     crates/core/src/targets.rs crates/core/src/capability.rs \
-    crates/xtra/src/feature.rs; do
+    crates/xtra/src/feature.rs crates/xtra/src/datum.rs; do
     offenders=$(find "$src" -name '*.rs' -exec awk '
         /#\[cfg\(test\)\]/ { intest = 1 }
         !intest && /\.unwrap\(\)|\.expect\(/ { print FILENAME ":" FNR ": " $0 }

@@ -30,7 +30,7 @@ fn setup() -> (HyperQ, Arc<EngineDb>) {
     (hq, db)
 }
 
-fn int_col(outcome: &hyperq::core::StatementOutcome, col: usize) -> Vec<i64> {
+fn int_col(outcome: &hyperq::core::StatementResult, col: usize) -> Vec<i64> {
     outcome
         .result
         .rows

@@ -105,7 +105,7 @@ fn script_for(i: usize, cfg: SoakConfig) -> Vec<String> {
 /// Render the client-visible outcome of one statement. Only what a client
 /// observes goes in — timings and sql_sent legitimately differ under chaos
 /// (replays), results must not.
-fn render(outcome: Result<hyperq::core::StatementOutcome, hyperq::core::HyperQError>) -> String {
+fn render(outcome: Result<hyperq::core::StatementResult, hyperq::core::HyperQError>) -> String {
     match outcome {
         Ok(o) => {
             let cols: Vec<&str> =

@@ -182,6 +182,112 @@ fn large_result_streams_intact_and_in_order_under_a_small_budget() {
     handle.shutdown();
 }
 
+#[test]
+fn dates_before_1900_reach_the_client() {
+    // Their Teradata encoding is negative: -8769 is 1899-12-31.
+    let db = Arc::new(EngineDb::new());
+    db.execute_sql("CREATE TABLE T (K INTEGER, D DATE)").unwrap();
+    db.execute_sql("INSERT INTO T VALUES (1, DATE '1899-12-31'), (2, DATE '0001-01-01')")
+        .unwrap();
+    let handle = Gateway::spawn(Arc::clone(&db) as Arc<dyn Backend>, GatewayConfig::default())
+        .unwrap();
+    let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+    let r = client.run("SEL K, D FROM T ORDER BY K").unwrap();
+    let dates: Vec<String> = r[0].rows.iter().map(|row| row[1].to_sql_string()).collect();
+    assert_eq!(dates, ["1899-12-31", "0001-01-01"]);
+    client.logoff().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn repeated_strings_share_one_allocation_per_distinct_value() {
+    // Three string columns of 3, 16 and 20,000 distinct values: the
+    // client's decoder shares the first two columns' values and gives
+    // every value of the third its own allocation.
+    let db = Arc::new(EngineDb::new());
+    db.execute_sql("CREATE TABLE S (K INTEGER, LOW VARCHAR(8), MID VARCHAR(8), UNIQ VARCHAR(8))")
+        .unwrap();
+    let expected: Vec<Vec<Datum>> = (0..20_000)
+        .map(|i| {
+            vec![
+                Datum::str(["A", "B", "C"][i % 3]),
+                Datum::str(format!("M{}", i % 16)),
+                Datum::str(format!("U{i}")),
+            ]
+        })
+        .collect();
+    let rows = expected
+        .iter()
+        .enumerate()
+        .map(|(i, row)| [vec![Datum::Int(i as i64)], row.clone()].concat())
+        .collect();
+    db.load_rows("S", rows).unwrap();
+    let handle = Gateway::spawn(Arc::clone(&db) as Arc<dyn Backend>, GatewayConfig::default())
+        .unwrap();
+    let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+    let r = client.run("SEL LOW, MID, UNIQ FROM S ORDER BY K").unwrap();
+    assert_eq!(r[0].rows, expected);
+    let allocations: Vec<usize> = (0..3)
+        .map(|c| {
+            let pointers: std::collections::HashSet<*const u8> = r[0]
+                .rows
+                .iter()
+                .map(|row| match &row[c] {
+                    Datum::Str(s) => Arc::as_ptr(s).cast::<u8>(),
+                    other => panic!("column {c} holds {other:?}"),
+                })
+                .collect();
+            pointers.len()
+        })
+        .collect();
+    assert_eq!(allocations, [3, 16, 20_000]);
+    client.logoff().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn a_row_that_fails_to_decode_leaves_the_session_in_step() {
+    // A peer answers the first request with a row whose string is not
+    // UTF-8, then the second with a valid row. The client must read the
+    // whole first response before it reports the error, or the second
+    // request reads the first one's tail.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        assert!(matches!(Message::read_from(&mut s).unwrap(), Message::LogonRequest { .. }));
+        Message::AuthChallenge { salt: 7 }.write_to(&mut s).unwrap();
+        assert!(matches!(Message::read_from(&mut s).unwrap(), Message::LogonDigest { .. }));
+        Message::LogonOk { session_id: 1 }.write_to(&mut s).unwrap();
+        let string_row = |bytes: &[u8]| {
+            let mut row = vec![1, 0, 0];
+            row.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            row.extend_from_slice(bytes);
+            row
+        };
+        for value in [&[0xFF, 0xFE][..], b"second"] {
+            assert!(matches!(Message::read_from(&mut s).unwrap(), Message::SqlRequest { .. }));
+            for m in [
+                Message::RecordSetHeader { columns: vec![("S".into(), 7)] },
+                Message::Record { row_bytes: string_row(value) },
+                Message::StatementOk { activity_count: 1 },
+                Message::EndRequest,
+            ] {
+                m.write_to(&mut s).unwrap();
+            }
+        }
+        assert_eq!(Message::read_from(&mut s).unwrap(), Message::Logoff);
+    });
+    let mut client = Client::connect(addr, "APP", "secret").unwrap();
+    let err = client.run("SEL S FROM FIRST").unwrap_err();
+    assert!(err.to_string().contains("not UTF-8"), "{err}");
+    let r = client.run("SEL S FROM SECOND").unwrap();
+    assert_eq!(r.len(), 1);
+    assert_eq!(r[0].rows, vec![vec![Datum::str("second")]]);
+    client.logoff().unwrap();
+    peer.join().unwrap();
+}
+
 /// A logged-on TDWP session on a plain socket, so a test sees the raw
 /// response bytes.
 fn raw_session(addr: std::net::SocketAddr) -> TcpStream {
