@@ -1199,9 +1199,6 @@ impl HyperQ {
         // LimitFetch: a target with neither LIMIT nor TOP executes the
         // query unbounded and the mid tier truncates the result below.
         let (plan, fetch_limit) = self.peel_fetch_limit(plan);
-        if fetch_limit.is_some() {
-            self.emu(EmulationKind::LimitFetch);
-        }
 
         self.analyzer.check_plan(&plan, "serializer")?;
         let serialize_span = self.obs.traces.enter("serialize");
@@ -1274,13 +1271,7 @@ impl HyperQ {
         self.stages.execute.record(exec_time);
         provenance::note_stage("execute", exec_time);
         timings.execution += exec_time;
-        if let Some(n) = fetch_limit {
-            // The LimitFetch truncation: the client sees exactly the rows
-            // a native LIMIT/TOP would have returned (the ORDER BY, if
-            // any, was serialized, so the prefix is well-defined).
-            result.rows.truncate(n as usize);
-            result.row_count = result.rows.len() as u64;
-        }
+        keep_prefix(&mut result, fetch_limit);
 
         // Leave the translation behind for the cache. Only the standard
         // single-request shapes qualify: GTT-touching statements run a
@@ -1640,7 +1631,7 @@ impl HyperQ {
             plan
         };
         timings.translation += t.elapsed();
-        let result = self.exec_plan_full(main_plan, timings, sql_sent)?;
+        let result = self.exec_plan(main_plan, timings, sql_sent)?;
 
         // Step 6: drop the temporary tables.
         self.exec_plan(
@@ -1670,13 +1661,13 @@ impl HyperQ {
     /// Peel a top-level row bound off a query plan when the target spells
     /// neither `LIMIT` nor `TOP` (the `LimitFetch` emulation): the query
     /// executes unbounded and the mid tier truncates the result set to
-    /// `n` rows. Only the plain shape (no OFFSET, no WITH TIES) peels —
-    /// anything else still fails in the serializer.
+    /// `n` rows with [`keep_prefix`]. Only the plain shape (no OFFSET, no
+    /// WITH TIES) peels — anything else still fails in the serializer.
     fn peel_fetch_limit(&self, plan: Plan) -> (Plan, Option<u64>) {
         if self.profile.caps.limit_spelling() != LimitSpelling::None {
             return (plan, None);
         }
-        match plan {
+        let (plan, limit) = match plan {
             Plan::Query(RelExpr::Limit { input, limit: Some(n), with_ties: false, offset: 0 }) => {
                 (Plan::Query(*input), Some(n))
             }
@@ -1692,21 +1683,16 @@ impl HyperQ {
                 }
             },
             other => (other, None),
+        };
+        if limit.is_some() {
+            self.emu(EmulationKind::LimitFetch);
         }
+        (plan, limit)
     }
 
     /// Transform, serialize and execute one already-bound plan, charging
     /// the stage timers.
     fn exec_plan(
-        &mut self,
-        plan: Plan,
-        timings: &mut StageTimings,
-        sql_sent: &mut Vec<String>,
-    ) -> Result<ExecResult> {
-        self.exec_plan_full(plan, timings, sql_sent)
-    }
-
-    fn exec_plan_full(
         &mut self,
         plan: Plan,
         timings: &mut StageTimings,
@@ -1724,9 +1710,6 @@ impl HyperQ {
         // Recursion's main query can carry a row bound too: same
         // LimitFetch peel-and-truncate as the standard path.
         let (plan, fetch_limit) = self.peel_fetch_limit(plan);
-        if fetch_limit.is_some() {
-            self.emu(EmulationKind::LimitFetch);
-        }
         // No round-trip audit here: emulation plans reference freshly
         // created per-session temp tables the shadow catalog cannot rebind.
         self.analyzer.check_plan(&plan, "serializer")?;
@@ -1744,13 +1727,24 @@ impl HyperQ {
         self.stages.execute.record(d);
         provenance::note_stage("execute", d);
         timings.execution += d;
-        if let Some(n) = fetch_limit {
-            result.rows.truncate(n as usize);
-            result.row_count = result.rows.len() as u64;
-        }
+        keep_prefix(&mut result, fetch_limit);
         sql_sent.push(sql);
         Ok(result)
     }
+}
+
+/// The LimitFetch truncation: the client sees exactly the rows a native
+/// LIMIT/TOP would have returned (the ORDER BY, if any, was serialized, so
+/// the prefix is well-defined). Only a longer result is cut, by copying its
+/// first `n` rows: the rows may be a table snapshot the target still holds.
+fn keep_prefix(result: &mut ExecResult, limit: Option<u64>) {
+    let Some(n) = limit.map(|n| n as usize) else {
+        return;
+    };
+    if result.rows.len() > n {
+        result.rows = Arc::new(result.rows[..n].to_vec());
+    }
+    result.row_count = result.rows.len() as u64;
 }
 
 /// The profile's contribution to the cache-key context hash: registry

@@ -249,8 +249,11 @@ impl EngineDb {
         match plan {
             Plan::Query(rel) => {
                 let optimized = crate::optimize::optimize(rel.clone());
-                let rows = execute_rel(&optimized, self, memo, &[])?;
-                Ok(ExecResult::rows(rel.schema(), rows.into_vec()))
+                // A whole-table read hands the client the table's snapshot.
+                Ok(match execute_rel(&optimized, self, memo, &[])? {
+                    Rows::Shared(rows) => ExecResult::shared(rel.schema(), rows),
+                    rows => ExecResult::rows(rel.schema(), rows.into_vec()),
+                })
             }
             Plan::Insert { table, columns, source } => {
                 let source = crate::optimize::optimize(source.clone());

@@ -579,7 +579,10 @@ fn eval_func(func: &ScalarFunc, args: &[ScalarExpr], ctx: &mut EvalContext<'_>) 
             let scale = if vals.len() > 1 { int_arg(1)? } else { 0 };
             match &vals[0] {
                 Datum::Int(v) => Datum::Int(*v),
-                Datum::Dec(d) => Datum::Dec(d.rescale(scale.clamp(0, 30) as u8)),
+                Datum::Dec(_) => {
+                    let scale = scale.clamp(0, 30) as u8;
+                    vals[0].cast_to(&SqlType::Decimal { precision: 38, scale }).map_err(|e| e.0)?
+                }
                 Datum::Double(v) => {
                     let f = 10f64.powi(scale as i32);
                     Datum::Double((v * f).round() / f)

@@ -222,18 +222,28 @@ pub fn execute_rel(
             }
             let schema = input.schema();
             let rows = execute_rel(input, db, memo, outer)?;
-            let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
-            let mut out = Vec::with_capacity(rows.len());
-            for (i, row) in rows.iter().enumerate() {
-                tick(i)?;
-                ctx.set_row(row);
-                let mut projected = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
-                    projected.push(eval(e, &mut ctx)?);
+            let identity = exprs.len() == schema.len()
+                && emit_list(exprs, &schema).is_some_and(|emit| emit.into_iter().eq(0..schema.len()));
+            if identity {
+                // Every input column once, in order (renames only): the
+                // input rows are the output, still charged below as if
+                // copied. A consumer that needs rows of its own copies
+                // them with `into_vec`.
+                rows
+            } else {
+                let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
+                let mut out = Vec::with_capacity(rows.len());
+                for (i, row) in rows.iter().enumerate() {
+                    tick(i)?;
+                    ctx.set_row(row);
+                    let mut projected = Vec::with_capacity(exprs.len());
+                    for (e, _) in exprs {
+                        projected.push(eval(e, &mut ctx)?);
+                    }
+                    out.push(projected);
                 }
-                out.push(projected);
+                Rows::Owned(out)
             }
-            Rows::Owned(out)
         }
         RelExpr::Window { input, exprs } => {
             Rows::Owned(execute_window(input, exprs, db, memo, outer)?)
@@ -952,6 +962,8 @@ fn execute_setop(kind: SetOpKind, all: bool, l: Rows, r: Rows) -> Rows {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use hyperq_xtra::datum::Datum;
     use hyperq_xtra::expr::{AggFunc, ArithOp, CmpOp, ScalarExpr};
     use hyperq_xtra::rel::{Grouping, JoinKind, RelExpr, SetOpKind};
@@ -1023,7 +1035,7 @@ mod tests {
     }
 
     fn query(db: &EngineDb, sql: &str) -> Vec<Row> {
-        db.execute_sql(sql).unwrap().rows
+        db.execute_sql(sql).unwrap().rows.to_vec()
     }
 
     #[test]
@@ -1468,6 +1480,51 @@ mod tests {
         assert_eq!(text(&before.into_vec()), strings(&[&["1"], &["2"], &["3"]]));
         assert_eq!(text(&picked.into_vec()), strings(&[&["2"], &["3"]]));
         assert_eq!(text(&after.rows), strings(&[&["10"], &["20"], &["30"]]));
+
+        // A held whole-table result is the snapshot: each write copies it
+        // instead of changing it, and the next read sees the write.
+        let held = db.execute_sql("SELECT * FROM T").unwrap();
+        assert!(Arc::ptr_eq(&held.rows, &db.scan("T").unwrap()));
+        let writes: [(&str, &[&[&str]]); 3] = [
+            ("INSERT INTO T VALUES (40)", &[&["10"], &["20"], &["30"], &["40"]]),
+            ("UPDATE T SET C = C + 1", &[&["11"], &["21"], &["31"], &["41"]]),
+            ("DELETE FROM T WHERE C > 30", &[&["11"], &["21"]]),
+        ];
+        for (write, expected) in writes {
+            db.execute_sql(write).unwrap();
+            assert_eq!(text(&held.rows), strings(&[&["10"], &["20"], &["30"]]), "{write}");
+            assert_eq!(text(&query(&db, "SELECT * FROM T")), strings(expected), "{write}");
+        }
+    }
+
+    #[test]
+    fn a_whole_table_read_returns_the_tables_snapshot() {
+        let db = db(&["CREATE TABLE T (A INTEGER, B INTEGER)", "INSERT INTO T VALUES (1, 2), (3, 4)"]);
+        // Every column once, in table order, renamed or not: nothing is
+        // copied, and the result is the snapshot the table holds.
+        for sql in ["SELECT * FROM T", "SELECT A AS X, B FROM T", "SELECT T.A, T.B FROM T"] {
+            let r = db.execute_sql(sql).unwrap();
+            assert!(Arc::ptr_eq(&r.rows, &db.scan("T").unwrap()), "{sql}");
+            assert_eq!(r.row_count, 2, "{sql}");
+        }
+        let copied: [(&str, &[&[&str]]); 4] = [
+            ("SELECT B, A FROM T", &[&["2", "1"], &["4", "3"]]),
+            ("SELECT A, A, B FROM T", &[&["1", "1", "2"], &["3", "3", "4"]]),
+            ("SELECT A + 0, B FROM T", &[&["1", "2"], &["3", "4"]]),
+            ("SELECT * FROM T WHERE A > 1", &[&["3", "4"]]),
+        ];
+        for (sql, expected) in copied {
+            let r = db.execute_sql(sql).unwrap();
+            assert!(!Arc::ptr_eq(&r.rows, &db.scan("T").unwrap()), "{sql}");
+            assert_eq!(text(&r.rows), strings(expected), "{sql}");
+        }
+        // An INSERT whose source is the live snapshot of its own target
+        // reads the table as it was: T doubles exactly once.
+        assert_eq!(db.execute_sql("INSERT INTO T SELECT * FROM T").unwrap().row_count, 2);
+        assert_eq!(
+            text(&query(&db, "SELECT * FROM T")),
+            strings(&[&["1", "2"], &["3", "4"], &["1", "2"], &["3", "4"]])
+        );
     }
 
     #[test]

@@ -70,6 +70,34 @@ fn decimal_arithmetic_is_exact() {
 }
 
 #[test]
+fn decimal_overflow_fails_like_integer_overflow() {
+    let db = EngineDb::new();
+    db.execute_sql("CREATE TABLE D (A DECIMAL(38,2), N INTEGER)").unwrap();
+    db.execute_sql("INSERT INTO D VALUES (100000000000000000000.00, 9223372036854775807)").unwrap();
+    let int = db.execute_sql("SELECT N + 1 FROM D").unwrap_err();
+    assert!(int.message.contains("integer overflow in +"), "{int}");
+    for (sql, op) in [
+        ("SELECT A * A FROM D", "*"),
+        ("SELECT CAST(A AS DECIMAL(38,30)) FROM D", "CAST"),
+        ("SELECT A / 0.0000000001 FROM D", "/"),
+        ("SELECT CAST(1e300 AS DECIMAL(38,2)) FROM D", "CAST"),
+        ("SELECT ROUND(A, 30) FROM D", "CAST"),
+    ] {
+        let err = db.execute_sql(sql).unwrap_err();
+        assert!(err.message.contains(&format!("decimal overflow in {op}")), "{sql}: {err}");
+        assert_eq!((err.kind, err.wire_code), (int.kind, int.wire_code), "{sql}");
+    }
+
+    // 10^37 against 0.05: aligning the scales overflows, and the
+    // comparison still orders by magnitude.
+    db.execute_sql("CREATE TABLE E (A DECIMAL(38,0))").unwrap();
+    db.execute_sql("INSERT INTO E VALUES (10000000000000000000000000000000000000)").unwrap();
+    let count = |sql: &str| ints(&db.execute_sql(sql).unwrap(), 0);
+    assert_eq!(count("SELECT COUNT(*) FROM E WHERE A > 0.05"), vec![1]);
+    assert_eq!(count("SELECT COUNT(*) FROM E WHERE A < 0.05"), vec![0]);
+}
+
+#[test]
 fn group_by_having() {
     let db = db();
     let r = db
@@ -270,7 +298,7 @@ fn windowed_sum_over_partition() {
              WHERE MGRNO = 10 ORDER BY NAME",
         )
         .unwrap();
-    for row in &r.rows {
+    for row in r.rows.iter() {
         match &row[1] {
             Datum::Dec(d) => assert_eq!(*d, Decimal::parse("550.75").unwrap()),
             other => panic!("{other:?}"),

@@ -69,19 +69,32 @@ impl Decimal {
     }
 
     /// Rescale to exactly `scale` digits after the point (rounding half away
-    /// from zero when reducing scale).
+    /// from zero when reducing scale). A result past the mantissa's range
+    /// saturates; arithmetic and casts use the checked form and fail.
     pub fn rescale(&self, scale: u8) -> Decimal {
+        self.checked_rescale(scale).unwrap_or(Decimal {
+            mantissa: if self.mantissa < 0 { i128::MIN } else { i128::MAX },
+            scale,
+        })
+    }
+
+    /// [`Decimal::rescale`], or a `decimal overflow` error when raising the
+    /// scale leaves the mantissa's range. Reducing the scale never fails.
+    fn checked_rescale(&self, scale: u8) -> Result<Decimal, ValueError> {
         match scale.cmp(&self.scale) {
-            Ordering::Equal => *self,
-            Ordering::Greater => {
-                let factor = 10i128.pow((scale - self.scale) as u32);
-                Decimal { mantissa: self.mantissa * factor, scale }
-            }
+            Ordering::Equal => Ok(*self),
+            Ordering::Greater => Ok(Decimal {
+                mantissa: scale_up(self.mantissa, u32::from(scale - self.scale))
+                    .ok_or_else(|| overflow("CAST"))?,
+                scale,
+            }),
             Ordering::Less => {
-                let factor = 10i128.pow((self.scale - scale) as u32);
-                let half = factor / 2;
-                let adjust = if self.mantissa >= 0 { half } else { -half };
-                Decimal { mantissa: (self.mantissa + adjust) / factor, scale }
+                // Quotient and remainder round without an intermediate sum
+                // that could overflow.
+                let factor = pow10(u32::from(self.scale - scale)).unwrap_or(i128::MAX);
+                let (q, r) = (self.mantissa / factor, self.mantissa % factor);
+                let round = r.unsigned_abs() >= factor.unsigned_abs().div_ceil(2);
+                Ok(Decimal { mantissa: if round { q + r.signum() } else { q }, scale })
             }
         }
     }
@@ -106,26 +119,36 @@ impl Decimal {
         (self.mantissa / 10i128.pow(self.scale as u32)) as i64
     }
 
-    fn align(a: &Decimal, b: &Decimal) -> (i128, i128, u8) {
+    /// Both mantissas at the larger of the two scales, or `None` when the
+    /// one scaled up leaves the mantissa's range.
+    fn align(a: &Decimal, b: &Decimal) -> Option<(i128, i128, u8)> {
         let scale = a.scale.max(b.scale);
-        (a.rescale(scale).mantissa, b.rescale(scale).mantissa, scale)
+        let up = |d: &Decimal| scale_up(d.mantissa, u32::from(scale - d.scale));
+        Some((up(a)?, up(b)?, scale))
     }
 
-    pub fn add(&self, other: &Decimal) -> Decimal {
-        let (a, b, s) = Self::align(self, other);
-        Decimal { mantissa: a + b, scale: s }
+    pub fn add(&self, other: &Decimal) -> Result<Decimal, ValueError> {
+        Self::align(self, other)
+            .and_then(|(a, b, scale)| Some(Decimal { mantissa: a.checked_add(b)?, scale }))
+            .ok_or_else(|| overflow("+"))
     }
 
-    pub fn sub(&self, other: &Decimal) -> Decimal {
-        let (a, b, s) = Self::align(self, other);
-        Decimal { mantissa: a - b, scale: s }
+    pub fn sub(&self, other: &Decimal) -> Result<Decimal, ValueError> {
+        Self::align(self, other)
+            .and_then(|(a, b, scale)| Some(Decimal { mantissa: a.checked_sub(b)?, scale }))
+            .ok_or_else(|| overflow("-"))
     }
 
-    pub fn mul(&self, other: &Decimal) -> Decimal {
-        let scale = self.scale + other.scale;
-        let d = Decimal { mantissa: self.mantissa * other.mantissa, scale };
-        // Keep scales bounded so repeated multiplication cannot overflow.
-        if scale > 12 { d.rescale(12) } else { d }
+    pub fn mul(&self, other: &Decimal) -> Result<Decimal, ValueError> {
+        // Two 64-bit mantissas cannot overflow 128 bits: TPC-H's prices
+        // and rates multiply without the checked product's overflow test.
+        let mantissa = match (i64::try_from(self.mantissa), i64::try_from(other.mantissa)) {
+            (Ok(a), Ok(b)) => i128::from(a) * i128::from(b),
+            _ => self.mantissa.checked_mul(other.mantissa).ok_or_else(|| overflow("*"))?,
+        };
+        let d = Decimal { mantissa, scale: self.scale + other.scale };
+        // Keep scales bounded so repeated multiplication stays in range.
+        if d.scale > 12 { d.checked_rescale(12) } else { Ok(d) }
     }
 
     pub fn div(&self, other: &Decimal) -> Result<Decimal, ValueError> {
@@ -134,7 +157,11 @@ impl Decimal {
         }
         // Compute at 6 extra digits of scale, standard warehouse practice.
         let target = (self.scale.max(other.scale) + 6).min(30);
-        let num = self.mantissa * 10i128.pow((target + other.scale - self.scale) as u32);
+        let shift = i32::from(target) + i32::from(other.scale) - i32::from(self.scale);
+        let num = match u32::try_from(shift) {
+            Ok(up) => scale_up(self.mantissa, up).ok_or_else(|| overflow("/"))?,
+            Err(_) => self.mantissa / pow10(shift.unsigned_abs()).unwrap_or(i128::MAX),
+        };
         Ok(Decimal { mantissa: num / other.mantissa, scale: target })
     }
 
@@ -147,9 +174,43 @@ impl Decimal {
     }
 
     pub fn cmp_decimal(&self, other: &Decimal) -> Ordering {
-        let (a, b, _) = Self::align(self, other);
-        a.cmp(&b)
+        match Self::align(self, other) {
+            Some((a, b, _)) => a.cmp(&b),
+            // Only the side with fewer fraction digits scales up, and the
+            // one that overflows is the larger in magnitude.
+            None if self.scale < other.scale => self.mantissa.cmp(&0),
+            None => 0.cmp(&other.mantissa),
+        }
     }
+}
+
+/// `10^k`, while it fits the mantissa.
+fn pow10(k: u32) -> Option<i128> {
+    const POW10: [i128; 39] = {
+        let mut t = [1i128; 39];
+        let mut i = 1;
+        while i < t.len() {
+            t[i] = t[i - 1] * 10;
+            i += 1;
+        }
+        t
+    };
+    POW10.get(k as usize).copied()
+}
+
+/// `m * 10^k`, or `None` past the mantissa's range. A 64-bit mantissa
+/// times at most `10^18` needs no overflow test.
+fn scale_up(m: i128, k: u32) -> Option<i128> {
+    let factor = pow10(k)?;
+    if k <= 18 && i64::try_from(m).is_ok() {
+        Some(m * factor)
+    } else {
+        m.checked_mul(factor)
+    }
+}
+
+fn overflow(op: &str) -> ValueError {
+    ValueError(format!("decimal overflow in {op}"))
 }
 
 impl PartialEq for Decimal {
@@ -512,7 +573,7 @@ impl Datum {
                 .map(Int)
                 .ok_or_else(|| ValueError("integer overflow in +".into())),
             Some(NumericPair::Double(a, b)) => Ok(Double(a + b)),
-            Some(NumericPair::Dec(a, b)) => Ok(Dec(a.add(&b))),
+            Some(NumericPair::Dec(a, b)) => a.add(&b).map(Dec),
             None => Err(ValueError(format!(
                 "cannot add {} and {}",
                 self.sql_type(),
@@ -548,7 +609,7 @@ impl Datum {
                 .map(Int)
                 .ok_or_else(|| ValueError("integer overflow in -".into())),
             Some(NumericPair::Double(a, b)) => Ok(Double(a - b)),
-            Some(NumericPair::Dec(a, b)) => Ok(Dec(a.sub(&b))),
+            Some(NumericPair::Dec(a, b)) => a.sub(&b).map(Dec),
             None => Err(ValueError(format!(
                 "cannot subtract {} from {}",
                 other.sql_type(),
@@ -568,7 +629,7 @@ impl Datum {
                 .map(Int)
                 .ok_or_else(|| ValueError("integer overflow in *".into())),
             Some(NumericPair::Double(a, b)) => Ok(Double(a * b)),
-            Some(NumericPair::Dec(a, b)) => Ok(Dec(a.mul(&b))),
+            Some(NumericPair::Dec(a, b)) => a.mul(&b).map(Dec),
             None => Err(ValueError(format!(
                 "cannot multiply {} and {}",
                 self.sql_type(),
@@ -621,9 +682,12 @@ impl Datum {
             }
             Some(NumericPair::Double(a, b)) => Ok(Double(a % b)),
             Some(NumericPair::Dec(a, b)) => {
-                let q = a.div(&b)?;
-                let truncated = Decimal::from_int(q.to_i64());
-                Ok(Dec(a.sub(&truncated.mul(&b))))
+                // Truncating division's remainder, with the dividend's sign.
+                let (a, b, scale) = Decimal::align(&a, &b).ok_or_else(|| overflow("MOD"))?;
+                if b == 0 {
+                    return Err(ValueError("division by zero".into()));
+                }
+                Ok(Dec(Decimal { mantissa: a % b, scale }))
             }
             None => Err(ValueError(format!(
                 "cannot apply MOD to {} and {}",
@@ -711,13 +775,18 @@ impl Datum {
                 _ => return Err(fail()),
             },
             SqlType::Decimal { scale, .. } => match self {
-                Int(v) => Dec(Decimal::from_int(*v).rescale(*scale)),
-                Dec(d) => Dec(d.rescale(*scale)),
+                Int(v) => Dec(Decimal::from_int(*v).checked_rescale(*scale)?),
+                Dec(d) => Dec(d.checked_rescale(*scale)?),
                 Double(v) => {
-                    let m = (v * 10f64.powi(*scale as i32)).round() as i128;
-                    Dec(Decimal { mantissa: m, scale: *scale })
+                    // `as` would saturate; the range test also rejects NaN.
+                    let m = (v * 10f64.powi(i32::from(*scale))).round();
+                    let bound = 2f64.powi(127);
+                    if !(-bound..bound).contains(&m) {
+                        return Err(overflow("CAST"));
+                    }
+                    Dec(Decimal { mantissa: m as i128, scale: *scale })
                 }
-                Str(s) => Dec(Decimal::parse(s)?.rescale(*scale)),
+                Str(s) => Dec(Decimal::parse(s)?.checked_rescale(*scale)?),
                 _ => return Err(fail()),
             },
             SqlType::Date => match self {
@@ -882,12 +951,47 @@ mod tests {
     fn decimal_arithmetic_is_exact() {
         let a = Decimal::parse("0.1").unwrap();
         let b = Decimal::parse("0.2").unwrap();
-        assert_eq!(a.add(&b), Decimal::parse("0.3").unwrap());
+        assert_eq!(a.add(&b), Ok(Decimal::parse("0.3").unwrap()));
         let price = Decimal::parse("901.00").unwrap();
         let disc = Decimal::parse("0.05").unwrap();
         let one = Decimal::from_int(1);
-        let extended = price.mul(&one.sub(&disc));
-        assert_eq!(extended, Decimal::parse("855.95").unwrap());
+        let extended = price.mul(&one.sub(&disc).unwrap());
+        assert_eq!(extended, Ok(Decimal::parse("855.95").unwrap()));
+    }
+
+    #[test]
+    fn decimal_overflow_fails_instead_of_wrapping() {
+        use Datum::{Dec, Double, Int};
+        let a = Dec(Decimal::parse("100000000000000000000.00").unwrap());
+        let err = |op: &str| Err(ValueError(format!("decimal overflow in {op}")));
+        assert_eq!(a.mul(&a), err("*"));
+        assert_eq!(a.cast_to(&SqlType::Decimal { precision: 38, scale: 30 }), err("CAST"));
+        assert_eq!(a.div(&Dec(Decimal::parse("0.0000000001").unwrap())), err("/"));
+        let cents = SqlType::Decimal { precision: 38, scale: 2 };
+        assert_eq!(Double(1e300).cast_to(&cents), err("CAST"));
+        assert_eq!(Double(f64::NAN).cast_to(&cents), err("CAST"));
+        let max = Dec(Decimal::new(i128::MAX, 0));
+        assert_eq!(max.add(&Int(1)), err("+"));
+        assert_eq!(Dec(Decimal::new(i128::MIN + 1, 0)).sub(&Int(2)), err("-"));
+        // Values in range are unchanged, on the 64-bit fast path and off it.
+        assert_eq!(a.mul(&Int(2)), Ok(Dec(Decimal::parse("200000000000000000000.00").unwrap())));
+        assert_eq!(Double(12.345).cast_to(&cents), Ok(Dec(Decimal::new(1235, 2))));
+        // The rescale without a result type saturates rather than wrap.
+        assert_eq!(Decimal::new(i128::MAX / 2, 0).rescale(2).mantissa, i128::MAX);
+        assert_eq!(Decimal::new(i128::MIN / 2, 0).rescale(2).mantissa, i128::MIN);
+        // Rounding half away from zero at the top of the range: no overflow.
+        assert_eq!(Decimal::new(i128::MAX, 1).rescale(0).mantissa, i128::MAX / 10 + 1);
+    }
+
+    #[test]
+    fn comparison_orders_decimals_whose_alignment_overflows() {
+        let big = Decimal::new(10i128.pow(37), 0);
+        let small = Decimal::parse("0.05").unwrap();
+        assert_eq!(big.cmp_decimal(&small), Ordering::Greater);
+        assert_eq!(small.cmp_decimal(&big), Ordering::Less);
+        assert_eq!(big.neg().cmp_decimal(&small), Ordering::Less);
+        assert_eq!(small.cmp_decimal(&big.neg()), Ordering::Greater);
+        assert_eq!(Datum::Dec(big).sql_cmp(&Datum::Dec(small)), Some(Ordering::Greater));
     }
 
     #[test]

@@ -76,7 +76,7 @@ proptest! {
             Decimal::new(c as i128, sc),
         );
         prop_assert_eq!(x.add(&y), y.add(&x));
-        prop_assert_eq!(x.add(&y).add(&z), x.add(&y.add(&z)));
+        prop_assert_eq!(x.add(&y).unwrap().add(&z), x.add(&y.add(&z).unwrap()));
     }
 
     #[test]

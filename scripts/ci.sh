@@ -72,8 +72,19 @@ cargo build --offline --release --workspace
 #   (`dates_before_1900_reach_the_client`, `xtra` props); a 20,000-row
 #   result streams intact and in order under a 64 KiB converter budget;
 #   repeated strings share one allocation per distinct value
-#   (`repeated_strings_share_one_allocation_per_distinct_value`); and the
-#   response bytes match `wire_three_batches.hex`.
+#   (`repeated_strings_share_one_allocation_per_distinct_value`); the
+#   response bytes match `wire_three_batches.hex`; a whole-table read's
+#   result is the table's snapshot itself, by pointer, in the engine and
+#   through `HyperQ::run_one`, while reordered, repeated, computed and
+#   filtered columns are copied (`a_whole_table_read_returns_the_tables_snapshot`);
+#   a held result is unchanged by a later INSERT, UPDATE and DELETE that
+#   the next read sees (`a_borrowed_snapshot_survives_a_later_update`);
+#   `INSERT INTO T SELECT * FROM T` doubles T once; a LimitFetch `TOP 2`
+#   over a whole-table read returns two rows and leaves the table whole
+#   (`gateway_config_selects_the_target_profile`); and the pass-through
+#   projection is still charged, so a budget between one and two charges
+#   of T kills `SEL * FROM T` with 2646
+#   (`library_level_memory_budget_cancels_request`).
 # - Engine results (the `tests/tpch.rs` snapshot, the engine's `memo.rs`
 #   and `exec.rs` tests, the `db.rs` pruning differential): engine
 #   optimizations are gated on result sets, not on "the query ran" — all
@@ -88,7 +99,12 @@ cargo build --offline --release --workspace
 #   a filter, running window aggregates, every join kind against its
 #   nested-loop twin with either input indexed, groups in first-seen
 #   order keyed by value, and window partitions and sorts keeping ties in
-#   input order; the `keys.rs` tests pin the key index itself.
+#   input order; the `keys.rs` tests pin the key index itself. DECIMAL
+#   arithmetic, casts and ROUND fail with `decimal overflow in …` and
+#   integer overflow's error class and wire code instead of wrapping, and
+#   a comparison whose scale alignment would overflow still orders by
+#   magnitude (`decimal_overflow_fails_like_integer_overflow` in
+#   `engine/tests/sql.rs`, the `datum.rs` overflow tests).
 cargo test -q --offline --workspace
 
 # Session continuity, cancellation and replica failover under chaos: the
@@ -109,12 +125,13 @@ for i in $(seq 20); do cargo test -q --offline --test soak; done
 # code of the gateway-facing crates (wire, governor), the observability
 # crate (its statement table folds every statement), the engine, the
 # replica HA modules, the target-profile registry and capability modules,
-# the feature registry, and the value codec both ends of the wire use.
+# the feature registry, the value codec both ends of the wire use, and the
+# backend contract's result type.
 # The awk strips everything from the first `#[cfg(test)]` module onward.
 for src in crates/wire/src crates/governor/src crates/obs/src crates/engine/src \
     crates/core/src/replicate.rs crates/core/src/repair.rs \
     crates/core/src/targets.rs crates/core/src/capability.rs \
-    crates/xtra/src/feature.rs crates/xtra/src/datum.rs; do
+    crates/xtra/src/feature.rs crates/xtra/src/datum.rs crates/core/src/backend.rs; do
     offenders=$(find "$src" -name '*.rs' -exec awk '
         /#\[cfg\(test\)\]/ { intest = 1 }
         !intest && /\.unwrap\(\)|\.expect\(/ { print FILENAME ":" FNR ": " $0 }
