@@ -217,10 +217,8 @@ impl RequestContext {
 pub struct ExecResult {
     /// Result schema; empty for DML/DDL.
     pub schema: Schema,
-    /// Result rows, read as a slice; empty for DML/DDL. A whole-table read
-    /// shares the target's copy-on-write snapshot of the table instead of
-    /// copying it, and dropping such a result frees no row.
-    pub rows: Arc<Vec<Row>>,
+    /// Result rows; empty for DML/DDL.
+    pub rows: Vec<Row>,
     /// Rows affected (DML) or returned (queries).
     pub row_count: u64,
 }
@@ -228,21 +226,15 @@ pub struct ExecResult {
 impl ExecResult {
     /// An empty DDL/utility acknowledgement.
     pub fn ack() -> ExecResult {
-        ExecResult::affected(0)
+        ExecResult { schema: Schema::empty(), rows: Vec::new(), row_count: 0 }
     }
 
     /// A DML acknowledgement with an affected-row count.
     pub fn affected(n: u64) -> ExecResult {
-        ExecResult { schema: Schema::empty(), rows: Arc::default(), row_count: n }
+        ExecResult { schema: Schema::empty(), rows: Vec::new(), row_count: n }
     }
 
     pub fn rows(schema: Schema, rows: Vec<Row>) -> ExecResult {
-        ExecResult::shared(schema, Arc::new(rows))
-    }
-
-    /// A result over rows someone else may hold too, such as a table's
-    /// snapshot: nothing is copied, and a holder that writes copies first.
-    pub fn shared(schema: Schema, rows: Arc<Vec<Row>>) -> ExecResult {
         let row_count = rows.len() as u64;
         ExecResult { schema, rows, row_count }
     }

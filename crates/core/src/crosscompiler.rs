@@ -1735,16 +1735,12 @@ impl HyperQ {
 
 /// The LimitFetch truncation: the client sees exactly the rows a native
 /// LIMIT/TOP would have returned (the ORDER BY, if any, was serialized, so
-/// the prefix is well-defined). Only a longer result is cut, by copying its
-/// first `n` rows: the rows may be a table snapshot the target still holds.
+/// the prefix is well-defined).
 fn keep_prefix(result: &mut ExecResult, limit: Option<u64>) {
-    let Some(n) = limit.map(|n| n as usize) else {
-        return;
-    };
-    if result.rows.len() > n {
-        result.rows = Arc::new(result.rows[..n].to_vec());
+    if let Some(n) = limit {
+        result.rows.truncate(n as usize);
+        result.row_count = result.rows.len() as u64;
     }
-    result.row_count = result.rows.len() as u64;
 }
 
 /// The profile's contribution to the cache-key context hash: registry

@@ -249,11 +249,8 @@ impl EngineDb {
         match plan {
             Plan::Query(rel) => {
                 let optimized = crate::optimize::optimize(rel.clone());
-                // A whole-table read hands the client the table's snapshot.
-                Ok(match execute_rel(&optimized, self, memo, &[])? {
-                    Rows::Shared(rows) => ExecResult::shared(rel.schema(), rows),
-                    rows => ExecResult::rows(rel.schema(), rows.into_vec()),
-                })
+                let rows = execute_rel(&optimized, self, memo, &[])?;
+                Ok(ExecResult::rows(rel.schema(), rows.into_vec()))
             }
             Plan::Insert { table, columns, source } => {
                 let source = crate::optimize::optimize(source.clone());
@@ -505,7 +502,7 @@ fn coerce_value(col: &ColumnDef, v: Datum) -> Result<Datum, EvalError> {
 }
 
 /// The engine's catalog viewed through the binder's interface.
-struct EngineCatalog<'a>(&'a EngineDb);
+pub(crate) struct EngineCatalog<'a>(pub(crate) &'a EngineDb);
 
 impl<'a> MetadataProvider for EngineCatalog<'a> {
     fn table(&self, name: &str) -> Option<TableDef> {

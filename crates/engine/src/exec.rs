@@ -226,9 +226,9 @@ pub fn execute_rel(
                 && emit_list(exprs, &schema).is_some_and(|emit| emit.into_iter().eq(0..schema.len()));
             if identity {
                 // Every input column once, in order (renames only): the
-                // input rows are the output, still charged below as if
-                // copied. A consumer that needs rows of its own copies
-                // them with `into_vec`.
+                // input rows are the output, charged below for the copy
+                // that the first consumer needing rows of its own makes
+                // with `into_vec`.
                 rows
             } else {
                 let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
@@ -964,13 +964,16 @@ fn execute_setop(kind: SetOpKind, all: bool, l: Rows, r: Rows) -> Rows {
 mod tests {
     use std::sync::Arc;
 
+    use hyperq_core::binder::Binder;
+    use hyperq_parser::{parse_statements, Dialect};
     use hyperq_xtra::datum::Datum;
     use hyperq_xtra::expr::{AggFunc, ArithOp, CmpOp, ScalarExpr};
-    use hyperq_xtra::rel::{Grouping, JoinKind, RelExpr, SetOpKind};
+    use hyperq_xtra::rel::{Grouping, JoinKind, Plan, RelExpr, SetOpKind};
     use hyperq_xtra::types::SqlType;
     use hyperq_xtra::Row;
 
     use super::{execute_rel, join_widths, Rows};
+    use crate::db::EngineCatalog;
     use crate::memo::SubqueryMemo;
     use crate::optimize::optimize;
     use crate::EngineDb;
@@ -1035,7 +1038,7 @@ mod tests {
     }
 
     fn query(db: &EngineDb, sql: &str) -> Vec<Row> {
-        db.execute_sql(sql).unwrap().rows.to_vec()
+        db.execute_sql(sql).unwrap().rows
     }
 
     #[test]
@@ -1481,10 +1484,9 @@ mod tests {
         assert_eq!(text(&picked.into_vec()), strings(&[&["2"], &["3"]]));
         assert_eq!(text(&after.rows), strings(&[&["10"], &["20"], &["30"]]));
 
-        // A held whole-table result is the snapshot: each write copies it
-        // instead of changing it, and the next read sees the write.
+        // A held whole-table result is a copy of its own: a later write
+        // changes the table, not the result, and the next read sees it.
         let held = db.execute_sql("SELECT * FROM T").unwrap();
-        assert!(Arc::ptr_eq(&held.rows, &db.scan("T").unwrap()));
         let writes: [(&str, &[&[&str]]); 3] = [
             ("INSERT INTO T VALUES (40)", &[&["10"], &["20"], &["30"], &["40"]]),
             ("UPDATE T SET C = C + 1", &[&["11"], &["21"], &["31"], &["41"]]),
@@ -1498,25 +1500,31 @@ mod tests {
     }
 
     #[test]
-    fn a_whole_table_read_returns_the_tables_snapshot() {
+    fn an_identity_projection_passes_the_snapshot_on() {
         let db = db(&["CREATE TABLE T (A INTEGER, B INTEGER)", "INSERT INTO T VALUES (1, 2), (3, 4)"]);
-        // Every column once, in table order, renamed or not: nothing is
-        // copied, and the result is the snapshot the table holds.
+        let rows = |sql: &str| {
+            let stmt = parse_statements(sql, Dialect::Ansi).unwrap().remove(0).stmt;
+            let Plan::Query(rel) = Binder::new(&EngineCatalog(&db)).bind_statement(&stmt).unwrap() else {
+                panic!("{sql}: not a query");
+            };
+            execute_rel(&optimize(rel), &db, &SubqueryMemo::default(), &[]).unwrap()
+        };
+        // Every column once, in table order, renamed or not: the
+        // projection evaluates nothing and hands on the table's snapshot,
+        // which the result edge copies whole.
         for sql in ["SELECT * FROM T", "SELECT A AS X, B FROM T", "SELECT T.A, T.B FROM T"] {
-            let r = db.execute_sql(sql).unwrap();
-            assert!(Arc::ptr_eq(&r.rows, &db.scan("T").unwrap()), "{sql}");
-            assert_eq!(r.row_count, 2, "{sql}");
+            assert!(matches!(rows(sql), Rows::Shared(s) if Arc::ptr_eq(&s, &db.scan("T").unwrap())), "{sql}");
+            assert_eq!(text(&query(&db, sql)), strings(&[&["1", "2"], &["3", "4"]]), "{sql}");
         }
-        let copied: [(&str, &[&[&str]]); 4] = [
+        let evaluated: [(&str, &[&[&str]]); 4] = [
             ("SELECT B, A FROM T", &[&["2", "1"], &["4", "3"]]),
             ("SELECT A, A, B FROM T", &[&["1", "1", "2"], &["3", "3", "4"]]),
             ("SELECT A + 0, B FROM T", &[&["1", "2"], &["3", "4"]]),
             ("SELECT * FROM T WHERE A > 1", &[&["3", "4"]]),
         ];
-        for (sql, expected) in copied {
-            let r = db.execute_sql(sql).unwrap();
-            assert!(!Arc::ptr_eq(&r.rows, &db.scan("T").unwrap()), "{sql}");
-            assert_eq!(text(&r.rows), strings(expected), "{sql}");
+        for (sql, expected) in evaluated {
+            assert!(!matches!(rows(sql), Rows::Shared(_)), "{sql}");
+            assert_eq!(text(&query(&db, sql)), strings(expected), "{sql}");
         }
         // An INSERT whose source is the live snapshot of its own target
         // reads the table as it was: T doubles exactly once.

@@ -32,9 +32,9 @@
 //! over it hands on the indices of the rows it keeps: operators read it by
 //! reference and copy only the rows they output, and a writer swaps in a
 //! new `Arc` rather than touching one a reader holds. A projection of every
-//! column in order passes its input on, so a whole-table read returns the
-//! snapshot itself as its result and copies no row. A join builds only
-//! the columns the statement reads, once per row it emits.
+//! column in order passes its input on, so a whole-table read evaluates
+//! nothing and its result is one straight clone of the snapshot. A join
+//! builds only the columns the statement reads, once per row it emits.
 
 #![forbid(unsafe_code)]
 

@@ -290,6 +290,6 @@ mod tests {
         let count = "SELECT (SELECT COUNT(*) FROM T) AS N FROM ONE";
         assert_eq!(run(&db, count).0, strings(&[&["3"]]));
         let r = db.execute_sql(&format!("INSERT INTO T VALUES (9); {count}")).unwrap();
-        assert_eq!(*r.rows, vec![vec![Datum::Int(4)]]);
+        assert_eq!(r.rows, vec![vec![Datum::Int(4)]]);
     }
 }

@@ -82,6 +82,7 @@ fn decimal_overflow_fails_like_integer_overflow() {
         ("SELECT A / 0.0000000001 FROM D", "/"),
         ("SELECT CAST(1e300 AS DECIMAL(38,2)) FROM D", "CAST"),
         ("SELECT ROUND(A, 30) FROM D", "CAST"),
+        ("SELECT CAST(-1.7014118346046923E38 AS DECIMAL(38,0)) % -1 FROM D", "CAST"),
     ] {
         let err = db.execute_sql(sql).unwrap_err();
         assert!(err.message.contains(&format!("decimal overflow in {op}")), "{sql}: {err}");
@@ -298,7 +299,7 @@ fn windowed_sum_over_partition() {
              WHERE MGRNO = 10 ORDER BY NAME",
         )
         .unwrap();
-    for row in r.rows.iter() {
+    for row in &r.rows {
         match &row[1] {
             Datum::Dec(d) => assert_eq!(*d, Decimal::parse("550.75").unwrap()),
             other => panic!("{other:?}"),

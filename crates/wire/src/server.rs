@@ -973,10 +973,8 @@ impl Gateway {
         self.stats.lock().merge(&request_stats);
         drop(stmt_permit);
         flush_response(exchange, writer, obs, decoded)?;
-        // Free the result only now: a wide one the engine built takes
-        // milliseconds to free, which the client need not wait for. A
-        // whole-table result shares the table's snapshot: one reference
-        // drop.
+        // Free the result only now: a wide one takes milliseconds to
+        // free, which the client need not wait for.
         drop(run_result);
         Ok(true)
     }

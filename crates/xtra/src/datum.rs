@@ -162,7 +162,8 @@ impl Decimal {
             Ok(up) => scale_up(self.mantissa, up).ok_or_else(|| overflow("/"))?,
             Err(_) => self.mantissa / pow10(shift.unsigned_abs()).unwrap_or(i128::MAX),
         };
-        Ok(Decimal { mantissa: num / other.mantissa, scale: target })
+        let mantissa = num.checked_div(other.mantissa).ok_or_else(|| overflow("/"))?;
+        Ok(Decimal { mantissa, scale: target })
     }
 
     pub fn neg(&self) -> Decimal {
@@ -186,27 +187,12 @@ impl Decimal {
 
 /// `10^k`, while it fits the mantissa.
 fn pow10(k: u32) -> Option<i128> {
-    const POW10: [i128; 39] = {
-        let mut t = [1i128; 39];
-        let mut i = 1;
-        while i < t.len() {
-            t[i] = t[i - 1] * 10;
-            i += 1;
-        }
-        t
-    };
-    POW10.get(k as usize).copied()
+    10i128.checked_pow(k)
 }
 
-/// `m * 10^k`, or `None` past the mantissa's range. A 64-bit mantissa
-/// times at most `10^18` needs no overflow test.
+/// `m * 10^k`, or `None` past the mantissa's range.
 fn scale_up(m: i128, k: u32) -> Option<i128> {
-    let factor = pow10(k)?;
-    if k <= 18 && i64::try_from(m).is_ok() {
-        Some(m * factor)
-    } else {
-        m.checked_mul(factor)
-    }
+    pow10(k)?.checked_mul(m)
 }
 
 fn overflow(op: &str) -> ValueError {
@@ -648,7 +634,7 @@ impl Datum {
                 if b == 0 {
                     Err(ValueError("division by zero".into()))
                 } else {
-                    Ok(Int(a / b))
+                    a.checked_div(b).map(Int).ok_or_else(|| ValueError("integer overflow in /".into()))
                 }
             }
             Some(NumericPair::Double(a, b)) => {
@@ -677,7 +663,7 @@ impl Datum {
                 if b == 0 {
                     Err(ValueError("division by zero in MOD".into()))
                 } else {
-                    Ok(Int(a % b))
+                    a.checked_rem(b).map(Int).ok_or_else(|| ValueError("integer overflow in MOD".into()))
                 }
             }
             Some(NumericPair::Double(a, b)) => Ok(Double(a % b)),
@@ -687,7 +673,8 @@ impl Datum {
                 if b == 0 {
                     return Err(ValueError("division by zero".into()));
                 }
-                Ok(Dec(Decimal { mantissa: a % b, scale }))
+                let mantissa = a.checked_rem(b).ok_or_else(|| overflow("MOD"))?;
+                Ok(Dec(Decimal { mantissa, scale }))
             }
             None => Err(ValueError(format!(
                 "cannot apply MOD to {} and {}",
@@ -715,9 +702,12 @@ impl Datum {
         use Datum::*;
         match self {
             Null => Ok(Null),
-            Int(v) => Ok(Int(-v)),
+            Int(v) => v.checked_neg().map(Int).ok_or_else(|| ValueError("integer overflow in -".into())),
             Double(v) => Ok(Double(-v)),
-            Dec(d) => Ok(Dec(d.neg())),
+            Dec(d) => {
+                let mantissa = d.mantissa.checked_neg().ok_or_else(|| overflow("-"))?;
+                Ok(Dec(Decimal { mantissa, scale: d.scale }))
+            }
             other => Err(ValueError(format!("cannot negate {}", other.sql_type()))),
         }
     }
@@ -781,7 +771,7 @@ impl Datum {
                     // `as` would saturate; the range test also rejects NaN.
                     let m = (v * 10f64.powi(i32::from(*scale))).round();
                     let bound = 2f64.powi(127);
-                    if !(-bound..bound).contains(&m) {
+                    if !(m > -bound && m < bound) {
                         return Err(overflow("CAST"));
                     }
                     Dec(Decimal { mantissa: m as i128, scale: *scale })
@@ -973,6 +963,18 @@ mod tests {
         let max = Dec(Decimal::new(i128::MAX, 0));
         assert_eq!(max.add(&Int(1)), err("+"));
         assert_eq!(Dec(Decimal::new(i128::MIN + 1, 0)).sub(&Int(2)), err("-"));
+        // -2^127 is outside a DECIMAL(38) cast, and a mantissa at i128::MIN
+        // reached another way fails the ops whose result would be 2^127.
+        let units = SqlType::Decimal { precision: 38, scale: 0 };
+        assert_eq!(Double(-(2f64.powi(127))).cast_to(&units), err("CAST"));
+        let min = Dec(Decimal::new(i128::MIN, 0));
+        assert_eq!(min.rem(&Int(-1)), err("MOD"));
+        assert_eq!(min.neg(), err("-"));
+        assert_eq!(Dec(Decimal::new(i128::MIN, 30)).div(&Int(-1)), err("/"));
+        let int_err = |op: &str| Err(ValueError(format!("integer overflow in {op}")));
+        assert_eq!(Int(i64::MIN).rem(&Int(-1)), int_err("MOD"));
+        assert_eq!(Int(i64::MIN).div(&Int(-1)), int_err("/"));
+        assert_eq!(Int(i64::MIN).neg(), int_err("-"));
         // Values in range are unchanged, on the 64-bit fast path and off it.
         assert_eq!(a.mul(&Int(2)), Ok(Dec(Decimal::parse("200000000000000000000.00").unwrap())));
         assert_eq!(Double(12.345).cast_to(&cents), Ok(Dec(Decimal::new(1235, 2))));

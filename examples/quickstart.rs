@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|f| f.name.as_str())
         .collect();
     println!("  {}", names.join(" | "));
-    for row in outcome.result.rows.iter() {
+    for row in &outcome.result.rows {
         let values: Vec<String> = row.iter().map(hyperq::xtra::datum::Datum::to_sql_string).collect();
         println!("  {}", values.join(" | "));
     }

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {:>2}. {sql}", i + 1);
     }
     println!("\nemployees reporting (directly or indirectly) to e10:");
-    for row in outcome.result.rows.iter() {
+    for row in &outcome.result.rows {
         println!("  e{}", row[0].to_sql_string());
     }
     assert_eq!(

@@ -73,12 +73,14 @@ cargo build --offline --release --workspace
 #   result streams intact and in order under a 64 KiB converter budget;
 #   repeated strings share one allocation per distinct value
 #   (`repeated_strings_share_one_allocation_per_distinct_value`); the
-#   response bytes match `wire_three_batches.hex`; a whole-table read's
-#   result is the table's snapshot itself, by pointer, in the engine and
-#   through `HyperQ::run_one`, while reordered, repeated, computed and
-#   filtered columns are copied (`a_whole_table_read_returns_the_tables_snapshot`);
-#   a held result is unchanged by a later INSERT, UPDATE and DELETE that
-#   the next read sees (`a_borrowed_snapshot_survives_a_later_update`);
+#   response bytes match `wire_three_batches.hex`; a projection of every
+#   column in order hands on the table's snapshot itself, by pointer,
+#   while reordered, repeated, computed and filtered columns are
+#   evaluated, and both return the table's rows, in the engine
+#   (`an_identity_projection_passes_the_snapshot_on`) and through
+#   `HyperQ::run_one` (`a_whole_table_read_returns_the_table`); a held
+#   result is unchanged by a later INSERT, UPDATE and DELETE that the next
+#   read sees (`a_borrowed_snapshot_survives_a_later_update`);
 #   `INSERT INTO T SELECT * FROM T` doubles T once; a LimitFetch `TOP 2`
 #   over a whole-table read returns two rows and leaves the table whole
 #   (`gateway_config_selects_the_target_profile`); and the pass-through
@@ -103,7 +105,9 @@ cargo build --offline --release --workspace
 #   arithmetic, casts and ROUND fail with `decimal overflow in …` and
 #   integer overflow's error class and wire code instead of wrapping, and
 #   a comparison whose scale alignment would overflow still orders by
-#   magnitude (`decimal_overflow_fails_like_integer_overflow` in
+#   magnitude; a mantissa at i128::MIN fails MOD -1, / -1 and negation,
+#   as i64::MIN does for INTEGER, instead of panicking
+#   (`decimal_overflow_fails_like_integer_overflow` in
 #   `engine/tests/sql.rs`, the `datum.rs` overflow tests).
 cargo test -q --offline --workspace
 

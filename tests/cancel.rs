@@ -269,9 +269,9 @@ fn library_level_memory_budget_cancels_request() {
     let out = hq.run(Request::script("SEL COUNT(*) FROM T")).unwrap();
     assert_eq!(out.last().unwrap().result.rows[0][0], Datum::Int(400));
 
-    // A whole-table read copies no row, yet its projection is charged as
-    // a copy: one charge of T is 400 rows x 72 bytes, and a budget between
-    // one and two charges kills it.
+    // A whole-table read's projection passes the table's rows on and is
+    // still charged for them: one charge of T is 400 rows x 72 bytes, and
+    // a budget between one and two charges kills it.
     let err = hq.run(Request::script("SEL * FROM T").memory_budget(40_000)).unwrap_err();
     match &err {
         HyperQError::Cancelled(c) => assert_eq!(c.reason.wire_code(), 2646),

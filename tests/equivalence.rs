@@ -40,9 +40,9 @@ fn setup(sales: Vec<Row>, history: Vec<Row>) -> (HyperQ, Arc<EngineDb>) {
     (hq, db)
 }
 
-fn sorted(rows: &[Row]) -> Vec<Vec<String>> {
+fn sorted(mut rows: Vec<Row>) -> Vec<Vec<String>> {
     let mut out: Vec<Vec<String>> = rows
-        .iter()
+        .drain(..)
         .map(|r| r.iter().map(Datum::to_sql_string).collect())
         .collect();
     out.sort();
@@ -68,7 +68,7 @@ proptest! {
                 hyperq::xtra::datum::format_date(cutoff)
             ))
             .unwrap();
-        prop_assert_eq!(sorted(&via_hyperq.result.rows), sorted(&direct.rows));
+        prop_assert_eq!(sorted(via_hyperq.result.rows), sorted(direct.rows));
     }
 
     #[test]
@@ -94,7 +94,7 @@ proptest! {
                       OR (S1.AMOUNT = S2.GROSS AND S1.AMOUNT * 2 > S2.NET))",
             )
             .unwrap();
-        prop_assert_eq!(sorted(&via_hyperq.result.rows), sorted(&direct.rows));
+        prop_assert_eq!(sorted(via_hyperq.result.rows), sorted(direct.rows));
     }
 
     #[test]
@@ -115,7 +115,7 @@ proptest! {
                  ) AS T WHERE R <= {k}"
             ))
             .unwrap();
-        prop_assert_eq!(sorted(&via_hyperq.result.rows), sorted(&direct.rows));
+        prop_assert_eq!(sorted(via_hyperq.result.rows), sorted(direct.rows));
     }
 
     #[test]
@@ -133,7 +133,7 @@ proptest! {
             .unwrap();
         // Empty input: ROLLUP still produces the grand-total row (NULL);
         // both formulations do here because global aggregates return a row.
-        prop_assert_eq!(sorted(&via_hyperq.result.rows), sorted(&direct.rows));
+        prop_assert_eq!(sorted(via_hyperq.result.rows), sorted(direct.rows));
     }
 
     #[test]
@@ -183,7 +183,7 @@ proptest! {
                 "SELECT COALESCE(AMOUNT, 0), (AMOUNT % {k}) FROM SALES"
             ))
             .unwrap();
-        prop_assert_eq!(sorted(&via_hyperq.result.rows), sorted(&direct.rows));
+        prop_assert_eq!(sorted(via_hyperq.result.rows), sorted(direct.rows));
     }
 
     #[test]

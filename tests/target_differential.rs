@@ -58,7 +58,7 @@ fn client_view(r: &hyperq::core::StatementResult) -> String {
         .collect();
     out.push_str(&format!("schema [{}]\n", fields.join(", ")));
     out.push_str(&format!("row_count {}\n", r.result.row_count));
-    for row in r.result.rows.iter() {
+    for row in &r.result.rows {
         let vals: Vec<String> =
             row.iter().map(hyperq::xtra::datum::Datum::to_sql_string).collect();
         out.push_str(&format!("  {}\n", vals.join(" | ")));
@@ -214,8 +214,8 @@ fn gateway_config_selects_the_target_profile() {
     let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
     let rows = client.run("SEL TOP 2 STORE FROM SALES ORDER BY AMOUNT DESC").unwrap();
     assert_eq!(rows[0].rows.len(), 2, "LimitFetch emulation must bound the result");
-    // Over a whole-table read the truncation copies the prefix and leaves
-    // the table's own snapshot whole.
+    // Over a whole-table read the truncation keeps the first two rows and
+    // leaves the table whole.
     let rows = client.run("SEL TOP 2 * FROM SALES").unwrap();
     assert_eq!(rows[0].rows, [[Datum::Int(1), Datum::Int(10)], [Datum::Int(2), Datum::Int(25)]]);
     assert_eq!(db.scan("SALES").unwrap().len(), 3);

@@ -56,7 +56,7 @@ fn render_results(db: &Arc<EngineDb>) -> String {
         let result = hq.run_one(sql).unwrap_or_else(|e| panic!("Q{n} failed: {e}")).result;
         let columns: Vec<&str> = result.schema.fields.iter().map(|f| f.name.as_str()).collect();
         out.push_str(&format!("Q{n}\t{} rows\t{}\n", result.rows.len(), columns.join(",")));
-        for row in result.rows.iter() {
+        for row in &result.rows {
             let cells: Vec<String> = row.iter().map(hyperq::xtra::Datum::to_sql_string).collect();
             out.push_str(&cells.join("\t"));
             out.push('\n');
@@ -244,7 +244,7 @@ fn q1_matches_direct_rust_computation() {
     let mut hq = HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq::core::targets::simwh()).build();
     let o = hq.run_one(tpch::query(1)).unwrap();
     assert_eq!(o.result.rows.len(), groups.len());
-    for row in o.result.rows.iter() {
+    for row in &o.result.rows {
         let key = (row[0].to_sql_string(), row[1].to_sql_string());
         let acc = groups.get(&key).unwrap_or_else(|| panic!("group {key:?}"));
         let sum_qty = match &row[2] {
