@@ -1,8 +1,9 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 
+use std::collections::HashSet;
 use std::rc::Rc;
 
-use hyperq_xtra::datum::{add_months, ymd_from_date, Datum, Decimal};
+use hyperq_xtra::datum::{add_days, add_months, ymd_from_date, Datum, Decimal};
 use hyperq_xtra::expr::{
     AggFunc, ArithOp, BoolOp, CmpOp, DateField, Quantifier, ScalarExpr, ScalarFunc,
 };
@@ -12,6 +13,7 @@ use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
 use crate::exec::{execute_rel, Rows};
+use crate::keys::KeyState;
 use crate::memo::SubqueryMemo;
 
 /// Evaluation error.
@@ -570,7 +572,7 @@ fn eval_func(func: &ScalarFunc, args: &[ScalarExpr], ctx: &mut EvalContext<'_>) 
             }
         }
         ScalarFunc::Abs => match &vals[0] {
-            Datum::Int(v) => Datum::Int(v.abs()),
+            Datum::Int(v) => Datum::Int(v.checked_abs().ok_or("integer overflow in ABS")?),
             Datum::Double(v) => Datum::Double(v.abs()),
             Datum::Dec(d) => Datum::Dec(Decimal::new(d.mantissa.abs(), d.scale)),
             other => return Err(format!("ABS of {}", other.sql_type())),
@@ -607,14 +609,14 @@ fn eval_func(func: &ScalarFunc, args: &[ScalarExpr], ctx: &mut EvalContext<'_>) 
             if b == 0 {
                 return Err("MOD by zero".to_string());
             }
-            Datum::Int(a % b)
+            Datum::Int(a.checked_rem(b).ok_or("integer overflow in MOD")?)
         }
         ScalarFunc::AddMonths => match &vals[0] {
-            Datum::Date(d) => Datum::Date(add_months(*d, int_arg(1)? as i32)),
+            Datum::Date(d) => Datum::Date(add_months(*d, int_arg(1)?).ok_or("date overflow in ADD_MONTHS")?),
             other => return Err(format!("ADD_MONTHS of {}", other.sql_type())),
         },
         ScalarFunc::DateAddDays => match &vals[0] {
-            Datum::Date(d) => Datum::Date(d + int_arg(1)? as i32),
+            Datum::Date(d) => Datum::Date(add_days(*d, int_arg(1)?).ok_or("date overflow in DATE_ADD_DAYS")?),
             other => return Err(format!("date add of {}", other.sql_type())),
         },
         ScalarFunc::CurrentDate => {
@@ -638,13 +640,13 @@ fn now_micros() -> i64 {
 #[derive(Clone)]
 pub enum AggState {
     Count(i64),
-    CountDistinct(std::collections::HashSet<Datum>),
+    CountDistinct(HashSet<Datum, KeyState>),
     Sum(Option<Datum>),
-    SumDistinct(std::collections::HashSet<Datum>),
+    SumDistinct(HashSet<Datum, KeyState>),
     Min(Option<Datum>),
     Max(Option<Datum>),
     Avg { sum: Option<Datum>, n: i64, result_ty: SqlType },
-    AvgDistinct { set: std::collections::HashSet<Datum>, result_ty: SqlType },
+    AvgDistinct { set: HashSet<Datum, KeyState>, result_ty: SqlType },
 }
 
 impl AggState {

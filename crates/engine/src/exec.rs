@@ -12,7 +12,7 @@ use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
 use crate::eval::{eval, eval_truth, AggState, EvalContext, EvalError, Scope};
-use crate::keys::{Groups, KeyIndex, NO_KEY};
+use crate::keys::{Groups, KeyIndex, KeyState, KeyValue, NO_KEY};
 use crate::memo::SubqueryMemo;
 
 type Scopes<'a> = [Scope<'a>];
@@ -223,7 +223,8 @@ pub fn execute_rel(
             let schema = input.schema();
             let rows = execute_rel(input, db, memo, outer)?;
             let identity = exprs.len() == schema.len()
-                && emit_list(exprs, &schema).is_some_and(|emit| emit.into_iter().eq(0..schema.len()));
+                && emit_list(exprs.iter().map(|(e, _)| e), &schema)
+                    .is_some_and(|emit| emit.into_iter().eq(0..schema.len()));
             if identity {
                 // Every input column once, in order (renames only): the
                 // input rows are the output, charged below for the copy
@@ -262,7 +263,7 @@ pub fn execute_rel(
         }
         RelExpr::Distinct { input } => {
             let rows = execute_rel(input, db, memo, outer)?;
-            let mut seen: HashSet<&Row> = HashSet::with_capacity(rows.len());
+            let mut seen: HashSet<&Row, KeyState> = HashSet::with_capacity_and_hasher(rows.len(), KeyState::default());
             let keep: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
             rows.keep(&keep)
         }
@@ -386,15 +387,11 @@ fn execute_window(
         let mut partition_of = Vec::with_capacity(n);
         let mut order = Vec::with_capacity(n * width);
         let mut args: Vec<Option<Datum>> = Vec::with_capacity(n);
-        let mut key = Vec::with_capacity(w.partition_by.len());
+        let mut key = KeyReader::new(w.partition_by.iter().collect(), &schema);
         for (i, row) in rows.iter().enumerate() {
             tick(i)?;
             ctx.set_row(row);
-            key.clear();
-            for p in &w.partition_by {
-                key.push(eval(p, &mut ctx)?);
-            }
-            partition_of.push(partitions.insert(&mut key).0);
+            partition_of.push(key.number(row, &mut ctx, &mut partitions, KeyOp::Group)?.0);
             for k in &w.order_by {
                 order.push(eval(&k.expr, &mut ctx)?);
             }
@@ -544,15 +541,11 @@ fn execute_aggregate(
     // charges that growth and checkpoints the loop.
     let mut ticker = ChargeTicker::new(group_by.len() + aggs.len());
     let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
-    let mut key = Vec::with_capacity(group_by.len());
+    let mut key = KeyReader::new(group_by.iter().map(|(g, _)| g).collect(), &schema);
     for (i, row) in rows.iter().enumerate() {
         tick(i)?;
         ctx.set_row(row);
-        key.clear();
-        for (g, _) in group_by {
-            key.push(eval(g, &mut ctx)?);
-        }
-        let (group, new) = groups.insert(&mut key);
+        let (group, new) = key.number(row, &mut ctx, &mut groups, KeyOp::Group)?;
         if new {
             ticker.produced()?;
             states.extend(specs.iter().map(AggSpec::state));
@@ -632,18 +625,19 @@ impl<'p> JoinInputs<'p> {
     /// The output columns a projection over this join reads, as indices
     /// into left ⧺ right (see [`emit_list`]).
     fn emit_list(&self, exprs: &[(ScalarExpr, String)]) -> Option<Vec<usize>> {
-        emit_list(exprs, self.output())
+        emit_list(exprs.iter().map(|(e, _)| e), self.output())
     }
 }
 
-/// The columns of `schema` that a projection reads, or `None` unless every
+/// The columns of `schema` that expressions read, or `None` unless every
 /// expression is a plain column reference that resolves uniquely in
-/// `schema` — exactly the projections a join can build itself, since the
-/// evaluator would read each of those references from the join's row.
-pub(crate) fn emit_list(exprs: &[(ScalarExpr, String)], schema: &Schema) -> Option<Vec<usize>> {
+/// `schema` — exactly the projections a join can build itself, and the
+/// keys an operator can borrow from its rows, since the evaluator would
+/// read each of those references from the row at that column.
+pub(crate) fn emit_list<'e>(exprs: impl IntoIterator<Item = &'e ScalarExpr>, schema: &Schema) -> Option<Vec<usize>> {
     exprs
-        .iter()
-        .map(|(e, _)| match e {
+        .into_iter()
+        .map(|e| match e {
             ScalarExpr::Column { qualifier, name, .. } => {
                 schema.try_resolve(qualifier.as_deref(), name).ok().flatten()
             }
@@ -652,31 +646,91 @@ pub(crate) fn emit_list(exprs: &[(ScalarExpr, String)], schema: &Schema) -> Opti
         .collect()
 }
 
-/// Each row's join key, numbered in `index`: inserted when `build`, only
-/// looked up otherwise. A key with a NULL, or one a lookup does not find,
-/// is `NO_KEY`: NULL keys never join.
+/// What an operator does with a row's key in its [`KeyIndex`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum KeyOp {
+    /// Number it, new or not; NULL is a value like any other (GROUP BY,
+    /// PARTITION BY).
+    Group,
+    /// Number it unless it holds a NULL (a join's build side).
+    Build,
+    /// Look it up; a key with a NULL is not looked up (a join's probe side).
+    Probe,
+}
+
+/// Reads each row's key for a [`KeyIndex`]. When every key expression is a
+/// plain column of the input (the [`emit_list`] test), the key is borrowed
+/// from the row and a value is cloned only when a new key enters the
+/// index; any other key is evaluated into a scratch vector, whose values a
+/// new key moves into the index.
+struct KeyReader<'e, 'r> {
+    exprs: Vec<&'e ScalarExpr>,
+    columns: Option<Vec<usize>>,
+    borrowed: Vec<&'r Datum>,
+    evaluated: Vec<Datum>,
+}
+
+impl<'e, 'r> KeyReader<'e, 'r> {
+    fn new(exprs: Vec<&'e ScalarExpr>, schema: &Schema) -> Self {
+        let columns = emit_list(exprs.iter().copied(), schema);
+        let width = exprs.len();
+        KeyReader { exprs, columns, borrowed: Vec::with_capacity(width), evaluated: Vec::with_capacity(width) }
+    }
+
+    /// The number of `row`'s key in `index` and whether it is new: `NO_KEY`
+    /// for a join key that holds a NULL or that a probe does not find. An
+    /// evaluated key reads `row` through `ctx`, which must be set to it.
+    fn number(
+        &mut self,
+        row: &'r [Datum],
+        ctx: &mut EvalContext<'_>,
+        index: &mut KeyIndex,
+        op: KeyOp,
+    ) -> Result<(usize, bool), EvalError> {
+        fn apply<K: KeyValue>(key: &mut Vec<K>, index: &mut KeyIndex, op: KeyOp) -> (usize, bool) {
+            match op {
+                KeyOp::Probe => (index.find(key).unwrap_or(NO_KEY), false),
+                KeyOp::Group | KeyOp::Build => index.insert(key),
+            }
+        }
+        let nulls_join = op == KeyOp::Group;
+        if let Some(columns) = &self.columns {
+            self.borrowed.clear();
+            for &c in columns {
+                if row[c].is_null() && !nulls_join {
+                    return Ok((NO_KEY, false));
+                }
+                self.borrowed.push(&row[c]);
+            }
+            return Ok(apply(&mut self.borrowed, index, op));
+        }
+        self.evaluated.clear();
+        for e in &self.exprs {
+            let v = eval(e, ctx)?;
+            if v.is_null() && !nulls_join {
+                return Ok((NO_KEY, false));
+            }
+            self.evaluated.push(v);
+        }
+        Ok(apply(&mut self.evaluated, index, op))
+    }
+}
+
+/// Each row's join key, numbered in `index` by `op` (see [`KeyOp`]).
 fn key_numbers<'r>(
     rows: impl Iterator<Item = &'r Row>,
     exprs: &[&ScalarExpr],
+    schema: &Schema,
     ctx: &mut EvalContext<'r>,
     index: &mut KeyIndex,
-    build: bool,
+    op: KeyOp,
 ) -> Result<Vec<usize>, EvalError> {
     let mut numbers = Vec::with_capacity(rows.size_hint().0);
-    let mut key = Vec::with_capacity(exprs.len());
-    'rows: for (i, row) in rows.enumerate() {
+    let mut key = KeyReader::new(exprs.to_vec(), schema);
+    for (i, row) in rows.enumerate() {
         tick(i)?;
         ctx.set_row(row);
-        key.clear();
-        for e in exprs {
-            let v = eval(e, ctx)?;
-            if v.is_null() {
-                numbers.push(NO_KEY);
-                continue 'rows;
-            }
-            key.push(v);
-        }
-        numbers.push(if build { index.insert(&mut key).0 } else { index.find(&key).unwrap_or(NO_KEY) });
+        numbers.push(key.number(row, ctx, index, op)?.0);
     }
     Ok(numbers)
 }
@@ -757,11 +811,11 @@ fn execute_join(
         let mut lctx = EvalContext::for_rows(db, memo, outer, lschema);
         let mut rctx = EvalContext::for_rows(db, memo, outer, rschema);
         let (lnums, rnums) = if lrows.len() < rrows.len() {
-            let lnums = key_numbers(lrows.iter(), &lkeys, &mut lctx, &mut index, true)?;
-            (lnums, key_numbers(rrows.iter().copied(), &rkeys, &mut rctx, &mut index, false)?)
+            let lnums = key_numbers(lrows.iter(), &lkeys, lschema, &mut lctx, &mut index, KeyOp::Build)?;
+            (lnums, key_numbers(rrows.iter().copied(), &rkeys, rschema, &mut rctx, &mut index, KeyOp::Probe)?)
         } else {
-            let rnums = key_numbers(rrows.iter().copied(), &rkeys, &mut rctx, &mut index, true)?;
-            (key_numbers(lrows.iter(), &lkeys, &mut lctx, &mut index, false)?, rnums)
+            let rnums = key_numbers(rrows.iter().copied(), &rkeys, rschema, &mut rctx, &mut index, KeyOp::Build)?;
+            (key_numbers(lrows.iter(), &lkeys, lschema, &mut lctx, &mut index, KeyOp::Probe)?, rnums)
         };
         // The index holds one key per distinct key of the smaller input on
         // top of the already-charged inputs; account for it up front.
@@ -895,7 +949,7 @@ pub(crate) fn join_widths(rel: &RelExpr) -> Vec<usize> {
     let mut fused: Vec<*const RelExpr> = Vec::new();
     rel.visit(&mut |_| {}, &mut |r| match r {
         RelExpr::Project { input, exprs } if matches!(**input, RelExpr::Join { .. }) => {
-            if let Some(emit) = emit_list(exprs, &input.schema()) {
+            if let Some(emit) = emit_list(exprs.iter().map(|(e, _)| e), &input.schema()) {
                 fused.push(std::ptr::from_ref(&**input));
                 widths.push(emit.len());
             }
@@ -922,7 +976,7 @@ fn execute_setop(kind: SetOpKind, all: bool, l: Rows, r: Rows) -> Rows {
             return Rows::Owned(out);
         }
         (SetOpKind::Union, false) => {
-            let mut seen: HashSet<&Row> = HashSet::new();
+            let mut seen: HashSet<&Row, KeyState> = HashSet::default();
             let lkeep: Vec<bool> = l.iter().map(|row| seen.insert(row)).collect();
             let rkeep: Vec<bool> = r.iter().map(|row| seen.insert(row)).collect();
             let mut out = l.keep(&lkeep).into_vec();
@@ -930,13 +984,13 @@ fn execute_setop(kind: SetOpKind, all: bool, l: Rows, r: Rows) -> Rows {
             return Rows::Owned(out);
         }
         (SetOpKind::Intersect | SetOpKind::Except, false) => {
-            let rset: HashSet<&Row> = r.iter().collect();
-            let mut seen: HashSet<&Row> = HashSet::new();
+            let rset: HashSet<&Row, KeyState> = r.iter().collect();
+            let mut seen: HashSet<&Row, KeyState> = HashSet::default();
             let intersect = kind == SetOpKind::Intersect;
             l.iter().map(|row| rset.contains(row) == intersect && seen.insert(row)).collect()
         }
         (SetOpKind::Intersect | SetOpKind::Except, true) => {
-            let mut counts: HashMap<&Row, usize> = HashMap::new();
+            let mut counts: HashMap<&Row, usize, KeyState> = HashMap::default();
             for row in r.iter() {
                 *counts.entry(row).or_insert(0) += 1;
             }
@@ -972,7 +1026,7 @@ mod tests {
     use hyperq_xtra::types::SqlType;
     use hyperq_xtra::Row;
 
-    use super::{execute_rel, join_widths, Rows};
+    use super::{execute_rel, join_widths, KeyReader, Rows};
     use crate::db::EngineCatalog;
     use crate::memo::SubqueryMemo;
     use crate::optimize::optimize;
@@ -1265,6 +1319,72 @@ mod tests {
             text(&rows),
             strings(&[&["2", "1", "1"], &["NULL", "7", "2"], &["1", "7", "2"], &["2.50", "6", "1"]])
         );
+    }
+
+    #[test]
+    fn keys_borrowed_from_the_row_match_keys_evaluated_as_expressions() {
+        // Plain-column keys are read from the row in place; the same keys
+        // wrapped in an expression (`K + 0`, `C || ''`) go through the
+        // evaluator. Both give the same groups, pairs and partitions, in the
+        // same order: INTEGER 1 and DECIMAL 1.00 are one key, 'a' and 'a  '
+        // are one key, and NULL is a group of its own but joins nothing.
+        let db = db(&[
+            "CREATE TABLE TI (K INTEGER, C VARCHAR(5), V INTEGER)",
+            "INSERT INTO TI VALUES (1, 'a', 1), (NULL, 'a', 2), (2, 'a  ', 3), (1, 'a  ', 4), (NULL, NULL, 5)",
+            "CREATE TABLE TD (K DECIMAL(5,2), C VARCHAR(5), V INTEGER)",
+            "INSERT INTO TD VALUES (1.00, 'a  ', 6), (2.50, 'a', 7), (NULL, 'a', 8), (1, 'a', 9), (2, NULL, 10)",
+        ]);
+        let union = "(SELECT K, C, V FROM TI UNION ALL SELECT K, C, V FROM TD) AS U";
+        let group = |keys: &str| format!("SELECT MIN(V), MAX(V), COUNT(*) FROM {union} GROUP BY {keys}");
+        let join = |on: &str| format!("SELECT TI.V, TD.V FROM TI INNER JOIN TD ON {on}");
+        let window = |keys: &str| {
+            format!("SELECT V, ROW_NUMBER() OVER (PARTITION BY {keys} ORDER BY V DESC) AS RN FROM {union} ORDER BY V")
+        };
+        let cases = [
+            (
+                group("K, C"),
+                group("K + 0, C || ''"),
+                strings(&[
+                    &["1", "9", "4"],
+                    &["2", "8", "2"],
+                    &["3", "3", "1"],
+                    &["5", "5", "1"],
+                    &["7", "7", "1"],
+                    &["10", "10", "1"],
+                ]),
+            ),
+            (
+                join("TI.K = TD.K AND TI.C = TD.C"),
+                join("TI.K + 0 = TD.K + 0 AND TI.C || '' = TD.C || ''"),
+                strings(&[&["1", "6"], &["1", "9"], &["4", "6"], &["4", "9"]]),
+            ),
+            (
+                window("K, C"),
+                window("K + 0, C || ''"),
+                strings(&[
+                    &["1", "4"],
+                    &["2", "2"],
+                    &["3", "1"],
+                    &["4", "3"],
+                    &["5", "1"],
+                    &["6", "2"],
+                    &["7", "1"],
+                    &["8", "1"],
+                    &["9", "1"],
+                    &["10", "1"],
+                ]),
+            ),
+        ];
+        for (plain, wrapped, expected) in cases {
+            assert_eq!(text(&query(&db, &plain)), expected, "{plain}");
+            assert_eq!(text(&query(&db, &wrapped)), expected, "{wrapped}");
+        }
+        // Only the plain keys are read in place.
+        let schema = db.table_def("TI").unwrap().schema(Some("TI"));
+        let (k, c) = (col(Some("TI"), "K"), col(Some("TI"), "C"));
+        let k0 = ScalarExpr::arith(ArithOp::Add, k.clone(), ScalarExpr::int(0));
+        assert_eq!(KeyReader::new(vec![&c, &k], &schema).columns, Some(vec![1, 0]));
+        assert_eq!(KeyReader::new(vec![&c, &k0], &schema).columns, None);
     }
 
     #[test]

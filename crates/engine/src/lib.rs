@@ -17,7 +17,10 @@
 //! * execution is correct rather than clever: hash joins and hash
 //!   aggregation where possible, nested loops otherwise. Joins, GROUP BY
 //!   and window partitions number their keys in one key index, with no
-//!   allocation per row, and a hash join indexes its smaller input.
+//!   allocation per row, and a hash join indexes its smaller input. Keys
+//!   that are plain columns are hashed and compared in place in the row,
+//!   and every hash container in the engine uses one cheap unseeded
+//!   hasher: results never depend on hash order.
 //!   Subqueries the optimizer cannot decorrelate run through a
 //!   per-statement memo: once
 //!   per distinct value of their outer references (once per statement

@@ -21,6 +21,7 @@ use hyperq_xtra::rel::RelExpr;
 use hyperq_xtra::Row;
 
 use crate::eval::EvalError;
+use crate::keys::KeyState;
 use crate::scope::{free_refs, ColRef};
 
 /// One outer value in a memo key, compared *structurally*: same variant,
@@ -60,12 +61,12 @@ impl From<Datum> for KeyValue {
 /// One subquery node: its free references and its results so far.
 struct Entry {
     free: Rc<[ColRef]>,
-    results: HashMap<Vec<KeyValue>, Rc<Vec<Row>>>,
+    results: HashMap<Vec<KeyValue>, Rc<Vec<Row>>, KeyState>,
 }
 
 #[derive(Default)]
 pub(crate) struct SubqueryMemo {
-    entries: RefCell<HashMap<*const RelExpr, Entry>>,
+    entries: RefCell<HashMap<*const RelExpr, Entry, KeyState>>,
     executed: Cell<u64>,
     reused: Cell<u64>,
 }
@@ -88,7 +89,7 @@ impl SubqueryMemo {
                 .entries
                 .borrow_mut()
                 .entry(addr)
-                .or_insert_with(|| Entry { free: free_refs(rel).into(), results: HashMap::new() })
+                .or_insert_with(|| Entry { free: free_refs(rel).into(), results: HashMap::default() })
                 .free,
         );
         let key: Option<Vec<KeyValue>> =

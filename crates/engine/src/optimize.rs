@@ -433,7 +433,7 @@ impl Prune {
                     // the narrowing: the join builds just those columns.
                     RelExpr::Join { kind, left, right, condition } => {
                         let (join, schema) = self.join(kind, *left, *right, condition);
-                        if emit_list(&exprs, &schema).is_some() {
+                        if emit_list(exprs.iter().map(|(e, _)| e), &schema).is_some() {
                             join
                         } else {
                             self.narrow(join, schema).0

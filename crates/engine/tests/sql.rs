@@ -98,6 +98,65 @@ fn decimal_overflow_fails_like_integer_overflow() {
     assert_eq!(count("SELECT COUNT(*) FROM E WHERE A < 0.05"), vec![0]);
 }
 
+/// A one-row table holding i64::MAX, i64::MIN + 1 and a date, and the
+/// error `i64::MAX + 1` fails with: the class every overflow below shares.
+fn edges() -> (EngineDb, hyperq_core::BackendError) {
+    let db = EngineDb::new();
+    db.execute_sql("CREATE TABLE X (HI INTEGER, LO INTEGER, D DATE)").unwrap();
+    db.execute_sql("INSERT INTO X VALUES (9223372036854775807, -9223372036854775807, DATE '2020-01-31')")
+        .unwrap();
+    let int = db.execute_sql("SELECT HI + 1 FROM X").unwrap_err();
+    (db, int)
+}
+
+fn fails_like(db: &EngineDb, int: &hyperq_core::BackendError, sql: &str, message: &str) {
+    let err = db.execute_sql(sql).unwrap_err();
+    assert!(err.message.contains(message), "{sql}: {err}");
+    assert_eq!((err.kind, err.wire_code), (int.kind, int.wire_code), "{sql}");
+}
+
+#[test]
+fn mod_of_the_smallest_integer_by_minus_one_fails_instead_of_panicking() {
+    let (db, int) = edges();
+    fails_like(&db, &int, "SELECT MOD(LO - 1, -1) FROM X", "integer overflow in MOD");
+    assert_eq!(ints(&db.execute_sql("SELECT MOD(LO, -1), MOD(7, -2) FROM X").unwrap(), 1), vec![1]);
+}
+
+#[test]
+fn abs_of_the_smallest_integer_fails_instead_of_wrapping() {
+    let (db, int) = edges();
+    fails_like(&db, &int, "SELECT ABS(LO - 1) FROM X", "integer overflow in ABS");
+    assert_eq!(ints(&db.execute_sql("SELECT ABS(LO) FROM X").unwrap(), 0), vec![i64::MAX]);
+}
+
+#[test]
+fn a_date_moved_past_the_day_range_fails_instead_of_wrapping() {
+    let (db, int) = edges();
+    for (sql, message) in [
+        ("SELECT D + 2147483647 FROM X", "date overflow in +"),
+        ("SELECT D + HI FROM X", "date overflow in +"),
+        ("SELECT D - LO FROM X", "date overflow in -"),
+        ("SELECT DATE_ADD_DAYS(D, 2147483647) FROM X", "date overflow in DATE_ADD_DAYS"),
+        ("SELECT DATE_ADD_DAYS(D, 4294967297) FROM X", "date overflow in DATE_ADD_DAYS"),
+    ] {
+        fails_like(&db, &int, sql, message);
+    }
+    let r = db.execute_sql("SELECT D + 1, DATE_ADD_DAYS(D, -31) FROM X").unwrap();
+    assert_eq!(r.rows[0][0].to_sql_string(), "2020-02-01");
+    assert_eq!(r.rows[0][1].to_sql_string(), "2019-12-31");
+}
+
+#[test]
+fn add_months_past_the_day_range_fails_instead_of_truncating_the_count() {
+    // 4294967297 is 2^32 + 1: cut to 32 bits it was one month.
+    let (db, int) = edges();
+    for sql in ["SELECT ADD_MONTHS(D, 4294967297) FROM X", "SELECT ADD_MONTHS(D, 2147483647) FROM X"] {
+        fails_like(&db, &int, sql, "date overflow in ADD_MONTHS");
+    }
+    let r = db.execute_sql("SELECT ADD_MONTHS(D, 1) FROM X").unwrap();
+    assert_eq!(r.rows[0][0].to_sql_string(), "2020-02-29");
+}
+
 #[test]
 fn group_by_having() {
     let db = db();

@@ -20,7 +20,13 @@ use crate::ValueError;
 /// Used for all `DECIMAL(p,s)` arithmetic (TPC-H prices and discounts must
 /// not accumulate floating-point error). 128-bit mantissa covers precision
 /// up to 38 digits as in most warehouses.
+///
+/// Packed to 8-byte alignment: since Rust 1.77 an `i128` is 16-byte
+/// aligned, which would make every [`Datum`] 48 bytes instead of 32. A
+/// packed field can be read by value (`d.mantissa`, `{ d.mantissa }`) but
+/// not borrowed.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(8))]
 pub struct Decimal {
     pub mantissa: i128,
     pub scale: u8,
@@ -179,8 +185,8 @@ impl Decimal {
             Some((a, b, _)) => a.cmp(&b),
             // Only the side with fewer fraction digits scales up, and the
             // one that overflows is the larger in magnitude.
-            None if self.scale < other.scale => self.mantissa.cmp(&0),
-            None => 0.cmp(&other.mantissa),
+            None if self.scale < other.scale => { self.mantissa }.cmp(&0),
+            None => 0.cmp(&{ other.mantissa }),
         }
     }
 }
@@ -209,7 +215,7 @@ impl Eq for Decimal {}
 impl fmt::Display for Decimal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.scale == 0 {
-            return write!(f, "{}", self.mantissa);
+            return write!(f, "{}", { self.mantissa });
         }
         let neg = self.mantissa < 0;
         let abs = self.mantissa.unsigned_abs();
@@ -260,13 +266,19 @@ impl fmt::Display for Interval {
 
 /// Days since 1970-01-01 for the given civil date.
 pub fn date_from_ymd(y: i32, m: u32, d: u32) -> i32 {
-    let y = if m <= 2 { y - 1 } else { y };
+    days_from_ymd(y, m, d) as i32
+}
+
+/// [`date_from_ymd`] before it is narrowed to a day number: exact for
+/// every year.
+fn days_from_ymd(y: i32, m: u32, d: u32) -> i64 {
+    let y = i64::from(y) - i64::from(m <= 2);
     let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = (y - era * 400) as i64;
-    let mp = ((m as i64) + 9) % 12;
-    let doy = (153 * mp + 2) / 5 + (d as i64) - 1;
+    let yoe = y - era * 400;
+    let mp = (i64::from(m) + 9) % 12;
+    let doy = (153 * mp + 2) / 5 + i64::from(d) - 1;
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-    (era as i64 * 146_097 + doe - 719_468) as i32
+    era * 146_097 + doe - 719_468
 }
 
 /// Civil (year, month, day) for days since 1970-01-01.
@@ -299,14 +311,30 @@ fn days_in_month(y: i32, m: u32) -> u32 {
 }
 
 /// Add `n` calendar months, clamping the day-of-month (Teradata
-/// `ADD_MONTHS` semantics: `ADD_MONTHS('2020-01-31', 1)` → `2020-02-29`).
-pub fn add_months(days: i32, n: i32) -> i32 {
+/// `ADD_MONTHS` semantics: `ADD_MONTHS('2020-01-31', 1)` → `2020-02-29`),
+/// or `None` past the range of a day number.
+pub fn add_months(days: i32, n: i64) -> Option<i32> {
     let (y, m, d) = ymd_from_date(days);
-    let total = y as i64 * 12 + (m as i64 - 1) + n as i64;
-    let ny = total.div_euclid(12) as i32;
+    let total = (i64::from(y) * 12 + i64::from(m) - 1).checked_add(n)?;
+    let ny = i32::try_from(total.div_euclid(12)).ok()?;
     let nm = total.rem_euclid(12) as u32 + 1;
     let nd = d.min(days_in_month(ny, nm));
-    date_from_ymd(ny, nm, nd)
+    i32::try_from(days_from_ymd(ny, nm, nd)).ok()
+}
+
+/// Add `n` days, or `None` past the range of a day number.
+pub fn add_days(days: i32, n: i64) -> Option<i32> {
+    i64::from(days).checked_add(n).and_then(|d| i32::try_from(d).ok())
+}
+
+/// Move by an interval, months first, forward for `sign` 1 and back for
+/// -1; `None` past the range of a day number.
+fn add_interval(days: i32, iv: Interval, sign: i64) -> Option<i32> {
+    add_months(days, sign * i64::from(iv.months)).and_then(|d| add_days(d, sign * i64::from(iv.days)))
+}
+
+fn date_overflow(op: &str) -> ValueError {
+    ValueError(format!("date overflow in {op}"))
 }
 
 /// Teradata internal integer encoding of a date:
@@ -444,6 +472,13 @@ pub enum Datum {
     Interval(Interval),
 }
 
+// Every row holds its values inline, so a `Datum`'s size is a row's bytes
+// per column. It is a tag word beside a 24-byte payload, a `Decimal`
+// packed to 8-byte alignment: 32 bytes, not the 48 an `i128` aligned to 16
+// bytes would make it.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Datum>() == 32);
+
 impl Datum {
     pub fn str(s: impl AsRef<str>) -> Datum {
         Datum::Str(Arc::from(s.as_ref()))
@@ -534,15 +569,15 @@ impl Datum {
         }
         match (self, other) {
             (Date(d), Int(n)) | (Int(n), Date(d)) => {
-                return Ok(Date(d + *n as i32));
+                return add_days(*d, *n).map(Date).ok_or_else(|| date_overflow("+"));
             }
             (Date(d), Interval(iv)) | (Interval(iv), Date(d)) => {
-                return Ok(Date(add_months(*d, iv.months) + iv.days));
+                return add_interval(*d, *iv, 1).map(Date).ok_or_else(|| date_overflow("+"));
             }
             (Timestamp(t), Interval(iv)) | (Interval(iv), Timestamp(t)) => {
                 let days = t.div_euclid(86_400_000_000) as i32;
                 let rem = t.rem_euclid(86_400_000_000);
-                let nd = add_months(days, iv.months) + iv.days;
+                let nd = add_interval(days, *iv, 1).ok_or_else(|| date_overflow("+"))?;
                 return Ok(Timestamp(nd as i64 * 86_400_000_000 + rem));
             }
             (Interval(a), Interval(b)) => {
@@ -576,15 +611,17 @@ impl Datum {
             return Ok(Null);
         }
         match (self, other) {
-            (Date(a), Date(b)) => return Ok(Int((a - b) as i64)),
-            (Date(d), Int(n)) => return Ok(Date(d - *n as i32)),
+            (Date(a), Date(b)) => return Ok(Int(i64::from(*a) - i64::from(*b))),
+            (Date(d), Int(n)) => {
+                return n.checked_neg().and_then(|n| add_days(*d, n)).map(Date).ok_or_else(|| date_overflow("-"));
+            }
             (Date(d), Interval(iv)) => {
-                return Ok(Date(add_months(*d, -iv.months) - iv.days));
+                return add_interval(*d, *iv, -1).map(Date).ok_or_else(|| date_overflow("-"));
             }
             (Timestamp(t), Interval(iv)) => {
                 let days = t.div_euclid(86_400_000_000) as i32;
                 let rem = t.rem_euclid(86_400_000_000);
-                let nd = add_months(days, -iv.months) - iv.days;
+                let nd = add_interval(days, *iv, -1).ok_or_else(|| date_overflow("-"))?;
                 return Ok(Timestamp(nd as i64 * 86_400_000_000 + rem));
             }
             _ => {}
@@ -878,20 +915,20 @@ impl Hash for Datum {
             // that cross-representation equality implies equal hashes.
             Int(v) => {
                 state.write_u8(2);
-                Decimal::from_int(*v).normalize().mantissa.hash(state);
+                state.write_i128(i128::from(*v));
                 0u8.hash(state);
             }
             Dec(d) => {
                 let n = d.normalize();
                 state.write_u8(2);
-                n.mantissa.hash(state);
+                state.write_i128(n.mantissa);
                 n.scale.hash(state);
             }
             Double(v) => {
                 // A double that holds an exact small integer hashes like one.
                 if v.fract() == 0.0 && v.abs() < 9e15 {
                     state.write_u8(2);
-                    Decimal::from_int(*v as i64).normalize().mantissa.hash(state);
+                    state.write_i128(i128::from(*v as i64));
                     0u8.hash(state);
                 } else {
                     state.write_u8(3);
@@ -931,7 +968,7 @@ mod tests {
     #[test]
     fn decimal_parse_and_display() {
         let d = Decimal::parse("-12.345").unwrap();
-        assert_eq!(d.mantissa, -12345);
+        assert_eq!({ d.mantissa }, -12345);
         assert_eq!(d.scale, 3);
         assert_eq!(d.to_string(), "-12.345");
         assert_eq!(Decimal::parse("0.07").unwrap().to_string(), "0.07");
@@ -979,10 +1016,10 @@ mod tests {
         assert_eq!(a.mul(&Int(2)), Ok(Dec(Decimal::parse("200000000000000000000.00").unwrap())));
         assert_eq!(Double(12.345).cast_to(&cents), Ok(Dec(Decimal::new(1235, 2))));
         // The rescale without a result type saturates rather than wrap.
-        assert_eq!(Decimal::new(i128::MAX / 2, 0).rescale(2).mantissa, i128::MAX);
-        assert_eq!(Decimal::new(i128::MIN / 2, 0).rescale(2).mantissa, i128::MIN);
+        assert_eq!({ Decimal::new(i128::MAX / 2, 0).rescale(2).mantissa }, i128::MAX);
+        assert_eq!({ Decimal::new(i128::MIN / 2, 0).rescale(2).mantissa }, i128::MIN);
         // Rounding half away from zero at the top of the range: no overflow.
-        assert_eq!(Decimal::new(i128::MAX, 1).rescale(0).mantissa, i128::MAX / 10 + 1);
+        assert_eq!({ Decimal::new(i128::MAX, 1).rescale(0).mantissa }, i128::MAX / 10 + 1);
     }
 
     #[test]
@@ -1043,9 +1080,9 @@ mod tests {
     #[test]
     fn add_months_clamps_day() {
         let jan31 = date_from_ymd(2020, 1, 31);
-        assert_eq!(ymd_from_date(add_months(jan31, 1)), (2020, 2, 29));
-        assert_eq!(ymd_from_date(add_months(jan31, 13)), (2021, 2, 28));
-        assert_eq!(ymd_from_date(add_months(jan31, -2)), (2019, 11, 30));
+        assert_eq!(ymd_from_date(add_months(jan31, 1).unwrap()), (2020, 2, 29));
+        assert_eq!(ymd_from_date(add_months(jan31, 13).unwrap()), (2021, 2, 28));
+        assert_eq!(ymd_from_date(add_months(jan31, -2).unwrap()), (2019, 11, 30));
     }
 
     #[test]

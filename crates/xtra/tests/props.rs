@@ -51,8 +51,8 @@ proptest! {
     fn add_months_inverts(days in 0i32..80_000, n in -240i32..240) {
         // Adding then subtracting months lands within clamp distance
         // (day-of-month clamping loses at most 3 days of information).
-        let there = add_months(days, n);
-        let back = add_months(there, -n);
+        let there = add_months(days, n.into()).unwrap();
+        let back = add_months(there, (-n).into()).unwrap();
         prop_assert!((days - back).abs() <= 3, "days={days} n={n} back={back}");
     }
 

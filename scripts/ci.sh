@@ -101,15 +101,26 @@ cargo build --offline --release --workspace
 #   a filter, running window aggregates, every join kind against its
 #   nested-loop twin with either input indexed, groups in first-seen
 #   order keyed by value, and window partitions and sorts keeping ties in
-#   input order; the `keys.rs` tests pin the key index itself. DECIMAL
+#   input order; keys read in place from plain columns give the groups,
+#   pairs and partitions of the same keys evaluated as expressions
+#   (`keys_borrowed_from_the_row_match_keys_evaluated_as_expressions`);
+#   the `keys.rs` tests pin the key index itself, 100k integer keys at
+#   strides 1, 2^32 and 2^48 included. DECIMAL
 #   arithmetic, casts and ROUND fail with `decimal overflow in …` and
 #   integer overflow's error class and wire code instead of wrapping, and
 #   a comparison whose scale alignment would overflow still orders by
 #   magnitude; a mantissa at i128::MIN fails MOD -1, / -1 and negation,
 #   as i64::MIN does for INTEGER, instead of panicking
 #   (`decimal_overflow_fails_like_integer_overflow` in
-#   `engine/tests/sql.rs`, the `datum.rs` overflow tests).
+#   `engine/tests/sql.rs`, the `datum.rs` overflow tests). So do MOD and
+#   ABS at i64::MIN, and a DATE moved by days or months past the day range
+#   (the `sql.rs` tests named after each), instead of panicking or wrapping.
 cargo test -q --offline --workspace
+
+# Overflow checks are on in debug builds and off in release ones, where an
+# unchecked operation wraps instead of panicking: the value layer and the
+# engine run their tests in the build the gateway ships as well.
+cargo test -q --offline --release -p hyperq-xtra -p hyperq-engine
 
 # Session continuity, cancellation and replica failover under chaos: the
 # bounded soaks (a kill-laden run must match a fault-free baseline byte for
@@ -152,12 +163,15 @@ done
 # whose constructors build the stack once and let `set_row` swap the row.
 # No key vector per row either: joins, GROUP BY and window partitions
 # number their keys in `keys::KeyIndex`, not in a `HashMap<Vec<Datum>, _>`.
+# And one hasher: the engine's row and value sets hash with
+# `keys::KeyState`, not with the default SipHash.
 offenders=$({ grep -rn 'outer\.to_vec()' crates/engine/src
     grep -rn 'EvalContext {' crates/engine/src | grep -v '^crates/engine/src/eval\.rs:'
     grep -rn 'HashMap<Vec<Datum>' crates/engine/src
+    grep -rnE 'HashSet<(&Row|Datum)>|HashMap<&Row, [A-Za-z]+>' crates/engine/src
 } || true)
 if [ -n "$offenders" ]; then
-    echo "per-row evaluation context or key vector in crates/engine/src:" >&2
+    echo "per-row evaluation context, key vector or default-hashed set in crates/engine/src:" >&2
     echo "$offenders" >&2
     exit 1
 fi
