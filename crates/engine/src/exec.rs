@@ -263,7 +263,8 @@ pub fn execute_rel(
         }
         RelExpr::Distinct { input } => {
             let rows = execute_rel(input, db, memo, outer)?;
-            let mut seen: HashSet<&Row, KeyState> = HashSet::with_capacity_and_hasher(rows.len(), KeyState::default());
+            let mut seen: HashSet<&Row, KeyState> =
+                HashSet::with_capacity_and_hasher(rows.len(), KeyState::default());
             let keep: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
             rows.keep(&keep)
         }

@@ -23,7 +23,7 @@ use hyperq_xtra::datum::Datum;
 /// same key hashes alike in every statement. The finalizer spreads every
 /// input bit over the low bits the tables mask with, so keys that differ
 /// only in their high bits (a stride of 2^32 or 2^48) still spread out.
-#[derive(Default, Clone, Copy)]
+#[derive(Default)]
 pub(crate) struct KeyHasher {
     hash: u64,
 }
@@ -76,18 +76,6 @@ impl Hasher for KeyHasher {
 
     fn write_usize(&mut self, v: usize) {
         self.mix(v as u64);
-    }
-
-    fn write_i32(&mut self, v: i32) {
-        self.write_u32(v as u32);
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.mix(v as u64);
-    }
-
-    fn write_i128(&mut self, v: i128) {
-        self.write_u128(v as u128);
     }
 
     fn finish(&self) -> u64 {
@@ -168,9 +156,7 @@ impl KeyIndex {
         loop {
             match self.slots[s] {
                 NO_KEY => return s,
-                k if self.hashes[k] == hash && self.key(k).iter().zip(key).all(|(a, b)| a == b.borrow()) => {
-                    return s
-                }
+                k if self.hashes[k] == hash && self.key(k).iter().zip(key).all(|(a, b)| a == b.borrow()) => return s,
                 _ => s = (s + 1) & mask,
             }
         }
@@ -218,26 +204,6 @@ impl KeyIndex {
     /// The keys' values, key 0 first.
     pub fn into_values(self) -> Vec<Datum> {
         self.keys
-    }
-
-    /// The most slots a lookup can probe: the longest run of occupied
-    /// slots, wrapping around the end.
-    #[cfg(test)]
-    fn longest_run(&self) -> usize {
-        let n = self.slots.len();
-        let Some(start) = self.slots.iter().position(|&k| k == NO_KEY) else {
-            return n;
-        };
-        let (mut longest, mut run) = (0, 0);
-        for i in 1..=n {
-            if self.slots[(start + i) % n] == NO_KEY {
-                run = 0;
-            } else {
-                run += 1;
-                longest = longest.max(run);
-            }
-        }
-        longest
     }
 }
 
@@ -290,6 +256,25 @@ mod tests {
 
     fn int(v: i64) -> Datum {
         Datum::Int(v)
+    }
+
+    /// The most slots a lookup can probe: the longest run of occupied
+    /// slots, wrapping around the end.
+    fn longest_run(index: &KeyIndex) -> usize {
+        let slots = &index.slots;
+        let Some(start) = slots.iter().position(|&k| k == NO_KEY) else {
+            return slots.len();
+        };
+        let (mut longest, mut run) = (0, 0);
+        for i in 1..=slots.len() {
+            if slots[(start + i) % slots.len()] == NO_KEY {
+                run = 0;
+            } else {
+                run += 1;
+                longest = longest.max(run);
+            }
+        }
+        longest
     }
 
     #[test]
@@ -358,7 +343,7 @@ mod tests {
             for v in (0..100_000).rev() {
                 assert_eq!(index.find(&[&key(v * stride)]), Some(v as usize), "stride {stride}");
             }
-            let run = index.longest_run();
+            let run = longest_run(&index);
             assert!(run <= 64, "stride {stride}: a lookup can probe {run} slots");
         }
     }

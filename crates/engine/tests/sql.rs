@@ -144,6 +144,9 @@ fn a_date_moved_past_the_day_range_fails_instead_of_wrapping() {
     let r = db.execute_sql("SELECT D + 1, DATE_ADD_DAYS(D, -31) FROM X").unwrap();
     assert_eq!(r.rows[0][0].to_sql_string(), "2020-02-01");
     assert_eq!(r.rows[0][1].to_sql_string(), "2019-12-31");
+    // Two dates in range can lie further apart than an i32 counts.
+    let r = db.execute_sql("SELECT (D + 2000000000) - (D - 2000000000) FROM X").unwrap();
+    assert_eq!(ints(&r, 0), vec![4_000_000_000]);
 }
 
 #[test]
