@@ -107,6 +107,18 @@ impl Analyzer {
         self.mode
     }
 
+    /// This analyzer in `Off` mode: a preview's, which checks and records
+    /// nothing.
+    pub(crate) fn off(&self) -> Analyzer {
+        Analyzer {
+            mode: AnalyzeMode::Off,
+            obs: Arc::clone(&self.obs),
+            duration: Arc::clone(&self.duration),
+            checks_bind: Arc::clone(&self.checks_bind),
+            checks_serializer: Arc::clone(&self.checks_serializer),
+        }
+    }
+
     fn count_check(&self, stage: &str) {
         match stage {
             "bind" => self.checks_bind.inc(),

@@ -397,10 +397,6 @@ pub mod testing {
         pub mode: FaultMode,
         /// Injected before every call (models a slow target).
         pub latency: Duration,
-        /// Seeded per-call latency jitter: each call additionally sleeps a
-        /// uniform duration in `[0, max]` drawn from a deterministic
-        /// generator (models per-replica response-time skew).
-        pub latency_jitter: Option<(StdRng, Duration)>,
         /// Which calls the mode may fault (default: all).
         pub scope: FaultScope,
     }
@@ -414,7 +410,6 @@ pub mod testing {
             FaultPlan {
                 mode,
                 latency: Duration::ZERO,
-                latency_jitter: None,
                 scope: FaultScope::All,
             }
         }
@@ -457,16 +452,6 @@ pub mod testing {
             })
         }
 
-        /// Kill the connection on exactly the given 1-based in-scope call
-        /// numbers (duplicates collapse; order is irrelevant).
-        pub fn kill_at(calls: impl IntoIterator<Item = u64>) -> FaultPlan {
-            FaultPlan::with_mode(FaultMode::KillList {
-                calls: calls.into_iter().collect(),
-                seen: 0,
-                kind: BackendErrorKind::ConnectionLost,
-            })
-        }
-
         /// A seeded kill schedule: each of the first `horizon` in-scope
         /// calls is killed independently with probability `rate`, with the
         /// whole schedule drawn up front from a deterministic generator.
@@ -485,12 +470,6 @@ pub mod testing {
         /// Add per-call latency injection to this plan.
         pub fn with_latency(mut self, latency: Duration) -> FaultPlan {
             self.latency = latency;
-            self
-        }
-
-        /// Add seeded uniform latency jitter in `[0, max]` per call.
-        pub fn with_seeded_latency(mut self, seed: u64, max: Duration) -> FaultPlan {
-            self.latency_jitter = Some((StdRng::seed_from_u64(seed), max));
             self
         }
 
@@ -513,7 +492,6 @@ pub mod testing {
         attempts: AtomicU64,
         injected: AtomicU64,
         resets: AtomicU64,
-        failing_resets: AtomicU64,
     }
 
     impl FaultInjectingBackend {
@@ -524,7 +502,6 @@ pub mod testing {
                 attempts: AtomicU64::new(0),
                 injected: AtomicU64::new(0),
                 resets: AtomicU64::new(0),
-                failing_resets: AtomicU64::new(0),
             })
         }
 
@@ -543,12 +520,6 @@ pub mod testing {
             self.resets.load(Ordering::Relaxed)
         }
 
-        /// Make the next `n` `reset_session` calls fail with
-        /// `ConnectionLost` (reconnect storms).
-        pub fn fail_next_resets(&self, n: u64) {
-            self.failing_resets.store(n, Ordering::Relaxed);
-        }
-
         /// Replace the active schedule (e.g. heal the target mid-test).
         pub fn set_plan(&self, plan: FaultPlan) {
             *self.plan.lock() = plan;
@@ -558,12 +529,6 @@ pub mod testing {
             let mut plan = self.plan.lock();
             if !plan.latency.is_zero() {
                 std::thread::sleep(plan.latency);
-            }
-            if let Some((rng, max)) = plan.latency_jitter.as_mut() {
-                if !max.is_zero() {
-                    let nanos = rng.gen_range(0..=u64::try_from(max.as_nanos()).unwrap_or(u64::MAX));
-                    std::thread::sleep(Duration::from_nanos(nanos));
-                }
             }
             if !plan.scope.matches(ctx) {
                 return None;
@@ -630,11 +595,6 @@ pub mod testing {
 
         fn reset_session(&self) -> Result<(), BackendError> {
             self.resets.fetch_add(1, Ordering::Relaxed);
-            let failing = self.failing_resets.load(Ordering::Relaxed);
-            if failing > 0 {
-                self.failing_resets.store(failing - 1, Ordering::Relaxed);
-                return Err(BackendError::connection_lost("injected reconnect failure"));
-            }
             self.inner.reset_session()
         }
     }

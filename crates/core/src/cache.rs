@@ -32,7 +32,8 @@
 //!    entry stays exact.
 //!
 //! Strict-analyze sessions additionally revalidate sampled hits against a
-//! full re-translation (see `CacheConfig::revalidate_every`).
+//! fresh translation, a preview by the execution's own lowering (see
+//! `CacheConfig::revalidate_every`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +57,7 @@ pub struct CacheConfig {
     /// Number of independently locked shards.
     pub shards: usize,
     /// In `Strict` analyze mode, every Nth hit of an entry is revalidated
-    /// against a full re-translation; a mismatch invalidates the entry.
+    /// against a fresh translation; a mismatch invalidates the entry.
     pub revalidate_every: u64,
     /// Maximum exact (all-literals-pinned) variants kept per cache key.
     pub max_variants: usize,

@@ -1216,6 +1216,18 @@ impl Conformance {
         self.mode
     }
 
+    /// This linter in `Off` mode: a preview's, which lints and records
+    /// nothing.
+    pub(crate) fn off(&self) -> Conformance {
+        Conformance {
+            mode: ConformanceMode::Off,
+            obs: Arc::clone(&self.obs),
+            duration: Arc::clone(&self.duration),
+            checks_serialized: Arc::clone(&self.checks_serialized),
+            checks_source: Arc::clone(&self.checks_source),
+        }
+    }
+
     /// Count findings attributed to the rule *and* the target profile
     /// that tripped it — a multi-target gateway (or a session serving
     /// per-request target overrides) needs both coordinates to tell which

@@ -2,7 +2,7 @@
 //! serialize → execute, routes emulated features through the mid tier, and
 //! instruments per-stage timing (the Figure 9 measurements).
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,7 +17,7 @@ use hyperq_xtra::feature::{Feature, FeatureSet};
 use hyperq_xtra::rel::{Plan, RelExpr, SetOpKind};
 
 use hyperq_obs::provenance::{self, CacheOutcome, FinishedStatement};
-use hyperq_obs::{Counter, Histogram, ObsContext, TraceId};
+use hyperq_obs::{Counter, Histogram, ObsContext, Span, TraceId};
 
 use crate::analyze::{AnalyzeMode, Analyzer};
 use crate::backend::{Backend, ExecResult, RequestContext};
@@ -97,6 +97,18 @@ impl StageHandles {
                 .counter("hyperq_statements_total", &[("outcome", "error")]),
         }
     }
+
+    /// The histogram of a stage that has one (the cache lookup has not).
+    fn histogram(&self, stage: &str) -> Option<&Histogram> {
+        match stage {
+            "parse" => Some(&self.parse),
+            "bind" => Some(&self.bind),
+            "transform" => Some(&self.transform),
+            "serialize" => Some(&self.serialize),
+            "execute" => Some(&self.execute),
+            _ => None,
+        }
+    }
 }
 
 /// One virtualized connection: Teradata-dialect SQL in, target execution
@@ -145,6 +157,39 @@ struct CacheSeed {
     volatile: bool,
 }
 
+/// What binding leaves for the rest of the statement.
+struct Bound {
+    plan: Plan,
+    /// Logical names of the global temporary tables the statement touched.
+    gtts: HashSet<String>,
+    /// Base names of every table the statement resolved: the invalidation
+    /// scope of its cached translation.
+    tables: HashSet<String>,
+}
+
+/// Who a lowering serves, which decides what it checks and records.
+enum Lowering<'t> {
+    /// `translate()`, Strict cache revalidation, the cache's splice probe
+    /// and EXPLAIN: no analyzer, rule audit or lint, and nothing recorded
+    /// (no span, stage, provenance note or count of any kind).
+    Preview,
+    /// A statement the session executes, timed into its timings.
+    Execute(&'t mut StageTimings),
+    /// A plan the mid tier built over its own temp tables (recursion steps,
+    /// GTT instances), which carry no DTM sidecar: no insert emulations.
+    MidTier(&'t mut StageTimings),
+}
+
+/// A statement lowered to the SQL the target runs.
+struct Lowered {
+    plan: Plan,
+    sql: String,
+    /// LimitFetch: the row bound [`HyperQ::send`] truncates the result to.
+    fetch_limit: Option<u64>,
+    /// An injected default changes between executions: never cache it.
+    volatile: bool,
+}
+
 /// Everything [`HyperQBuilder`](crate::builder::HyperQBuilder) resolved for
 /// a session.
 pub(crate) struct BuildSpec {
@@ -189,16 +234,6 @@ impl HyperQ {
             replication: spec.replication,
             _replica_prober: spec.prober,
         }
-    }
-
-    /// The active static-analysis mode.
-    pub fn analysis_mode(&self) -> AnalyzeMode {
-        self.analyzer.mode()
-    }
-
-    /// The active capability-conformance lint mode.
-    pub fn conformance_mode(&self) -> ConformanceMode {
-        self.conformance.mode()
     }
 
     pub fn capabilities(&self) -> &TargetCapabilities {
@@ -311,24 +346,18 @@ impl HyperQ {
             let root = obs.traces.enter("statement");
             let trace = root.trace_id();
             obs.provenance.begin();
+            let mut parse = StageTimings::default();
             if i == 0 {
                 // Script parsing happened before any statement trace
-                // existed; charge it to the first statement, mirroring the
-                // timings accounting below.
-                obs.traces.record_manual(trace, Some(root.id()), "parse", parse_time);
-                self.stages.parse.record(parse_time);
-                provenance::note_stage("parse", parse_time);
+                // existed; charge it to the first statement.
+                self.record_stage("parse", parse_time, &mut parse, Some(&root));
             }
             let processed = self.process(ps, cache_ok);
-            // Script parse time happened outside the root span but is
-            // charged to the first statement's stages, so fold it into that
-            // statement's end-to-end time too.
-            let total =
-                root.finish() + if i == 0 { parse_time } else { Duration::ZERO };
+            // Script parse time happened outside the root span, so fold it
+            // into the statement's end-to-end time too.
+            let total = root.finish() + parse.translation;
             let mut outcome = self.observe_statement(processed, trace, &text, total)?;
-            if i == 0 {
-                outcome.timings.translation += parse_time;
-            }
+            outcome.timings.merge(parse);
             outcomes.push(outcome);
         }
         Ok(outcomes)
@@ -359,10 +388,11 @@ impl HyperQ {
             && hit.is_query
             && hit.hit_seq % cache.revalidate_every() == 0
         {
-            // Sampled revalidation: a full re-translation must reproduce
-            // the cached SQL byte-for-byte, or the entry dies and the
-            // statement takes the slow path.
-            if provenance::suspended(|| self.revalidate_hit(sql, &hit.sql)) == Some(true) {
+            // Sampled revalidation: a fresh translation must reproduce the
+            // cached SQL byte-for-byte, or the entry dies and the statement
+            // takes the slow path.
+            let fresh = provenance::suspended(|| self.translate(sql));
+            if matches!(fresh.as_deref(), Ok([fresh]) if *fresh == hit.sql) {
                 cache.note_revalidation(true);
             } else {
                 cache.note_revalidation(false);
@@ -376,37 +406,22 @@ impl HyperQ {
         let trace = root.trace_id();
         obs.provenance.begin();
         provenance::note_cache(CacheOutcome::Hit);
-        provenance::note_stage("cache", lookup_time);
-        obs.traces.record_manual(trace, Some(root.id()), "cache", lookup_time);
-        let exec_span = obs.traces.enter("execute");
-        let exec = self.backend.execute_ctx(&hit.sql, self.request_ctx(hit.is_query));
-        let exec_time = exec_span.finish();
-        self.stages.execute.record(exec_time);
-        provenance::note_stage("execute", exec_time);
-        let processed = match exec {
-            Ok(result) => Ok(StatementResult {
+        let mut timings = StageTimings::default();
+        self.record_stage("cache", lookup_time, &mut timings, Some(&root));
+        let processed = self.send(&hit.sql, hit.is_query, None, &mut timings).map(|result| {
+            StatementResult {
                 result,
                 features: hit.features.clone(),
-                timings: StageTimings { translation: lookup_time, execution: exec_time },
+                timings,
                 sql_sent: vec![hit.sql],
                 trace_id: None,
-            }),
-            Err(e) => Err(HyperQError::from(e)),
-        };
+            }
+        });
         // The lookup ran before the root span opened; it is part of the
         // statement's end-to-end time all the same.
         let total = root.finish() + lookup_time;
         let text = statement_text(sql).to_string();
         Some(self.observe_statement(processed, trace, &text, total))
-    }
-
-    /// Re-translate a cache hit through the full pipeline and compare.
-    /// `Some(true)` = byte-identical; anything else is a mismatch.
-    fn revalidate_hit(&mut self, sql: &str, cached: &str) -> Option<bool> {
-        let stmts = parse_statements(sql, Dialect::Teradata).ok()?;
-        let ps = stmts.into_iter().next()?;
-        let fresh = self.translate_statement(&ps.stmt).ok()?;
-        Some(fresh == cached)
     }
 
     /// The cache-key context hash: everything besides the statement text
@@ -467,31 +482,14 @@ impl HyperQ {
         cache.populate(key, text, &fp.literals, fill, |src| self.probe_translate(src));
     }
 
-    /// The probe translation used to verify splice templates: the full
-    /// bind → emulate → transform → serialize pipeline over `src`, with no
-    /// metrics, no analyzer, no execution — probes must not pollute
-    /// observability or touch the backend.
+    /// The probe translation used to verify splice templates: a preview of
+    /// the one statement in `src`, refused when it injects a volatile
+    /// default.
     fn probe_translate(&self, src: &str) -> Option<String> {
         let stmts = parse_statements(src, Dialect::Teradata).ok()?;
-        if stmts.len() != 1 {
-            return None;
-        }
-        let stmt = stmts.into_iter().next()?.stmt;
-        let backend = Arc::clone(&self.backend);
-        let catalog = ShadowCatalog::new(&*backend, &self.session);
-        let mut binder = Binder::new(&catalog);
-        let plan = binder.bind_statement(&stmt).ok()?;
-        let mut scratch = FeatureSet::new();
-        let mut volatile = false;
-        let plan = self
-            .apply_insert_emulations_inner(plan, &mut scratch, true, &mut volatile)
-            .ok()?;
-        if volatile {
-            return None;
-        }
-        let plan = Transformer::standard().run_all(plan, &self.profile.caps, &mut scratch).ok()?;
-        let (plan, _fetch_limit) = self.peel_fetch_limit(plan);
-        Serializer::for_profile(&self.profile).serialize_plan(&plan).ok()
+        let [ps] = &stmts[..] else { return None };
+        let lowered = self.preview(&ps.stmt, &mut FeatureSet::new()).ok()?;
+        (!lowered.volatile).then_some(lowered.sql)
     }
 
     /// Common statement epilogue: statement histogram and outcome counters,
@@ -631,53 +629,28 @@ impl HyperQ {
         let trace = root.trace_id();
         obs.provenance.begin();
         provenance::note_cache(CacheOutcome::Bypass("parameterized"));
-        provenance::note_stage("parse", parse_time);
-        obs.traces.record_manual(trace, Some(root.id()), "parse", parse_time);
-        self.stages.parse.record(parse_time);
+        let mut parse = StageTimings::default();
+        self.record_stage("parse", parse_time, &mut parse, Some(&root));
         let processed = self
-            .run_pipeline_with(&ps.stmt, HashMap::new(), values.to_vec(), &mut features)
+            .run_standard(&ps.stmt, values.to_vec(), &mut features)
             .map(|o| StatementResult { features, ..o });
         // As above: parsing preceded the root span but belongs to this
         // statement's end-to-end time.
         let total = root.finish() + parse_time;
         let mut outcome = self.observe_statement(processed, trace, &ps.text, total)?;
-        outcome.timings.translation += parse_time;
+        outcome.timings.merge(parse);
         Ok(outcome)
     }
 
     /// Translate without executing: the SQL that *would* be sent. Used by
     /// benchmarks to isolate translation cost and by tests to inspect the
-    /// generated SQL.
+    /// generated SQL. A preview: the execution's own lowering, with no
+    /// validation or lint, recording nothing.
     pub fn translate(&mut self, sql: &str) -> Result<Vec<String>> {
-        let stmts = parse_statements(sql, Dialect::Teradata)?;
-        let mut out = Vec::new();
-        for ps in stmts {
-            out.push(self.translate_statement(&ps.stmt)?);
-        }
-        Ok(out)
-    }
-
-    fn translate_statement(&mut self, stmt: &past::Statement) -> Result<String> {
-        let mut features = FeatureSet::new();
-        let backend = Arc::clone(&self.backend);
-        let catalog = ShadowCatalog::new(&*backend, &self.session);
-        let mut binder = Binder::new(&catalog);
-        let plan = binder.bind_statement(stmt)?;
-        features.union(&binder.features);
-        self.analyzer.check_plan(&plan, "bind")?;
-        // Translation-only path: emulate and peel quietly (no emulation
-        // counter — the statement is not being executed) so `translate()`
-        // shows the SQL execution would actually send.
-        let plan = self.apply_insert_emulations_inner(plan, &mut features, true, &mut false)?;
-        let plan = self
-            .analyzer
-            .transform(&self.transformer, plan, &self.profile.caps, &mut features)?;
-        let (plan, _fetch_limit) = self.peel_fetch_limit(plan);
-        self.analyzer.check_plan(&plan, "serializer")?;
-        let sql = Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
-        self.analyzer.audit_roundtrip(&sql, &plan, &catalog)?;
-        self.conformance.check_serialized(&sql, &self.profile.caps, &self.profile.name)?;
-        Ok(sql)
+        parse_statements(sql, Dialect::Teradata)?
+            .iter()
+            .map(|ps| Ok(self.preview(&ps.stmt, &mut FeatureSet::new())?.sql))
+            .collect()
     }
 
     // -----------------------------------------------------------------------
@@ -708,8 +681,7 @@ impl HyperQ {
                 let result = match target {
                     past::HelpTarget::Session => emulate::help_session(&self.session),
                     past::HelpTarget::Table(name) => {
-                        let backend = Arc::clone(&self.backend);
-                        let catalog = ShadowCatalog::new(&*backend, &self.session);
+                        let catalog = ShadowCatalog::new(&*self.backend, &self.session);
                         let def = catalog.table(&name.canonical()).ok_or_else(|| {
                             HyperQError::Emulation(format!("table {name} not found"))
                         })?;
@@ -848,7 +820,7 @@ impl HyperQ {
                 let mut sql_sent = Vec::new();
                 let mut affected = 0u64;
                 for step in &steps {
-                    let o = self.run_pipeline(step, HashMap::new(), &mut features)?;
+                    let o = self.run_standard(step, Vec::new(), &mut features)?;
                     affected += o.result.row_count;
                     timings.merge(o.timings);
                     sql_sent.extend(o.sql_sent);
@@ -938,13 +910,13 @@ impl HyperQ {
                 };
                 let rewritten =
                     emulate::rewrite_dml_on_view(&ps.stmt, &view_query, &view.columns)?;
-                let o = self.run_pipeline(&rewritten, HashMap::new(), &mut features)?;
+                let o = self.run_standard(&rewritten, Vec::new(), &mut features)?;
                 Ok(StatementResult { features, ..o })
             }
 
             // --- standard path ----------------------------------------------
             stmt => {
-                let o = self.run_pipeline(stmt, HashMap::new(), &mut features)?;
+                let o = self.run_standard(stmt, Vec::new(), &mut features)?;
                 if cache_ok {
                     self.maybe_populate(&ps.text, &features);
                 }
@@ -956,11 +928,7 @@ impl HyperQ {
     /// Produce an EXPLAIN report: tracked features, the final XTRA plan
     /// tree, and the SQL that would be sent to the target. Nothing reaches
     /// the backend.
-    fn explain(
-        &mut self,
-        stmt: &past::Statement,
-        features: &mut FeatureSet,
-    ) -> Result<String> {
+    fn explain(&self, stmt: &past::Statement, features: &mut FeatureSet) -> Result<String> {
         use std::fmt::Write as _;
         // Emulated statements: explain the decomposition.
         match stmt {
@@ -1011,21 +979,7 @@ impl HyperQ {
             }
             _ => {}
         }
-        let backend = Arc::clone(&self.backend);
-        let plan = {
-            let catalog = ShadowCatalog::new(&*backend, &self.session);
-            let mut binder = Binder::new(&catalog);
-            let plan = binder.bind_statement(stmt)?;
-            features.union(&binder.features);
-            plan
-        };
-        // As in `translate()`: the insert emulations run quietly, and what
-        // they track stays out of the report's feature list.
-        let plan =
-            self.apply_insert_emulations_inner(plan, &mut FeatureSet::new(), true, &mut false)?;
-        let plan = self.transformer.run_all(plan, &self.profile.caps, features)?;
-        let (plan, fetch_limit) = self.peel_fetch_limit(plan);
-        let sql = Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
+        let Lowered { plan, sql, fetch_limit, .. } = self.preview(stmt, features)?;
         let mut out = String::new();
         let _ = writeln!(out, "Hyper-Q translation for target {}", self.profile.caps.name);
         if let Some(n) = fetch_limit {
@@ -1095,49 +1049,23 @@ impl HyperQ {
         Ok(StatementResult { result: last, features, timings, sql_sent, trace_id: None })
     }
 
-    /// The standard bind → transform → serialize → execute path, plus the
-    /// plan-level emulations that piggyback on it (E7 lazily materialized
-    /// global temp tables, E8 SET-table dedup, E9 default injection).
-    fn run_pipeline(
+    /// The standard path: bind → lower → execute, plus the plan-level
+    /// emulations that piggyback on it (E7 lazily materialized global temp
+    /// tables, E8 SET-table dedup, E9 default injection).
+    fn run_standard(
         &mut self,
         stmt: &past::Statement,
-        params: HashMap<String, Datum>,
-        features: &mut FeatureSet,
-    ) -> Result<StatementResult> {
-        self.run_pipeline_with(stmt, params, Vec::new(), features)
-    }
-
-    fn run_pipeline_with(
-        &mut self,
-        stmt: &past::Statement,
-        params: HashMap<String, Datum>,
         positional: Vec<Datum>,
         features: &mut FeatureSet,
     ) -> Result<StatementResult> {
         self.cache_seed = None;
         hyperq_governor::note_stage(hyperq_governor::Stage::Translating);
         hyperq_governor::checkpoint()?;
-        let parameterized = !params.is_empty() || !positional.is_empty();
-        let backend = Arc::clone(&self.backend);
-        let bind_span = self.obs.traces.enter("bind");
-        let (plan, gtts, tables) = {
-            let catalog = ShadowCatalog::new(&*backend, &self.session);
-            let mut binder = Binder::new(&catalog)
-                .with_params(params)
-                .with_positional(positional);
-            let plan = binder.bind_statement(stmt)?;
-            features.union(&binder.features);
-            (
-                plan,
-                catalog.gtt_touched.into_inner(),
-                catalog.tables_touched.into_inner(),
-            )
-        };
-        let bind_time = bind_span.finish();
-        self.stages.bind.record(bind_time);
-        provenance::note_stage("bind", bind_time);
+        let parameterized = !positional.is_empty();
+        let mut timings = StageTimings::default();
+        let Bound { plan, gtts, tables } =
+            self.bind(stmt, None, positional, features, Some(&mut timings))?;
         self.analyzer.check_plan(&plan, "bind")?;
-        let mut timings = StageTimings { translation: bind_time, execution: Duration::ZERO };
 
         // Record sidecar properties (E8/E9) the target cannot hold.
         match &plan {
@@ -1184,37 +1112,15 @@ impl HyperQ {
             }
         }
 
-        let transform_span = self.obs.traces.enter("transform");
-        let mut volatile_default = false;
-        let plan =
-            self.apply_insert_emulations_inner(plan, features, false, &mut volatile_default)?;
-        let plan = self
-            .analyzer
-            .transform(&self.transformer, plan, &self.profile.caps, features)?;
-        let transform_time = transform_span.finish();
-        self.stages.transform.record(transform_time);
-        provenance::note_stage("transform", transform_time);
-        timings.translation += transform_time;
-
-        // LimitFetch: a target with neither LIMIT nor TOP executes the
-        // query unbounded and the mid tier truncates the result below.
-        let (plan, fetch_limit) = self.peel_fetch_limit(plan);
-
-        self.analyzer.check_plan(&plan, "serializer")?;
-        let serialize_span = self.obs.traces.enter("serialize");
-        let sql = Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
-        let serialize_time = serialize_span.finish();
-        self.stages.serialize.record(serialize_time);
-        provenance::note_stage("serialize", serialize_time);
-        timings.translation += serialize_time;
-        self.conformance.check_serialized(&sql, &self.profile.caps, &self.profile.name)?;
+        let lowered = self.lower(plan, features, Lowering::Execute(&mut timings))?;
+        let is_query = matches!(lowered.plan, Plan::Query(_));
 
         // Strict mode: the serializer round-trip audit. Restricted to plain
         // queries with no GTT involvement — GTT instance names resolve
         // against per-session backend temp tables that may not exist yet.
-        if matches!(plan, Plan::Query(_)) && gtts.is_empty() {
-            let catalog = ShadowCatalog::new(&*backend, &self.session);
-            self.analyzer.audit_roundtrip(&sql, &plan, &catalog)?;
+        if is_query && gtts.is_empty() {
+            let catalog = ShadowCatalog::new(&*self.backend, &self.session);
+            self.analyzer.audit_roundtrip(&lowered.sql, &lowered.plan, &catalog)?;
         }
         let mut sql_sent = Vec::new();
         hyperq_governor::note_stage(hyperq_governor::Stage::Executing);
@@ -1231,7 +1137,7 @@ impl HyperQ {
                 continue;
             }
             self.emu(EmulationKind::GttMaterialize);
-            let def = self
+            let mut instance = self
                 .session
                 .global_temp_defs
                 .get(&logical)
@@ -1239,59 +1145,40 @@ impl HyperQ {
                 .ok_or_else(|| {
                     HyperQError::Emulation(format!("missing GTT definition {logical}"))
                 })?;
-            let mut instance = def;
             let instance_name = self.session.gtt_target_name(&logical);
             instance.name = instance_name.clone();
             instance.kind = TableKind::Temporary;
-            let ser_span = self.obs.traces.enter("serialize");
-            let ddl = Serializer::for_profile(&self.profile)
-                .serialize_plan(&Plan::CreateTable { def: instance, source: None })?;
-            let d = ser_span.finish();
-            self.stages.serialize.record(d);
-            provenance::note_stage("serialize", d);
-            timings.translation += d;
-            self.conformance.check_serialized(&ddl, &self.profile.caps, &self.profile.name)?;
-            let exec_span = self.obs.traces.enter("execute");
-            self.backend.execute_ctx(&ddl, self.request_ctx(false))?;
-            let d = exec_span.finish();
-            self.stages.execute.record(d);
-            provenance::note_stage("execute", d);
-            timings.execution += d;
+            let plan = Plan::CreateTable { def: instance, source: None };
+            let ddl = self.lower(plan, &mut FeatureSet::new(), Lowering::MidTier(&mut timings))?;
+            self.send(&ddl.sql, false, None, &mut timings)?;
             // Journal the materialization so a reconnect re-creates the
             // per-session instance (guarded by its continued existence).
-            self.session.journal.record_gtt(&logical, &instance_name, &ddl);
-            sql_sent.push(ddl);
+            self.session.journal.record_gtt(&logical, &instance_name, &ddl.sql);
+            sql_sent.push(ddl.sql);
             self.session.materialized_gtts.insert(logical);
         }
 
-        let is_query = matches!(plan, Plan::Query(_));
-        let exec_span = self.obs.traces.enter("execute");
-        let mut result = self.backend.execute_ctx(&sql, self.request_ctx(is_query))?;
-        let exec_time = exec_span.finish();
-        self.stages.execute.record(exec_time);
-        provenance::note_stage("execute", exec_time);
-        timings.execution += exec_time;
-        keep_prefix(&mut result, fetch_limit);
+        let result = self.send(&lowered.sql, is_query, lowered.fetch_limit, &mut timings)?;
 
         // Leave the translation behind for the cache. Only the standard
         // single-request shapes qualify: GTT-touching statements run a
         // multi-request materialization protocol, DDL mutates catalogs,
         // parameterized requests carry literals out-of-band.
         let cacheable_kind = matches!(
-            plan,
+            lowered.plan,
             Plan::Query(_) | Plan::Insert { .. } | Plan::Update { .. } | Plan::Delete { .. }
         );
         // LimitFetch translations never seed the cache: a hit would replay
         // the unbounded SQL with nobody left to truncate the result.
-        if cacheable_kind && !gtt_involved && !parameterized && fetch_limit.is_none() {
+        if cacheable_kind && !gtt_involved && !parameterized && lowered.fetch_limit.is_none() {
             self.cache_seed = Some(CacheSeed {
-                sql: sql.clone(),
+                sql: lowered.sql.clone(),
                 is_query,
                 tables: tables.into_iter().collect(),
-                volatile: volatile_default,
+                volatile: lowered.volatile,
             });
         }
-        sql_sent.push(sql);
+        sql_sent.push(lowered.sql);
         Ok(StatementResult {
             result,
             features: features.clone(),
@@ -1301,12 +1188,153 @@ impl HyperQ {
         })
     }
 
+    /// Bind one statement against the shadow catalog, `overlay` naming a
+    /// recursive CTE's table, and add what the binder tracked to
+    /// `features`. A preview passes no `timings`.
+    fn bind(
+        &self,
+        stmt: &past::Statement,
+        overlay: Option<(&str, TableDef)>,
+        positional: Vec<Datum>,
+        features: &mut FeatureSet,
+        timings: Option<&mut StageTimings>,
+    ) -> Result<Bound> {
+        self.stage("bind", timings, || {
+            let mut catalog = ShadowCatalog::new(&*self.backend, &self.session);
+            if let Some((name, def)) = overlay {
+                catalog = catalog.with_overlay(name, def);
+            }
+            let mut binder = Binder::new(&catalog).with_positional(positional);
+            let plan = binder.bind_statement(stmt)?;
+            features.union(&binder.features);
+            Ok(Bound {
+                plan,
+                gtts: catalog.gtt_touched.into_inner(),
+                tables: catalog.tables_touched.into_inner(),
+            })
+        })
+    }
+
+    /// Lower a bound plan to target SQL: insert emulations → transform →
+    /// LimitFetch peel → validation → serialization → conformance lint.
+    fn lower(&self, plan: Plan, features: &mut FeatureSet, how: Lowering<'_>) -> Result<Lowered> {
+        let (mut timings, emulate_inserts) = match how {
+            Lowering::Preview => (None, true),
+            Lowering::Execute(timings) => (Some(timings), true),
+            Lowering::MidTier(timings) => (Some(timings), false),
+        };
+        let quiet = timings.is_none();
+        // A preview runs the checkers in their off mode and a transformer
+        // without rule counters.
+        let unchecked;
+        let (transformer, analyzer, conformance) = if quiet {
+            unchecked = (Transformer::standard(), self.analyzer.off(), self.conformance.off());
+            (&unchecked.0, &unchecked.1, &unchecked.2)
+        } else {
+            (&self.transformer, &self.analyzer, &self.conformance)
+        };
+        let caps = &self.profile.caps;
+        let mut volatile = false;
+        let plan = self.stage("transform", timings.as_deref_mut(), || {
+            let plan = if emulate_inserts {
+                self.apply_insert_emulations(plan, features, quiet, &mut volatile)?
+            } else {
+                plan
+            };
+            analyzer.transform(transformer, plan, caps, features)
+        })?;
+        let (plan, fetch_limit) = self.peel_fetch_limit(plan, quiet);
+        analyzer.check_plan(&plan, "serializer")?;
+        let sql = self.stage("serialize", timings, || {
+            Serializer::for_profile(&self.profile).serialize_plan(&plan)
+        })?;
+        conformance.check_serialized(&sql, caps, &self.profile.name)?;
+        Ok(Lowered { plan, sql, fetch_limit, volatile })
+    }
+
+    /// Lower `stmt` the way executing it would, recording nothing.
+    fn preview(&self, stmt: &past::Statement, features: &mut FeatureSet) -> Result<Lowered> {
+        let plan = self.bind(stmt, None, Vec::new(), features, None)?.plan;
+        self.lower(plan, features, Lowering::Preview)
+    }
+
+    /// Execute SQL on the target. LimitFetch (`fetch_limit`): the target
+    /// ran the query unbounded, so the client sees exactly the prefix a
+    /// native LIMIT/TOP would have returned (the ORDER BY, if any, was
+    /// serialized, so the prefix is well-defined).
+    fn send(
+        &self,
+        sql: &str,
+        is_query: bool,
+        fetch_limit: Option<u64>,
+        timings: &mut StageTimings,
+    ) -> Result<ExecResult> {
+        let mut result = self.stage("execute", Some(timings), || {
+            self.backend.execute_ctx(sql, self.request_ctx(is_query))
+        })?;
+        if let Some(n) = fetch_limit {
+            result.rows.truncate(n as usize);
+            result.row_count = result.rows.len() as u64;
+        }
+        Ok(result)
+    }
+
+    /// Lower and execute a plan the mid tier built, adding its timings and
+    /// SQL to `out`.
+    fn lower_and_send(&self, plan: Plan, out: &mut StatementResult) -> Result<ExecResult> {
+        let how = Lowering::MidTier(&mut out.timings);
+        let lowered = self.lower(plan, &mut FeatureSet::new(), how)?;
+        let is_query = matches!(lowered.plan, Plan::Query(_));
+        let result = self.send(&lowered.sql, is_query, lowered.fetch_limit, &mut out.timings)?;
+        out.sql_sent.push(lowered.sql);
+        Ok(result)
+    }
+
+    /// Run one stage of a statement under its span, then record its
+    /// duration in the stage histogram, the provenance record and
+    /// `timings`. A preview passes no `timings` and records nothing.
+    fn stage<T>(
+        &self,
+        stage: &'static str,
+        timings: Option<&mut StageTimings>,
+        work: impl FnOnce() -> T,
+    ) -> T {
+        let Some(timings) = timings else { return work() };
+        let span = self.obs.traces.enter(stage);
+        let out = work();
+        self.record_stage(stage, span.finish(), timings, None);
+        out
+    }
+
+    /// Record a finished stage in the stage histogram, the provenance record
+    /// and `timings`. A stage that ran before the statement's `root` span
+    /// opened (the script's parse, the cache lookup) is hung off it here.
+    fn record_stage(
+        &self,
+        stage: &'static str,
+        took: Duration,
+        timings: &mut StageTimings,
+        root: Option<&Span<'_>>,
+    ) {
+        if let Some(root) = root {
+            self.obs.traces.record_manual(root.trace_id(), Some(root.id()), stage, took);
+        }
+        if let Some(histogram) = self.stages.histogram(stage) {
+            histogram.record(took);
+        }
+        provenance::note_stage(stage, took);
+        match stage {
+            "execute" => timings.execution += took,
+            _ => timings.translation += took,
+        }
+    }
+
     /// E8 (SET-table dedup) and E9 (default injection) on INSERT plans.
-    /// `quiet` suppresses the emulation counters (probe translations);
+    /// `quiet` suppresses the emulation counters (previews);
     /// `volatile` is set when an injected default is not a constant — its
     /// value changes between executions, so the translation must never be
     /// cached.
-    fn apply_insert_emulations_inner(
+    fn apply_insert_emulations(
         &self,
         plan: Plan,
         features: &mut FeatureSet,
@@ -1426,19 +1454,17 @@ impl HyperQ {
     fn emulate_recursive(
         &mut self,
         q: &past::Query,
-        mut features: FeatureSet,
+        features: FeatureSet,
     ) -> Result<StatementResult> {
-        let mut timings = StageTimings::default();
-        let mut sql_sent = Vec::new();
+        let mut out = ack(features);
         // Temp tables created so far; on a mid-sequence failure they are
         // best-effort dropped so a retried statement starts clean instead
         // of colliding with leftovers on the target.
         let mut live: Vec<String> = Vec::new();
-        match self.emulate_recursive_inner(q, &mut features, &mut timings, &mut sql_sent, &mut live)
-        {
-            Ok(result) => Ok(StatementResult { result, features, timings, sql_sent, trace_id: None }),
+        match self.emulate_recursive_inner(q, &mut out, &mut live) {
+            Ok(result) => Ok(StatementResult { result, ..out }),
             Err(e) => {
-                self.cleanup_temp_tables(&live, &mut timings, &mut sql_sent);
+                self.cleanup_temp_tables(&live, &mut out);
                 Err(e)
             }
         }
@@ -1447,12 +1473,7 @@ impl HyperQ {
     /// Best-effort `DROP TABLE IF EXISTS` for temp tables left behind by a
     /// failed emulation sequence. Errors are swallowed: cleanup must never
     /// mask the original failure.
-    fn cleanup_temp_tables(
-        &mut self,
-        live: &[String],
-        timings: &mut StageTimings,
-        sql_sent: &mut Vec<String>,
-    ) {
+    fn cleanup_temp_tables(&mut self, live: &[String], out: &mut StatementResult) {
         // Cleanup must succeed even when the statement was just cancelled:
         // the governor checkpoints inside the backend stack would refuse
         // the DROPs, leaking emulation temp tables. Shield the governor for
@@ -1460,18 +1481,13 @@ impl HyperQ {
         hyperq_governor::shielded(|| {
             for name in live.iter().rev() {
                 self.emu(EmulationKind::Cleanup);
-                let dropped = self.exec_plan(
-                    Plan::DropTable { name: name.clone(), if_exists: true },
-                    timings,
-                    sql_sent,
-                );
-                if dropped.is_err() {
+                let drop = Plan::DropTable { name: name.clone(), if_exists: true };
+                if self.lower_and_send(drop.clone(), out).is_err() {
                     // The DROP itself failed (e.g. the connection died): journal
                     // the orphan so the next reconnect retires the name instead
                     // of resurrecting it.
-                    if let Ok(drop_sql) = Serializer::for_profile(&self.profile)
-                        .serialize_plan(&Plan::DropTable { name: name.clone(), if_exists: true })
-                    {
+                    let serializer = Serializer::for_profile(&self.profile);
+                    if let Ok(drop_sql) = serializer.serialize_plan(&drop) {
                         self.session.journal.record_orphan(name, drop_sql);
                     }
                 }
@@ -1479,26 +1495,20 @@ impl HyperQ {
         });
     }
 
+    /// Run the recursion's requests, accumulating them in `out`; `live`
+    /// holds the temp tables that exist on the target.
     fn emulate_recursive_inner(
         &mut self,
         q: &past::Query,
-        features: &mut FeatureSet,
-        timings: &mut StageTimings,
-        sql_sent: &mut Vec<String>,
+        out: &mut StatementResult,
         live: &mut Vec<String>,
     ) -> Result<ExecResult> {
         let parts = emulate::split_recursive(q)?;
+        let [seed, recursive, main] =
+            [parts.seed, parts.recursive, parts.main].map(|q| past::Statement::Query(Box::new(q)));
 
         // Bind the seed to learn the CTE schema.
-        let t0 = Instant::now();
-        let backend = Arc::clone(&self.backend);
-        let seed_rel = {
-            let catalog = ShadowCatalog::new(&*backend, &self.session);
-            let mut binder = Binder::new(&catalog);
-            let rel = binder.bind_query(&parts.seed)?;
-            features.union(&binder.features);
-            rel
-        };
+        let seed_rel = self.bind_query(&seed, None, out)?;
         let seed_schema = seed_rel.schema();
         let columns: Vec<String> = if parts.columns.is_empty() {
             seed_schema.fields.iter().map(|f| f.name.clone()).collect()
@@ -1518,7 +1528,6 @@ impl HyperQ {
             .zip(seed_schema.fields.iter())
             .map(|(name, f)| ColumnDef::new(name, f.ty.clone(), true))
             .collect();
-        timings.translation += t0.elapsed();
 
         let work_table = self.session.fresh_name("WT");
         let mut temp_table = self.session.fresh_name("TT");
@@ -1528,32 +1537,21 @@ impl HyperQ {
             set_semantics: false,
             kind: TableKind::Temporary,
         };
+        let read = |name: &str| RelExpr::Get {
+            table: name.to_string(),
+            alias: Some(name.to_string()),
+            schema: table_def(name).schema(None),
+        };
 
         // Step 1: initialize WorkTable and TempTable with the seed. Names
         // go on the live list *before* execution: a failed CTAS may leave
         // a partial table behind, and cleanup drops with IF EXISTS.
         live.push(work_table.clone());
-        self.exec_plan(
-            Plan::CreateTable {
-                def: table_def(&work_table),
-                source: Some(rename_columns(seed_rel, &columns)),
-            },
-            timings,
-            sql_sent,
-        )?;
+        let source = Some(rename_columns(seed_rel, &columns));
+        self.lower_and_send(Plan::CreateTable { def: table_def(&work_table), source }, out)?;
         live.push(temp_table.clone());
-        self.exec_plan(
-            Plan::CreateTable {
-                def: table_def(&temp_table),
-                source: Some(RelExpr::Get {
-                    table: work_table.clone(),
-                    alias: Some(work_table.clone()),
-                    schema: table_def(&work_table).schema(None),
-                }),
-            },
-            timings,
-            sql_sent,
-        )?;
+        let source = Some(read(&work_table));
+        self.lower_and_send(Plan::CreateTable { def: table_def(&temp_table), source }, out)?;
 
         // Steps 2..: run the recursive expression joined against TempTable
         // until it produces no new rows (paper §6, steps 2–4).
@@ -1564,54 +1562,21 @@ impl HyperQ {
             // cancelled recursion leaves no WT/TT tables behind.
             hyperq_governor::checkpoint()?;
             let next_table = self.session.fresh_name("TT");
-            let t = Instant::now();
-            let step_rel = {
-                let catalog = ShadowCatalog::new(&*backend, &self.session)
-                    .with_overlay(&parts.name, table_def(&temp_table));
-                let mut binder = Binder::new(&catalog);
-                let rel = binder.bind_query(&parts.recursive)?;
-                features.union(&binder.features);
-                rel
-            };
-            timings.translation += t.elapsed();
+            let overlay = Some((parts.name.as_str(), table_def(&temp_table)));
+            let step_rel = self.bind_query(&recursive, overlay, out)?;
             live.push(next_table.clone());
-            let produced = self.exec_plan(
-                Plan::CreateTable {
-                    def: table_def(&next_table),
-                    source: Some(rename_columns(step_rel, &columns)),
-                },
-                timings,
-                sql_sent,
-            )?;
-            if produced.row_count == 0 {
-                self.exec_plan(
-                    Plan::DropTable { name: next_table.clone(), if_exists: false },
-                    timings,
-                    sql_sent,
-                )?;
-                live.retain(|n| n != &next_table);
+            let source = Some(rename_columns(step_rel, &columns));
+            let step = Plan::CreateTable { def: table_def(&next_table), source };
+            if self.lower_and_send(step, out)?.row_count == 0 {
+                self.drop_temp_table(&next_table, live, out)?;
                 converged = true;
                 break;
             }
-            self.exec_plan(
-                Plan::Insert {
-                    table: work_table.clone(),
-                    columns: columns.clone(),
-                    source: RelExpr::Get {
-                        table: next_table.clone(),
-                        alias: Some(next_table.clone()),
-                        schema: table_def(&next_table).schema(None),
-                    },
-                },
-                timings,
-                sql_sent,
-            )?;
-            self.exec_plan(
-                Plan::DropTable { name: temp_table.clone(), if_exists: false },
-                timings,
-                sql_sent,
-            )?;
-            live.retain(|n| n != &temp_table);
+            let columns = columns.clone();
+            let table = work_table.clone();
+            let insert = Plan::Insert { table, columns, source: read(&next_table) };
+            self.lower_and_send(insert, out)?;
+            self.drop_temp_table(&temp_table, live, out)?;
             temp_table = next_table;
         }
         if !converged {
@@ -1621,33 +1586,40 @@ impl HyperQ {
         }
 
         // Step 5: main query with the CTE name bound to the WorkTable.
-        let t = Instant::now();
-        let main_plan = {
-            let catalog = ShadowCatalog::new(&*backend, &self.session)
-                .with_overlay(&parts.name, table_def(&work_table));
-            let mut binder = Binder::new(&catalog);
-            let plan = Plan::Query(binder.bind_query(&parts.main)?);
-            features.union(&binder.features);
-            plan
-        };
-        timings.translation += t.elapsed();
-        let result = self.exec_plan(main_plan, timings, sql_sent)?;
+        let overlay = Some((parts.name.as_str(), table_def(&work_table)));
+        let main_plan = Plan::Query(self.bind_query(&main, overlay, out)?);
+        let result = self.lower_and_send(main_plan, out)?;
 
         // Step 6: drop the temporary tables.
-        self.exec_plan(
-            Plan::DropTable { name: temp_table.clone(), if_exists: false },
-            timings,
-            sql_sent,
-        )?;
-        live.retain(|n| n != &temp_table);
-        self.exec_plan(
-            Plan::DropTable { name: work_table.clone(), if_exists: false },
-            timings,
-            sql_sent,
-        )?;
-        live.retain(|n| n != &work_table);
-
+        self.drop_temp_table(&temp_table, live, out)?;
+        self.drop_temp_table(&work_table, live, out)?;
         Ok(result)
+    }
+
+    /// Bind one part of a recursive query, `overlay` naming the CTE's table.
+    fn bind_query(
+        &self,
+        query: &past::Statement,
+        overlay: Option<(&str, TableDef)>,
+        out: &mut StatementResult,
+    ) -> Result<RelExpr> {
+        let timings = Some(&mut out.timings);
+        match self.bind(query, overlay, Vec::new(), &mut out.features, timings)?.plan {
+            Plan::Query(rel) => Ok(rel),
+            _ => unreachable!("a query binds to a query plan"),
+        }
+    }
+
+    /// Drop one of a recursion's temp tables and take it off the live list.
+    fn drop_temp_table(
+        &self,
+        name: &str,
+        live: &mut Vec<String>,
+        out: &mut StatementResult,
+    ) -> Result<()> {
+        self.lower_and_send(Plan::DropTable { name: name.to_string(), if_exists: false }, out)?;
+        live.retain(|n| n != name);
+        Ok(())
     }
 
     /// Replay-safety context for a backend request: only pure queries are
@@ -1661,9 +1633,9 @@ impl HyperQ {
     /// Peel a top-level row bound off a query plan when the target spells
     /// neither `LIMIT` nor `TOP` (the `LimitFetch` emulation): the query
     /// executes unbounded and the mid tier truncates the result set to
-    /// `n` rows with [`keep_prefix`]. Only the plain shape (no OFFSET, no
+    /// `n` rows in [`HyperQ::send`]. Only the plain shape (no OFFSET, no
     /// WITH TIES) peels — anything else still fails in the serializer.
-    fn peel_fetch_limit(&self, plan: Plan) -> (Plan, Option<u64>) {
+    fn peel_fetch_limit(&self, plan: Plan, quiet: bool) -> (Plan, Option<u64>) {
         if self.profile.caps.limit_spelling() != LimitSpelling::None {
             return (plan, None);
         }
@@ -1684,62 +1656,10 @@ impl HyperQ {
             },
             other => (other, None),
         };
-        if limit.is_some() {
+        if limit.is_some() && !quiet {
             self.emu(EmulationKind::LimitFetch);
         }
         (plan, limit)
-    }
-
-    /// Transform, serialize and execute one already-bound plan, charging
-    /// the stage timers.
-    fn exec_plan(
-        &mut self,
-        plan: Plan,
-        timings: &mut StageTimings,
-        sql_sent: &mut Vec<String>,
-    ) -> Result<ExecResult> {
-        let span = self.obs.traces.enter("transform");
-        let mut scratch = FeatureSet::new();
-        let plan = self
-            .analyzer
-            .transform(&self.transformer, plan, &self.profile.caps, &mut scratch)?;
-        let d = span.finish();
-        self.stages.transform.record(d);
-        provenance::note_stage("transform", d);
-        timings.translation += d;
-        // Recursion's main query can carry a row bound too: same
-        // LimitFetch peel-and-truncate as the standard path.
-        let (plan, fetch_limit) = self.peel_fetch_limit(plan);
-        // No round-trip audit here: emulation plans reference freshly
-        // created per-session temp tables the shadow catalog cannot rebind.
-        self.analyzer.check_plan(&plan, "serializer")?;
-        let span = self.obs.traces.enter("serialize");
-        let sql = Serializer::for_profile(&self.profile).serialize_plan(&plan)?;
-        let d = span.finish();
-        self.stages.serialize.record(d);
-        provenance::note_stage("serialize", d);
-        timings.translation += d;
-        self.conformance.check_serialized(&sql, &self.profile.caps, &self.profile.name)?;
-        let span = self.obs.traces.enter("execute");
-        let mut result =
-            self.backend.execute_ctx(&sql, self.request_ctx(matches!(plan, Plan::Query(_))))?;
-        let d = span.finish();
-        self.stages.execute.record(d);
-        provenance::note_stage("execute", d);
-        timings.execution += d;
-        keep_prefix(&mut result, fetch_limit);
-        sql_sent.push(sql);
-        Ok(result)
-    }
-}
-
-/// The LimitFetch truncation: the client sees exactly the rows a native
-/// LIMIT/TOP would have returned (the ORDER BY, if any, was serialized, so
-/// the prefix is well-defined).
-fn keep_prefix(result: &mut ExecResult, limit: Option<u64>) {
-    if let Some(n) = limit {
-        result.rows.truncate(n as usize);
-        result.row_count = result.rows.len() as u64;
     }
 }
 

@@ -444,12 +444,6 @@ impl EngineDb {
         names
     }
 
-    /// A session parameter applied via `SET name = value` (diagnostics /
-    /// tests).
-    pub fn session_param(&self, name: &str) -> Option<String> {
-        self.session_params.read().get(&name.to_ascii_uppercase()).cloned()
-    }
-
     /// All session parameters, sorted by name (diagnostics / tests).
     pub fn session_params(&self) -> Vec<(String, String)> {
         let mut params: Vec<(String, String)> = self

@@ -63,9 +63,11 @@ impl ObsHttpHandle {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
-            let _ = t.join();
+            if crate::server::wake_acceptor(self.addr) {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -104,13 +106,18 @@ pub fn spawn_with_state(
 ) -> std::io::Result<ObsHttpHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let stop = Arc::clone(&shutdown);
     let requests = obs.metrics.counter("hyperq_obs_http_requests_total", &[]);
     let thread = std::thread::spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            match listener.accept() {
+        loop {
+            // `stop()` wakes this blocking accept with a connection of its
+            // own.
+            let accepted = listener.accept();
+            if stop.load(Ordering::Acquire) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     requests.inc();
                     // Requests are tiny and responses are snapshots;
@@ -118,9 +125,7 @@ pub fn spawn_with_state(
                     // the accept loop responsive enough for scrapers.
                     let _ = serve_one(stream, &obs, governor.as_deref(), replication.as_deref());
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // Transient accept failures (EMFILE, …): back off.
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }

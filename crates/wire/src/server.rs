@@ -14,7 +14,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ use hyperq_core::{
 use hyperq_governor::{CancelReason, GovernorConfig, GovernorRegistry, QueryGovernor};
 use hyperq_obs::io::{CountingReader, CountingWriter};
 use hyperq_obs::{Counter, Gauge};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::admission::{AdmissionConfig, AdmissionGate, ShedReason};
 use crate::auth::{fresh_salt, Credentials};
@@ -193,7 +193,9 @@ pub struct Gateway {
     stats: Mutex<WireStats>,
     shutdown: AtomicBool,
     connections: AtomicU64,
-    active: AtomicUsize,
+    /// Sessions being served; `idle` is signalled when it drops to zero.
+    active: Mutex<usize>,
+    idle: Condvar,
     /// Connection admission queue (capacity = `max_connections`); `None`
     /// falls back to the hard reject.
     conn_gate: Option<Arc<AdmissionGate>>,
@@ -211,13 +213,29 @@ pub struct Gateway {
 }
 
 /// Decrements the gateway's active-session count when a worker exits,
-/// on every path (clean logoff, protocol error, panic unwind).
+/// on every path (clean logoff, protocol error, panic unwind), and wakes a
+/// draining `shutdown()` when the last session is gone.
 struct ActiveGuard(Arc<Gateway>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::Relaxed);
+        let mut active = self.0.active.lock();
+        *active -= 1;
+        if *active == 0 {
+            self.0.idle.notify_all();
+        }
     }
+}
+
+/// Wake an acceptor blocked in `accept` on `addr` by connecting to it; the
+/// acceptor checks its stop flag before serving what it accepted. `false`
+/// when even that connection failed, so the acceptor may never wake.
+pub(crate) fn wake_acceptor(addr: std::net::SocketAddr) -> bool {
+    let mut addr = addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into());
+    }
+    TcpStream::connect(addr).is_ok()
 }
 
 /// Handle to a gateway serving on a background thread.
@@ -538,7 +556,8 @@ impl Gateway {
             stats: Mutex::new(WireStats::default()),
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
-            active: AtomicUsize::new(0),
+            active: Mutex::new(0),
+            idle: Condvar::new(),
             conn_gate,
             stmt_gate,
             cache,
@@ -577,7 +596,6 @@ impl Gateway {
         });
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let g = Arc::clone(&gateway);
         let accept_thread = std::thread::spawn(move || {
             let obs = ObsContext::global();
@@ -587,12 +605,16 @@ impl Gateway {
             const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
             let mut backoff = ACCEPT_BACKOFF_MIN;
             // Connection workers are detached: a session blocked reading
-            // from an idle client must not prevent gateway shutdown.
-            while !g.shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
+            // from an idle client must not prevent gateway shutdown, which
+            // wakes this blocking accept with a connection of its own.
+            loop {
+                let accepted = listener.accept();
+                if g.shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _)) => {
                         backoff = ACCEPT_BACKOFF_MIN;
-                        stream.set_nonblocking(false).ok();
                         if let Some(gate) = &g.conn_gate {
                             // Admission may queue up to `admission_timeout`;
                             // wait on the worker thread so the acceptor
@@ -602,7 +624,7 @@ impl Gateway {
                             let rejected = Arc::clone(&rejected);
                             std::thread::spawn(move || match gate.try_admit() {
                                 Ok(permit) => {
-                                    g2.active.fetch_add(1, Ordering::Relaxed);
+                                    *g2.active.lock() += 1;
                                     let _guard = ActiveGuard(Arc::clone(&g2));
                                     let _permit = permit;
                                     g2.connections.fetch_add(1, Ordering::Relaxed);
@@ -616,8 +638,13 @@ impl Gateway {
                             });
                             continue;
                         }
-                        if g.active.fetch_add(1, Ordering::Relaxed) >= g.config.max_connections {
-                            g.active.fetch_sub(1, Ordering::Relaxed);
+                        let at_capacity = {
+                            let mut active = g.active.lock();
+                            let full = *active >= g.config.max_connections;
+                            *active += usize::from(!full);
+                            full
+                        };
+                        if at_capacity {
                             rejected.inc();
                             // Refusal reads the pending logon first; do it
                             // off-thread so a stalled client cannot wedge
@@ -633,9 +660,6 @@ impl Gateway {
                             g2.connections.fetch_add(1, Ordering::Relaxed);
                             let _ = g2.handle_connection(stream);
                         });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_BACKOFF_MIN);
                     }
                     // Transient accept failures (EMFILE, ECONNABORTED, …):
                     // back off and keep the acceptor alive instead of
@@ -992,7 +1016,7 @@ impl GatewayHandle {
 
     /// Sessions currently being served.
     pub fn active_sessions(&self) -> usize {
-        self.gateway.active.load(Ordering::Relaxed)
+        *self.gateway.active.lock()
     }
 
     /// Address of the observability HTTP endpoint, if one was configured.
@@ -1018,17 +1042,25 @@ impl GatewayHandle {
     /// With the default zero drain budget this only stops the acceptor;
     /// in-flight sessions end when their clients disconnect.
     pub fn shutdown(mut self) {
-        self.gateway.shutdown.store(true, Ordering::Relaxed);
+        self.gateway.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            if wake_acceptor(self.addr) {
+                let _ = t.join();
+            }
         }
         if let Some(obs) = self.obs_http.take() {
             obs.shutdown();
         }
         let deadline = Instant::now() + self.gateway.config.drain_timeout;
-        while self.gateway.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+        let mut active = self.gateway.active.lock();
+        while *active > 0 {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            self.gateway.idle.wait_for(&mut active, deadline - now);
         }
+        drop(active);
         // The drain is over: stop the health prober (in-flight statements
         // have finished, so nothing new lands in the repair journals), then
         // the watchdog last so statements still draining stayed governed.

@@ -43,11 +43,6 @@ pub fn render_rel(rel: &RelExpr) -> String {
     render(&rel_node(rel))
 }
 
-/// Render a scalar expression tree in the paper's notation.
-pub fn render_expr(expr: &ScalarExpr) -> String {
-    render(&expr_node(expr))
-}
-
 fn render(root: &TreeNode) -> String {
     let mut out = String::new();
     out.push_str("+-");

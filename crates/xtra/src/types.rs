@@ -51,16 +51,6 @@ impl SqlType {
         )
     }
 
-    /// True for character types.
-    pub fn is_character(&self) -> bool {
-        matches!(self, SqlType::Varchar(_) | SqlType::Char(_))
-    }
-
-    /// True for date/time types.
-    pub fn is_temporal(&self) -> bool {
-        matches!(self, SqlType::Date | SqlType::Timestamp)
-    }
-
     /// The common supertype of two types under implicit SQL coercion, or
     /// `None` if the pair is incomparable without an explicit rewrite.
     ///
@@ -100,14 +90,6 @@ impl SqlType {
             (Char(a), Char(b)) => Some(Char(*a.max(b))),
             (Date, Timestamp) | (Timestamp, Date) => Some(Timestamp),
             _ => None,
-        }
-    }
-
-    /// Default decimal type used when precision is unspecified.
-    pub fn default_decimal() -> SqlType {
-        SqlType::Decimal {
-            precision: 18,
-            scale: 2,
         }
     }
 }

@@ -33,6 +33,10 @@ cargo build --offline --release --workspace
 # - Exposition (`tests/observability`): validator, recovery, admission,
 #   cache and wire request-latency metric families must surface in both
 #   formats end to end.
+# - Previews (`tests/pipeline` `a_preview_moves_no_pipeline_metric`,
+#   `previews_match_execution_across_the_corpora`): `translate()` and
+#   EXPLAIN move no pipeline metric, and show the SQL execution sends for
+#   TPC-H and the health/telco corpora on simwh and simwh-reduced.
 # - Translation cache (`parser` fingerprint, `core` cache unit +
 #   `core/tests/cache`, `tests/cache_equivalence`): cache-off vs cold vs
 #   warm must be byte-identical corpus-wide.
@@ -173,6 +177,26 @@ offenders=$({ grep -rn 'outer\.to_vec()' crates/engine/src
 if [ -n "$offenders" ]; then
     echo "per-row evaluation context, key vector or default-hashed set in crates/engine/src:" >&2
     echo "$offenders" >&2
+    exit 1
+fi
+
+# One lowering path: every statement, executed or previewed (`translate()`,
+# cache revalidation, the cache's splice probe, EXPLAIN), is bound, lowered
+# and checked by one call each in the cross compiler, so no check, emulation
+# or counter can drift between copies of the pipeline. `serialize_plan`
+# appears twice: the lowering, and the orphan-DROP journal of a failed
+# recursion cleanup.
+cc=crates/core/src/crosscompiler.rs
+for pattern in 'Binder::new' 'check_serialized' '\.transform(\|run_all(' 'self\.peel_fetch_limit('; do
+    n=$(grep -c "$pattern" "$cc" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "$cc: '$pattern' appears $n times; the one lowering path has it once" >&2
+        exit 1
+    fi
+done
+n=$(grep -c 'serialize_plan' "$cc" || true)
+if [ "$n" -gt 2 ]; then
+    echo "$cc: serialize_plan appears $n times; lowering and the orphan journal need 2" >&2
     exit 1
 fi
 

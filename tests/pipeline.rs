@@ -2,10 +2,14 @@
 //! full Hyper-Q pipeline (parse → bind → transform → serialize) executed on
 //! the SimWH engine substrate.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hyperq::core::{HyperQ, HyperQBuilder};
+use hyperq::core::conformance::{self, RuleCheck};
+use hyperq::core::{targets, Backend, HyperQ, HyperQBuilder, ObsContext};
 use hyperq::engine::EngineDb;
+use hyperq::workload::customer::{health, telco, QueryClass};
+use hyperq::workload::tpch;
 use hyperq::xtra::datum::{Datum, Decimal};
 
 fn setup() -> (HyperQ, Arc<EngineDb>) {
@@ -717,4 +721,130 @@ fn set_session_updates_help_session() {
         .find(|r| r[0] == Datum::str("DATEFORM"))
         .expect("DATEFORM setting");
     assert_eq!(row[1], Datum::str("ANSIDATE"));
+}
+
+/// Every `/metrics` series whose value differs between two scrapes.
+fn moved_series(before: &str, after: &str) -> Vec<String> {
+    let values = |text: &str| -> BTreeMap<String, String> {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.rsplit_once(' '))
+            .map(|(series, value)| (series.to_string(), value.to_string()))
+            .collect()
+    };
+    let before = values(before);
+    values(after).into_iter().filter(|(s, v)| before.get(s) != Some(v)).map(|(s, _)| s).collect()
+}
+
+/// A session on `target` over `db`, reporting into `obs`.
+fn session_on(db: &Arc<EngineDb>, target: &str, obs: &Arc<ObsContext>) -> HyperQ {
+    let profile = targets::lookup(target).expect("registered target");
+    HyperQBuilder::for_target(Arc::clone(db) as Arc<dyn Backend>, profile)
+        .obs(Arc::clone(obs))
+        .build()
+}
+
+/// `translate()` and EXPLAIN are previews: they run the lowering execution
+/// runs and record nothing of it. Around `translate()` only the target's
+/// catalog lookups move (binding makes them for real); around EXPLAIN, only
+/// what the EXPLAIN statement itself records besides. Executing the `TOP 2`
+/// query is what counts its one LimitFetch emulation on `simwh-reduced`.
+#[test]
+fn a_preview_moves_no_pipeline_metric() {
+    const QUALIFY: &str = "SEL * FROM SALES QUALIFY RANK(AMOUNT DESC) <= 2";
+    const TOP: &str = "SEL TOP 2 AMOUNT FROM SALES ORDER BY AMOUNT";
+    let lookups = "hyperq_backend_catalog_lookups_total{";
+    // The EXPLAIN statement's own series: its outcome, emulation kind and
+    // features, its source lint's findings, and the durations of its parse,
+    // source lint and whole statement.
+    let explain_own = |series: &str| {
+        let source_finding = series
+            .strip_prefix("hyperq_conformance_violations_total{rule=\"")
+            .and_then(|rest| rest.split('"').next())
+            .and_then(conformance::rule)
+            .is_some_and(|rule| matches!(rule.check, RuleCheck::Source));
+        let own_stage = series.starts_with("hyperq_stage_duration_seconds")
+            && ["parse", "conformance", "statement"]
+                .iter()
+                .any(|stage| series.contains(&format!("{{stage=\"{stage}\"")));
+        let own_series = [
+            lookups,
+            "hyperq_statements_total{outcome=\"ok\"}",
+            "hyperq_emulation_requests_total{kind=\"explain\"}",
+            "hyperq_feature_statements_total{",
+            "hyperq_conformance_checks_total{stage=\"source\"}",
+        ];
+        source_finding || own_stage || own_series.iter().any(|own| series.starts_with(own))
+    };
+    for target in ["simwh", "simwh-reduced"] {
+        let (_, db) = setup();
+        let obs = ObsContext::new();
+        let mut hq = session_on(&db, target, &obs);
+        for sql in [QUALIFY, TOP] {
+            let before = obs.metrics.render_prometheus();
+            hq.translate(sql).unwrap();
+            let moved = moved_series(&before, &obs.metrics.render_prometheus());
+            let stray: Vec<&String> = moved.iter().filter(|s| !s.starts_with(lookups)).collect();
+            assert!(stray.is_empty(), "[{target}] translate({sql}) moved {stray:?}");
+
+            let before = obs.metrics.render_prometheus();
+            hq.run_one(&format!("EXPLAIN {sql}")).unwrap();
+            let moved = moved_series(&before, &obs.metrics.render_prometheus());
+            let stray: Vec<&String> = moved.iter().filter(|s| !explain_own(s)).collect();
+            assert!(stray.is_empty(), "[{target}] EXPLAIN {sql} moved {stray:?}");
+        }
+        let limit_fetch = || {
+            obs.metrics.counter_value("hyperq_emulation_requests_total", &[("kind", "limit_fetch")])
+        };
+        let before = limit_fetch();
+        assert_eq!(hq.run_one(TOP).unwrap().result.row_count, 2);
+        let expected = u64::from(target == "simwh-reduced");
+        assert_eq!(limit_fetch() - before, expected, "[{target}] executing {TOP}");
+    }
+}
+
+/// `translate()`, EXPLAIN's `target SQL:` line and execution agree on
+/// every TPC-H query and every health/telco statement that takes the
+/// standard path, on both simwh flavors (the reduced one peels TPC-H's
+/// `TOP n` into LimitFetch). The statements the mid tier emulates instead
+/// (MERGE, macros, recursion, DML on views) have no translation of their
+/// own and are skipped; a first pass over the corpus materializes its
+/// global temporary tables, whose creation is not the statement's SQL.
+#[test]
+fn previews_match_execution_across_the_corpora() {
+    for target in ["simwh", "simwh-reduced"] {
+        let db = Arc::new(EngineDb::new());
+        for ddl in tpch::ddl() {
+            db.execute_sql(&ddl).unwrap();
+        }
+        for (table, rows) in tpch::generate(0.001, 42).tables() {
+            db.load_rows(table, rows).unwrap();
+        }
+        let mut hq = session_on(&db, target, &ObsContext::new());
+        for (_, sql) in tpch::queries() {
+            assert_preview_matches_execution(&mut hq, sql);
+        }
+
+        for w in [health(0.05), telco(0.02)] {
+            let db = Arc::new(EngineDb::new());
+            for ddl in &w.target_ddl {
+                db.execute_sql(ddl).unwrap();
+            }
+            let mut hq = session_on(&db, target, &ObsContext::new());
+            for sql in w.hyperq_setup.iter().chain(&w.distinct) {
+                hq.run_one(sql).unwrap();
+            }
+            let mut checked = 0;
+            for sql in &w.distinct {
+                if hq.translate(sql).is_ok() {
+                    assert_preview_matches_execution(&mut hq, sql);
+                    checked += 1;
+                }
+            }
+            // At least every statement the generator drew without an
+            // emulation takes the standard path.
+            let plain = w.classes.iter().filter(|c| **c != QueryClass::Emulation).count();
+            assert!(checked >= plain, "[{target}] {checked} standard-path statements of {plain}");
+        }
+    }
 }

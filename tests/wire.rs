@@ -358,3 +358,46 @@ fn three_batch_response_matches_golden_transcript() {
     Message::Logoff.write_to(&mut s).unwrap();
     handle.shutdown();
 }
+
+/// `shutdown()` wakes the gateway's blocking acceptor instead of waiting
+/// for it to poll, whether no client ever connected or a session is still
+/// open with no drain budget; the open session keeps being served.
+#[test]
+fn shutdown_returns_promptly_with_no_client_or_an_open_session() {
+    let prompt = std::time::Duration::from_secs(2);
+    let (handle, _db) = gateway();
+    let t0 = std::time::Instant::now();
+    handle.shutdown();
+    assert!(t0.elapsed() < prompt, "idle shutdown took {:?}", t0.elapsed());
+
+    let (handle, _db) = gateway();
+    let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+    assert_eq!(client.run("SEL COUNT(*) FROM SALES").unwrap()[0].activity_count, 1);
+    assert_eq!(handle.active_sessions(), 1);
+    let t0 = std::time::Instant::now();
+    handle.shutdown();
+    assert!(t0.elapsed() < prompt, "shutdown with an open session took {:?}", t0.elapsed());
+    assert_eq!(client.run("SEL COUNT(*) FROM SALES").unwrap()[0].activity_count, 1);
+    client.logoff().unwrap();
+}
+
+/// A draining `shutdown()` returns when the last session ends, not at the
+/// end of its budget.
+#[test]
+fn a_drain_ends_with_the_last_session() {
+    let db = Arc::new(EngineDb::new());
+    let config =
+        GatewayConfig { drain_timeout: std::time::Duration::from_secs(30), ..Default::default() };
+    let handle = Gateway::spawn(db as Arc<dyn Backend>, config).unwrap();
+    let mut client = Client::connect(handle.addr, "APP", "secret").unwrap();
+    client.run("SEL 1").unwrap();
+    let logoff = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        client.logoff().unwrap();
+    });
+    let t0 = std::time::Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    logoff.join().unwrap();
+    assert!(took < std::time::Duration::from_secs(10), "drain took {took:?}");
+}
