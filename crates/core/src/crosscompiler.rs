@@ -180,6 +180,31 @@ enum Lowering<'t> {
     MidTier(&'t mut StageTimings),
 }
 
+/// A statement the mid tier emulates instead of translating it to one
+/// target statement (see [`HyperQ::emulated`]).
+enum Emulated<'s> {
+    /// E4: an UPDATE and a guarded INSERT.
+    Merge(&'s past::MergeStmt),
+    /// E1: WorkTable/TempTable requests until a step produces no rows.
+    Recursive(&'s past::Query),
+    /// Answered from the DTM catalog or session state: HELP, macros,
+    /// procedures, view definitions.
+    Catalog(EmulationKind),
+    /// E6: DML on a DTM-cataloged view, rewritten onto its base tables.
+    ViewDml,
+}
+
+impl Emulated<'_> {
+    fn kind(&self) -> EmulationKind {
+        match self {
+            Emulated::Merge(_) => EmulationKind::Merge,
+            Emulated::Recursive(_) => EmulationKind::Recursive,
+            Emulated::Catalog(kind) => *kind,
+            Emulated::ViewDml => EmulationKind::ViewDml,
+        }
+    }
+}
+
 /// A statement lowered to the SQL the target runs.
 struct Lowered {
     plan: Plan,
@@ -646,11 +671,49 @@ impl HyperQ {
     /// benchmarks to isolate translation cost and by tests to inspect the
     /// generated SQL. A preview: the execution's own lowering, with no
     /// validation or lint, recording nothing.
+    ///
+    /// A statement the mid tier emulates (MERGE, recursion, macros and
+    /// procedures, HELP, view definitions, DML on a view) has no single
+    /// translation and fails with an emulation error naming it.
     pub fn translate(&mut self, sql: &str) -> Result<Vec<String>> {
         parse_statements(sql, Dialect::Teradata)?
             .iter()
-            .map(|ps| Ok(self.preview(&ps.stmt, &mut FeatureSet::new())?.sql))
+            .map(|ps| {
+                if let Some(emulated) = self.emulated(&ps.stmt) {
+                    return Err(HyperQError::Emulation(format!(
+                        "{} is emulated by the mid tier and has no single translation",
+                        emulated.kind().as_str()
+                    )));
+                }
+                Ok(self.preview(&ps.stmt, &mut FeatureSet::new())?.sql)
+            })
             .collect()
+    }
+
+    /// How the mid tier answers `stmt` when it emulates the statement
+    /// instead of translating it to one target statement; `None` for a
+    /// statement with a translation of its own.
+    fn emulated<'s>(&self, stmt: &'s past::Statement) -> Option<Emulated<'s>> {
+        Some(match stmt {
+            past::Statement::Merge(m) => Emulated::Merge(m),
+            past::Statement::Query(q) if q.recursive => Emulated::Recursive(q),
+            past::Statement::Help(_) => Emulated::Catalog(EmulationKind::Help),
+            past::Statement::CreateMacro { .. } | past::Statement::ExecuteMacro { .. } => {
+                Emulated::Catalog(EmulationKind::Macro)
+            }
+            past::Statement::CreateProcedure { .. } | past::Statement::Call { .. } => {
+                Emulated::Catalog(EmulationKind::Procedure)
+            }
+            past::Statement::CreateView { .. } => Emulated::Catalog(EmulationKind::View),
+            past::Statement::Update { table, .. }
+            | past::Statement::Delete { table, .. }
+            | past::Statement::Insert { table, .. }
+                if self.session.views.contains_key(&table.canonical()) =>
+            {
+                Emulated::ViewDml
+            }
+            _ => return None,
+        })
     }
 
     // -----------------------------------------------------------------------
@@ -931,8 +994,8 @@ impl HyperQ {
     fn explain(&self, stmt: &past::Statement, features: &mut FeatureSet) -> Result<String> {
         use std::fmt::Write as _;
         // Emulated statements: explain the decomposition.
-        match stmt {
-            past::Statement::Merge(m) => {
+        match self.emulated(stmt) {
+            Some(Emulated::Merge(m)) => {
                 features.insert(Feature::MergeStatement);
                 let mut out = String::new();
                 let _ = writeln!(
@@ -947,7 +1010,7 @@ impl HyperQ {
                 }
                 return Ok(out);
             }
-            past::Statement::Query(q) if q.recursive => {
+            Some(Emulated::Recursive(q)) => {
                 features.insert(Feature::RecursiveQuery);
                 let parts = emulate::split_recursive(q)?;
                 let mut out = String::new();
@@ -965,19 +1028,15 @@ impl HyperQ {
                 let _ = writeln!(out, "--- recursive step (joins against TempTable '{}') ---", parts.name);
                 return Ok(out);
             }
-            past::Statement::Help(_)
-            | past::Statement::CreateMacro { .. }
-            | past::Statement::ExecuteMacro { .. }
-            | past::Statement::CreateProcedure { .. }
-            | past::Statement::Call { .. }
-            | past::Statement::CreateView { .. } => {
+            Some(Emulated::Catalog(_)) => {
                 return Ok(
                     "handled entirely by the Hyper-Q mid tier (DTM catalog / session state); \
                      no single target statement to show\n"
                         .to_string(),
                 );
             }
-            _ => {}
+            // DML on a view explains the statement as written.
+            Some(Emulated::ViewDml) | None => {}
         }
         let Lowered { plan, sql, fetch_limit, .. } = self.preview(stmt, features)?;
         let mut out = String::new();

@@ -222,28 +222,37 @@ pub fn execute_rel(
             }
             let schema = input.schema();
             let rows = execute_rel(input, db, memo, outer)?;
-            let identity = exprs.len() == schema.len()
-                && emit_list(exprs.iter().map(|(e, _)| e), &schema)
-                    .is_some_and(|emit| emit.into_iter().eq(0..schema.len()));
-            if identity {
+            match emit_list(exprs.iter().map(|(e, _)| e), &schema) {
                 // Every input column once, in order (renames only): the
                 // input rows are the output, charged below for the copy
                 // that the first consumer needing rows of its own makes
                 // with `into_vec`.
-                rows
-            } else {
-                let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
-                let mut out = Vec::with_capacity(rows.len());
-                for (i, row) in rows.iter().enumerate() {
-                    tick(i)?;
-                    ctx.set_row(row);
-                    let mut projected = Vec::with_capacity(exprs.len());
-                    for (e, _) in exprs {
-                        projected.push(eval(e, &mut ctx)?);
+                Some(columns) if columns.iter().copied().eq(0..schema.len()) => rows,
+                // Plain columns, reordered, repeated or a subset: each
+                // output row clones the cells the evaluator would read, by
+                // index.
+                Some(columns) => {
+                    let mut out = Vec::with_capacity(rows.len());
+                    for (i, row) in rows.iter().enumerate() {
+                        tick(i)?;
+                        out.push(columns.iter().map(|&c| row[c].clone()).collect());
                     }
-                    out.push(projected);
+                    Rows::Owned(out)
                 }
-                Rows::Owned(out)
+                None => {
+                    let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
+                    let mut out = Vec::with_capacity(rows.len());
+                    for (i, row) in rows.iter().enumerate() {
+                        tick(i)?;
+                        ctx.set_row(row);
+                        let mut projected = Vec::with_capacity(exprs.len());
+                        for (e, _) in exprs {
+                            projected.push(eval(e, &mut ctx)?);
+                        }
+                        out.push(projected);
+                    }
+                    Rows::Owned(out)
+                }
             }
         }
         RelExpr::Window { input, exprs } => {
@@ -1027,7 +1036,7 @@ mod tests {
     use hyperq_xtra::types::SqlType;
     use hyperq_xtra::Row;
 
-    use super::{execute_rel, join_widths, KeyReader, Rows};
+    use super::{emit_list, execute_rel, join_widths, KeyReader, Rows};
     use crate::db::EngineCatalog;
     use crate::memo::SubqueryMemo;
     use crate::optimize::optimize;
@@ -1389,6 +1398,65 @@ mod tests {
     }
 
     #[test]
+    fn projections_copied_by_index_match_projections_evaluated_as_expressions() {
+        // Plain-column projections copy each cell by index; the same
+        // columns wrapped in an expression (`K + 0`, `C || ''`) go through
+        // the evaluator. Both give the same rows, value for value: NULLs,
+        // and CHAR values with their trailing spaces.
+        let db = db(&[
+            "CREATE TABLE T (K INTEGER, C CHAR(4), V VARCHAR(5))",
+            "INSERT INTO T VALUES (1, 'a', 'x'), (NULL, 'b  ', 'y'), (3, NULL, NULL), (2, 'a  ', 'z ')",
+            "CREATE TABLE O (K INTEGER)",
+            "INSERT INTO O VALUES (5), (NULL)",
+        ]);
+        let cases = [
+            // Reordered.
+            ("SELECT C, K FROM T", "SELECT C || '', K + 0 FROM T"),
+            // A duplicated column.
+            ("SELECT K, K, C FROM T", "SELECT K + 0, K + 0, C || '' FROM T"),
+            // Renames and qualified references.
+            (
+                "SELECT X.V AS W, X.K AS KEY FROM T AS X",
+                "SELECT X.V || '' AS W, X.K + 0 AS KEY FROM T AS X",
+            ),
+            // Picked rows, after a WHERE.
+            ("SELECT V, C FROM T WHERE K > 1", "SELECT V || '', C || '' FROM T WHERE K > 1"),
+        ];
+        for (plain, wrapped) in cases {
+            let rows = query(&db, plain);
+            assert_eq!(rows.len(), if plain.contains("WHERE") { 2 } else { 4 }, "{plain}");
+            assert_eq!(format!("{rows:?}"), format!("{:?}", query(&db, wrapped)), "{plain}");
+        }
+        let schema = db.table_def("T").unwrap().schema(Some("X"));
+        let (k, c, v) = (col(Some("X"), "K"), col(None, "C"), col(Some("X"), "V"));
+        assert_eq!(emit_list([&v, &k, &c, &k], &schema), Some(vec![2, 0, 1, 0]));
+
+        // A correlated subquery: O.K does not resolve in T, so the inner
+        // projection falls through to the outer scope, through `eval`.
+        let inner = |k: ScalarExpr| {
+            let projected = RelExpr::Project {
+                input: Box::new(get(&db, "T", "T")),
+                exprs: vec![(k, "X".into()), (col(Some("T"), "K"), "TK".into())],
+            };
+            let max = aggregate(projected, vec![agg(AggFunc::Max, Some(col(None, "X")), "M")]);
+            RelExpr::Project {
+                input: Box::new(get(&db, "O", "O")),
+                exprs: vec![
+                    (col(Some("O"), "K"), "K".into()),
+                    (ScalarExpr::ScalarSubquery(Box::new(max)), "M".into()),
+                ],
+            }
+        };
+        let outer_k = col(Some("O"), "K");
+        let wrapped = ScalarExpr::arith(ArithOp::Add, outer_k.clone(), ScalarExpr::int(0));
+        let expected = strings(&[&["5", "5"], &["NULL", "NULL"]]);
+        assert_eq!(run(&db, &inner(outer_k.clone())), Ok(expected.clone()));
+        assert_eq!(run(&db, &inner(wrapped)), Ok(expected));
+        let t = db.table_def("T").unwrap().schema(Some("T"));
+        assert_eq!(emit_list([&outer_k, &col(Some("T"), "K")], &t), None);
+    }
+
+    #[test]
     fn window_partitions_and_sorts_keep_ties_in_input_order() {
         // Partitions: 'b' and 'b ' are one, NULLs are one. IDs 1 and 6 tie
         // on V in partition b, and so do IDs 2 and 4 in the whole table.
@@ -1637,13 +1705,15 @@ mod tests {
             assert!(matches!(rows(sql), Rows::Shared(s) if Arc::ptr_eq(&s, &db.scan("T").unwrap())), "{sql}");
             assert_eq!(text(&query(&db, sql)), strings(&[&["1", "2"], &["3", "4"]]), "{sql}");
         }
-        let evaluated: [(&str, &[&[&str]]); 4] = [
+        // Any other projection builds rows of its own: copied by index
+        // from plain columns, evaluated otherwise.
+        let built: [(&str, &[&[&str]]); 4] = [
             ("SELECT B, A FROM T", &[&["2", "1"], &["4", "3"]]),
             ("SELECT A, A, B FROM T", &[&["1", "1", "2"], &["3", "3", "4"]]),
             ("SELECT A + 0, B FROM T", &[&["1", "2"], &["3", "4"]]),
             ("SELECT * FROM T WHERE A > 1", &[&["3", "4"]]),
         ];
-        for (sql, expected) in evaluated {
+        for (sql, expected) in built {
             assert!(!matches!(rows(sql), Rows::Shared(_)), "{sql}");
             assert_eq!(text(&query(&db, sql)), strings(expected), "{sql}");
         }

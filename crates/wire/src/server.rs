@@ -1042,6 +1042,14 @@ impl GatewayHandle {
     /// With the default zero drain budget this only stops the acceptor;
     /// in-flight sessions end when their clients disconnect.
     pub fn shutdown(mut self) {
+        self.stop(self.gateway.config.drain_timeout);
+    }
+
+    /// Set the stop flag, wake and join the acceptor, stop the
+    /// observability endpoint, wait up to `drain` for in-flight sessions,
+    /// then stop the health prober and the watchdog. A second call finds
+    /// nothing left to stop.
+    fn stop(&mut self, drain: Duration) {
         self.gateway.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
             if wake_acceptor(self.addr) {
@@ -1051,7 +1059,7 @@ impl GatewayHandle {
         if let Some(obs) = self.obs_http.take() {
             obs.shutdown();
         }
-        let deadline = Instant::now() + self.gateway.config.drain_timeout;
+        let deadline = Instant::now() + drain;
         let mut active = self.gateway.active.lock();
         while *active > 0 {
             let now = Instant::now();
@@ -1066,5 +1074,13 @@ impl GatewayHandle {
         // the watchdog last so statements still draining stayed governed.
         drop(self.prober.take());
         drop(self.watchdog.take());
+    }
+}
+
+/// A handle dropped without [`GatewayHandle::shutdown`] stops the gateway
+/// the same way, without the drain: its port stops accepting sessions.
+impl Drop for GatewayHandle {
+    fn drop(&mut self) {
+        self.stop(Duration::ZERO);
     }
 }

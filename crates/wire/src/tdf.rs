@@ -149,18 +149,16 @@ pub fn encode_into(schema: &Schema, rows: &[Row], buf: &mut Vec<u8>) -> Result<(
                 row.len()
             )));
         }
+        // One pass: a NULL sets its bit in the row's bitmap, every other
+        // value is appended after it.
         let bitmap = buf.len();
         buf.resize(bitmap + bitmap_len, 0);
-        for (i, v) in row.iter().enumerate() {
+        for (i, (v, tag)) in row.iter().zip(&tags).enumerate() {
             if v.is_null() {
                 buf[bitmap + i / 8] |= 1 << (i % 8);
+            } else {
+                encode_value(buf, v, *tag)?;
             }
-        }
-        for (v, tag) in row.iter().zip(tags.iter()) {
-            if v.is_null() {
-                continue;
-            }
-            encode_value(buf, v, *tag)?;
         }
     }
     Ok(())

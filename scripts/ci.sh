@@ -36,7 +36,9 @@ cargo build --offline --release --workspace
 # - Previews (`tests/pipeline` `a_preview_moves_no_pipeline_metric`,
 #   `previews_match_execution_across_the_corpora`): `translate()` and
 #   EXPLAIN move no pipeline metric, and show the SQL execution sends for
-#   TPC-H and the health/telco corpora on simwh and simwh-reduced.
+#   TPC-H and the health/telco corpora on simwh and simwh-reduced; a
+#   statement the mid tier emulates previews as an emulation error naming
+#   it (`translate_names_the_emulation_of_a_mid_tier_statement`).
 # - Translation cache (`parser` fingerprint, `core` cache unit +
 #   `core/tests/cache`, `tests/cache_equivalence`): cache-off vs cold vs
 #   warm must be byte-identical corpus-wide.
@@ -79,8 +81,8 @@ cargo build --offline --release --workspace
 #   (`repeated_strings_share_one_allocation_per_distinct_value`); the
 #   response bytes match `wire_three_batches.hex`; a projection of every
 #   column in order hands on the table's snapshot itself, by pointer,
-#   while reordered, repeated, computed and filtered columns are
-#   evaluated, and both return the table's rows, in the engine
+#   while reordered, repeated, computed and filtered columns get rows of
+#   their own, and both return the table's rows, in the engine
 #   (`an_identity_projection_passes_the_snapshot_on`) and through
 #   `HyperQ::run_one` (`a_whole_table_read_returns_the_table`); a held
 #   result is unchanged by a later INSERT, UPDATE and DELETE that the next
@@ -90,7 +92,9 @@ cargo build --offline --release --workspace
 #   (`gateway_config_selects_the_target_profile`); and the pass-through
 #   projection is still charged, so a budget between one and two charges
 #   of T kills `SEL * FROM T` with 2646
-#   (`library_level_memory_budget_cancels_request`).
+#   (`library_level_memory_budget_cancels_request`); a gateway handle
+#   dropped without `shutdown()` stops accepting
+#   (`a_dropped_handle_stops_its_gateway`).
 # - Engine results (the `tests/tpch.rs` snapshot, the engine's `memo.rs`
 #   and `exec.rs` tests, the `db.rs` pruning differential): engine
 #   optimizations are gated on result sets, not on "the query ran" — all
@@ -107,7 +111,9 @@ cargo build --offline --release --workspace
 #   order keyed by value, and window partitions and sorts keeping ties in
 #   input order; keys read in place from plain columns give the groups,
 #   pairs and partitions of the same keys evaluated as expressions
-#   (`keys_borrowed_from_the_row_match_keys_evaluated_as_expressions`);
+#   (`keys_borrowed_from_the_row_match_keys_evaluated_as_expressions`),
+#   and so do projections copied by index from plain columns
+#   (`projections_copied_by_index_match_projections_evaluated_as_expressions`);
 #   the `keys.rs` tests pin the key index itself, 100k integer keys at
 #   strides 1, 2^32 and 2^48 included. DECIMAL
 #   arithmetic, casts and ROUND fail with `decimal overflow in …` and
@@ -176,6 +182,26 @@ offenders=$({ grep -rn 'outer\.to_vec()' crates/engine/src
 } || true)
 if [ -n "$offenders" ]; then
     echo "per-row evaluation context, key vector or default-hashed set in crates/engine/src:" >&2
+    echo "$offenders" >&2
+    exit 1
+fi
+
+# The `bytes` shim inlines its methods like the crate it stands in for. The
+# benchmark builds with the default release profile (no LTO, 16 codegen
+# units), where a method of another crate is inlined only if it says
+# `#[inline]`; without it, every value the wire codec reads or writes is a
+# cross-crate call. Every `fn` with a body outside the tests carries it on
+# the line before.
+shim=crates/shims/bytes/src/lib.rs
+offenders=$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*(pub )?fn [a-z_]/ && !/;[[:space:]]*$/ && prev !~ /^[[:space:]]*#\[inline\][[:space:]]*$/ {
+        print FILENAME ":" FNR ": " $0
+    }
+    { prev = $0 }
+' "$shim")
+if [ -n "$offenders" ]; then
+    echo "fn without #[inline] in $shim:" >&2
     echo "$offenders" >&2
     exit 1
 fi

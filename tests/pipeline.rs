@@ -435,6 +435,42 @@ fn view_dml_rewrites_to_base_table() {
     assert!(o.sql_sent[0].contains("SALES"), "{}", o.sql_sent[0]);
 }
 
+/// `translate()` of a statement the mid tier emulates is an emulation
+/// error naming the emulation, not a bind error; `run_one` still executes
+/// each of them.
+#[test]
+fn translate_names_the_emulation_of_a_mid_tier_statement() {
+    let (mut hq, db) = setup();
+    db.execute_sql("CREATE TABLE FEED (STORE INTEGER, AMOUNT INTEGER)").unwrap();
+    hq.run_one("CREATE MACRO TOP_SALES AS ( SEL STORE FROM SALES WHERE AMOUNT > 400; )").unwrap();
+    hq.run_one("CREATE VIEW BIG_SALES AS SEL STORE, AMOUNT FROM SALES WHERE AMOUNT > 400").unwrap();
+    let cases = [
+        (
+            "merge",
+            "MERGE INTO SALES S USING FEED F ON S.STORE = F.STORE \
+             WHEN MATCHED THEN UPDATE SET AMOUNT = F.AMOUNT \
+             WHEN NOT MATCHED THEN INSERT (STORE, AMOUNT) VALUES (F.STORE, F.AMOUNT)",
+        ),
+        (
+            "recursive",
+            "WITH RECURSIVE R (N) AS (SELECT 1 FROM SALES WHERE STORE = 1 AND AMOUNT = 500 \
+             UNION ALL SELECT R.N + 1 FROM R WHERE R.N < 3) SELECT N FROM R",
+        ),
+        ("macro", "EXEC TOP_SALES"),
+        ("view_dml", "UPDATE BIG_SALES SET AMOUNT = AMOUNT + 1 WHERE STORE = 3"),
+    ];
+    for (kind, sql) in cases {
+        match hq.translate(sql) {
+            Err(hyperq::core::HyperQError::Emulation(m)) => assert!(
+                m.starts_with(&format!("{kind} is emulated by the mid tier")),
+                "{sql}: {m}"
+            ),
+            other => panic!("{sql}: {other:?}"),
+        }
+        hq.run_one(sql).unwrap();
+    }
+}
+
 #[test]
 fn global_temp_table_emulation() {
     let (mut hq, db) = setup();

@@ -381,6 +381,23 @@ fn shutdown_returns_promptly_with_no_client_or_an_open_session() {
     client.logoff().unwrap();
 }
 
+/// A handle dropped without `shutdown()` stops its gateway: after each of
+/// five spawn-and-drop cycles, a connect to the dropped address is refused.
+#[test]
+fn a_dropped_handle_stops_its_gateway() {
+    for cycle in 0..5 {
+        let (handle, _db) = gateway();
+        let addr = handle.addr;
+        let mut client = Client::connect(addr, "APP", "secret").unwrap();
+        assert_eq!(client.run("SEL COUNT(*) FROM SALES").unwrap()[0].activity_count, 1);
+        client.logoff().unwrap();
+        drop(handle);
+        let refused = TcpStream::connect(addr)
+            .map_err(|e| e.kind() == std::io::ErrorKind::ConnectionRefused);
+        assert_eq!(refused.err(), Some(true), "cycle {cycle}: {addr} still accepts");
+    }
+}
+
 /// A draining `shutdown()` returns when the last session ends, not at the
 /// end of its budget.
 #[test]
