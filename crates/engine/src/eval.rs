@@ -1,5 +1,6 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::rc::Rc;
 
@@ -32,7 +33,8 @@ pub struct Scope<'a> {
 }
 
 impl<'a> Scope<'a> {
-    fn value(&self, i: usize) -> &'a Datum {
+    /// Column `i` of the row or candidate pair the scope is bound to.
+    pub(crate) fn value(&self, i: usize) -> &'a Datum {
         match self.left.get(i) {
             Some(d) => d,
             None => &self.right[i - self.left.len()],
@@ -122,6 +124,14 @@ impl<'a> EvalContext<'a> {
         }
     }
 
+    /// The innermost scope: the row (or candidate pair) a
+    /// [`EvalContext::for_rows`] context is set to. A context with no
+    /// scope at all has an empty row.
+    pub(crate) fn row(&self) -> Scope<'a> {
+        static NO_COLUMNS: Schema = Schema { fields: Vec::new() };
+        self.scopes.last().copied().unwrap_or(Scope { schema: &NO_COLUMNS, left: &[], right: &[] })
+    }
+
     /// The scope position and column index of a reference: the innermost
     /// scope that binds it unambiguously.
     fn find(&self, qualifier: Option<&str>, name: &str) -> Result<(usize, usize), EvalError> {
@@ -195,20 +205,7 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
             Ok(truth(cmp_datums(*op, &l, &r)))
         }
         ScalarExpr::BoolExpr { op, args } => {
-            let mut saw_null = false;
-            for a in args {
-                match eval_truth(a, ctx)? {
-                    Some(true) if *op == BoolOp::Or => return Ok(Datum::Bool(true)),
-                    Some(false) if *op == BoolOp::And => return Ok(Datum::Bool(false)),
-                    None => saw_null = true,
-                    _ => {}
-                }
-            }
-            Ok(if saw_null {
-                Datum::Null
-            } else {
-                Datum::Bool(*op == BoolOp::And)
-            })
+            Ok(truth(fold_truth(*op, args.iter().map(|a| eval_truth(a, ctx)))?))
         }
         ScalarExpr::Not(inner) => Ok(truth(eval_truth(inner, ctx)?.map(|b| !b))),
         ScalarExpr::IsNull { expr, negated } => {
@@ -218,46 +215,17 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
         ScalarExpr::Like { expr, pattern, negated } => {
             let v = eval(expr, ctx)?;
             let p = eval(pattern, ctx)?;
-            match (v, p) {
-                (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
-                (Datum::Str(s), Datum::Str(pat)) => {
-                    Ok(Datum::Bool(like_match(&s, &pat) != *negated))
-                }
-                (a, b) => Err(format!(
-                    "LIKE requires strings, got {} and {}",
-                    a.sql_type(),
-                    b.sql_type()
-                )),
-            }
+            Ok(truth(like(&v, &p, *negated)?))
         }
         ScalarExpr::InList { expr, list, negated } => {
             let v = eval(expr, ctx)?;
-            if v.is_null() {
-                return Ok(Datum::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let i = eval(item, ctx)?;
-                if i.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&i) {
-                    return Ok(Datum::Bool(!*negated));
-                }
-            }
-            Ok(if saw_null { Datum::Null } else { Datum::Bool(*negated) })
+            Ok(truth(in_list(&v, list.iter().map(|i| eval(i, ctx)), *negated)?))
         }
         ScalarExpr::Between { expr, low, high, negated } => {
             let v = eval(expr, ctx)?;
             let lo = eval(low, ctx)?;
             let hi = eval(high, ctx)?;
-            let ge = cmp_datums(CmpOp::Ge, &v, &lo);
-            let le = cmp_datums(CmpOp::Le, &v, &hi);
-            let r = match (ge, le) {
-                (Some(a), Some(b)) => Some(a && b),
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                _ => None,
-            };
-            Ok(truth(r.map(|b| b != *negated)))
+            Ok(truth(between(&v, &lo, &hi, *negated)))
         }
         ScalarExpr::Case { operand, branches, else_expr } => {
             let op_val = operand.as_ref().map(|o| eval(o, ctx)).transpose()?;
@@ -380,6 +348,59 @@ fn truth(v: Option<bool>) -> Datum {
     }
 }
 
+/// SQL's three-valued AND or OR of `args`, taken left to right until one
+/// decides it: FALSE decides an AND, TRUE an OR, and UNKNOWN neither.
+pub(crate) fn fold_truth(
+    op: BoolOp,
+    args: impl IntoIterator<Item = Result<Option<bool>, EvalError>>,
+) -> Result<Option<bool>, EvalError> {
+    let mut saw_null = false;
+    for a in args {
+        match a? {
+            Some(true) if op == BoolOp::Or => return Ok(Some(true)),
+            Some(false) if op == BoolOp::And => return Ok(Some(false)),
+            None => saw_null = true,
+            _ => {}
+        }
+    }
+    Ok(if saw_null { None } else { Some(op == BoolOp::And) })
+}
+
+/// `v [NOT] IN (items)` under three-valued logic. The items are taken
+/// left to right until one equals `v`, and none is taken when `v` is NULL.
+pub(crate) fn in_list<D: Borrow<Datum>>(
+    v: &Datum,
+    items: impl IntoIterator<Item = Result<D, EvalError>>,
+    negated: bool,
+) -> Result<Option<bool>, EvalError> {
+    if v.is_null() {
+        return Ok(None);
+    }
+    let mut saw_null = false;
+    for item in items {
+        let item = item?;
+        let item = item.borrow();
+        if item.is_null() {
+            saw_null = true;
+        } else if v.sql_eq(item) {
+            return Ok(Some(!negated));
+        }
+    }
+    Ok(if saw_null { None } else { Some(negated) })
+}
+
+/// `v [NOT] BETWEEN lo AND hi` under three-valued logic.
+pub(crate) fn between(v: &Datum, lo: &Datum, hi: &Datum, negated: bool) -> Option<bool> {
+    let ge = cmp_datums(CmpOp::Ge, v, lo);
+    let le = cmp_datums(CmpOp::Le, v, hi);
+    let r = match (ge, le) {
+        (Some(a), Some(b)) => Some(a && b),
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        _ => None,
+    };
+    r.map(|b| b != negated)
+}
+
 /// Three-valued comparison of two datums.
 pub fn cmp_datums(op: CmpOp, l: &Datum, r: &Datum) -> Option<bool> {
     let ord = l.sql_cmp(r)?;
@@ -460,23 +481,55 @@ fn extract_field(field: DateField, v: &Datum) -> EvalResult {
     }))
 }
 
-/// SQL LIKE matching (`%` any sequence, `_` any single char).
+/// `v [NOT] LIKE p` under three-valued logic.
+pub(crate) fn like(v: &Datum, p: &Datum, negated: bool) -> Result<Option<bool>, EvalError> {
+    match (v, p) {
+        (Datum::Null, _) | (_, Datum::Null) => Ok(None),
+        (Datum::Str(s), Datum::Str(pat)) => Ok(Some(like_match(s, pat) != negated)),
+        (a, b) => Err(format!("LIKE requires strings, got {} and {}", a.sql_type(), b.sql_type())),
+    }
+}
+
+/// SQL LIKE matching (`%` any sequence, `_` any single char), in one pass
+/// with no allocation: a mismatch backtracks to the last `%` seen and lets
+/// it take one more character. Trying only the last `%` is enough: what
+/// an earlier one would take instead, the last one can take as well.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+    let next = |text: &str, at: usize| text[at..].chars().next();
+    // Positions in `s` and `pattern`, and where to resume after the last
+    // `%`: the pattern just past it and the text it has taken so far.
+    let (mut si, mut pi) = (0, 0);
+    let mut resume: Option<(usize, usize)> = None;
+    loop {
+        match next(pattern, pi) {
             Some('%') => {
-                // Consume runs of %.
-                let rest = &p[1..];
-                (0..=s.len()).any(|k| rec(&s[k..], rest))
+                pi += 1;
+                resume = Some((pi, si));
+                continue;
             }
-            Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(c) => s.first() == Some(c) && rec(&s[1..], &p[1..]),
+            Some(pc) => {
+                if let Some(sc) = next(s, si) {
+                    if pc == '_' || pc == sc {
+                        pi += pc.len_utf8();
+                        si += sc.len_utf8();
+                        continue;
+                    }
+                }
+            }
+            None if si == s.len() => return true,
+            None => {}
+        }
+        match resume {
+            Some((after, taken)) => match next(s, taken) {
+                Some(c) => {
+                    resume = Some((after, taken + c.len_utf8()));
+                    (pi, si) = (after, taken + c.len_utf8());
+                }
+                None => return false,
+            },
+            None => return false,
         }
     }
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&s, &p)
 }
 
 fn eval_func(func: &ScalarFunc, args: &[ScalarExpr], ctx: &mut EvalContext<'_>) -> EvalResult {
@@ -793,6 +846,45 @@ fn avg_result(sum: Option<Datum>, n: i64, result_ty: &SqlType) -> Result<Datum, 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The recursive definition `like_match` replaced, as a reference.
+    fn like_by_definition(s: &[char], p: &[char]) -> bool {
+        match p.first() {
+            None => s.is_empty(),
+            Some('%') => (0..=s.len()).any(|k| like_by_definition(&s[k..], &p[1..])),
+            Some('_') => !s.is_empty() && like_by_definition(&s[1..], &p[1..]),
+            Some(c) => s.first() == Some(c) && like_by_definition(&s[1..], &p[1..]),
+        }
+    }
+
+    #[test]
+    fn like_matches_its_definition() {
+        // Every text of up to five characters over an alphabet with a
+        // multi-byte character, against every pattern of up to four
+        // symbols that mixes them with `%` and `_`.
+        let alphabet = ['a', 'b', 'é'];
+        let symbols = ['a', 'é', '%', '_'];
+        fn words(of: &[char], max: usize) -> Vec<String> {
+            let mut all = vec![String::new()];
+            let mut last = vec![String::new()];
+            for _ in 0..max {
+                last = last.iter().flat_map(|w| of.iter().map(move |c| format!("{w}{c}"))).collect();
+                all.extend(last.iter().cloned());
+            }
+            all
+        }
+        let texts = words(&alphabet, 5);
+        let mut matched = 0;
+        for pattern in words(&symbols, 4) {
+            let p: Vec<char> = pattern.chars().collect();
+            for text in &texts {
+                let expected = like_by_definition(&text.chars().collect::<Vec<_>>(), &p);
+                assert_eq!(like_match(text, &pattern), expected, "{text:?} LIKE {pattern:?}");
+                matched += usize::from(expected);
+            }
+        }
+        assert!(matched > 10_000, "{matched}");
+    }
 
     #[test]
     fn like_matching() {

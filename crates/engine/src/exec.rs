@@ -10,8 +10,9 @@ use hyperq_xtra::rel::{Grouping, JoinKind, RelExpr, SetOpKind};
 use hyperq_xtra::schema::Schema;
 use hyperq_xtra::Row;
 
+use crate::compile::{Acc, Aggregate, Predicate};
 use crate::db::EngineDb;
-use crate::eval::{eval, eval_truth, AggState, EvalContext, EvalError, Scope};
+use crate::eval::{eval, AggState, EvalContext, EvalError, Scope};
 use crate::keys::{Groups, KeyIndex, KeyState, KeyValue, NO_KEY};
 use crate::memo::SubqueryMemo;
 
@@ -201,11 +202,12 @@ pub fn execute_rel(
             let schema = input.schema();
             let rows = execute_rel(input, db, memo, outer)?;
             let mut ctx = EvalContext::for_rows(db, memo, outer, &schema);
+            let predicate = Predicate::compile(predicate, &schema);
             let mut keep = Vec::with_capacity(rows.len());
             for (i, row) in rows.iter().enumerate() {
                 tick(i)?;
                 ctx.set_row(row);
-                keep.push(eval_truth(predicate, &mut ctx)? == Some(true));
+                keep.push(predicate.holds(&mut ctx)?);
             }
             rows.keep(&keep)
         }
@@ -517,28 +519,10 @@ fn execute_aggregate(
 ) -> Result<Vec<Row>, EvalError> {
     let schema = input.schema();
     let rows = execute_rel(input, db, memo, outer)?;
-
-    struct AggSpec<'e> {
-        func: AggFunc,
-        distinct: bool,
-        arg: Option<&'e ScalarExpr>,
-        ty: hyperq_xtra::types::SqlType,
-    }
-    impl AggSpec<'_> {
-        fn state(&self) -> AggState {
-            AggState::new(self.func, self.distinct, self.ty.clone())
-        }
-    }
-    let specs: Vec<AggSpec> = aggs
+    let specs: Vec<Aggregate> = aggs
         .iter()
-        .map(|(a, _)| match a {
-            ScalarExpr::Agg { func, distinct, arg } => Ok(AggSpec {
-                func: *func,
-                distinct: *distinct,
-                arg: arg.as_deref(),
-                ty: a.ty(),
-            }),
-            other => Err(format!("aggregate list contains non-aggregate {other}")),
+        .map(|(a, _)| {
+            Aggregate::compile(a, &schema).ok_or_else(|| format!("aggregate list contains non-aggregate {a}"))
         })
         .collect::<Result<_, _>>()?;
 
@@ -546,7 +530,7 @@ fn execute_aggregate(
     // group g's aggregate states are `states[g * n..(g + 1) * n]`.
     let n = specs.len();
     let mut groups = KeyIndex::new(group_by.len());
-    let mut states: Vec<AggState> = Vec::new();
+    let mut states: Vec<Acc> = Vec::new();
     // Each distinct group holds a key plus aggregate states; the ticker
     // charges that growth and checkpoints the loop.
     let mut ticker = ChargeTicker::new(group_by.len() + aggs.len());
@@ -558,20 +542,17 @@ fn execute_aggregate(
         let (group, new) = key.number(row, &mut ctx, &mut groups, KeyOp::Group)?;
         if new {
             ticker.produced()?;
-            states.extend(specs.iter().map(AggSpec::state));
+            states.extend(specs.iter().map(Aggregate::start));
         }
         for (state, spec) in states[group * n..(group + 1) * n].iter_mut().zip(&specs) {
-            match spec.arg {
-                Some(a) => state.update(Some(&eval(a, &mut ctx)?))?,
-                None => state.update(None)?,
-            }
+            spec.update(state, &mut ctx)?;
         }
     }
     ticker.flush()?;
 
     // Global aggregate over empty input still produces one row.
     if groups.len() == 0 && group_by.is_empty() {
-        let row = specs.iter().map(|s| s.state().finish()).collect::<Result<_, _>>()?;
+        let row = specs.iter().map(|s| s.finish(s.start())).collect::<Result<_, _>>()?;
         return Ok(vec![row]);
     }
 
@@ -582,8 +563,8 @@ fn execute_aggregate(
     for _ in 0..count {
         let mut row = Vec::with_capacity(group_by.len() + n);
         row.extend(keys.by_ref().take(group_by.len()));
-        for s in states.by_ref().take(n) {
-            row.push(s.finish()?);
+        for (s, spec) in states.by_ref().take(n).zip(&specs) {
+            row.push(spec.finish(s)?);
         }
         out.push(row);
     }
@@ -745,34 +726,20 @@ fn key_numbers<'r>(
     Ok(numbers)
 }
 
-/// The conjuncts under AND's three-valued logic: FALSE stops the scan,
-/// UNKNOWN does not, and only all-TRUE passes.
-fn all_true(conjuncts: &[&ScalarExpr], ctx: &mut EvalContext<'_>) -> Result<bool, EvalError> {
-    let mut all_true = true;
-    for p in conjuncts {
-        match eval_truth(p, ctx)? {
-            Some(false) => return Ok(false),
-            None => all_true = false,
-            Some(true) => {}
-        }
-    }
-    Ok(all_true)
-}
-
-/// Does the candidate pair pass the residual? `pair` scopes the combined
-/// schema, so the two rows are tested in place: a rejected candidate
-/// builds nothing.
+/// Does the candidate pair pass the residual, the AND of its conjuncts?
+/// `pair` scopes the combined schema, so the two rows are tested in place:
+/// a rejected candidate builds nothing.
 fn pair_passes<'r>(
-    residual: &[&ScalarExpr],
+    residual: Option<&Predicate<'_>>,
     pair: &mut EvalContext<'r>,
     lrow: &'r [Datum],
     rrow: &'r [Datum],
 ) -> Result<bool, EvalError> {
-    if residual.is_empty() {
+    let Some(residual) = residual else {
         return Ok(true);
-    }
+    };
     pair.set_pair(lrow, rrow);
-    all_true(residual, pair)
+    residual.holds(pair)
 }
 
 /// The output row of a pair: the `emit` columns of left ⧺ right, built once
@@ -843,6 +810,7 @@ fn execute_join(
     // incrementally, so a runaway cross join dies mid-build.
     let mut ticker = ChargeTicker::new(emit.len());
     let mut pair = EvalContext::for_rows(db, memo, outer, combined);
+    let residual = (!residual.is_empty()).then(|| Predicate::all(&residual, combined));
     for (li, lrow) in lrows.iter().enumerate() {
         let candidates: &[usize] = match &hashed {
             Some((lnums, rgroups)) => rgroups.get(lnums[li]),
@@ -851,7 +819,7 @@ fn execute_join(
         let mut matched = false;
         for &ri in candidates {
             let rrow = rrows[ri];
-            if pair_passes(&residual, &mut pair, lrow, rrow)? {
+            if pair_passes(residual.as_ref(), &mut pair, lrow, rrow)? {
                 matched = true;
                 right_matched[ri] = true;
                 if semi_anti {
@@ -1030,14 +998,16 @@ mod tests {
 
     use hyperq_core::binder::Binder;
     use hyperq_parser::{parse_statements, Dialect};
-    use hyperq_xtra::datum::Datum;
-    use hyperq_xtra::expr::{AggFunc, ArithOp, CmpOp, ScalarExpr};
+    use hyperq_xtra::datum::{date_from_ymd, Datum, Decimal, Interval};
+    use hyperq_xtra::expr::{AggFunc, ArithOp, BoolOp, CmpOp, ScalarExpr};
     use hyperq_xtra::rel::{Grouping, JoinKind, Plan, RelExpr, SetOpKind};
     use hyperq_xtra::types::SqlType;
     use hyperq_xtra::Row;
 
     use super::{emit_list, execute_rel, join_widths, KeyReader, Rows};
+    use crate::compile::{Aggregate, Predicate};
     use crate::db::EngineCatalog;
+    use crate::eval::{eval, eval_truth, AggState, EvalContext};
     use crate::memo::SubqueryMemo;
     use crate::optimize::optimize;
     use crate::EngineDb;
@@ -1395,6 +1365,322 @@ mod tests {
         let k0 = ScalarExpr::arith(ArithOp::Add, k.clone(), ScalarExpr::int(0));
         assert_eq!(KeyReader::new(vec![&c, &k], &schema).columns, Some(vec![1, 0]));
         assert_eq!(KeyReader::new(vec![&c, &k0], &schema).columns, None);
+    }
+
+    /// A deterministic stream of choices (xorshift) for generated
+    /// expressions.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn pick<T: Clone>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())].clone()
+        }
+    }
+
+    fn lit(d: Datum) -> ScalarExpr {
+        let ty = d.sql_type();
+        ScalarExpr::Literal(d, ty)
+    }
+
+    /// A predicate of depth at most `depth` over `operands`: comparisons,
+    /// BETWEEN, IN lists, IS NULL, LIKE, a bare operand (non-boolean, so
+    /// an error unless NULL) and AND/OR/NOT of smaller predicates.
+    fn predicate(d: &mut Draw, depth: usize, operands: &[ScalarExpr]) -> ScalarExpr {
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let negated = d.below(2) == 1;
+        match d.below(if depth == 0 { 6 } else { 9 }) {
+            0 => ScalarExpr::cmp(d.pick(&ops), d.pick(operands), d.pick(operands)),
+            1 => ScalarExpr::Between {
+                expr: Box::new(d.pick(operands)),
+                low: Box::new(d.pick(operands)),
+                high: Box::new(d.pick(operands)),
+                negated,
+            },
+            2 => {
+                let list = (0..=d.below(3)).map(|_| d.pick(operands)).collect();
+                ScalarExpr::InList { expr: Box::new(d.pick(operands)), list, negated }
+            }
+            3 => ScalarExpr::IsNull { expr: Box::new(d.pick(operands)), negated },
+            4 => d.pick(operands),
+            5 => ScalarExpr::Like { expr: Box::new(d.pick(operands)), pattern: Box::new(d.pick(operands)), negated },
+            8 => ScalarExpr::Not(Box::new(predicate(d, depth - 1, operands))),
+            k => ScalarExpr::BoolExpr {
+                op: if k == 6 { BoolOp::And } else { BoolOp::Or },
+                args: (0..2 + d.below(2)).map(|_| predicate(d, depth - 1, operands)).collect(),
+            },
+        }
+    }
+
+    #[test]
+    fn compiled_predicates_and_aggregates_agree_with_eval() {
+        // Rows as an operator may see them, not coerced to the declared
+        // types: NULLs on either side, blank-padded CHARs, DECIMALs at the
+        // declared scale and at others, an INTEGER in the DECIMAL column,
+        // and values whose sums and products overflow.
+        let db = db(&["CREATE TABLE T (I INTEGER, D DECIMAL(15,2), F DOUBLE, C CHAR(4), V VARCHAR(8), DT DATE, TS TIMESTAMP)"]);
+        let schema = db.table_def("T").unwrap().schema(Some("T"));
+        let dec = |m: i128, s: u8| Datum::Dec(Decimal::new(m, s));
+        let day = date_from_ymd(1995, 3, 15);
+        let at = |d: i32, us: i64| Datum::Timestamp(i64::from(d) * 86_400_000_000 + us);
+        let (int, double, text, date) = (Datum::Int, Datum::Double, Datum::str, Datum::Date);
+        let null = || Datum::Null;
+        let rows: Vec<Row> = vec![
+            vec![int(1), dec(150, 2), double(1.5), text("a   "), text("a"), date(day), at(day, 0)],
+            vec![null(), dec(-7, 2), null(), text("b"), null(), date(day + 1), at(day, 1)],
+            vec![int(2), null(), double(2.0), null(), text("b  "), null(), null()],
+            vec![int(-3), dec(2, 0), double(-0.5), text("ab  "), text("ab"), date(day - 1), at(day, -1)],
+            vec![int(2), dec(15_000, 4), double(1.5), text("a"), text("a  "), date(day), at(day - 1, 0)],
+            vec![int(0), int(3), double(0.0), text(""), text(" "), date(day), at(day + 1, 0)],
+            vec![int(i64::MAX), dec(i128::MAX / 3 * 2, 2), double(1e300), text("zz  "), text("zz"), date(day), at(day, 0)],
+            vec![int(i64::MAX), dec(i128::MAX / 3 * 2, 2), double(-1e300), text("b "), text("b"), date(day + 2), null()],
+        ];
+        let col = |name: &str| {
+            let i = schema.try_resolve(None, name).unwrap().unwrap();
+            ScalarExpr::column(Some("T"), name, schema.fields[i].ty.clone())
+        };
+        let arith = ScalarExpr::arith;
+        let huge = lit(dec(i128::MAX / 10, 0));
+        let numeric = vec![
+            col("I"),
+            col("D"),
+            col("F"),
+            lit(int(1)),
+            lit(dec(150, 2)),
+            lit(dec(15, 1)),
+            lit(double(1.5)),
+            lit(null()),
+            arith(ArithOp::Add, col("I"), lit(int(1))),
+            arith(ArithOp::Sub, lit(int(1)), col("D")),
+            arith(ArithOp::Mul, col("D"), arith(ArithOp::Sub, lit(int(1)), col("D"))),
+            arith(ArithOp::Mul, col("D"), col("D")),
+            arith(ArithOp::Add, col("D"), col("I")),
+            arith(ArithOp::Mul, col("I"), col("I")),
+            arith(ArithOp::Mul, col("D"), lit(dec(5, 1))),
+            arith(ArithOp::Add, col("D"), col("F")),
+            arith(ArithOp::Mul, col("D"), huge.clone()),
+            arith(ArithOp::Mul, arith(ArithOp::Mul, col("D"), col("D")), arith(ArithOp::Mul, col("D"), col("D"))),
+            arith(ArithOp::Mul, arith(ArithOp::Mul, col("D"), col("D")), lit(dec(3, 10))),
+            arith(ArithOp::Add, lit(int(1)), lit(int(10))),
+            arith(ArithOp::Mul, huge.clone(), huge),
+        ];
+        let mut operands = numeric.clone();
+        operands.extend([
+            col("C"),
+            col("V"),
+            col("DT"),
+            col("TS"),
+            lit(text("a")),
+            lit(text("ab ")),
+            lit(text("a%")),
+            lit(text("%b_")),
+            lit(date(day)),
+            lit(at(day, 0)),
+            arith(ArithOp::Add, lit(date(day)), lit(Datum::Interval(Interval::months(1)))),
+            arith(ArithOp::Sub, col("DT"), lit(int(1))),
+        ]);
+
+        // A context's slot cache keys on node addresses, and a generated
+        // expression's may be reused once it is dropped: one pair of
+        // contexts per expression.
+        let memo = SubqueryMemo::default();
+        let contexts = || (EvalContext::for_rows(&db, &memo, &[], &schema), EvalContext::for_rows(&db, &memo, &[], &schema));
+        let mut draw = Draw(0x9E37_79B9_7F4A_7C15);
+        let (mut decided, mut failed) = (0, 0);
+        for _ in 0..600 {
+            let p = predicate(&mut draw, 3, &operands);
+            let fast = Predicate::compile(&p, &schema);
+            let (mut by_eval, mut compiled) = contexts();
+            for row in &rows {
+                by_eval.set_row(row);
+                compiled.set_row(row);
+                let expected = eval_truth(&p, &mut by_eval);
+                assert_eq!(fast.truth(&mut compiled), expected, "{p} on {row:?}");
+                match expected {
+                    Ok(Some(_)) => decided += 1,
+                    Err(_) => failed += 1,
+                    Ok(None) => {}
+                }
+            }
+        }
+        assert!(decided > 1000 && failed > 100, "{decided} decided, {failed} failed");
+
+        // Each aggregate over every run of consecutive rows: sums that stay
+        // in range, sums that overflow, and typed sums that meet an
+        // off-scale value first or last.
+        let funcs = [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max, AggFunc::Count];
+        let mut errors = 0;
+        for func in funcs {
+            for distinct in [false, true] {
+                for arg in &numeric {
+                    let agg = ScalarExpr::Agg { func, distinct, arg: Some(Box::new(arg.clone())) };
+                    let fast = Aggregate::compile(&agg, &schema).unwrap();
+                    for (start, end) in (0..=rows.len()).flat_map(|s| (s..=rows.len()).map(move |e| (s, e))) {
+                        let rows = &rows[start..end];
+                        let (mut by_eval, mut compiled) = contexts();
+                        let mut state = AggState::new(func, distinct, agg.ty());
+                        let expected = rows
+                            .iter()
+                            .try_for_each(|row| {
+                                by_eval.set_row(row);
+                                state.update(Some(&eval(arg, &mut by_eval)?))
+                            })
+                            .and_then(|()| state.finish());
+                        let mut acc = fast.start();
+                        let got = rows
+                            .iter()
+                            .try_for_each(|row| {
+                                compiled.set_row(row);
+                                fast.update(&mut acc, &mut compiled)
+                            })
+                            .and_then(|()| fast.finish(acc));
+                        errors += usize::from(expected.is_err());
+                        assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{agg} over rows {start}..{end}");
+                    }
+                }
+            }
+        }
+        assert!(errors > 50, "{errors} aggregate errors");
+    }
+
+    #[test]
+    fn a_correlated_reference_in_a_compiled_predicate_reads_the_outer_row() {
+        // σ[T.K = O.K AND T.V > O.K * 8](T), summed as T.V + O.K, under
+        // each O row: O.K resolves only in the outer scope, so it is not a
+        // slot, and the compiled predicate and aggregate read it through
+        // `eval`, from the outer row.
+        let db = db(&[
+            "CREATE TABLE T (K INTEGER, V INTEGER)",
+            "INSERT INTO T VALUES (1, 10), (2, 20), (2, 30), (3, 40), (3, 5)",
+            "CREATE TABLE O (K INTEGER)",
+            "INSERT INTO O VALUES (2), (3), (NULL)",
+        ]);
+        let predicate = ScalarExpr::and(vec![
+            eq(col(Some("T"), "K"), col(Some("O"), "K")),
+            ScalarExpr::cmp(
+                CmpOp::Gt,
+                col(Some("T"), "V"),
+                ScalarExpr::arith(ArithOp::Mul, col(Some("O"), "K"), ScalarExpr::int(8)),
+            ),
+        ]);
+        let t = db.table_def("T").unwrap().schema(Some("T"));
+        assert_eq!(Predicate::compile(&predicate, &t).slots(), vec![0, 1]);
+        let matching = RelExpr::Select { input: Box::new(get(&db, "T", "T")), predicate };
+        let sum = ScalarExpr::arith(ArithOp::Add, col(Some("T"), "V"), col(Some("O"), "K"));
+        let plan = RelExpr::Project {
+            input: Box::new(get(&db, "O", "O")),
+            exprs: vec![
+                (col(Some("O"), "K"), "K".into()),
+                (
+                    ScalarExpr::ScalarSubquery(Box::new(aggregate(matching, vec![agg(AggFunc::Sum, Some(sum), "S")]))),
+                    "S".into(),
+                ),
+            ],
+        };
+        // O.K = 2: (20 + 2) + (30 + 2); O.K = 3: 40 + 3; NULL: no row.
+        // Each O row runs the subquery, and compiles it, afresh.
+        assert_eq!(run(&db, &plan), Ok(strings(&[&["2", "54"], &["3", "43"], &["NULL", "NULL"]])));
+    }
+
+    #[test]
+    fn tpch_q19_residual_and_q1_aggregates_match_eval() {
+        // Q1 and Q19 as Hyper-Q sends them to the warehouse, against the
+        // same queries with every aggregate argument and the Q19 residual
+        // wrapped in a CASE, which only `eval` evaluates.
+        let mut setup = hyperq_workload::tpch::ddl();
+        setup.push(
+            "INSERT INTO PART VALUES \
+             (1, 'p1', 'M1', 'Brand#12', 'T', 3, 'SM BOX', 1.00, 'c'), \
+             (2, 'p2', 'M1', 'Brand#23', 'T', 8, 'MED BAG', 1.00, 'c'), \
+             (3, 'p3', 'M1', 'Brand#34', 'T', 12, 'LG CASE', 1.00, 'c'), \
+             (4, 'p4', 'M1', 'Brand#12', 'T', 30, 'SM BOX', 1.00, 'c')"
+                .to_string(),
+        );
+        let lines = [
+            (1, 5, "17.25", "0.04", "0.02", "N", "O", "1998-08-01", "AIR", "DELIVER IN PERSON"),
+            (1, 12, "24.00", "0.10", "0.08", "N", "O", "1998-08-02", "AIR", "DELIVER IN PERSON"),
+            (2, 15, "1500.10", "0.05", "0.00", "R", "F", "1995-01-01", "REG AIR", "DELIVER IN PERSON"),
+            (2, 21, "33.00", "0.00", "0.01", "R", "F", "1994-06-30", "AIR", "DELIVER IN PERSON"),
+            (3, 25, "999.99", "0.07", "0.06", "A", "F", "1993-03-03", "REG AIR", "DELIVER IN PERSON"),
+            (3, 31, "12.50", "0.01", "0.03", "A", "F", "1993-03-04", "AIR", "DELIVER IN PERSON"),
+            (4, 1, "100.00", "0.00", "0.00", "N", "O", "1998-09-02", "AIR", "DELIVER IN PERSON"),
+            (1, 7, "45.45", "0.02", "0.04", "N", "F", "1998-09-03", "REG AIR", "DELIVER IN PERSON"),
+            (2, 11, "0.01", "0.10", "0.08", "A", "F", "1996-02-29", "MAIL", "DELIVER IN PERSON"),
+            (3, 22, "250.00", "0.03", "0.05", "R", "F", "1992-12-31", "AIR", "NONE"),
+            (1, 9, "77.70", "0.06", "0.07", "A", "F", "1997-07-07", "AIR", "DELIVER IN PERSON"),
+            (2, 18, "8.88", "0.09", "0.02", "N", "O", "1998-12-01", "AIR", "DELIVER IN PERSON"),
+        ];
+        let rows: Vec<String> = lines
+            .iter()
+            .enumerate()
+            .map(|(i, (part, qty, price, disc, tax, flag, status, ship, mode, instruct))| {
+                format!(
+                    "({i}, {part}, 1, 1, {qty}, {price}, {disc}, {tax}, '{flag}', '{status}', DATE '{ship}', \
+                     DATE '{ship}', DATE '{ship}', '{instruct}', '{mode}', 'c')"
+                )
+            })
+            .collect();
+        setup.push(format!("INSERT INTO LINEITEM VALUES {}", rows.join(", ")));
+        let setup: Vec<&str> = setup.iter().map(String::as_str).collect();
+        let db = db(&setup);
+
+        let q1 = |arg: &dyn Fn(&str) -> String| {
+            format!(
+                "SELECT L_RETURNFLAG, L_LINESTATUS, SUM({}), SUM({}), SUM({}), SUM({}), AVG({}), AVG({}), AVG({}), \
+                 COUNT(*) FROM LINEITEM WHERE (LINEITEM.L_SHIPDATE <= (DATE '1998-12-01' - 90)) \
+                 GROUP BY L_RETURNFLAG, L_LINESTATUS ORDER BY L_RETURNFLAG, L_LINESTATUS",
+                arg("L_QUANTITY"),
+                arg("L_EXTENDEDPRICE"),
+                arg("(L_EXTENDEDPRICE * (1 - L_DISCOUNT))"),
+                arg("((L_EXTENDEDPRICE * (1 - L_DISCOUNT)) * (1 + L_TAX))"),
+                arg("L_QUANTITY"),
+                arg("L_EXTENDEDPRICE"),
+                arg("L_DISCOUNT"),
+            )
+        };
+        let branch = |brand: &str, containers: &str, low: u32, size: u32| {
+            format!(
+                "((P.P_BRAND = '{brand}') AND (P.P_CONTAINER IN ({containers})) AND (L.L_QUANTITY >= {low}) \
+                 AND (L.L_QUANTITY <= {}) AND (P.P_SIZE BETWEEN 1 AND {size}) \
+                 AND (L.L_SHIPMODE IN ('AIR', 'REG AIR')) AND (L.L_SHIPINSTRUCT = 'DELIVER IN PERSON'))",
+                low + 10
+            )
+        };
+        let residual = [
+            branch("Brand#12", "'SM CASE', 'SM BOX', 'SM PACK', 'SM PKG'", 1, 5),
+            branch("Brand#23", "'MED BAG', 'MED BOX', 'MED PKG', 'MED PACK'", 10, 10),
+            branch("Brand#34", "'LG CASE', 'LG BOX', 'LG PACK', 'LG PKG'", 20, 15),
+        ]
+        .join(" OR ");
+        let q19 = |wrap: &dyn Fn(&str) -> String| {
+            format!(
+                "SELECT SUM((L.L_EXTENDEDPRICE * (1 - L.L_DISCOUNT))) AS REVENUE FROM LINEITEM AS L \
+                 INNER JOIN PART AS P ON (P.P_PARTKEY = L.L_PARTKEY) WHERE {}",
+                wrap(&format!("({residual})"))
+            )
+        };
+        let plain = |e: &str| e.to_string();
+        let by_eval = |e: &str| format!("CASE WHEN 1 = 1 THEN {e} END");
+        let residual_by_eval = |e: &str| format!("CASE WHEN {e} THEN 1 ELSE 0 END = 1");
+
+        let q1_rows = query(&db, &q1(&plain));
+        assert_eq!(format!("{q1_rows:?}"), format!("{:?}", query(&db, &q1(&by_eval))));
+        assert_eq!(q1_rows.len(), 3, "{q1_rows:?}");
+        let q19_rows = query(&db, &q19(&plain));
+        assert_eq!(format!("{q19_rows:?}"), format!("{:?}", query(&db, &q19(&residual_by_eval))));
+        // Lines 0, 7 and 10 pass the first branch, 2 and 11 the second, 4
+        // the third; the others fail on quantity, size, mode or
+        // instruction.
+        assert_eq!(text(&q19_rows), strings(&[&["2497.3055"]]));
+        // And the residual runs as one, pair by pair.
+        let plan = optimize(db.bind_query(&q19(&plain)));
+        assert!(format!("{plan:?}").contains("Join"), "{plan:?}");
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   per distinct value of their outer references (once per statement
 //!   when uncorrelated), not once per outer row. An operator's row loop
 //!   does per-row work only: it evaluates through one context whose
-//!   column references are resolved on the first row.
+//!   column references are resolved on the first row, and a filter,
+//!   join residual or aggregate compiles its predicate and arguments
+//!   once, to read columns by slot and sum DECIMALs as bare mantissas.
 //!
 //! Concurrency: the catalog is guarded by an `RwLock` and table contents
 //! are copy-on-write (`Arc<Vec<Row>>`), so concurrent analytical readers —
@@ -41,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 
+mod compile;
 mod db;
 mod eval;
 mod exec;

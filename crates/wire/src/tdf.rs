@@ -349,6 +349,15 @@ fn decode_value(buf: &mut &[u8], tag: Tag) -> Result<Datum, TdfError> {
 /// [`encode_client_row`]: crate::message::encode_client_row
 /// [`Message::write_record`]: crate::message::Message::write_record
 pub fn transcode(data: &[u8], out: &mut Vec<u8>) -> Result<u64, TdfError> {
+    transcode_batch::<true>(data, out)
+}
+
+/// The one transcoder body; `CHECK_UTF8` says whether column names and
+/// string values are checked for UTF-8. Every other check stays either
+/// way, and a valid batch transcodes to the same bytes. The Result
+/// Converter skips the check: it transcodes only batches [`encode_into`]
+/// has just written from `str` values.
+pub(crate) fn transcode_batch<const CHECK_UTF8: bool>(data: &[u8], out: &mut Vec<u8>) -> Result<u64, TdfError> {
     let mut buf = data;
     if buf.remaining() < 6 {
         return Err(TdfError("truncated TDF header".into()));
@@ -367,8 +376,10 @@ pub fn transcode(data: &[u8], out: &mut Vec<u8>) -> Result<u64, TdfError> {
         if buf.remaining() < name_len {
             return Err(TdfError("truncated TDF column name".into()));
         }
-        std::str::from_utf8(&buf[..name_len])
-            .map_err(|_| TdfError("column name is not UTF-8".into()))?;
+        if CHECK_UTF8 {
+            std::str::from_utf8(&buf[..name_len])
+                .map_err(|_| TdfError("column name is not UTF-8".into()))?;
+        }
         buf.advance(name_len);
         tags.push(tag);
     }
@@ -396,7 +407,7 @@ pub fn transcode(data: &[u8], out: &mut Vec<u8>) -> Result<u64, TdfError> {
                 continue;
             }
             out.push(0);
-            transcode_value(&mut buf, *tag, out)?;
+            transcode_value::<CHECK_UTF8>(&mut buf, *tag, out)?;
         }
         let len = u32::try_from(out.len() - frame - 5)
             .map_err(|_| TdfError("row exceeds a TDWP frame".into()))?;
@@ -406,7 +417,7 @@ pub fn transcode(data: &[u8], out: &mut Vec<u8>) -> Result<u64, TdfError> {
 }
 
 /// Move one non-null value from TDF into the client row format.
-fn transcode_value(buf: &mut &[u8], tag: Tag, out: &mut Vec<u8>) -> Result<(), TdfError> {
+fn transcode_value<const CHECK_UTF8: bool>(buf: &mut &[u8], tag: Tag, out: &mut Vec<u8>) -> Result<(), TdfError> {
     let truncated = || TdfError("truncated TDF value".into());
     let width = match tag {
         Tag::Bool => 1,
@@ -427,8 +438,10 @@ fn transcode_value(buf: &mut &[u8], tag: Tag, out: &mut Vec<u8>) -> Result<(), T
             out.put_i32_le(teradata_int_from_date(days) as i32);
         }
         Tag::Varchar => {
-            std::str::from_utf8(&value[4..])
-                .map_err(|_| TdfError("string value is not UTF-8".into()))?;
+            if CHECK_UTF8 {
+                std::str::from_utf8(&value[4..])
+                    .map_err(|_| TdfError("string value is not UTF-8".into()))?;
+            }
             out.extend_from_slice(value);
         }
         _ => out.extend_from_slice(value),
@@ -536,6 +549,71 @@ mod tests {
         let mut bad = bytes.to_vec();
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
+    }
+
+    /// A column of each tag `encode_into` writes, with the values the engine
+    /// may put in it: NULLs, multi-byte strings, negative dates, and an
+    /// `Int` in a DECIMAL column.
+    fn written_column(kind: u8) -> (SqlType, proptest::strategy::BoxedStrategy<Datum>) {
+        use proptest::prelude::*;
+        let value = match kind {
+            0 => any::<bool>().prop_map(Datum::Bool).boxed(),
+            1 => any::<i64>().prop_map(Datum::Int).boxed(),
+            2 => (-1e12f64..1e12).prop_map(Datum::Double).boxed(),
+            3 => prop_oneof![
+                (any::<i64>(), 0u8..6).prop_map(|(m, s)| Datum::Dec(Decimal::new(i128::from(m), s))),
+                any::<i32>().prop_map(|v| Datum::Int(i64::from(v))),
+            ]
+            .boxed(),
+            4 => (-719_162i32..=2_932_896).prop_map(Datum::Date).boxed(),
+            5 => (0i64..4_000_000_000_000_000).prop_map(Datum::Timestamp).boxed(),
+            6 => (-1200i32..1200, -10_000i32..10_000)
+                .prop_map(|(months, days)| Datum::Interval(Interval { months, days }))
+                .boxed(),
+            _ => "[a-zA-Z0-9 àéü€'%_-]{0,16}".prop_map(Datum::str).boxed(),
+        };
+        let ty = match kind {
+            0 => SqlType::Boolean,
+            1 => SqlType::Integer,
+            2 => SqlType::Double,
+            3 => SqlType::Decimal { precision: 38, scale: 4 },
+            4 => SqlType::Date,
+            5 => SqlType::Timestamp,
+            6 => SqlType::Interval,
+            _ => SqlType::Varchar(None),
+        };
+        (ty, prop_oneof![9 => value, 1 => Just(Datum::Null)].boxed())
+    }
+
+    fn written_batch() -> impl proptest::strategy::Strategy<Value = (Schema, Vec<Row>)> {
+        use proptest::prelude::*;
+        proptest::collection::vec(0u8..8, 1..7).prop_flat_map(|kinds| {
+            let columns: Vec<_> = kinds.iter().map(|&k| written_column(k)).collect();
+            let schema = Schema::new(
+                columns
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (ty, _))| Field::new(None, &format!("Ü{i}"), ty.clone(), true))
+                    .collect(),
+            );
+            let row: Vec<_> = columns.into_iter().map(|(_, v)| v).collect();
+            (Just(schema), proptest::collection::vec(row, 0..24))
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn a_written_batch_transcodes_to_the_same_bytes_unchecked((schema, rows) in written_batch()) {
+            let mut batch = Vec::new();
+            encode_into(&schema, &rows, &mut batch).unwrap();
+            let (mut checked, mut unchecked) = (Vec::new(), Vec::new());
+            let n = transcode_batch::<true>(&batch, &mut checked).unwrap();
+            assert_eq!(transcode_batch::<false>(&batch, &mut unchecked), Ok(n));
+            assert_eq!(n, rows.len() as u64);
+            assert_eq!(checked, unchecked);
+        }
     }
 
     #[test]

@@ -282,6 +282,7 @@ fn days_from_ymd(y: i32, m: u32, d: u32) -> i64 {
 }
 
 /// Civil (year, month, day) for days since 1970-01-01.
+#[inline]
 pub fn ymd_from_date(days: i32) -> (i32, u32, u32) {
     let z = days as i64 + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
@@ -340,6 +341,7 @@ fn date_overflow(op: &str) -> ValueError {
 /// Teradata internal integer encoding of a date:
 /// `(year - 1900) * 10000 + month * 100 + day` (paper §5, Example 2:
 /// `1140101` encodes `2014-01-01`).
+#[inline]
 pub fn teradata_int_from_date(days: i32) -> i64 {
     let (y, m, d) = ymd_from_date(days);
     ((y as i64) - 1900) * 10_000 + (m as i64) * 100 + d as i64
@@ -454,6 +456,19 @@ pub fn format_timestamp(micros: i64) -> String {
 // Datum
 // ---------------------------------------------------------------------------
 
+/// `s` without its trailing blanks (`CHAR` padding), as bytes: a blank is
+/// one byte in UTF-8 and never part of another character, and `str`
+/// orders by its bytes.
+#[inline]
+fn unpadded(s: &str) -> &[u8] {
+    let bytes = s.as_bytes();
+    let mut len = bytes.len();
+    while len > 0 && bytes[len - 1] == b' ' {
+        len -= 1;
+    }
+    &bytes[..len]
+}
+
 /// A runtime SQL value.
 ///
 /// Strings use `Arc<str>` so that row cloning during joins and conversion is
@@ -528,9 +543,7 @@ impl Datum {
             (Timestamp(a), Date(b)) => {
                 Some(a.cmp(&(*b as i64 * 86_400_000_000)))
             }
-            (Str(a), Str(b)) => {
-                Some(a.trim_end_matches(' ').cmp(b.trim_end_matches(' ')))
-            }
+            (Str(a), Str(b)) => Some(unpadded(a).cmp(unpadded(b))),
             (Interval(a), Interval(b)) => {
                 Some((a.months * 30 + a.days).cmp(&(b.months * 30 + b.days)))
             }

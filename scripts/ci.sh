@@ -114,6 +114,14 @@ cargo build --offline --release --workspace
 #   (`keys_borrowed_from_the_row_match_keys_evaluated_as_expressions`),
 #   and so do projections copied by index from plain columns
 #   (`projections_copied_by_index_match_projections_evaluated_as_expressions`);
+#   filter predicates, join residuals and aggregate arguments compiled
+#   once per operator give `eval`'s truth values, aggregate results and
+#   error texts on generated trees over NULLs, padded CHARs, mixed
+#   numerics, off-scale DECIMALs and overflowing sums
+#   (`compiled_predicates_and_aggregates_agree_with_eval`), read an outer
+#   row through `eval` (`a_correlated_reference_in_a_compiled_predicate_reads_the_outer_row`),
+#   and agree on TPC-H Q1 and Q19
+#   (`tpch_q19_residual_and_q1_aggregates_match_eval`);
 #   the `keys.rs` tests pin the key index itself, 100k integer keys at
 #   strides 1, 2^32 and 2^48 included. DECIMAL
 #   arithmetic, casts and ROUND fail with `decimal overflow in …` and
@@ -174,14 +182,17 @@ done
 # No key vector per row either: joins, GROUP BY and window partitions
 # number their keys in `keys::KeyIndex`, not in a `HashMap<Vec<Datum>, _>`.
 # And one hasher: the engine's row and value sets hash with
-# `keys::KeyState`, not with the default SipHash.
+# `keys::KeyState`, not with the default SipHash. And one predicate path
+# in every row loop: outside its tests, exec.rs evaluates filters and
+# join residuals through `compile::Predicate`, never `eval_truth`.
 offenders=$({ grep -rn 'outer\.to_vec()' crates/engine/src
+    awk '/#\[cfg\(test\)\]/ { exit } /eval_truth\(/ { print FILENAME ":" FNR ": " $0 }' crates/engine/src/exec.rs
     grep -rn 'EvalContext {' crates/engine/src | grep -v '^crates/engine/src/eval\.rs:'
     grep -rn 'HashMap<Vec<Datum>' crates/engine/src
     grep -rnE 'HashSet<(&Row|Datum)>|HashMap<&Row, [A-Za-z]+>' crates/engine/src
 } || true)
 if [ -n "$offenders" ]; then
-    echo "per-row evaluation context, key vector or default-hashed set in crates/engine/src:" >&2
+    echo "per-row evaluation context, key vector, default-hashed set or eval_truth row loop in crates/engine/src:" >&2
     echo "$offenders" >&2
     exit 1
 fi
