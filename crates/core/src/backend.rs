@@ -165,17 +165,31 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
+/// What a request is, as the lowering decided it: the one classification
+/// the link's retry policy and the replica set's routing both read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RequestKind {
+    /// A query: replay-safe, and any one replica can answer it.
+    Read,
+    /// Safe to re-run, but every replica needs it: a session `SET`, and the
+    /// session journal's replay of settings, GTT instances and orphan drops.
+    Replayable,
+    /// DML or DDL: never blind-retried, broadcast to every replica. The
+    /// conservative default.
+    #[default]
+    Write,
+}
+
 /// Per-request execution context the pipeline passes down to the backend
-/// so the link and the replica set can make replay-safety decisions the
-/// SQL text alone cannot justify: whether the statement is idempotent, and
-/// whether the session currently has a transaction open (a retried
+/// so the link and the replica set can make replay-safety and routing
+/// decisions the SQL text alone cannot justify: what kind of request it
+/// is, and whether the session currently has a transaction open (a retried
 /// statement inside a transaction could be applied twice if the first
 /// attempt actually committed on the target before the error surfaced).
 #[derive(Debug, Clone, Default)]
 pub struct RequestContext {
-    /// Re-executing the statement cannot change the outcome (read-only
-    /// queries; not DML/DDL). The default is the conservative `false`.
-    pub idempotent: bool,
+    /// The lowering's classification; by default the conservative `Write`.
+    pub kind: RequestKind,
     /// The session has an open transaction.
     pub in_transaction: bool,
     /// The session's transaction pin, lent by the session's
@@ -185,30 +199,30 @@ pub struct RequestContext {
 }
 
 impl RequestContext {
-    /// Context for a replay-safe read outside any transaction.
+    /// Context for a query outside any transaction.
     pub fn read_only() -> RequestContext {
-        RequestContext { idempotent: true, ..RequestContext::default() }
+        RequestContext { kind: RequestKind::Read, ..RequestContext::default() }
     }
 
-    /// Context for a non-idempotent statement (DML/DDL): never blind-retried.
+    /// Context for a replay-safe request every replica must see.
+    pub fn replayable() -> RequestContext {
+        RequestContext { kind: RequestKind::Replayable, ..RequestContext::default() }
+    }
+
+    /// Context for a DML/DDL statement: never blind-retried.
     pub fn write() -> RequestContext {
         RequestContext::default()
     }
 
-    /// Conservative keyword classification for callers entering through the
-    /// plain [`Backend::execute`] path: only obvious reads are idempotent.
-    pub fn from_sql(sql: &str) -> RequestContext {
-        let first = sql.split_whitespace().next().unwrap_or("").to_ascii_uppercase();
-        RequestContext {
-            idempotent: matches!(first.as_str(), "SELECT" | "SEL" | "WITH" | "HELP" | "SHOW"),
-            ..RequestContext::default()
-        }
+    /// Re-executing the request cannot change its outcome.
+    pub fn replay_safe(&self) -> bool {
+        self.kind != RequestKind::Write
     }
 
-    /// The replay-safety gate: blind retry is permitted only for idempotent
-    /// statements outside an open transaction.
+    /// The replay-safety gate: blind retry is permitted only for replay-safe
+    /// requests outside an open transaction.
     pub fn allows_retry(&self) -> bool {
-        self.idempotent && !self.in_transaction
+        self.replay_safe() && !self.in_transaction
     }
 }
 
@@ -375,7 +389,8 @@ pub mod testing {
         /// Every call is in scope.
         #[default]
         All,
-        /// Only replay-safe calls (`idempotent ∧ ¬in_transaction`).
+        /// Only replay-safe calls outside a transaction
+        /// ([`RequestContext::allows_retry`]).
         IdempotentOnly,
         /// Only calls made inside an open transaction.
         InTransactionOnly,
@@ -574,7 +589,7 @@ pub mod testing {
         }
 
         fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-            self.execute_ctx(sql, RequestContext::from_sql(sql))
+            self.execute_ctx(sql, RequestContext::write())
         }
 
         fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
@@ -630,12 +645,12 @@ mod tests {
     fn request_context_replay_safety() {
         assert!(RequestContext::read_only().allows_retry());
         assert!(!RequestContext::write().allows_retry());
+        assert!(RequestContext::replayable().allows_retry());
         assert!(!RequestContext { in_transaction: true, ..RequestContext::read_only() }
             .allows_retry());
-        assert!(RequestContext::from_sql("  SEL * FROM T").idempotent);
-        assert!(RequestContext::from_sql("WITH X AS (SELECT 1) SELECT * FROM X").idempotent);
-        assert!(!RequestContext::from_sql("INSERT INTO T VALUES (1)").idempotent);
-        assert!(!RequestContext::from_sql("").idempotent);
+        assert!(!RequestContext { in_transaction: true, ..RequestContext::replayable() }
+            .allows_retry());
+        assert_eq!(RequestContext::default().kind, RequestKind::Write);
     }
 
     #[test]

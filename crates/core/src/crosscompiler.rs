@@ -2,13 +2,14 @@
 //! serialize → execute, routes emulated features through the mid tier, and
 //! instruments per-stage timing (the Figure 9 measurements).
 
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyperq_parser::ast as past;
-use hyperq_parser::fingerprint::{fingerprint, fnv1a, redact_literals};
+use hyperq_parser::fingerprint::{fingerprint, fnv1a, redact_literals, Fingerprint};
 use hyperq_parser::{parse_statements, Dialect, ParsedStatement};
 use hyperq_xtra::catalog::{ColumnDef, MetadataProvider, TableDef, TableKind, ViewDef};
 use hyperq_xtra::datum::Datum;
@@ -20,7 +21,7 @@ use hyperq_obs::provenance::{self, CacheOutcome, FinishedStatement};
 use hyperq_obs::{Counter, Histogram, ObsContext, Span, TraceId};
 
 use crate::analyze::{AnalyzeMode, Analyzer};
-use crate::backend::{Backend, ExecResult, RequestContext};
+use crate::backend::{Backend, ExecResult, RequestContext, RequestKind};
 use crate::binder::Binder;
 use crate::builder::{Request, Response};
 use crate::cache::{CacheFill, CacheKey, TranslationCache};
@@ -155,6 +156,23 @@ struct CacheSeed {
     /// A mid-tier emulation injected a value that changes between
     /// executions (e.g. a `DEFAULT CURRENT_DATE` column): never cache.
     volatile: bool,
+}
+
+/// A text and its fingerprint, lexed at most once, by whichever of the
+/// cache's fast path, the cache fill and the provenance record asks first.
+struct Lexed<'a> {
+    text: &'a str,
+    once: OnceCell<Option<Fingerprint>>,
+}
+
+impl<'a> Lexed<'a> {
+    fn new(text: &'a str) -> Self {
+        Lexed { text, once: OnceCell::new() }
+    }
+
+    fn fp(&self) -> Option<&Fingerprint> {
+        self.once.get_or_init(|| fingerprint(self.text).ok()).as_ref()
+    }
 }
 
 /// What binding leaves for the rest of the statement.
@@ -345,12 +363,14 @@ impl HyperQ {
             let statement = self.run_parameterized(&req.sql, &req.params)?;
             return Ok(Response { statements: vec![statement] });
         }
+        // A statement that is the whole request shares its fingerprint.
+        let request = Lexed::new(&req.sql);
         if !req.ctx.bypass_cache {
-            if let Some(result) = self.try_cache_fast_path(&req.sql) {
+            if let Some(result) = self.try_cache_fast_path(&request) {
                 return result.map(|s| Response { statements: vec![s] });
             }
         }
-        let statements = self.run_script_slow(&req.sql, !req.ctx.bypass_cache)?;
+        let statements = self.run_script_slow(&request, !req.ctx.bypass_cache)?;
         Ok(Response { statements })
     }
 
@@ -360,14 +380,16 @@ impl HyperQ {
     }
 
     /// The full pipeline path: parse the script, route every statement.
-    fn run_script_slow(&mut self, sql: &str, cache_ok: bool) -> Result<Vec<StatementResult>> {
+    fn run_script_slow(&mut self, script: &Lexed, cache_ok: bool) -> Result<Vec<StatementResult>> {
         let t0 = Instant::now();
-        let stmts = batch_single_row_inserts(parse_statements(sql, Dialect::Teradata)?);
+        let stmts = batch_single_row_inserts(parse_statements(script.text, Dialect::Teradata)?);
         let parse_time = t0.elapsed();
         let mut outcomes = Vec::with_capacity(stmts.len());
         let obs = Arc::clone(&self.obs);
         for (i, ps) in stmts.into_iter().enumerate() {
             let text = ps.text.clone();
+            let own = Lexed::new(&text);
+            let lexed = if text == script.text { script } else { &own };
             let root = obs.traces.enter("statement");
             let trace = root.trace_id();
             obs.provenance.begin();
@@ -377,11 +399,11 @@ impl HyperQ {
                 // existed; charge it to the first statement.
                 self.record_stage("parse", parse_time, &mut parse, Some(&root));
             }
-            let processed = self.process(ps, cache_ok);
+            let processed = self.process(ps, cache_ok.then_some(lexed));
             // Script parse time happened outside the root span, so fold it
             // into the statement's end-to-end time too.
             let total = root.finish() + parse.translation;
-            let mut outcome = self.observe_statement(processed, trace, &text, total)?;
+            let mut outcome = self.observe_statement(processed, trace, lexed, total)?;
             outcome.timings.merge(parse);
             outcomes.push(outcome);
         }
@@ -391,13 +413,14 @@ impl HyperQ {
     /// Try to answer a request from the translation cache without parsing.
     /// `None` falls through to the slow path; `Some` is the statement's
     /// final result (the hit executed, successfully or not).
-    fn try_cache_fast_path(&mut self, sql: &str) -> Option<Result<StatementResult>> {
+    fn try_cache_fast_path(&mut self, request: &Lexed) -> Option<Result<StatementResult>> {
+        let sql = request.text;
         let cache = Arc::clone(self.cache.as_ref()?);
         if !fast_path_candidate(sql) {
             return None;
         }
         let t0 = Instant::now();
-        let fp = fingerprint(sql).ok()?;
+        let fp = request.fp()?;
         if fp.statements != 1 {
             return None;
         }
@@ -445,8 +468,9 @@ impl HyperQ {
         // The lookup ran before the root span opened; it is part of the
         // statement's end-to-end time all the same.
         let total = root.finish() + lookup_time;
-        let text = statement_text(sql).to_string();
-        Some(self.observe_statement(processed, trace, &text, total))
+        let own = Lexed::new(statement_text(sql));
+        let lexed = if own.text == sql { request } else { &own };
+        Some(self.observe_statement(processed, trace, lexed, total))
     }
 
     /// The cache-key context hash: everything besides the statement text
@@ -470,10 +494,10 @@ impl HyperQ {
     }
 
     /// Offer the most recent standard-path translation to the cache.
-    fn maybe_populate(&mut self, text: &str, features: &FeatureSet) {
+    fn maybe_populate(&mut self, lexed: &Lexed, features: &FeatureSet) {
         let Some(seed) = self.cache_seed.take() else { return };
         let Some(cache) = self.cache.clone() else { return };
-        if text.is_empty() {
+        if lexed.text.is_empty() {
             // Internal sub-statements (routine bodies) carry no source
             // text; they are driven by their caller, never cached.
             return;
@@ -483,7 +507,7 @@ impl HyperQ {
             cache.note_bypass();
             return;
         }
-        let Ok(fp) = fingerprint(text) else {
+        let Some(fp) = lexed.fp() else {
             provenance::note_cache(CacheOutcome::Bypass("unfingerprintable"));
             return;
         };
@@ -504,7 +528,7 @@ impl HyperQ {
             is_query: seed.is_query,
             tables: seed.tables,
         };
-        cache.populate(key, text, &fp.literals, fill, |src| self.probe_translate(src));
+        cache.populate(key, lexed.text, &fp.literals, fill, |src| self.probe_translate(src));
     }
 
     /// The probe translation used to verify splice templates: a preview of
@@ -523,7 +547,7 @@ impl HyperQ {
         &mut self,
         processed: Result<StatementResult>,
         trace: TraceId,
-        text: &str,
+        lexed: &Lexed,
         total: Duration,
     ) -> Result<StatementResult> {
         // Reconcile DTM state with what a mid-statement recovery did on the
@@ -549,7 +573,7 @@ impl HyperQ {
                         )
                         .inc();
                 }
-                self.finish_provenance(trace, text, total, Some(&outcome), None);
+                self.finish_provenance(trace, lexed, total, Some(&outcome), None);
                 outcome.trace_id = Some(trace);
                 Ok(outcome)
             }
@@ -569,20 +593,20 @@ impl HyperQ {
                 };
                 self.stages.statements_err.inc();
                 let msg = e.to_string();
-                self.finish_provenance(trace, text, total, None, Some(&msg));
+                self.finish_provenance(trace, lexed, total, None, Some(&msg));
                 Err(e)
             }
         }
     }
 
     /// Seal the statement's provenance record (opened by `begin` at the
-    /// statement head; a no-op when capture is disabled). The text is
-    /// lexed here, once, off the translation hot path: the one fingerprint
-    /// gives both the hash and the literal spans the redaction replaces.
+    /// statement head; a no-op when capture is disabled). The statement's
+    /// one fingerprint gives both the hash and the literal spans the
+    /// redaction replaces.
     fn finish_provenance(
         &self,
         trace: TraceId,
-        text: &str,
+        lexed: &Lexed,
         total: Duration,
         outcome: Option<&StatementResult>,
         error: Option<&str>,
@@ -591,15 +615,15 @@ impl HyperQ {
         if !prov.is_enabled() {
             return;
         }
-        let fp = fingerprint(text).ok();
-        let hash = fp.as_ref().map_or(0, |f| f.hash);
+        let (text, fp) = (lexed.text, lexed.fp());
+        let hash = fp.map_or(0, |f| f.hash);
         // Surface the fingerprint on the in-flight query table too (the
         // governor's `/queries` snapshot keys on it).
         if let Some(gov) = hyperq_governor::current() {
             gov.set_fingerprint(hash);
         }
         let sql =
-            if prov.capture_raw() { text.to_string() } else { redact_literals(text, fp.as_ref()) };
+            if prov.capture_raw() { text.to_string() } else { redact_literals(text, fp) };
         let features: Vec<&'static str> = outcome
             .map(|o| o.features.iter().map(|f| f.code()).collect())
             .unwrap_or_default();
@@ -662,7 +686,7 @@ impl HyperQ {
         // As above: parsing preceded the root span but belongs to this
         // statement's end-to-end time.
         let total = root.finish() + parse_time;
-        let mut outcome = self.observe_statement(processed, trace, &ps.text, total)?;
+        let mut outcome = self.observe_statement(processed, trace, &Lexed::new(&ps.text), total)?;
         outcome.timings.merge(parse);
         Ok(outcome)
     }
@@ -731,7 +755,9 @@ impl HyperQ {
             .inc();
     }
 
-    fn process(&mut self, ps: ParsedStatement, cache_ok: bool) -> Result<StatementResult> {
+    /// Route one statement; `cache` is its lexed text when it may fill the
+    /// translation cache.
+    fn process(&mut self, ps: ParsedStatement, cache: Option<&Lexed>) -> Result<StatementResult> {
         let mut features = ps.features.clone();
         // Advisory anti-pattern lints over the client's source text (empty
         // for internal sub-statements, which are driven by their caller).
@@ -928,7 +954,7 @@ impl HyperQ {
                 if self.profile.caps.session_settings {
                     let sql = format!("SET {key} = {rendered}");
                     self.backend
-                        .execute_ctx(&sql, self.request_ctx(true))
+                        .execute_ctx(&sql, self.request_ctx(RequestKind::Replayable))
                         .map_err(HyperQError::Backend)?;
                     self.session.journal.record_setting(&key, &sql);
                     let mut outcome = ack(features);
@@ -980,8 +1006,8 @@ impl HyperQ {
             // --- standard path ----------------------------------------------
             stmt => {
                 let o = self.run_standard(stmt, Vec::new(), &mut features)?;
-                if cache_ok {
-                    self.maybe_populate(&ps.text, &features);
+                if let Some(lexed) = cache {
+                    self.maybe_populate(lexed, &features);
                 }
                 Ok(StatementResult { features, ..o })
             }
@@ -1094,7 +1120,7 @@ impl HyperQ {
                     text: String::new(),
                     span: hyperq_parser::StmtSpan::default(),
                 },
-                false,
+                None,
             )?;
             features.union(&o.features);
             timings.merge(o.timings);
@@ -1329,7 +1355,8 @@ impl HyperQ {
         timings: &mut StageTimings,
     ) -> Result<ExecResult> {
         let mut result = self.stage("execute", Some(timings), || {
-            self.backend.execute_ctx(sql, self.request_ctx(is_query))
+            let kind = if is_query { RequestKind::Read } else { RequestKind::Write };
+            self.backend.execute_ctx(sql, self.request_ctx(kind))
         })?;
         if let Some(n) = fetch_limit {
             result.rows.truncate(n as usize);
@@ -1681,12 +1708,12 @@ impl HyperQ {
         Ok(())
     }
 
-    /// Replay-safety context for a backend request: only pure queries are
-    /// idempotent, and nothing inside an open transaction may be blindly
-    /// retried (a replay could double-apply effects the target already
+    /// The context of a backend request: the lowering's classification,
+    /// and whether a transaction is open (nothing inside one may be blindly
+    /// retried: a replay could double-apply effects the target already
     /// holds in its transaction state).
-    fn request_ctx(&self, idempotent: bool) -> RequestContext {
-        RequestContext { idempotent, in_transaction: self.session.in_transaction, pin: None }
+    fn request_ctx(&self, kind: RequestKind) -> RequestContext {
+        RequestContext { kind, in_transaction: self.session.in_transaction, pin: None }
     }
 
     /// Peel a top-level row bound off a query plan when the target spells

@@ -72,7 +72,7 @@ pub use analyze::{AnalyzeMode, Analyzer};
 pub use builder::{HyperQBuilder, Request, RequestOptions, Response};
 pub use cache::{CacheConfig, TranslationCache};
 pub use backend::{
-    Backend, BackendError, BackendErrorKind, ExecResult, RequestContext,
+    Backend, BackendError, BackendErrorKind, ExecResult, RequestContext, RequestKind,
 };
 pub use capability::TargetCapabilities;
 pub use conformance::{Conformance, ConformanceMode, Finding, Severity};

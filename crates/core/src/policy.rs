@@ -17,11 +17,13 @@
 //! | Fatal | no | no | no | surface, keep the replica |
 //! | any kind, statement cancelled | no | no | no | surface, keep the replica |
 //!
-//! ¹ Only for a replay-safe statement (idempotent, outside a transaction);
-//! the attempt and deadline budgets are the caller's.
+//! ¹ Only for a replay-safe request outside a transaction: a
+//! [`RequestKind`](crate::backend::RequestKind) other than `Write`, as the
+//! lowering classified it. The attempt and deadline budgets are the
+//! caller's.
 //! ² Inside a transaction the session is restored but the transaction is
-//! aborted once (wire code 2631); a non-idempotent statement is not
-//! re-issued and surfaces "outcome unknown".
+//! aborted once (wire code 2631); a `Write` is not re-issued and surfaces
+//! "outcome unknown".
 //!
 //! Only `Transient`, `Timeout` and `ConnectionLost` say anything about the
 //! target's health. `Rejected` and `Fatal` are caused by the caller's own
@@ -110,7 +112,7 @@ pub fn decide(kind: BackendErrorKind, ctx: &RequestContext, cancelled: bool) -> 
     };
     let recover_session = match kind {
         ConnectionLost if ctx.in_transaction => SessionRecovery::AbortTransaction,
-        ConnectionLost if ctx.idempotent => SessionRecovery::Reissue,
+        ConnectionLost if ctx.replay_safe() => SessionRecovery::Reissue,
         ConnectionLost => SessionRecovery::OutcomeUnknown,
         Transient | Timeout | Rejected | Fatal => SessionRecovery::None,
     };

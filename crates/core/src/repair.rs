@@ -3,7 +3,7 @@
 //! A fenced replica is not dead — it missed writes. This module closes the
 //! loop: [`ReplicatedBackend::probe_and_repair`] probes each fenced
 //! replica with a cheap read, drains its write-repair journal in order
-//! under an idempotent [`RequestContext`], and re-admits the replica only
+//! under a replayable [`RequestContext`], and re-admits the replica only
 //! after a clean drain. Re-admission requires, under the state lock, an
 //! empty journal *and* no outstanding pending-miss tickets (a broadcast
 //! that observed the fence but has not yet journaled its op): a write
@@ -48,7 +48,7 @@ impl ReplicatedBackend {
     /// journal, re-admit on a clean drain. Safe to call concurrently with
     /// live traffic (and with itself — journal entries are popped only
     /// after successful replay, so double replay of an applied entry is
-    /// the worst case, and entries are replayed under an idempotent
+    /// the worst case, and entries are replayed under a replayable
     /// context for exactly that reason).
     pub fn probe_and_repair(&self) -> RepairReport {
         let mut report = RepairReport::default();
@@ -122,7 +122,7 @@ impl ReplicatedBackend {
             let replayed = hyperq_obs::provenance::suspended(|| match &op {
                 RepairOp::Write(sql) => r
                     .backend
-                    .execute_ctx(sql, RequestContext::read_only())
+                    .execute_ctx(sql, RequestContext::replayable())
                     .is_ok(),
                 RepairOp::Reset => r.backend.reset_session().is_ok(),
             });
@@ -212,7 +212,7 @@ mod tests {
         }
 
         fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-            if crate::replicate::is_read_only(sql) {
+            if sql.starts_with("SELECT") {
                 return Ok(ExecResult::ack());
             }
             self.log.lock().push(sql.to_string());

@@ -9,22 +9,23 @@
 //! [`ReplicatedBackend`] implements exactly that behind the ordinary
 //! [`Backend`] interface, and — unlike the earlier stub — it *self-heals*:
 //!
-//! * **Routing.** Reads round-robin across healthy replicas; writes (DML,
-//!   DDL) broadcast to every healthy replica. Statement classification is
-//!   parser-backed: `WITH x AS (…) DELETE FROM t` is a write, not a read.
+//! * **Routing.** Reads round-robin across healthy replicas; everything
+//!   else broadcasts to every healthy replica. The set reads no SQL: a
+//!   request is a read only when the lowering says so ([`RequestKind`]),
+//!   and the plain [`Backend::execute`] is a write.
 //! * **Error-class-aware fencing.** Each replica sits behind its own
 //!   session-less [`TargetLink`], so transient read blips and timeouts are
 //!   retried per replica before the replication layer ever sees them.
-//!   Writes keep the caller's (non-idempotent) [`RequestContext`] and are
-//!   never blind-retried — a retry after an ambiguous failure could apply
-//!   the write twice on one replica, a fork the row-count divergence check
+//!   Writes keep the caller's [`RequestContext`] and are never
+//!   blind-retried — a retry after an ambiguous failure could apply the
+//!   write twice on one replica, a fork the row-count divergence check
 //!   cannot see. Whether a failed replica is fenced, skipped or kept is the
 //!   `replica` column of the [`crate::policy`] table; beyond it a replica
 //!   is fenced when it demonstrably missed an applied write or when its
 //!   write result diverges from the majority.
 //! * **Write-repair journal.** Writes applied while a replica is fenced
 //!   are journaled per replica and drained by [`probe_and_repair`]
-//!   (`crate::repair`) under an idempotent [`RequestContext`]; the replica
+//!   (`crate::repair`) under a replayable [`RequestContext`]; the replica
 //!   is re-admitted only after a clean drain. The journal is bounded: on
 //!   overflow the replica flips to the explicit
 //!   [`ReplicaHealth::NeedsResync`] state and stays out of rotation until
@@ -50,113 +51,11 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::backend::{Backend, BackendError, ExecResult, RequestContext};
+use crate::backend::{Backend, BackendError, ExecResult, RequestContext, RequestKind};
 use crate::policy::{self, ReplicaVerdict};
 use crate::resilience::{ResilienceConfig, TargetLink};
 use hyperq_obs::{provenance, Counter, Gauge, ObsContext};
-use hyperq_parser::ast::Statement;
-use hyperq_parser::{parse_one, Dialect};
 use hyperq_xtra::catalog::TableDef;
-
-/// Statement classification for routing: `true` routes to one replica,
-/// `false` broadcasts. Parser-backed so a data-modifying CTE
-/// (`WITH x AS (…) DELETE FROM t`) is recognized as a write; statements the
-/// parser cannot handle fall back to a CTE-aware keyword scan, and anything
-/// still ambiguous defaults to write (broadcast is always state-safe).
-pub(crate) fn is_read_only(sql: &str) -> bool {
-    match parse_one(sql, Dialect::Teradata) {
-        Ok(parsed) => matches!(
-            parsed.stmt,
-            Statement::Query(_) | Statement::Help(_) | Statement::Explain(_)
-        ),
-        Err(_) => matches!(
-            keyword_after_ctes(sql).as_deref(),
-            Some("SELECT" | "SEL" | "HELP" | "SHOW" | "EXPLAIN")
-        ),
-    }
-}
-
-/// The leading statement keyword, skipping a `WITH … AS (…)` prefix.
-/// Quoted strings and identifiers are opaque; parenthesized groups (CTE
-/// bodies, column lists) are swallowed whole.
-fn keyword_after_ctes(sql: &str) -> Option<String> {
-    let toks = top_level_tokens(sql);
-    let mut i = 0;
-    let first = toks.first()?;
-    if !first.eq_ignore_ascii_case("WITH") {
-        return Some(first.to_ascii_uppercase());
-    }
-    i += 1;
-    if toks.get(i).is_some_and(|t| t.eq_ignore_ascii_case("RECURSIVE")) {
-        i += 1;
-    }
-    loop {
-        // CTE name (its column list, if any, was swallowed with the parens).
-        i += 1;
-        if !toks.get(i)?.eq_ignore_ascii_case("AS") {
-            return None;
-        }
-        i += 1;
-        match toks.get(i)?.as_str() {
-            "," => i += 1,
-            t => return Some(t.to_ascii_uppercase()),
-        }
-    }
-}
-
-/// Words and commas at paren depth 0, with quoted regions skipped.
-fn top_level_tokens(sql: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut word = String::new();
-    let mut depth = 0usize;
-    let mut chars = sql.chars().peekable();
-    let flush = |word: &mut String, out: &mut Vec<String>| {
-        if !word.is_empty() {
-            out.push(std::mem::take(word));
-        }
-    };
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' => {
-                flush(&mut word, &mut out);
-                // Consume the string literal, honouring '' escapes.
-                while let Some(q) = chars.next() {
-                    if q == '\'' {
-                        if chars.peek() == Some(&'\'') {
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            '"' => {
-                flush(&mut word, &mut out);
-                for q in chars.by_ref() {
-                    if q == '"' {
-                        break;
-                    }
-                }
-            }
-            '(' => {
-                flush(&mut word, &mut out);
-                depth += 1;
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-            }
-            _ if depth > 0 => {}
-            ',' => {
-                flush(&mut word, &mut out);
-                out.push(",".to_string());
-            }
-            c if c.is_alphanumeric() || c == '_' || c == '$' || c == '#' => word.push(c),
-            _ => flush(&mut word, &mut out),
-        }
-    }
-    flush(&mut word, &mut out);
-    out
-}
 
 /// A replica's routing state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,6 +169,20 @@ pub(crate) struct Replica {
     pub(crate) repairs: Arc<Counter>,
     reads: Arc<Counter>,
     writes: Arc<Counter>,
+}
+
+impl Replica {
+    /// Take the replica out of rotation under its state lock; whether it
+    /// was in rotation.
+    fn fence_locked(&self, st: &mut ReplicaState) -> bool {
+        if st.health != ReplicaHealth::Healthy {
+            return false;
+        }
+        st.health = ReplicaHealth::Fenced;
+        self.health_state.set(ReplicaHealth::Fenced.gauge_value());
+        self.fences.inc();
+        true
+    }
 }
 
 /// A session's transaction pin: the replica its open transaction is bound
@@ -472,15 +385,10 @@ impl ReplicatedBackend {
     /// Take a replica out of rotation (idempotent).
     pub(crate) fn fence(&self, i: usize) {
         let r = &self.replicas[i];
-        let mut st = r.state.lock();
-        if st.health != ReplicaHealth::Healthy {
-            return;
+        let fenced_now = r.fence_locked(&mut r.state.lock());
+        if fenced_now {
+            self.refresh_healthy_gauge();
         }
-        st.health = ReplicaHealth::Fenced;
-        r.health_state.set(ReplicaHealth::Fenced.gauge_value());
-        r.fences.inc();
-        drop(st);
-        self.refresh_healthy_gauge();
     }
 
     /// Flip a replica to the terminal needs-resync state: its journal can
@@ -507,91 +415,47 @@ impl ReplicatedBackend {
         self.healthy_gauge.set(self.healthy_replicas() as i64);
     }
 
-    /// Fence a replica that just failed a broadcast and journal the op it
-    /// missed, atomically under its state lock. Fencing and journaling in
-    /// one critical section closes the race where the prober probes the
-    /// freshly fenced replica, finds an empty journal, re-admits it, and a
-    /// concurrent broadcast applies a *newer* write before this op lands —
+    /// Journal the broadcast op replica `i` missed and fence it if it is
+    /// still in rotation, in one critical section under its state lock.
+    /// That closes the race where the prober probes the freshly fenced
+    /// replica, finds an empty journal, re-admits it, and a concurrent
+    /// broadcast applies a *newer* write before this op lands —
     /// out-of-order application the row counts would never reveal.
-    fn fence_and_journal(&self, i: usize, op: RepairOp) {
+    ///
+    /// `ticket` releases the pending-miss ticket a broadcast takes when it
+    /// finds the replica already fenced at dispatch (`op` `None` releases
+    /// it without journaling — the broadcast applied nowhere). The prober
+    /// refuses re-admission while a ticket is outstanding, so the append
+    /// cannot lose a race against a premature heal; should that invariant
+    /// ever break, the replica is re-fenced rather than left healthy with
+    /// an op stranded in its journal (drain only runs on fenced ones).
+    fn journal(&self, i: usize, op: Option<RepairOp>, ticket: bool) {
         let r = &self.replicas[i];
-        let fenced_now;
-        {
-            let mut st = r.state.lock();
-            match st.health {
-                ReplicaHealth::NeedsResync => return,
-                ReplicaHealth::Healthy => {
-                    st.health = ReplicaHealth::Fenced;
-                    r.health_state.set(ReplicaHealth::Fenced.gauge_value());
-                    r.fences.inc();
-                    fenced_now = true;
-                }
-                ReplicaHealth::Fenced => fenced_now = false,
-            }
-            if st.journal.len() >= self.config.journal_capacity {
-                drop(st);
-                self.mark_needs_resync(i);
-                return;
-            }
-            st.journal.push_back(op);
-            r.depth_gauge.set(st.journal.len() as i64);
+        let mut st = r.state.lock();
+        if ticket {
+            debug_assert!(st.pending_misses > 0, "pending-miss ticket double-released");
+            st.pending_misses = st.pending_misses.saturating_sub(1);
         }
+        let Some(op) = op else { return };
+        if st.health == ReplicaHealth::NeedsResync {
+            return;
+        }
+        let fenced_now = r.fence_locked(&mut st);
+        if st.journal.len() >= self.config.journal_capacity {
+            drop(st);
+            self.mark_needs_resync(i);
+            return;
+        }
+        st.journal.push_back(op);
+        r.depth_gauge.set(st.journal.len() as i64);
+        drop(st);
         if fenced_now {
             self.refresh_healthy_gauge();
         }
     }
 
-    /// Land a broadcast op in the journal of a replica that was already
-    /// fenced at dispatch, releasing the pending-miss ticket taken under
-    /// the dispatch-time health check (`op` `None` releases the ticket
-    /// without journaling — the broadcast applied nowhere). The prober
-    /// refuses re-admission while a ticket is outstanding, so the append
-    /// cannot lose a race against a premature heal.
-    fn journal_missed(&self, i: usize, op: Option<RepairOp>) {
-        let r = &self.replicas[i];
-        let refenced;
-        {
-            let mut st = r.state.lock();
-            debug_assert!(st.pending_misses > 0, "pending-miss ticket double-released");
-            st.pending_misses = st.pending_misses.saturating_sub(1);
-            if st.health == ReplicaHealth::NeedsResync {
-                return;
-            }
-            let Some(op) = op else { return };
-            // The outstanding ticket keeps the prober from re-admitting
-            // the replica, so it is still fenced here; if that invariant
-            // is ever broken, re-fence rather than strand the op in the
-            // journal of a healthy replica (drain only runs on fenced
-            // ones).
-            if st.health == ReplicaHealth::Healthy {
-                st.health = ReplicaHealth::Fenced;
-                r.health_state.set(ReplicaHealth::Fenced.gauge_value());
-                r.fences.inc();
-                refenced = true;
-            } else {
-                refenced = false;
-            }
-            if st.journal.len() >= self.config.journal_capacity {
-                drop(st);
-                self.mark_needs_resync(i);
-                return;
-            }
-            st.journal.push_back(op);
-            r.depth_gauge.set(st.journal.len() as i64);
-        }
-        if refenced {
-            self.refresh_healthy_gauge();
-        }
-    }
-
     fn execute_read(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
-        // The replication layer proved the statement read-only itself, so
-        // for its fencing decision the statement is replay-safe whatever
-        // the caller's idempotence flag says.
-        let verdict = |e: &BackendError| {
-            let proven = RequestContext { idempotent: true, ..ctx.clone() };
-            policy::decide(e.kind, &proven, policy::statement_cancelled()).fence_replica
-        };
+        let verdict = |e: &BackendError| policy::decide(e.kind, &ctx, policy::statement_cancelled());
         // Inside a transaction the only candidate is the pinned replica;
         // outside, every healthy replica in round-robin order.
         let pin = ctx.pin.as_deref();
@@ -614,7 +478,7 @@ impl ReplicatedBackend {
                     provenance::note_replica(&r.name);
                     return Ok(res);
                 }
-                Err(e) => match verdict(&e) {
+                Err(e) => match verdict(&e).fence_replica {
                     ReplicaVerdict::Keep => return Err(e),
                     ReplicaVerdict::FailOver => last_err = Some(e),
                     ReplicaVerdict::Fence => {
@@ -634,41 +498,45 @@ impl ReplicatedBackend {
         Err(last_err.unwrap_or_else(|| BackendError::rejected("no healthy replica available")))
     }
 
+    /// Run `op` on every replica in rotation, in index order. A fenced
+    /// replica is skipped with a pending-miss ticket taken under the same
+    /// lock that observed the fence: until [`Self::journal`] releases it
+    /// the prober will not re-admit the replica, so the op's journal append
+    /// cannot race a heal and land after newer writes. Returns each attempt
+    /// and the replicas skipped with a ticket.
+    fn broadcast<T>(&self, op: impl Fn(usize, &Replica) -> T) -> (Vec<(usize, T)>, Vec<usize>) {
+        let mut attempted = Vec::new();
+        let mut missed = Vec::new();
+        for (i, r) in self.replicas.iter().enumerate() {
+            let health = {
+                let mut st = r.state.lock();
+                if st.health == ReplicaHealth::Fenced {
+                    st.pending_misses += 1;
+                }
+                st.health
+            };
+            match health {
+                ReplicaHealth::Healthy => attempted.push((i, op(i, r))),
+                ReplicaHealth::Fenced => missed.push(i),
+                ReplicaHealth::NeedsResync => {}
+            }
+        }
+        (attempted, missed)
+    }
+
     fn execute_write(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
         let session_pin = ctx.pin.as_deref();
         let pin = if ctx.in_transaction { Some(self.ensure_pin(session_pin)?) } else { None };
-        // The caller's idempotence flag passes through untouched. Granting
-        // idempotence here would let each replica's resilience layer
+        // The caller's request kind passes through untouched. Granting
+        // replay safety here would let each replica's resilience layer
         // blind-retry DML after an ambiguous failure (connection lost or
         // timeout mid-write) whose first attempt may already have applied —
         // a duplicated effect on one replica that the row-count divergence
         // check cannot see, because the retry reports the same count.
         // Failed or missed writes instead reach fenced replicas through
         // the repair journal, whose replay is explicitly at-least-once.
-        let mut attempted: Vec<(usize, Result<ExecResult, BackendError>)> = Vec::new();
-        let mut missed: Vec<usize> = Vec::new();
-        for (i, r) in self.replicas.iter().enumerate() {
-            {
-                let mut st = r.state.lock();
-                match st.health {
-                    ReplicaHealth::Healthy => {}
-                    ReplicaHealth::Fenced => {
-                        // Take a pending-miss ticket under the same lock
-                        // that observed the fence: until `journal_missed`
-                        // releases it the prober will not re-admit this
-                        // replica, so the journal append below cannot race
-                        // a heal and land after newer writes.
-                        st.pending_misses += 1;
-                        missed.push(i);
-                        continue;
-                    }
-                    ReplicaHealth::NeedsResync => continue,
-                }
-            }
-            attempted.push((i, r.backend.execute_ctx(sql, ctx.clone())));
-        }
-        let ok_count = attempted.iter().filter(|(_, res)| res.is_ok()).count();
-        if ok_count == 0 {
+        let (attempted, missed) = self.broadcast(|_, r| r.backend.execute_ctx(sql, ctx.clone()));
+        if !attempted.iter().any(|(_, res)| res.is_ok()) {
             // Nothing applied the write; the client sees a failure and the
             // journal records nothing (tickets are released unjournaled).
             // Replicas whose outcome is *unknown* (the connection died or
@@ -676,7 +544,7 @@ impl ReplicatedBackend {
             // they did apply it, the next broadcast write's row-count
             // comparison flags them as diverged.
             for i in missed {
-                self.journal_missed(i, None);
+                self.journal(i, None, true);
             }
             let cancelled = policy::statement_cancelled();
             for (i, res) in &attempted {
@@ -703,11 +571,11 @@ impl ReplicatedBackend {
         // section; replicas fenced at dispatch journal under their ticket.
         for (i, res) in &attempted {
             if res.is_err() {
-                self.fence_and_journal(*i, RepairOp::Write(sql.to_string()));
+                self.journal(*i, Some(RepairOp::Write(sql.to_string())), false);
             }
         }
         for i in missed {
-            self.journal_missed(i, Some(RepairOp::Write(sql.to_string())));
+            self.journal(i, Some(RepairOp::Write(sql.to_string())), true);
         }
         // Divergence check: an applied write must affect the same number of
         // rows everywhere. The majority count wins (ties break toward the
@@ -802,9 +670,9 @@ impl Backend for ReplicatedBackend {
         &self.name
     }
 
+    /// Without the lowering's classification, a request is a `Write`.
     fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-        let idempotent = is_read_only(sql);
-        self.execute_ctx(sql, RequestContext { idempotent, ..RequestContext::default() })
+        self.execute_ctx(sql, RequestContext::write())
     }
 
     fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
@@ -812,7 +680,7 @@ impl Backend for ReplicatedBackend {
             // First statement after a transaction closes releases the pin.
             unpin(ctx.pin.as_deref());
         }
-        if is_read_only(sql) {
+        if ctx.kind == RequestKind::Read {
             self.execute_read(sql, ctx)
         } else {
             self.execute_write(sql, ctx)
@@ -833,38 +701,24 @@ impl Backend for ReplicatedBackend {
     }
 
     fn reset_session(&self) -> Result<(), BackendError> {
-        let mut any_ok = false;
-        let mut last_err = None;
-        let mut missed: Vec<usize> = Vec::new();
-        for (i, r) in self.replicas.iter().enumerate() {
-            {
-                let mut st = r.state.lock();
-                match st.health {
-                    ReplicaHealth::Healthy => {}
-                    ReplicaHealth::Fenced => {
-                        st.pending_misses += 1;
-                        missed.push(i);
-                        continue;
-                    }
-                    ReplicaHealth::NeedsResync => continue,
-                }
+        let (attempted, missed) = self.broadcast(|i, r| {
+            let reset = r.backend.reset_session();
+            if reset.is_err() {
+                self.journal(i, Some(RepairOp::Reset), false);
             }
-            match r.backend.reset_session() {
-                Ok(()) => any_ok = true,
-                Err(e) => {
-                    self.fence_and_journal(i, RepairOp::Reset);
-                    last_err = Some(e);
-                }
-            }
-        }
+            reset
+        });
         for i in missed {
-            self.journal_missed(i, Some(RepairOp::Reset));
+            self.journal(i, Some(RepairOp::Reset), true);
         }
-        match (any_ok, last_err) {
-            (true, _) => Ok(()),
-            (false, Some(e)) => Err(e),
-            (false, None) => Err(BackendError::rejected("no healthy replica available")),
+        if attempted.iter().any(|(_, reset)| reset.is_ok()) {
+            return Ok(());
         }
+        Err(attempted
+            .into_iter()
+            .filter_map(|(_, reset)| reset.err())
+            .next_back()
+            .unwrap_or_else(|| BackendError::rejected("no healthy replica available")))
     }
 }
 
@@ -904,7 +758,7 @@ mod tests {
         }
 
         fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-            if is_read_only(sql) {
+            if sql.starts_with("SELECT") {
                 *self.reads.lock() += 1;
                 Ok(ExecResult::rows(Schema::empty(), vec![]))
             } else if self.fail_writes {
@@ -920,6 +774,11 @@ mod tests {
         }
     }
 
+    /// A query, as the lowering classifies one.
+    fn read(rep: &ReplicatedBackend, sql: &str) -> Result<ExecResult, BackendError> {
+        rep.execute_ctx(sql, RequestContext::read_only())
+    }
+
     fn pair(a: &Arc<Counting>, b: &Arc<Counting>) -> ReplicatedBackend {
         ReplicatedBackend::new(vec![
             Arc::clone(a) as Arc<dyn Backend>,
@@ -933,7 +792,7 @@ mod tests {
         let (a, b) = (Counting::new(false), Counting::new(false));
         let rep = pair(&a, &b);
         for _ in 0..10 {
-            rep.execute("SELECT 1").unwrap();
+            read(&rep, "SELECT 1").unwrap();
         }
         assert_eq!(*a.reads.lock(), 5);
         assert_eq!(*b.reads.lock(), 5);
@@ -959,7 +818,7 @@ mod tests {
         assert_eq!(rep.healthy_replicas(), 1);
         // All subsequent reads go to the good replica only.
         for _ in 0..6 {
-            rep.execute("SELECT 1").unwrap();
+            read(&rep, "SELECT 1").unwrap();
         }
         assert_eq!(*good.reads.lock(), 6);
         assert_eq!(*bad.reads.lock(), 0);
@@ -973,7 +832,7 @@ mod tests {
         // A clean (fatal) write failure with zero successes does not fence:
         // the replicas are still mutually consistent.
         assert_eq!(rep.healthy_replicas(), 1);
-        assert!(rep.execute("SELECT 1").is_ok());
+        assert!(read(&rep, "SELECT 1").is_ok());
     }
 
     #[test]
@@ -983,27 +842,26 @@ mod tests {
 
     #[test]
     fn data_modifying_cte_is_classified_as_a_write() {
-        // Regression: the keyword classifier routed `WITH … DELETE` to a
-        // single replica, silently forking replica states.
+        // Regression: a keyword classifier once routed `WITH … DELETE` to a
+        // single replica, silently forking replica states. The replica set
+        // now reads no SQL: only a request the lowering calls a read goes
+        // to one replica, and the plain `execute` is a write whatever its
+        // text looks like.
+        let (a, b) = (Counting::new(false), Counting::new(false));
+        let rep = pair(&a, &b);
         for sql in [
             "WITH x AS (SELECT 1 AS c) DELETE FROM t WHERE a IN (SELECT c FROM x)",
-            "WITH x (a, b) AS (SELECT 1, 2), y AS (SELECT 3) UPDATE t SET a = 1",
-            "WITH x AS (SELECT 'it''s, quoted' AS c) INSERT INTO t SELECT c FROM x",
-        ] {
-            assert!(!is_read_only(sql), "{sql} must route as a write");
-        }
-        for sql in [
             "WITH x AS (SELECT 1 AS c) SELECT * FROM x",
-            "WITH RECURSIVE r (n) AS (SELECT 1) SEL n FROM r",
             "SELECT 1",
-            "SEL 1",
-            "HELP SESSION",
+            "SET QUERY_BAND = 'x' FOR SESSION",
         ] {
-            assert!(is_read_only(sql), "{sql} must route as a read");
+            rep.execute(sql).unwrap();
+            rep.execute_ctx(sql, RequestContext::replayable()).unwrap();
         }
-        // Unclassifiable text defaults to write (broadcast is state-safe).
-        assert!(!is_read_only("FROBNICATE ALL THE THINGS"));
-        assert!(!is_read_only("SET QUERY_BAND = 'x' FOR SESSION"));
+        let reached = |c: &Counting| *c.reads.lock() + *c.writes.lock();
+        assert_eq!((reached(&a), reached(&b)), (8, 8), "every unclassified request broadcasts");
+        read(&rep, "SELECT 1").unwrap();
+        assert_eq!(reached(&a) + reached(&b), 17, "a read reaches one replica");
     }
 
     #[test]
@@ -1110,16 +968,16 @@ mod tests {
 
     #[test]
     fn broadcast_writes_keep_the_callers_idempotence_flag() {
-        // Regression: the broadcast used to force `idempotent: true`, which
-        // let the per-replica resilience layer blind-retry non-idempotent
-        // DML after an ambiguous failure — a possible double apply on one
-        // replica that divergence detection cannot see.
+        // Regression: the broadcast used to force a replay-safe context,
+        // which let the per-replica resilience layer blind-retry DML after
+        // an ambiguous failure — a possible double apply on one replica
+        // that divergence detection cannot see.
         let cap = CtxCapture::new();
         let rep = ReplicatedBackend::new(vec![Arc::clone(&cap) as Arc<dyn Backend>]).unwrap();
         rep.execute("INSERT INTO T VALUES (1)").unwrap();
         rep.execute_ctx("DELETE FROM T", RequestContext::write()).unwrap();
         for ctx in cap.ctxs.lock().iter() {
-            assert!(!ctx.idempotent, "broadcast writes must stay non-idempotent: {ctx:?}");
+            assert_eq!(ctx.kind, RequestKind::Write, "broadcast writes must stay writes: {ctx:?}");
         }
     }
 

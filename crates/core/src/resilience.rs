@@ -546,8 +546,8 @@ impl TargetLink {
         s.pin.clear();
         driver.reset_session()?;
         // These statements re-establish session state a fresh connection
-        // lacks; they are replay-safe by construction.
-        let ctx = RequestContext::read_only();
+        // lacks: replay-safe by construction, and every replica needs them.
+        let ctx = RequestContext::replayable();
         for entry in s.journal.snapshot() {
             let replayed = &s.replayed[entry.kind as usize];
             match entry.kind {
@@ -596,8 +596,9 @@ impl Backend for TargetLink {
         self.target.driver.name()
     }
 
+    /// Without the lowering's classification, a request is a `Write`.
     fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
-        self.execute_ctx(sql, RequestContext::from_sql(sql))
+        self.execute_ctx(sql, RequestContext::write())
     }
 
     fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {

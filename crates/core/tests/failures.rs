@@ -453,6 +453,17 @@ fn table_is_exhaustive_and_matches_the_documented_policy() {
         assert_eq!(c.fence_replica, Keep, "cancelled replica: {kind} × {ctx:?}");
         assert_eq!(c.wire_code, 3807, "cancelled wire code: {kind} × {ctx:?}");
     }
+    // A replayable request (a session SET, the journal replay) is
+    // broadcast rather than routed, but fails exactly as a read does.
+    let replayable = RequestContext::replayable();
+    let in_txn_replayable = RequestContext { in_transaction: true, ..RequestContext::replayable() };
+    for kind in BackendErrorKind::ALL {
+        for cancelled in [false, true] {
+            assert_eq!(decide(kind, &replayable, cancelled), decide(kind, &idempotent, cancelled));
+            let in_txn_verdict = decide(kind, &in_txn, cancelled);
+            assert_eq!(decide(kind, &in_txn_replayable, cancelled), in_txn_verdict);
+        }
+    }
 }
 
 /// An attempt that returns with the statement's governor token set (a
@@ -539,4 +550,115 @@ fn create_view_in_macro_body_is_a_clear_error() {
     hq.run_one("CREATE MACRO M AS (CREATE VIEW V AS SEL STORE FROM SALES;)").unwrap();
     let err = hq.run_one("EXEC M").unwrap_err();
     assert!(err.to_string().contains("not supported"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
+// Request classification: the lowering decides, the link and replicas obey
+// ---------------------------------------------------------------------------
+
+const WITH_DELETE: &str =
+    "WITH d AS (SELECT 1 AS c) DELETE FROM SALES WHERE STORE IN (SELECT c FROM d)";
+
+/// Two scripted replicas.
+fn scripted_replicas() -> (Arc<ScriptedBackend>, Arc<ScriptedBackend>) {
+    (
+        Arc::new(ScriptedBackend::acking(vec![sales_table()])),
+        Arc::new(ScriptedBackend::acking(vec![sales_table()])),
+    )
+}
+
+/// A session over scripted replicas `a` and `b`, with no background prober.
+fn replicated_session(a: &Arc<ScriptedBackend>, b: &Arc<ScriptedBackend>) -> HyperQ {
+    let config = hyperq_core::ReplicaConfig { probe_interval: Duration::ZERO, ..Default::default() };
+    HyperQBuilder::for_target(Arc::clone(a) as Arc<dyn Backend>, hyperq_core::targets::simwh())
+        .replicas(vec![Arc::clone(b) as Arc<dyn Backend>], config)
+        .obs(ObsContext::new())
+        .build()
+}
+
+/// A link that is handed SQL without the lowering's classification treats
+/// it as a write: a data-modifying CTE is not retried on a transient error,
+/// whatever its first keyword says.
+#[test]
+fn a_link_never_retries_an_unclassified_data_modifying_cte() {
+    let obs = ObsContext::new();
+    let inner = Arc::new(ScriptedBackend::acking(vec![]));
+    let injector = FaultInjectingBackend::wrap(
+        Arc::clone(&inner) as Arc<dyn Backend>,
+        FaultPlan::fail_n_then_succeed(1, BackendErrorKind::Transient),
+    );
+    let link = TargetLink::new(
+        Arc::clone(&injector) as Arc<dyn Backend>,
+        Some(ResilienceConfig { retry: fast_retry(), ..Default::default() }),
+        &obs,
+    );
+    let err = link.execute(WITH_DELETE).unwrap_err();
+    assert_eq!(err.kind, BackendErrorKind::Transient);
+    assert_eq!(injector.attempts(), 1, "a write is attempted exactly once");
+    assert!(inner.sql_log().is_empty());
+}
+
+/// A session `SET` on a target with session-scoped settings is replay-safe
+/// but not a read: every replica must hold the session's settings.
+#[test]
+fn a_session_set_reaches_every_replica() {
+    let (a, b) = scripted_replicas();
+    let mut hq = replicated_session(&a, &b);
+    let o = hq.run_one("SET SESSION DATEFORM = 'ANSIDATE'").unwrap();
+    let [set] = &o.sql_sent[..] else { panic!("one SET pushed: {:?}", o.sql_sent) };
+    for r in [&a, &b] {
+        assert_eq!(r.sql_log(), vec![set.clone()]);
+    }
+}
+
+/// A lost connection makes the session's link reconnect and replay its
+/// journal. The replayed setting and GTT instance are session state, so the
+/// replica set broadcasts them; the re-issued query goes to one replica.
+#[test]
+fn journal_replay_reaches_every_replica() {
+    use hyperq_core::backend::testing::RESET_MARKER;
+    use hyperq_core::ReplicatedBackend;
+    let (a, b) = scripted_replicas();
+    let set = ReplicatedBackend::with_config(
+        vec![Arc::clone(&a) as Arc<dyn Backend>, Arc::clone(&b) as Arc<dyn Backend>],
+        hyperq_core::ReplicaConfig { probe_interval: Duration::ZERO, ..Default::default() },
+        &ObsContext::new(),
+    )
+    .unwrap();
+    let injector = FaultInjectingBackend::wrap(Arc::new(set), FaultPlan::none());
+    let target = Arc::clone(&injector) as Arc<dyn Backend>;
+    let mut hq = HyperQBuilder::for_target(target, hyperq_core::targets::simwh())
+        .obs(ObsContext::new())
+        .build();
+    hq.run_one("SET SESSION DATEFORM = 'ANSIDATE'").unwrap();
+    hq.run_one("CREATE GLOBAL TEMPORARY TABLE STAGE (K INTEGER)").unwrap();
+    let ins = hq.run_one("INS STAGE (1)").unwrap();
+    let [materialize, insert] = &ins.sql_sent[..] else { panic!("{:?}", ins.sql_sent) };
+    let set_sql = a.sql_log()[0].clone();
+
+    injector.set_plan(FaultPlan::kill_on_sql("COUNT(*)", 1));
+    let read = hq.run_one("SEL COUNT(*) FROM STAGE").unwrap();
+    assert_eq!(injector.injected_faults(), 1);
+    let [query] = &read.sql_sent[..] else { panic!("{:?}", read.sql_sent) };
+
+    let before = [set_sql.clone(), materialize.clone(), insert.clone()];
+    let replayed = [RESET_MARKER.to_string(), set_sql, materialize.clone()];
+    let (la, lb) = (a.sql_log(), b.sql_log());
+    for log in [&la, &lb] {
+        assert_eq!(log[..3], before[..], "{log:?}");
+        assert_eq!(log[3..6], replayed[..], "{log:?}");
+    }
+    let queries = |log: &[String]| log.iter().filter(|s| *s == query).count();
+    assert_eq!(queries(&la) + queries(&lb), 1, "the re-issued read goes to one replica");
+}
+
+/// The Teradata front end takes no data-modifying CTE, so through the
+/// pipeline such a statement reaches no replica at all: it is neither
+/// routed to one replica nor retried.
+#[test]
+fn a_data_modifying_cte_through_a_session_reaches_no_replica() {
+    let (a, b) = scripted_replicas();
+    let mut hq = replicated_session(&a, &b);
+    assert!(hq.run_one(WITH_DELETE).is_err());
+    assert!(a.sql_log().is_empty() && b.sql_log().is_empty());
 }

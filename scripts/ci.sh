@@ -1,6 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate, runnable fully offline: lint clean, docs clean, release
-# build, tests, static-analysis suites, unsafe-code gate.
+# build, tests, static-analysis suites. The structural text gates (panic
+# hygiene, the engine's evaluation rules, the inlined `bytes` shim, one
+# lowering path, one fingerprint per statement, one request classifier, the
+# metric inventory, no unsafe code) are `tests/structure.rs`, so a bare
+# `cargo test` runs them too.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,8 +59,15 @@ cargo build --offline --release --workspace
 # - Query lifecycle governance (`governor`, `tests/cancel`): client abort
 #   / deadline / memory budget end to end over the wire and at the
 #   library level, each leaving the breaker and every replica alone.
-# - Replica HA (`core` replicate + repair): routing, fencing, journal,
-#   pinning, the prober.
+# - Replica HA (`core` replicate + repair, `core/tests/failures`,
+#   `tests/pipeline` `replica_routing_follows_the_lowering`): routing on the
+#   lowering's request kind alone, fencing, journal, pinning, the prober; a
+#   session SET and the journal replay after a lost connection reach every
+#   replica (`a_session_set_reaches_every_replica`,
+#   `journal_replay_reaches_every_replica`), an unclassified data-modifying
+#   CTE is never retried (`a_link_never_retries_an_unclassified_data_modifying_cte`),
+#   and over TPC-H, health, telco and every `churn_mix` kind each query
+#   reaches one replica, everything else both, and the replicas end equal.
 # - Static workload assessment + capability conformance (`assess`, `core`
 #   conformance, `tests/assess_oracle`, `tests/assess_snapshots`,
 #   `tests/conformance`): verdicts on the catalog-only target must agree
@@ -153,119 +164,3 @@ for i in $(seq 20); do cargo test -q --offline --test soak; done
 # workloads over the real wire with every result verified, so a TDWP
 # framing or pipelining desync fails here, offline, not in a bench run.
 (cd bench && cargo test --offline)
-
-# Production-path panic hygiene: no `.unwrap()` / `.expect(` in non-test
-# code of the gateway-facing crates (wire, governor), the observability
-# crate (its statement table folds every statement), the engine, the
-# replica HA modules, the target-profile registry and capability modules,
-# the feature registry, the value codec both ends of the wire use, and the
-# backend contract's result type.
-# The awk strips everything from the first `#[cfg(test)]` module onward.
-for src in crates/wire/src crates/governor/src crates/obs/src crates/engine/src \
-    crates/core/src/replicate.rs crates/core/src/repair.rs \
-    crates/core/src/targets.rs crates/core/src/capability.rs \
-    crates/xtra/src/feature.rs crates/xtra/src/datum.rs crates/core/src/backend.rs; do
-    offenders=$(find "$src" -name '*.rs' -exec awk '
-        /#\[cfg\(test\)\]/ { intest = 1 }
-        !intest && /\.unwrap\(\)|\.expect\(/ { print FILENAME ":" FNR ": " $0 }
-    ' {} \;)
-    if [ -n "$offenders" ]; then
-        echo "unwrap/expect in non-test code under $src:" >&2
-        echo "$offenders" >&2
-        exit 1
-    fi
-done
-
-# One evaluation context per operator, not per row: no copy of the outer
-# scope stack in the engine, and no `EvalContext` literal outside eval.rs,
-# whose constructors build the stack once and let `set_row` swap the row.
-# No key vector per row either: joins, GROUP BY and window partitions
-# number their keys in `keys::KeyIndex`, not in a `HashMap<Vec<Datum>, _>`.
-# And one hasher: the engine's row and value sets hash with
-# `keys::KeyState`, not with the default SipHash. And one predicate path
-# in every row loop: outside its tests, exec.rs evaluates filters and
-# join residuals through `compile::Predicate`, never `eval_truth`.
-offenders=$({ grep -rn 'outer\.to_vec()' crates/engine/src
-    awk '/#\[cfg\(test\)\]/ { exit } /eval_truth\(/ { print FILENAME ":" FNR ": " $0 }' crates/engine/src/exec.rs
-    grep -rn 'EvalContext {' crates/engine/src | grep -v '^crates/engine/src/eval\.rs:'
-    grep -rn 'HashMap<Vec<Datum>' crates/engine/src
-    grep -rnE 'HashSet<(&Row|Datum)>|HashMap<&Row, [A-Za-z]+>' crates/engine/src
-} || true)
-if [ -n "$offenders" ]; then
-    echo "per-row evaluation context, key vector, default-hashed set or eval_truth row loop in crates/engine/src:" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
-
-# The `bytes` shim inlines its methods like the crate it stands in for. The
-# benchmark builds with the default release profile (no LTO, 16 codegen
-# units), where a method of another crate is inlined only if it says
-# `#[inline]`; without it, every value the wire codec reads or writes is a
-# cross-crate call. Every `fn` with a body outside the tests carries it on
-# the line before.
-shim=crates/shims/bytes/src/lib.rs
-offenders=$(awk '
-    /#\[cfg\(test\)\]/ { exit }
-    /^[[:space:]]*(pub )?fn [a-z_]/ && !/;[[:space:]]*$/ && prev !~ /^[[:space:]]*#\[inline\][[:space:]]*$/ {
-        print FILENAME ":" FNR ": " $0
-    }
-    { prev = $0 }
-' "$shim")
-if [ -n "$offenders" ]; then
-    echo "fn without #[inline] in $shim:" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
-
-# One lowering path: every statement, executed or previewed (`translate()`,
-# cache revalidation, the cache's splice probe, EXPLAIN), is bound, lowered
-# and checked by one call each in the cross compiler, so no check, emulation
-# or counter can drift between copies of the pipeline. `serialize_plan`
-# appears twice: the lowering, and the orphan-DROP journal of a failed
-# recursion cleanup.
-cc=crates/core/src/crosscompiler.rs
-for pattern in 'Binder::new' 'check_serialized' '\.transform(\|run_all(' 'self\.peel_fetch_limit('; do
-    n=$(grep -c "$pattern" "$cc" || true)
-    if [ "$n" -ne 1 ]; then
-        echo "$cc: '$pattern' appears $n times; the one lowering path has it once" >&2
-        exit 1
-    fi
-done
-n=$(grep -c 'serialize_plan' "$cc" || true)
-if [ "$n" -gt 2 ]; then
-    echo "$cc: serialize_plan appears $n times; lowering and the orphan journal need 2" >&2
-    exit 1
-fi
-
-# Every registered hyperq_* metric family must be documented in the
-# DESIGN.md inventory table. Pull quoted family-name literals out of the
-# source (suffix-filtered: spill-file name prefixes and other non-metric
-# literals share the hyperq_ namespace) and require each in the table.
-families=$(grep -rhoE '"hyperq_[a-z0-9_]+"' src crates --include='*.rs' \
-    | tr -d '"' \
-    | grep -E '_(total|seconds|state|entries|inflight|depth|queries|active)$' \
-    | sort -u)
-[ -n "$families" ] || { echo 'metric inventory grep found nothing' >&2; exit 1; }
-for family in $families; do
-    grep -q "\`$family\`" DESIGN.md || {
-        echo "metric family $family missing from the DESIGN.md inventory" >&2
-        exit 1
-    }
-done
-
-# No unsafe code outside the vendored shims: every workspace crate roots
-# a `#![forbid(unsafe_code)]`, and nothing sneaks an `unsafe` block in.
-for lib in src/lib.rs crates/xtra/src/lib.rs crates/parser/src/lib.rs \
-    crates/core/src/lib.rs crates/engine/src/lib.rs crates/wire/src/lib.rs \
-    crates/workload/src/lib.rs crates/obs/src/lib.rs crates/bench/src/lib.rs \
-    crates/governor/src/lib.rs crates/assess/src/lib.rs; do
-    grep -q '#!\[forbid(unsafe_code)\]' "$lib" || {
-        echo "missing #![forbid(unsafe_code)] in $lib" >&2
-        exit 1
-    }
-done
-if grep -rn --include='*.rs' -w 'unsafe' src crates --exclude-dir=shims \
-    | grep -v 'forbid(unsafe_code)' | grep -v 'unsafe_code'; then
-    echo 'unsafe code found outside crates/shims' >&2
-    exit 1
-fi

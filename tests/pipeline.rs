@@ -3,10 +3,12 @@
 //! the SimWH engine substrate.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use hyperq::core::backend::{BackendError, ExecResult, RequestContext, RequestKind};
 use hyperq::core::conformance::{self, RuleCheck};
-use hyperq::core::{targets, Backend, HyperQ, HyperQBuilder, ObsContext};
+use hyperq::core::{targets, Backend, HyperQ, HyperQBuilder, ObsContext, ReplicatedBackend};
+use hyperq::xtra::catalog::TableDef;
 use hyperq::engine::EngineDb;
 use hyperq::workload::customer::{health, telco, QueryClass};
 use hyperq::workload::tpch;
@@ -654,7 +656,6 @@ fn parameterized_query_with_positional_markers() {
 
 #[test]
 fn replicated_backend_scale_out() {
-    use hyperq::core::ReplicatedBackend;
     // Two replicas of the warehouse, loaded identically out of band.
     let make = || {
         let db = Arc::new(EngineDb::new());
@@ -685,6 +686,186 @@ fn replicated_backend_scale_out() {
             .to_i64()
             .unwrap();
         assert_eq!(n, 3);
+    }
+}
+
+/// One request as it passed a [`Tap`]: where (`None` above the replica
+/// set, `Some(i)` at replica `i`), what, and whether it returned rows.
+struct Hop {
+    at: Option<usize>,
+    sql: String,
+    kind: RequestKind,
+    result_set: bool,
+}
+
+/// Logs every request it forwards into a log shared by the whole stack.
+struct Tap {
+    at: Option<usize>,
+    inner: Arc<dyn Backend>,
+    log: Arc<Mutex<Vec<Hop>>>,
+}
+
+impl Backend for Tap {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn execute(&self, sql: &str) -> Result<ExecResult, BackendError> {
+        self.execute_ctx(sql, RequestContext::write())
+    }
+
+    fn execute_ctx(&self, sql: &str, ctx: RequestContext) -> Result<ExecResult, BackendError> {
+        let hop = Hop { at: self.at, sql: sql.to_string(), kind: ctx.kind, result_set: false };
+        let i = {
+            let mut log = self.log.lock().unwrap();
+            log.push(hop);
+            log.len() - 1
+        };
+        let result = self.inner.execute_ctx(sql, ctx);
+        if let Ok(r) = &result {
+            self.log.lock().unwrap()[i].result_set = !r.schema.is_empty();
+        }
+        result
+    }
+
+    fn table_meta(&self, name: &str) -> Option<TableDef> {
+        self.inner.table_meta(name)
+    }
+
+    fn reset_session(&self) -> Result<(), BackendError> {
+        self.inner.reset_session()
+    }
+}
+
+/// The tables `churn_mix` runs over, a few rows each.
+const CHURN_DDL: &[&str] = &[
+    "CREATE TABLE CH_FACTS (F0 INTEGER NOT NULL, F1 INTEGER NOT NULL, F2 INTEGER NOT NULL)",
+    "CREATE TABLE CH_ACCT (ACCT_ID INTEGER NOT NULL, BAL INTEGER, REGION INTEGER, \
+     NOTE VARCHAR(20))",
+    "CREATE TABLE CH_FEED (ACCT_ID INTEGER NOT NULL, BAL INTEGER, REGION INTEGER)",
+    "CREATE TABLE CH_LOG (K INTEGER, V INTEGER)",
+    "CREATE TABLE CH_EMP (EMPNO INTEGER NOT NULL, MGRNO INTEGER)",
+    "INSERT INTO CH_FACTS VALUES (1, 2, 3), (5, 6, 7)",
+    "INSERT INTO CH_ACCT VALUES (1, 100, 1, 'loaded'), (2, 200, 2, 'loaded')",
+    "INSERT INTO CH_FEED VALUES (1, 1001, 1), (10002, 1002, 2)",
+    "INSERT INTO CH_LOG VALUES (-1, 1)",
+    "INSERT INTO CH_EMP VALUES (2, 1), (3, 1), (4, 2)",
+];
+
+/// One statement of each kind `churn_mix` sends, and a session `SET`.
+const CHURN: &[&str] = &[
+    "CREATE SET TABLE CH_UNIQ (A INTEGER, B INTEGER)",
+    "CREATE MACRO CH_REPORT (R INTEGER) AS ( \
+     SELECT REGION, COUNT(*), SUM(BAL) FROM CH_ACCT WHERE REGION = :R GROUP BY REGION; )",
+    "CREATE GLOBAL TEMPORARY TABLE CH_GTT (K INTEGER, V INTEGER)",
+    "SELECT F0, F1 FROM CH_FACTS WHERE (F2 < 5)",
+    "INSERT INTO CH_LOG VALUES (7, 2 + 0)",
+    "INSERT INTO CH_LOG VALUES (8, 1); INSERT INTO CH_LOG VALUES (9, 2)",
+    "UPDATE CH_ACCT SET BAL = BAL + 5 WHERE REGION = 1 AND ACCT_ID > -1",
+    "MERGE INTO CH_ACCT A USING CH_FEED F ON A.ACCT_ID = F.ACCT_ID \
+     WHEN MATCHED THEN UPDATE SET NOTE = 'merged' \
+     WHEN NOT MATCHED THEN INSERT (ACCT_ID, BAL, REGION, NOTE) \
+     VALUES (F.ACCT_ID, F.BAL, F.REGION, 'new')",
+    "DELETE FROM CH_ACCT WHERE ACCT_ID > 10000",
+    "INSERT INTO CH_UNIQ VALUES (1, 2), (1, 2), (101, 2)",
+    "DELETE FROM CH_UNIQ WHERE A >= 0",
+    "BT",
+    "UPDATE CH_ACCT SET BAL = BAL + 1 WHERE ACCT_ID = 1",
+    "SEL COUNT(*) FROM CH_ACCT",
+    "ET",
+    "CREATE VOLATILE TABLE CH_VT (K INTEGER, V INTEGER) ON COMMIT PRESERVE ROWS",
+    "INSERT INTO CH_VT SELECT F0, F1 FROM CH_FACTS WHERE F2 < 5",
+    "SEL COUNT(*) FROM CH_VT",
+    "DROP TABLE CH_VT",
+    "INS CH_GTT (1, 2)",
+    "SEL COUNT(*) FROM CH_GTT",
+    "DELETE FROM CH_GTT",
+    "EXEC CH_REPORT(1)",
+    "WITH RECURSIVE REPORTS (EMPNO) AS ( \
+       SELECT EMPNO FROM CH_EMP WHERE MGRNO = 1 \
+       UNION ALL \
+       SELECT E.EMPNO FROM CH_EMP E, REPORTS WHERE E.MGRNO = REPORTS.EMPNO ) \
+     SELECT COUNT(*) FROM REPORTS",
+    "SET SESSION DATEFORM = 'ANSIDATE'",
+];
+
+/// The replica set routes on the lowering's classification alone: over
+/// TPC-H, the health and telco corpora and every `churn_mix` statement
+/// kind, on every executable profile, each query (the requests that return
+/// a result set) reaches exactly one replica, every other request reaches
+/// both, and the two replicas end with identical tables and settings.
+#[test]
+fn replica_routing_follows_the_lowering() {
+    let strings = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+    let queries: Vec<&str> = tpch::queries().into_iter().map(|(_, q)| q).collect();
+    let mut corpora = vec![("tpch", tpch::ddl(), strings(&queries))];
+    for (name, w) in [("health", health(0.05)), ("telco", telco(0.02))] {
+        let statements = w.hyperq_setup.iter().chain(&w.distinct).cloned().collect();
+        corpora.push((name, w.target_ddl, statements));
+    }
+    corpora.push(("churn_mix", strings(CHURN_DDL), strings(CHURN)));
+
+    for profile in targets::executable() {
+        for (corpus, ddl, statements) in &corpora {
+            let replica = || {
+                let db = Arc::new(EngineDb::new());
+                for d in ddl {
+                    db.execute_sql(d).unwrap();
+                }
+                if *corpus == "tpch" {
+                    for (table, rows) in tpch::generate(0.001, 42).tables() {
+                        db.load_rows(table, rows).unwrap();
+                    }
+                }
+                db
+            };
+            let dbs = [replica(), replica()];
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let tap = |at: Option<usize>, inner: Arc<dyn Backend>| -> Arc<dyn Backend> {
+                Arc::new(Tap { at, inner, log: Arc::clone(&log) })
+            };
+            let set = ReplicatedBackend::new(
+                (0..2).map(|i| tap(Some(i), Arc::clone(&dbs[i]) as Arc<dyn Backend>)).collect(),
+            )
+            .unwrap();
+            let mut hq = HyperQBuilder::for_target(tap(None, Arc::new(set)), profile.clone())
+                .obs(ObsContext::new())
+                .build();
+            let at = |what: &str| format!("[{}/{corpus}] {what}", profile.name);
+            for sql in statements {
+                hq.run_script(sql).unwrap_or_else(|e| panic!("{}", at(&format!("{e}: {sql}"))));
+            }
+
+            let log = log.lock().unwrap();
+            let mut requests = log.iter().enumerate().filter(|(_, h)| h.at.is_none()).peekable();
+            let mut reads = 0;
+            while let Some((i, request)) = requests.next() {
+                let end = requests.peek().map_or(log.len(), |(j, _)| *j);
+                let hops = &log[i + 1..end];
+                let mut replicas: Vec<usize> = hops.iter().filter_map(|h| h.at).collect();
+                replicas.sort_unstable();
+                let ctx = at(&format!("{:?} {}: reached {replicas:?}", request.kind, request.sql));
+                let same = |h: &Hop| h.sql == request.sql && h.kind == request.kind;
+                assert!(hops.iter().all(same), "{ctx}");
+                assert_eq!(request.kind == RequestKind::Read, request.result_set, "{ctx}");
+                if request.kind == RequestKind::Read {
+                    reads += 1;
+                    assert_eq!(replicas.len(), 1, "{ctx}");
+                } else {
+                    assert_eq!(replicas, vec![0, 1], "{ctx}");
+                }
+            }
+            assert!(reads > 0, "{}", at("no read was routed"));
+
+            let [a, b] = &dbs;
+            assert_eq!(a.table_names(), b.table_names());
+            assert_eq!(a.session_params(), b.session_params());
+            for table in a.table_names() {
+                let select = format!("SELECT * FROM {table}");
+                let read = |db: &EngineDb| db.execute_sql(&select).unwrap().rows;
+                assert_eq!(read(a), read(b), "{}", at(&table));
+            }
+        }
     }
 }
 
